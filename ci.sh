@@ -40,15 +40,6 @@ echo "== golden scheduler equivalence (release + debug)"
 cargo test -q --release --offline -p protean-bench --test golden_scheduler
 cargo test -q --offline -p protean-bench --test golden_scheduler
 
-echo "== flat scheduler differential (release + debug)"
-# The flat bitset/calendar-queue scheduler must be observationally
-# identical to the legacy ordered-set backend on random programs under
-# every defense. Run it named in both profiles: debug turns on the
-# cached-wheel-minimum recompute assert and the slot/seq consistency
-# asserts inside the flat backend.
-cargo test -q --release --offline -p protean-bench --test sched_flat_equiv
-cargo test -q --offline -p protean-bench --test sched_flat_equiv
-
 echo "== threaded oracle differential (release + debug)"
 # The closure-IR oracle fast mode must be bit-identical to the
 # reference interpreter — full ExecRecord streams, final state, the
@@ -110,52 +101,6 @@ PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=4 PROTEAN_BENCH_SAMPLES=1 PROT
     cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
 cmp "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
 
-echo "== campaign_perf decode-cache equivalence (--quick, PROTEAN_DECODE_CACHE=0)"
-# The decode-once µop table is a pure front-end fast path: with it
-# disabled (PROTEAN_DECODE_CACHE=0 forces the legacy decode-per-visit
-# path), the deterministic campaign report must stay byte-identical.
-cp "$BENCH_SMOKE_DIR/campaign_perf_report.json" "$BENCH_SMOKE_DIR/campaign_perf_report.decoded.bak"
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_DECODE_CACHE=0 PROTEAN_JOBS=4 \
-    PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
-    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-cmp "$BENCH_SMOKE_DIR/campaign_perf_report.decoded.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
-
-echo "== campaign_perf scheduler-backend equivalence (--quick, PROTEAN_SCHED=btree)"
-# The flat scheduler is the default; forcing the legacy ordered-set
-# backend (PROTEAN_SCHED=btree) must leave the deterministic campaign
-# report byte-identical — the end-to-end complement of the
-# sched_flat_equiv property test above.
-cp "$BENCH_SMOKE_DIR/campaign_perf_report.json" "$BENCH_SMOKE_DIR/campaign_perf_report.flat.bak"
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_SCHED=btree PROTEAN_JOBS=4 \
-    PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
-    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-cmp "$BENCH_SMOKE_DIR/campaign_perf_report.flat.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
-
-echo "== campaign_perf oracle equivalence (--quick, PROTEAN_ORACLE=interp, jobs 1 and 4)"
-# The threaded-code SEQ oracle is the default; forcing the reference
-# interpreter (PROTEAN_ORACLE=interp) must leave the deterministic
-# campaign report byte-identical, at serial and parallel pool widths.
-cp "$BENCH_SMOKE_DIR/campaign_perf_report.json" "$BENCH_SMOKE_DIR/campaign_perf_report.threaded.bak"
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_ORACLE=interp PROTEAN_JOBS=1 \
-    PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
-    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-cmp "$BENCH_SMOKE_DIR/campaign_perf_report.threaded.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_ORACLE=interp PROTEAN_JOBS=4 \
-    PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
-    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-cmp "$BENCH_SMOKE_DIR/campaign_perf_report.threaded.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
-
-echo "== campaign_perf engine-off equivalence (--quick, PROTEAN_CAMPAIGN_ENGINE=1)"
-# The campaign engine with every feature off must route each program
-# through the same worker as the batch driver and fold identically:
-# the deterministic campaign report stays byte-identical when
-# campaign_perf is re-pointed at the engine.
-cp "$BENCH_SMOKE_DIR/campaign_perf_report.json" "$BENCH_SMOKE_DIR/campaign_perf_report.batch.bak"
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_CAMPAIGN_ENGINE=1 PROTEAN_JOBS=4 \
-    PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
-    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-cmp "$BENCH_SMOKE_DIR/campaign_perf_report.batch.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
-
 echo "== campaign_service kill/resume byte-compare (uninterrupted JOBS=1 vs killed+resumed JOBS=4/2)"
 # The resumable-campaign contract, end to end through the service
 # binary: an uninterrupted run and a run killed after one chunk per
@@ -177,6 +122,12 @@ fi
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=2 \
     cargo run -q --release --offline -p protean-bench --bin campaign_service >/dev/null
 cmp "$CAMPAIGN_A_DIR/campaign_service.json" "$BENCH_SMOKE_DIR/campaign_service.json"
+
+echo "== perfbench unit tests (release)"
+# The benchmark is a separate workspace built against these crates by
+# path: test it here so a change to the public API it uses fails CI
+# rather than the benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== validate_json (all smoke reports + committed BENCH_perf.json)"
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \

@@ -1,53 +1,52 @@
 //! The persistent, resumable campaign engine (ROADMAP item 3).
 //!
-//! [`fuzz`](crate::fuzz) is a batch driver: it fans a fixed program
-//! count over workers and returns one report. Paper-scale evaluation
-//! (§VII-B) instead wants *long-running* campaigns that survive
-//! preemption, spend cheap SEQ emulation before expensive cycle-accurate
-//! replay, dedup the violation firehose into root-cause buckets, and
-//! steer generation toward undercovered microarchitectural behavior.
-//! [`run_campaign`] adds those four capabilities on top of the exact
-//! same per-program worker:
+//! Every campaign runs through [`run_campaign`] and its one per-program
+//! worker; [`fuzz`](crate::fuzz) is the single-chunk, in-memory call.
+//! Paper-scale evaluation (§VII-B) wants *long-running* campaigns that
+//! survive preemption, spend cheap SEQ emulation before expensive
+//! cycle-accurate replay, dedup the violation firehose into root-cause
+//! buckets, and steer generation toward undercovered microarchitectural
+//! behavior. The engine provides those four capabilities:
 //!
 //! * **Chunked work queue + snapshots.** The program stream is processed
 //!   in chunks of [`CampaignConfig::chunk_size`] via
-//!   `protean_jobs::map_range_with`; after every chunk the full
-//!   accumulator state is written to a versioned JSON snapshot
-//!   (`protean_sim::json`, no serde) with an atomic tmp-file rename. A
-//!   killed campaign restarted with the same config resumes from the
-//!   last chunk boundary and finishes **byte-identical** to an
-//!   uninterrupted run, at any `PROTEAN_JOBS` worker count — chunk
-//!   boundaries are a pure function of `chunk_size`, and per-chunk
-//!   results concatenate to the single-call result (asserted in
-//!   `protean-jobs` tests).
-//! * **Two-stage cheap-first filter.** All of a program's mutant SEQ
-//!   traces (threaded-code oracle, PR 7) are computed *before* any
-//!   hardware run; if no mutant is contract-equivalent to the base, the
-//!   cycle-accurate core is never constructed for that program.
-//!   [`CampaignReport::prefilter_rejected`] / `prefilter_pairs` /
-//!   `hw_pairs` quantify the stage-1 hit rate.
-//! * **Audit-signature triage.** Each candidate violation is re-run with
-//!   pipeline tracing and bucketed on
+//!   `protean_jobs::map_range_with`; with [`CampaignConfig::snapshot`]
+//!   set, the full accumulator state is written after every chunk to a
+//!   versioned JSON snapshot (`protean_sim::json`, no serde) with an
+//!   atomic tmp-file rename. A killed campaign restarted with the same
+//!   config resumes from the last chunk boundary and finishes
+//!   **byte-identical** to an uninterrupted run, at any `PROTEAN_JOBS`
+//!   worker count — chunk boundaries are a pure function of
+//!   `chunk_size`, and per-chunk results concatenate to the single-call
+//!   result (asserted in `protean-jobs` tests).
+//! * **Two-stage cheap-first filter.** The worker computes all of a
+//!   program's mutant SEQ traces (threaded-code oracle) *before* any
+//!   hardware run. With [`CampaignConfig::prefilter`] on, a program
+//!   whose mutants are all rejected by that stage never constructs the
+//!   cycle-accurate core. [`CampaignReport::prefilter_rejected`] /
+//!   `prefilter_pairs` / `hw_pairs` quantify the stage-1 hit rate.
+//! * **Audit-signature triage.** With [`CampaignConfig::triage`] on, each
+//!   candidate violation is re-run with pipeline tracing and bucketed on
 //!   [`Trace::audit_signature`](protean_sim::Trace::audit_signature) —
 //!   the sorted set of `(gate, rule)` defense decisions plus squash
 //!   causes. One root cause, one [`TriageBucket`], regardless of how
 //!   many seeds re-trigger it.
-//! * **Coverage-guided generation.** The traced base run's pipeline
-//!   events (squash causes × defense block rules), attributed to the
-//!   gadget templates the generator drew, feed a coverage map; template
-//!   weights for chunk *k* are derived from the map as of the end of
-//!   chunk *k − 1* (`w = 1 + c_max − c`), biasing generation toward
-//!   undercovered templates. Updating weights only at chunk boundaries
-//!   keeps reports worker-count independent.
+//! * **Coverage-guided generation.** With
+//!   [`CampaignConfig::coverage_guided`] on, the traced base run's
+//!   pipeline events (squash causes × defense block rules), attributed
+//!   to the gadget templates the generator drew, feed a coverage map;
+//!   template weights for chunk *k* are derived from the map as of the
+//!   end of chunk *k − 1* (`w = 1 + c_max − c`), biasing generation
+//!   toward undercovered templates. Updating weights only at chunk
+//!   boundaries keeps reports worker-count independent.
 //!
-//! With every feature flag off, the engine routes each program through
-//! the *same* [`fuzz_one_program`] worker as [`fuzz`](crate::fuzz) and
-//! merges with the same fold — the resulting [`Report`] is
-//! byte-identical to the batch driver's.
+//! With coverage guidance off, the fuzzing [`Report`] does not depend on
+//! the chunk size, the snapshot, or the triage option, so a campaign
+//! with every option off reproduces [`fuzz`](crate::fuzz) exactly.
 
 use crate::fuzzer::{
-    self, derive_program_seed, fuzz_one_program, merge_outcome, FuzzConfig, ProgramOutcome, Report,
-    SeqOracle, Violation,
+    derive_program_seed, make_input, randomize_secrets, seq_trace, traced_replay, traced_rerun,
+    FuzzConfig, Report, SeqOracle, Violation,
 };
 use crate::generator::{self, GadgetTemplate, GenConfig};
 use protean_arch::{ArchState, ExecRecord};
@@ -56,11 +55,11 @@ use protean_rng::Rng;
 use protean_sim::json::Json;
 use protean_sim::{Core, DefensePolicy, SimExit};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// Campaign-engine configuration: a [`FuzzConfig`] plus the engine
-/// feature flags. The defaults leave every feature off, in which state
-/// [`run_campaign`] reproduces [`fuzz`](crate::fuzz) byte-identically.
+/// options. [`CampaignConfig::new`] leaves every option off.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// The underlying fuzzing configuration. `fuzz.programs` is the
@@ -89,7 +88,7 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// An engine wrapper around `fuzz` with every feature off.
+    /// An engine wrapper around `fuzz` with every option off.
     pub fn new(fuzz: FuzzConfig) -> CampaignConfig {
         CampaignConfig {
             fuzz,
@@ -100,12 +99,6 @@ impl CampaignConfig {
             triage: false,
             max_chunks_per_call: None,
         }
-    }
-
-    /// Whether any per-program engine feature is on (off ⇒ the program
-    /// worker is exactly [`fuzz_one_program`]).
-    fn engine_features_on(&self) -> bool {
-        self.coverage_guided || self.prefilter || self.triage
     }
 }
 
@@ -184,6 +177,83 @@ impl CampaignReport {
     }
 }
 
+/// Why a campaign snapshot could not be loaded or saved. A campaign
+/// never resumes from a snapshot it cannot fully account for.
+#[derive(Debug)]
+pub enum SnapshotError {
+    /// Reading or writing the snapshot file failed (including a file
+    /// that is not UTF-8).
+    Io {
+        /// The snapshot path.
+        path: PathBuf,
+        /// The underlying I/O error.
+        source: std::io::Error,
+    },
+    /// The file is not a complete snapshot: not JSON, a row without its
+    /// string fields, a missing `meta` row or counter, or a value that
+    /// does not parse.
+    Malformed {
+        /// The snapshot path.
+        path: PathBuf,
+        /// What is wrong with it.
+        reason: String,
+    },
+    /// The snapshot was written under a different schema version.
+    Version {
+        /// The snapshot path.
+        path: PathBuf,
+        /// The version the snapshot declares.
+        found: u64,
+    },
+    /// The snapshot was written by a different campaign configuration;
+    /// resuming it would silently break the determinism contract.
+    Fingerprint {
+        /// The snapshot path.
+        path: PathBuf,
+        /// The fingerprint the snapshot declares.
+        found: String,
+        /// The fingerprint of the configuration being run.
+        expected: String,
+    },
+}
+
+impl fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SnapshotError::Io { path, source } => {
+                write!(f, "snapshot {}: {source}", path.display())
+            }
+            SnapshotError::Malformed { path, reason } => {
+                write!(f, "snapshot {} is malformed: {reason}", path.display())
+            }
+            SnapshotError::Version { path, found } => write!(
+                f,
+                "snapshot {} has version {found}, engine expects {SNAPSHOT_VERSION}",
+                path.display()
+            ),
+            SnapshotError::Fingerprint {
+                path,
+                found,
+                expected,
+            } => write!(
+                f,
+                "snapshot {} was written by a different campaign config \
+                 (fingerprint {found} != {expected}); refusing to resume",
+                path.display()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SnapshotError::Io { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
+
 /// Snapshot schema version (bumped on incompatible layout changes; a
 /// mismatched snapshot is refused rather than misread).
 const SNAPSHOT_VERSION: u64 = 1;
@@ -191,30 +261,35 @@ const SNAPSHOT_VERSION: u64 = 1;
 /// Runs (or resumes) a campaign. See the module docs for the engine's
 /// contract; in short:
 ///
-/// * with every feature flag off the returned
-///   [`CampaignReport::report`] is byte-identical to
-///   [`fuzz`](crate::fuzz) on the same [`FuzzConfig`];
+/// * with coverage guidance and the prefilter off (triage only adds
+///   buckets), the returned [`CampaignReport::report`] is
+///   byte-identical to [`fuzz`](crate::fuzz) on the same [`FuzzConfig`];
 /// * killing the campaign after any chunk (simulated via
 ///   [`CampaignConfig::max_chunks_per_call`], or a real SIGKILL — the
 ///   snapshot write is atomic) and re-running with the same config
 ///   resumes and finishes with an identical [`CampaignReport::digest`],
 ///   at any worker count.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if an existing snapshot was written by a different config
-/// (fingerprint mismatch) or snapshot schema version — resuming a
-/// campaign under a silently different configuration would corrupt the
-/// determinism contract, so it is refused loudly.
+/// Returns a [`SnapshotError`] if the snapshot cannot be read or
+/// written, is malformed or incomplete, or was written under a
+/// different config (fingerprint mismatch) or schema version. Resuming
+/// a campaign from state it cannot verify would corrupt the determinism
+/// contract, so it is refused.
 pub fn run_campaign(
     cfg: &CampaignConfig,
     policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
-) -> CampaignReport {
-    let fingerprint = config_fingerprint(cfg);
+) -> Result<CampaignReport, SnapshotError> {
+    // The fingerprint only tags and checks snapshots.
+    let snapshot = cfg
+        .snapshot
+        .as_deref()
+        .map(|path| (path, config_fingerprint(cfg)));
     let mut state = CampaignReport::default();
-    if let Some(path) = &cfg.snapshot {
+    if let Some((path, fingerprint)) = &snapshot {
         if path.exists() {
-            state = load_snapshot(path, &fingerprint);
+            state = load_snapshot(path, fingerprint)?;
             state.resumed = true;
         }
     }
@@ -226,7 +301,7 @@ pub fn run_campaign(
     while state.programs_done < total && !state.stopped {
         if let Some(max) = cfg.max_chunks_per_call {
             if chunks_this_call >= max {
-                return state; // simulated kill: snapshot already saved
+                return Ok(state); // simulated kill: snapshot already saved
             }
         }
         let start = state.programs_done;
@@ -239,17 +314,17 @@ pub fn run_campaign(
             .coverage_guided
             .then(|| coverage_weights(&state.coverage));
         let outcomes = protean_jobs::map_range_with(workers, start..end, |p| {
-            run_one(cfg, p, weights.as_ref(), policy_factory)
+            run_program(cfg, p, weights.as_ref(), policy_factory)
         });
 
         state.programs_done = end;
         for (off, outcome) in outcomes.into_iter().enumerate() {
-            let stopped = outcome.outcome.stopped;
+            let stopped = outcome.stopped;
             fold_outcome(&mut state, outcome);
             if stopped {
-                // stop_at_first: discard later programs of the chunk and
-                // pin the cursor to the stopping program, exactly like
-                // the batch driver's ordered-merge break.
+                // stop_at_first: discard the speculatively fuzzed later
+                // programs of the chunk and pin the cursor to the
+                // stopping program.
                 state.stopped = true;
                 state.programs_done = start + off + 1;
                 break;
@@ -258,18 +333,22 @@ pub fn run_campaign(
         state.chunks_done += 1;
         chunks_this_call += 1;
         state.complete = state.programs_done >= total || state.stopped;
-        if let Some(path) = &cfg.snapshot {
-            save_snapshot(path, &fingerprint, &state);
+        if let Some((path, fingerprint)) = &snapshot {
+            save_snapshot(path, fingerprint, &state)?;
         }
     }
     state.complete = state.programs_done >= total || state.stopped;
-    state
+    Ok(state)
 }
 
-/// One program's engine outcome: the plain fuzzing outcome plus the
-/// engine-only event streams, all merged in program order.
-struct EngineOutcome {
-    outcome: ProgramOutcome,
+/// One program's share of a campaign: its [`Report`] contribution plus
+/// the engine-only event streams, all folded in program order.
+#[derive(Default)]
+struct ProgramOutcome {
+    report: Report,
+    /// `stop_at_first` found a true positive in this program: the fold
+    /// must not consume any later program's results.
+    stopped: bool,
     prefilter_pairs: u64,
     prefilter_rejected: u64,
     hw_pairs: u64,
@@ -280,29 +359,17 @@ struct EngineOutcome {
     triage: Vec<(String, u64, usize, bool)>,
 }
 
-impl EngineOutcome {
-    fn plain(outcome: ProgramOutcome) -> EngineOutcome {
-        EngineOutcome {
-            outcome,
-            prefilter_pairs: 0,
-            prefilter_rejected: 0,
-            hw_pairs: 0,
-            candidates: 0,
-            coverage: Vec::new(),
-            triage: Vec::new(),
-        }
-    }
-}
-
-fn fold_outcome(state: &mut CampaignReport, eo: EngineOutcome) {
-    state.prefilter_pairs += eo.prefilter_pairs;
-    state.prefilter_rejected += eo.prefilter_rejected;
-    state.hw_pairs += eo.hw_pairs;
-    state.candidates += eo.candidates;
-    for key in eo.coverage {
+/// Folds one program's outcome into the campaign state, in program
+/// order.
+fn fold_outcome(state: &mut CampaignReport, outcome: ProgramOutcome) {
+    state.prefilter_pairs += outcome.prefilter_pairs;
+    state.prefilter_rejected += outcome.prefilter_rejected;
+    state.hw_pairs += outcome.hw_pairs;
+    state.candidates += outcome.candidates;
+    for key in outcome.coverage {
         *state.coverage.entry(key).or_insert(0) += 1;
     }
-    for (sig, seed, input, fp) in eo.triage {
+    for (sig, seed, input, fp) in outcome.triage {
         let bucket = state.triage.entry(sig).or_insert_with(|| TriageBucket {
             count: 0,
             false_positives: 0,
@@ -314,7 +381,16 @@ fn fold_outcome(state: &mut CampaignReport, eo: EngineOutcome) {
             bucket.false_positives += 1;
         }
     }
-    merge_outcome(&mut state.report, eo.outcome);
+    let (report, part) = (&mut state.report, outcome.report);
+    report.tests += part.tests;
+    report.pairs_rejected += part.pairs_rejected;
+    report.violations += part.violations;
+    report.false_positives += part.false_positives;
+    report.committed_uops += part.committed_uops;
+    report.hw_truncated += part.hw_truncated;
+    report.no_partner += part.no_partner;
+    let room = Report::MAX_EXAMPLES.saturating_sub(report.examples.len());
+    report.examples.extend(part.examples.into_iter().take(room));
 }
 
 /// Template weights from the coverage map: `w = 1 + c_max − c`, where
@@ -335,36 +411,20 @@ fn coverage_weights(coverage: &BTreeMap<String, u64>) -> [u64; GadgetTemplate::A
     counts.map(|c| 1 + c_max - c)
 }
 
-/// Dispatches one program to the plain worker (features off — exact
-/// [`fuzz`](crate::fuzz) behavior) or the engine worker.
-fn run_one(
-    cfg: &CampaignConfig,
-    p: usize,
-    weights: Option<&[u64; GadgetTemplate::ALL.len()]>,
-    policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
-) -> EngineOutcome {
-    if !cfg.engine_features_on() {
-        return EngineOutcome::plain(fuzz_one_program(&cfg.fuzz, p, policy_factory));
-    }
-    engine_one_program(cfg, p, weights, policy_factory)
-}
-
-/// The engine's per-program worker: [`fuzz_one_program`] restructured
-/// into the two-stage cheap-first shape, with coverage harvesting and
-/// audit-signature triage. Pure function of `(cfg, p, weights)`.
-fn engine_one_program(
+/// Fuzzes the `p`-th program of the campaign: generate, instrument,
+/// SEQ-trace every mutant (stage 1), then replay the contract-equivalent
+/// pairs on the cycle-accurate core (stage 2), with coverage harvesting
+/// and audit-signature triage when those options are on. Pure function
+/// of `(cfg, p, weights)`: the per-program seed and RNG are derived
+/// here, never shared across jobs.
+fn run_program(
     cc: &CampaignConfig,
     p: usize,
     weights: Option<&[u64; GadgetTemplate::ALL.len()]>,
     policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
-) -> EngineOutcome {
+) -> ProgramOutcome {
     let cfg = &cc.fuzz;
-    let mut report = Report::default();
-    let mut stopped = false;
-    let mut eo = EngineOutcome::plain(ProgramOutcome {
-        report: Report::default(),
-        stopped: false,
-    });
+    let mut out = ProgramOutcome::default();
 
     let seed = derive_program_seed(cfg.gen.seed, p);
     let gen_cfg = GenConfig {
@@ -375,6 +435,13 @@ fn engine_one_program(
     let program = compile_with(&generated.program, cfg.pass).program;
     let observer = cfg.contract.observer(&program);
     let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
+
+    // Per-program arenas: one `Core` serves the base run and every
+    // mutant run via `Core::reset` (byte-identical to constructing a
+    // fresh core each time), one record buffer backs every SEQ trace,
+    // and one oracle lowering — the decode-once µop table for the
+    // interpreter, or the threaded-code closures for the fast mode —
+    // backs every SEQ emulation.
     let mut records: Vec<ExecRecord> = Vec::new();
     let oracle = SeqOracle::new(&program, cfg.oracle);
 
@@ -382,12 +449,12 @@ fn engine_one_program(
         // Template-ran events are recorded even when the hardware stage
         // is skipped, so the weight feedback sees every draw.
         for t in &generated.templates {
-            eo.coverage.push(format!("{}|ran", t.name()));
+            out.coverage.push(format!("{}|ran", t.name()));
         }
     }
 
-    let base = fuzzer::make_input(&mut rng);
-    let Some(base_trace) = fuzzer::seq_trace(
+    let base = make_input(&mut rng);
+    let Some(base_trace) = seq_trace(
         &program,
         &oracle,
         &base,
@@ -395,19 +462,23 @@ fn engine_one_program(
         cfg.max_steps,
         &mut records,
     ) else {
-        eo.outcome = ProgramOutcome { report, stopped };
-        return eo;
+        // Non-terminating or bad control flow: skip program. The
+        // emulator's `StepLimit` lands here too — a program the SEQ
+        // oracle cannot finish within the architectural step budget is
+        // never compared against (possibly truncated) hardware runs.
+        return out;
     };
 
-    // Stage 1 (cheap): draw every mutant and SEQ-trace it on the
-    // threaded oracle before any cycle-accurate hardware run. The
-    // mutants are drawn in the same RNG order as the batch driver's
-    // interleaved loop, so the admitted inputs are identical.
+    // Stage 1 (cheap): draw every mutant (secrets only) and SEQ-trace
+    // it before any cycle-accurate hardware run.
     let mut admitted: Vec<(usize, ArchState)> = Vec::new();
+    // Inputs whose trace differs from the base: not contract-equivalent,
+    // so the difference is permitted.
+    let mut rejected: Vec<usize> = Vec::new();
     for i in 0..cfg.inputs_per_program {
         let mut mutant = base.clone();
-        fuzzer::randomize_secrets(&mut mutant, &mut rng);
-        let Some(mutant_trace) = fuzzer::seq_trace(
+        randomize_secrets(&mut mutant, &mut rng);
+        let Some(mutant_trace) = seq_trace(
             &program,
             &oracle,
             &mutant,
@@ -417,19 +488,19 @@ fn engine_one_program(
         ) else {
             continue;
         };
-        if mutant_trace != base_trace {
-            report.pairs_rejected += 1;
-            eo.prefilter_rejected += 1;
-            continue;
+        if mutant_trace == base_trace {
+            admitted.push((i, mutant));
+        } else {
+            rejected.push(i);
         }
-        eo.prefilter_pairs += 1;
-        admitted.push((i, mutant));
     }
+    out.prefilter_pairs = admitted.len() as u64;
+    out.prefilter_rejected = rejected.len() as u64;
 
     if cc.prefilter && admitted.is_empty() {
         // Stage 1 admitted nothing: the hardware core is never built.
-        eo.outcome = ProgramOutcome { report, stopped };
-        return eo;
+        out.report.pairs_rejected = out.prefilter_rejected;
+        return out;
     }
 
     // Stage 2 (expensive): cycle-accurate replay of the admitted pairs.
@@ -443,7 +514,7 @@ fn engine_one_program(
     let mut core = Core::new(&program, core_cfg, policy_factory(), &base);
     core.record_traces(true);
     let base_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
-    report.committed_uops += base_hw.stats.committed;
+    out.report.committed_uops += base_hw.stats.committed;
     if cc.coverage_guided {
         if let Some(trace) = &base_hw.trace {
             let causes = trace.squash_causes();
@@ -459,66 +530,78 @@ fn engine_one_program(
             templates.dedup();
             for t in &templates {
                 for c in &causes {
-                    eo.coverage.push(format!("{}|squash:{c}", t.name()));
+                    out.coverage.push(format!("{}|squash:{c}", t.name()));
                 }
                 for r in &rules {
-                    eo.coverage.push(format!("{}|block:{r}", t.name()));
+                    out.coverage.push(format!("{}|block:{r}", t.name()));
                 }
             }
         }
     }
+    // The SEQ oracle halted within `max_steps`, but a defense can stall
+    // the hardware into the cycle budget (`max_steps * 60`): a truncated
+    // run observed only a prefix and must not be compared.
     if base_hw.exit != SimExit::Halted {
-        report.hw_truncated += 1;
-        report.no_partner += admitted.len() as u64;
-        eo.outcome = ProgramOutcome { report, stopped };
-        return eo;
+        // No mutant has a comparison partner. They are all counted as
+        // partnerless, and none as rejected: `pairs_rejected` counts
+        // contract non-equivalence of pairs that could have been
+        // compared, not missing partners.
+        out.report.hw_truncated += 1;
+        out.report.no_partner += cfg.inputs_per_program as u64;
+        return out;
     }
 
+    // Under `stop_at_first` the campaign ends at the first true
+    // positive; inputs drawn after it were never up for comparison, so
+    // their stage-1 rejections do not count.
+    let mut last_input = cfg.inputs_per_program;
     for (i, mutant) in admitted {
         core.reset(&program, policy_factory(), &mutant);
         core.record_traces(true);
         let mutant_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
-        report.committed_uops += mutant_hw.stats.committed;
+        out.report.committed_uops += mutant_hw.stats.committed;
         if mutant_hw.exit != SimExit::Halted {
-            report.hw_truncated += 1;
+            out.report.hw_truncated += 1;
             continue;
         }
-        eo.hw_pairs += 1;
-        report.tests += 2;
+        out.hw_pairs += 1;
+        out.report.tests += 2;
         if cfg.adversary.observations_differ(&base_hw, &mutant_hw) {
-            eo.candidates += 1;
+            // Candidate violation; apply the false-positive filter.
+            out.candidates += 1;
             let fp = base_hw.committed_idxs != mutant_hw.committed_idxs;
             if fp {
-                report.false_positives += 1;
+                out.report.false_positives += 1;
             } else {
-                report.violations += 1;
+                out.report.violations += 1;
             }
             if cc.triage {
-                let sig = fuzzer::traced_replay(&program, &mutant, cfg, policy_factory())
+                let sig = traced_replay(&program, &mutant, cfg, policy_factory())
                     .map(|t| t.audit_signature())
                     .unwrap_or_else(|| "no-trace".to_string());
-                eo.triage.push((sig, seed, i, fp));
+                out.triage.push((sig, seed, i, fp));
             }
-            if report.examples.len() < Report::MAX_EXAMPLES {
-                report.examples.push(Violation {
+            if out.report.examples.len() < Report::MAX_EXAMPLES {
+                out.report.examples.push(Violation {
                     program_seed: seed,
                     input_index: i,
                     false_positive: fp,
                     trace: if cfg.capture_traces {
-                        fuzzer::traced_rerun(&program, &base, &mutant, cfg, policy_factory)
+                        traced_rerun(&program, &base, &mutant, cfg, policy_factory)
                     } else {
                         None
                     },
                 });
             }
             if !fp && cfg.stop_at_first {
-                stopped = true;
+                out.stopped = true;
+                last_input = i;
                 break;
             }
         }
     }
-    eo.outcome = ProgramOutcome { report, stopped };
-    eo
+    out.report.pairs_rejected = rejected.iter().filter(|&&i| i < last_input).count() as u64;
+    out
 }
 
 /// A cheap FNV-1a fingerprint of every campaign parameter that affects
@@ -613,7 +696,11 @@ fn snapshot_json(fingerprint: &str, state: &CampaignReport) -> Json {
     ])
 }
 
-fn save_snapshot(path: &PathBuf, fingerprint: &str, state: &CampaignReport) {
+fn save_snapshot(
+    path: &Path,
+    fingerprint: &str,
+    state: &CampaignReport,
+) -> Result<(), SnapshotError> {
     let doc = snapshot_json(fingerprint, state);
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
@@ -625,115 +712,152 @@ fn save_snapshot(path: &PathBuf, fingerprint: &str, state: &CampaignReport) {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, doc.render_pretty())
         .and_then(|()| std::fs::rename(&tmp, path))
-        .unwrap_or_else(|e| panic!("cannot write snapshot {}: {e}", path.display()));
+        .map_err(|source| SnapshotError::Io {
+            path: path.to_path_buf(),
+            source,
+        })
 }
 
 /// Reads an exact integer field from a parsed snapshot object —
 /// `Json::as_f64` would silently round seeds above 2^53.
-fn get_u64(obj: &Json, key: &str) -> u64 {
+fn get_u64(obj: &Json, key: &str) -> Option<u64> {
     match obj.get(key) {
-        Some(Json::U64(v)) => *v,
-        _ => 0,
+        Some(Json::U64(v)) => Some(*v),
+        _ => None,
     }
 }
 
-fn load_snapshot(path: &PathBuf, fingerprint: &str) -> CampaignReport {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read snapshot {}: {e}", path.display()));
-    let doc = Json::parse(&text)
-        .unwrap_or_else(|e| panic!("snapshot {} is not JSON: {e}", path.display()));
+/// Parses a snapshot back into campaign state, refusing anything it
+/// cannot account for: every `meta` row and counter must be present and
+/// every value must parse.
+fn load_snapshot(path: &Path, fingerprint: &str) -> Result<CampaignReport, SnapshotError> {
+    let malformed = |reason: String| SnapshotError::Malformed {
+        path: path.to_path_buf(),
+        reason,
+    };
+    let text = std::fs::read_to_string(path).map_err(|source| SnapshotError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    let doc = Json::parse(&text).map_err(|e| malformed(format!("not JSON: {e}")))?;
     let rows = doc
         .get("rows")
         .and_then(|r| r.as_arr())
-        .unwrap_or_else(|| panic!("snapshot {} has no rows", path.display()));
+        .ok_or_else(|| malformed("no rows".into()))?;
 
     let mut state = CampaignReport::default();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
     let mut examples: Vec<(usize, Violation)> = Vec::new();
+    let (mut version_seen, mut fingerprint_seen) = (false, false);
     for r in rows {
-        let kind = r.get("kind").and_then(|v| v.as_str()).unwrap_or("");
-        let key = r.get("key").and_then(|v| v.as_str()).unwrap_or("");
-        let value = r.get("value").and_then(|v| v.as_str()).unwrap_or("");
+        let field = |name: &str| {
+            r.get(name)
+                .and_then(|v| v.as_str())
+                .ok_or_else(|| malformed(format!("a row has no string `{name}`")))
+        };
+        let (kind, key, value) = (field("kind")?, field("key")?, field("value")?);
+        let number = |text: &str| {
+            text.parse::<u64>()
+                .map_err(|_| malformed(format!("{kind} `{key}` does not parse: {text:?}")))
+        };
+        let object = || {
+            Json::parse(value).map_err(|e| malformed(format!("{kind} `{key}` is not JSON: {e}")))
+        };
+        let exact = |obj: &Json, k: &str| {
+            get_u64(obj, k).ok_or_else(|| malformed(format!("{kind} `{key}` has no integer `{k}`")))
+        };
         match kind {
             "meta" => match key {
                 "version" => {
-                    let v: u64 = value.parse().unwrap_or(0);
-                    assert!(
-                        v == SNAPSHOT_VERSION,
-                        "snapshot {} has version {v}, engine expects {SNAPSHOT_VERSION}",
-                        path.display()
-                    );
+                    let found = number(value)?;
+                    if found != SNAPSHOT_VERSION {
+                        return Err(SnapshotError::Version {
+                            path: path.to_path_buf(),
+                            found,
+                        });
+                    }
+                    version_seen = true;
                 }
                 "fingerprint" => {
-                    assert!(
-                        value == fingerprint,
-                        "snapshot {} was written by a different campaign config \
-                         (fingerprint {value} != {fingerprint}); refusing to resume",
-                        path.display()
-                    );
+                    if value != fingerprint {
+                        return Err(SnapshotError::Fingerprint {
+                            path: path.to_path_buf(),
+                            found: value.to_string(),
+                            expected: fingerprint.to_string(),
+                        });
+                    }
+                    fingerprint_seen = true;
                 }
                 _ => {}
             },
             "counter" => {
-                counters.insert(key.to_string(), value.parse().unwrap_or(0));
+                counters.insert(key, number(value)?);
             }
             "coverage" => {
-                state
-                    .coverage
-                    .insert(key.to_string(), value.parse().unwrap_or(0));
+                state.coverage.insert(key.to_string(), number(value)?);
             }
             "triage" => {
-                let b = Json::parse(value)
-                    .unwrap_or_else(|e| panic!("bad triage bucket in snapshot: {e}"));
-                let get = |k: &str| get_u64(&b, k);
+                let b = object()?;
                 state.triage.insert(
                     key.to_string(),
                     TriageBucket {
-                        count: get("count"),
-                        false_positives: get("false_positives"),
-                        first_program_seed: get("first_program_seed"),
-                        first_input_index: get("first_input_index") as usize,
+                        count: exact(&b, "count")?,
+                        false_positives: exact(&b, "false_positives")?,
+                        first_program_seed: exact(&b, "first_program_seed")?,
+                        first_input_index: exact(&b, "first_input_index")? as usize,
                     },
                 );
             }
             "example" => {
-                let v =
-                    Json::parse(value).unwrap_or_else(|e| panic!("bad example in snapshot: {e}"));
-                let get = |k: &str| get_u64(&v, k);
+                let v = object()?;
+                let trace = match v.get("trace") {
+                    Some(Json::Str(t)) => Some(t.clone()),
+                    Some(Json::Null) => None,
+                    _ => return Err(malformed(format!("example `{key}` has no trace field"))),
+                };
+                let false_positive = match v.get("false_positive") {
+                    Some(Json::Bool(b)) => *b,
+                    _ => return Err(malformed(format!("example `{key}` has no false_positive"))),
+                };
                 examples.push((
-                    key.parse().unwrap_or(0),
+                    number(key)? as usize,
                     Violation {
-                        program_seed: get("program_seed"),
-                        input_index: get("input_index") as usize,
-                        false_positive: matches!(v.get("false_positive"), Some(Json::Bool(true))),
-                        trace: v
-                            .get("trace")
-                            .and_then(|t| t.as_str())
-                            .map(|t| t.to_string()),
+                        program_seed: exact(&v, "program_seed")?,
+                        input_index: exact(&v, "input_index")? as usize,
+                        false_positive,
+                        trace,
                     },
                 ));
             }
             _ => {}
         }
     }
+    if !(version_seen && fingerprint_seen) {
+        return Err(malformed("no meta/version or meta/fingerprint row".into()));
+    }
     examples.sort_by_key(|(i, _)| *i);
     state.report.examples = examples.into_iter().map(|(_, v)| v).collect();
-    let c = |k: &str| counters.get(k).copied().unwrap_or(0);
-    state.programs_done = c("programs_done") as usize;
-    state.chunks_done = c("chunks_done");
-    state.stopped = c("stopped") != 0;
-    state.report.tests = c("tests");
-    state.report.pairs_rejected = c("pairs_rejected");
-    state.report.violations = c("violations");
-    state.report.false_positives = c("false_positives");
-    state.report.committed_uops = c("committed_uops");
-    state.report.hw_truncated = c("hw_truncated");
-    state.report.no_partner = c("no_partner");
-    state.prefilter_pairs = c("prefilter_pairs");
-    state.prefilter_rejected = c("prefilter_rejected");
-    state.hw_pairs = c("hw_pairs");
-    state.candidates = c("candidates");
-    state
+    let c = |k: &str| {
+        counters
+            .get(k)
+            .copied()
+            .ok_or_else(|| malformed(format!("no `{k}` counter")))
+    };
+    state.programs_done = c("programs_done")? as usize;
+    state.chunks_done = c("chunks_done")?;
+    state.stopped = c("stopped")? != 0;
+    state.report.tests = c("tests")?;
+    state.report.pairs_rejected = c("pairs_rejected")?;
+    state.report.violations = c("violations")?;
+    state.report.false_positives = c("false_positives")?;
+    state.report.committed_uops = c("committed_uops")?;
+    state.report.hw_truncated = c("hw_truncated")?;
+    state.report.no_partner = c("no_partner")?;
+    state.prefilter_pairs = c("prefilter_pairs")?;
+    state.prefilter_rejected = c("prefilter_rejected")?;
+    state.hw_pairs = c("hw_pairs")?;
+    state.candidates = c("candidates")?;
+    Ok(state)
 }
 
 #[cfg(test)]
@@ -789,8 +913,8 @@ mod tests {
         let dir = std::env::temp_dir().join("protean_campaign_test_roundtrip");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("snap.json");
-        save_snapshot(&path, "fp", &state);
-        let loaded = load_snapshot(&path, "fp");
+        save_snapshot(&path, "fp", &state).unwrap();
+        let loaded = load_snapshot(&path, "fp").unwrap();
         // `complete` is recomputed by the driver, not persisted; compare
         // digests after normalizing it.
         let mut expect = state.clone();
@@ -800,20 +924,77 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different campaign config")]
     fn snapshot_fingerprint_mismatch_is_refused() {
         let dir = std::env::temp_dir().join("protean_campaign_test_fp");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("snap.json");
-        save_snapshot(&path, "aaaa", &CampaignReport::default());
-        let _ = load_snapshot(&path, "bbbb");
+        save_snapshot(&path, "aaaa", &CampaignReport::default()).unwrap();
+        let err = load_snapshot(&path, "bbbb").unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Fingerprint { found, expected, .. }
+                if found == "aaaa" && expected == "bbbb"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("different campaign config"));
+    }
+
+    /// Rewrites a saved snapshot through `edit` and loads it back.
+    fn load_edited(
+        name: &str,
+        edit: impl Fn(String) -> String,
+    ) -> Result<CampaignReport, SnapshotError> {
+        let dir = std::env::temp_dir().join("protean_campaign_test_edit");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join(format!("{name}.json"));
+        save_snapshot(&path, "fp", &CampaignReport::default()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, edit(text)).unwrap();
+        let loaded = load_snapshot(&path, "fp");
+        let _ = std::fs::remove_file(&path);
+        loaded
+    }
+
+    #[test]
+    fn snapshot_without_meta_rows_is_refused() {
+        for meta in ["version", "fingerprint"] {
+            let err = load_edited(meta, |t| {
+                t.replace(&format!("\"key\":\"{meta}\""), "\"key\":\"other\"")
+            })
+            .unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Malformed { reason, .. } if reason.contains("meta/")),
+                "{meta}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_with_unparsable_counter_is_refused() {
+        let err = load_edited("counter", |t| t.replace("\"0\"", "\"zero\"")).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Malformed { reason, .. } if reason.contains("does not parse")),
+            "{err}"
+        );
+        // The unedited file loads.
+        assert!(load_edited("intact", |t| t).is_ok());
+    }
+
+    #[test]
+    fn unreadable_or_non_json_snapshot_is_an_error() {
+        let missing = std::env::temp_dir().join("protean_campaign_test_missing/none.json");
+        assert!(matches!(
+            load_snapshot(&missing, "fp"),
+            Err(SnapshotError::Io { .. })
+        ));
+        let err = load_edited("garbage", |_| "not a snapshot".into()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed { .. }), "{err}");
     }
 
     #[test]
     fn features_off_campaign_matches_fuzz() {
         let cfg = tiny_cfg();
         let direct = crate::fuzz(&cfg.fuzz, &|| Box::new(UnsafePolicy));
-        let engine = run_campaign(&cfg, &|| Box::new(UnsafePolicy));
+        let engine = run_campaign(&cfg, &|| Box::new(UnsafePolicy)).unwrap();
         assert_eq!(format!("{direct:?}"), format!("{:?}", engine.report));
         assert!(engine.complete);
         assert_eq!(engine.programs_done, cfg.fuzz.programs);

@@ -1,4 +1,4 @@
-//! The fuzzing campaign driver (paper §VII-B).
+//! The fuzzing campaign's vocabulary and batch entry point (paper §VII-B).
 //!
 //! For each generated program: instrument with a ProtCC pass, find
 //! secret-mutation input pairs that are *contract-equivalent* (identical
@@ -7,17 +7,23 @@
 //! the adversary's observations differ. Candidate violations whose
 //! *committed* fingerprints differ are classified as false positives
 //! (the §VII-B1e post-processing filter).
+//!
+//! This module holds the configuration, report types and the SEQ-oracle
+//! and input helpers; the per-program worker that does the steps above
+//! is the campaign engine's (`crate::campaign`), and [`fuzz`] is a
+//! single-chunk call into it.
 
+use crate::campaign::{run_campaign, CampaignConfig};
 use crate::generator::{
     self, GadgetTemplate, GenConfig, PUBLIC_BASE, PUBLIC_SIZE, SECRET_BASE, SECRET_SIZE,
 };
 use protean_arch::{
     ArchState, Emulator, ExecRecord, ExitStatus, ObserverMode, OracleMode, ThreadedProgram,
 };
-use protean_cc::{compile_with, public_typing, Pass};
+use protean_cc::{public_typing, Pass};
 use protean_isa::{DecodedProgram, Program};
 use protean_rng::{Rng, SplitMix64};
-use protean_sim::{Core, CoreConfig, DefensePolicy, SimExit, SimResult, Trace};
+use protean_sim::{Core, CoreConfig, DefensePolicy, SimResult, Trace};
 
 /// Which security contract to test against (paper §II-C, §VII-B1c).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -115,10 +121,9 @@ pub struct FuzzConfig {
     /// Reports are byte-identical at any worker count.
     pub workers: Option<usize>,
     /// Which SEQ-oracle backend produces the contract traces: the
-    /// threaded-code lowering (default, fast) or the `match`-based
-    /// interpreter (the differential reference). Both produce identical
-    /// traces and therefore identical reports; [`FuzzConfig::quick`]
-    /// resolves the default via `PROTEAN_ORACLE`.
+    /// threaded-code lowering (the [`FuzzConfig::quick`] default, fast)
+    /// or the `match`-based interpreter (the differential reference).
+    /// Both produce identical traces and therefore identical reports.
     pub oracle: OracleMode,
     /// Capture rendered pipeline traces for example violations (a traced
     /// re-run per recorded example). Throughput benchmarks switch this
@@ -142,7 +147,7 @@ impl FuzzConfig {
             stop_at_first: false,
             only_template: None,
             workers: None,
-            oracle: OracleMode::from_env(),
+            oracle: OracleMode::Threaded,
             capture_traces: true,
         }
     }
@@ -187,9 +192,9 @@ pub struct Report {
     pub hw_truncated: u64,
     /// Mutants skipped because the program's *base* hardware run was
     /// truncated: with no comparison partner they can never be tested,
-    /// so neither their SEQ traces nor their hardware runs are paid for
-    /// and they never touch `pairs_rejected` (which counts genuine
-    /// contract-inequivalent pairs only).
+    /// so none of their hardware runs is paid for and they never touch
+    /// `pairs_rejected` (which counts genuine contract-inequivalent
+    /// pairs of comparable programs only).
     pub no_partner: u64,
     /// Example violations (up to [`Report::MAX_EXAMPLES`]).
     pub examples: Vec<Violation>,
@@ -211,6 +216,10 @@ impl Report {
 /// merge discards everything after the first true positive — again
 /// matching the serial report exactly.
 ///
+/// This is [`run_campaign`] with every engine option off, no snapshot,
+/// and the whole program stream as one chunk (so the job pool sees
+/// every program at once and no chunk barrier ever idles a worker).
+///
 /// # Examples
 ///
 /// ```
@@ -228,39 +237,13 @@ pub fn fuzz(
     cfg: &FuzzConfig,
     policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
 ) -> Report {
-    let workers = cfg.workers.unwrap_or_else(protean_jobs::worker_count);
-    let partials = protean_jobs::map_indexed_with(workers, cfg.programs, |p| {
-        fuzz_one_program(cfg, p, policy_factory)
-    });
-
-    // Order-preserving merge: identical to the serial accumulation.
-    let mut report = Report::default();
-    for partial in partials {
-        let stopped = partial.stopped;
-        merge_outcome(&mut report, partial);
-        if stopped {
-            break; // stop_at_first: discard speculative later programs
-        }
-    }
-    report
-}
-
-/// Folds one program's outcome into the campaign accumulator, in
-/// program order (shared by [`fuzz`] and the campaign engine's chunked
-/// merge so both accumulate byte-identically).
-pub(crate) fn merge_outcome(report: &mut Report, partial: ProgramOutcome) {
-    report.tests += partial.report.tests;
-    report.pairs_rejected += partial.report.pairs_rejected;
-    report.violations += partial.report.violations;
-    report.false_positives += partial.report.false_positives;
-    report.committed_uops += partial.report.committed_uops;
-    report.hw_truncated += partial.report.hw_truncated;
-    report.no_partner += partial.report.no_partner;
-    for v in partial.report.examples {
-        if report.examples.len() < Report::MAX_EXAMPLES {
-            report.examples.push(v);
-        }
-    }
+    let campaign = CampaignConfig {
+        chunk_size: cfg.programs,
+        ..CampaignConfig::new(cfg.clone())
+    };
+    run_campaign(&campaign, policy_factory)
+        .expect("a campaign without a snapshot has no snapshot to fail on")
+        .report
 }
 
 /// Derives the `p`-th program's seed from the campaign base seed.
@@ -274,136 +257,6 @@ pub(crate) fn derive_program_seed(base: u64, p: usize) -> u64 {
     let stream = sm.next_u64();
     let mut sm = SplitMix64::new(stream ^ p as u64);
     sm.next_u64()
-}
-
-/// One program's share of a campaign.
-pub(crate) struct ProgramOutcome {
-    pub(crate) report: Report,
-    /// `stop_at_first` found a true positive in this program: the merge
-    /// must not consume any later program's results.
-    pub(crate) stopped: bool,
-}
-
-/// Fuzzes the `p`-th program of the campaign. Pure function of
-/// `(cfg, p)`: the per-program seed and RNG are derived here, never
-/// shared across jobs.
-pub(crate) fn fuzz_one_program(
-    cfg: &FuzzConfig,
-    p: usize,
-    policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
-) -> ProgramOutcome {
-    let mut report = Report::default();
-    let mut stopped = false;
-    let seed = derive_program_seed(cfg.gen.seed, p);
-    let gen_cfg = GenConfig {
-        seed,
-        ..cfg.gen.clone()
-    };
-    let raw = match cfg.only_template {
-        Some(t) => generator::generate_with_template(&gen_cfg, t),
-        None => generator::generate(&gen_cfg),
-    };
-    let program = compile_with(&raw, cfg.pass).program;
-    let observer = cfg.contract.observer(&program);
-    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
-
-    // Per-program arenas: one `Core` serves the base run and every
-    // mutant run via `Core::reset` (byte-identical to constructing a
-    // fresh core each time), one record buffer backs every SEQ trace,
-    // and one oracle lowering — the decode-once µop table for the
-    // interpreter, or the threaded-code closures for the fast mode —
-    // backs every SEQ emulation.
-    let mut records: Vec<ExecRecord> = Vec::new();
-    let oracle = SeqOracle::new(&program, cfg.oracle);
-
-    // The base input.
-    let base = make_input(&mut rng);
-    let Some(base_trace) = seq_trace(
-        &program,
-        &oracle,
-        &base,
-        &observer,
-        cfg.max_steps,
-        &mut records,
-    ) else {
-        // Non-terminating or bad control flow: skip program. The
-        // emulator's `StepLimit` lands here too — a program the SEQ
-        // oracle cannot finish within the architectural step budget is
-        // never compared against (possibly truncated) hardware runs.
-        return ProgramOutcome { report, stopped };
-    };
-    let mut core = Core::new(&program, cfg.core.clone(), policy_factory(), &base);
-    core.record_traces(true);
-    let base_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
-    report.committed_uops += base_hw.stats.committed;
-    // The SEQ oracle halted within `max_steps`, but a defense can stall
-    // the hardware into the cycle budget (`max_steps * 60`): a truncated
-    // run observed only a prefix and must not be compared.
-    if base_hw.exit != SimExit::Halted {
-        // No mutant will ever have a comparison partner: skip the whole
-        // mutant loop before paying for a single SEQ trace. (Running the
-        // traces anyway used to bump `pairs_rejected` for a program that
-        // could never be compared, inflating the rejection stats.)
-        report.hw_truncated += 1;
-        report.no_partner += cfg.inputs_per_program as u64;
-        return ProgramOutcome { report, stopped };
-    }
-
-    for i in 0..cfg.inputs_per_program {
-        // Mutate secrets only.
-        let mut mutant = base.clone();
-        randomize_secrets(&mut mutant, &mut rng);
-        let Some(mutant_trace) = seq_trace(
-            &program,
-            &oracle,
-            &mutant,
-            &observer,
-            cfg.max_steps,
-            &mut records,
-        ) else {
-            continue;
-        };
-        if mutant_trace != base_trace {
-            // Not contract-equivalent: the difference is permitted.
-            report.pairs_rejected += 1;
-            continue;
-        }
-        core.reset(&program, policy_factory(), &mutant);
-        core.record_traces(true);
-        let mutant_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
-        report.committed_uops += mutant_hw.stats.committed;
-        if mutant_hw.exit != SimExit::Halted {
-            report.hw_truncated += 1;
-            continue;
-        }
-        report.tests += 2;
-        if cfg.adversary.observations_differ(&base_hw, &mutant_hw) {
-            // Candidate violation; apply the false-positive filter.
-            let fp = base_hw.committed_idxs != mutant_hw.committed_idxs;
-            if fp {
-                report.false_positives += 1;
-            } else {
-                report.violations += 1;
-            }
-            if report.examples.len() < Report::MAX_EXAMPLES {
-                report.examples.push(Violation {
-                    program_seed: seed,
-                    input_index: i,
-                    false_positive: fp,
-                    trace: if cfg.capture_traces {
-                        traced_rerun(&program, &base, &mutant, cfg, policy_factory)
-                    } else {
-                        None
-                    },
-                });
-            }
-            if !fp && cfg.stop_at_first {
-                stopped = true;
-                break;
-            }
-        }
-    }
-    ProgramOutcome { report, stopped }
 }
 
 /// The per-program SEQ-oracle lowering: either the decode-once µop table

@@ -42,7 +42,7 @@ mod campaign;
 mod fuzzer;
 mod generator;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignReport, TriageBucket};
+pub use campaign::{run_campaign, CampaignConfig, CampaignReport, SnapshotError, TriageBucket};
 pub use fuzzer::{fuzz, Adversary, ContractKind, FuzzConfig, Report, Violation};
 pub use generator::{
     generate, generate_recorded, generate_with_template, init_cold_chain, GadgetTemplate,

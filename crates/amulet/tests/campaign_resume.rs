@@ -5,9 +5,17 @@
 //! enabled. Plus the coverage-map determinism corollary: the same seed
 //! produces the same coverage counters regardless of parallelism.
 
-use protean_amulet::{fuzz, run_campaign, Adversary, CampaignConfig, ContractKind, FuzzConfig};
+use protean_amulet::{
+    fuzz, run_campaign, Adversary, CampaignConfig, CampaignReport, ContractKind, FuzzConfig,
+    SnapshotError,
+};
 use protean_sim::UnsafePolicy;
 use std::path::PathBuf;
+
+/// Runs `cfg` against the unsafe core; every snapshot here is valid.
+fn run(cfg: &CampaignConfig) -> CampaignReport {
+    run_campaign(cfg, &|| Box::new(UnsafePolicy)).expect("valid snapshot")
+}
 
 fn engine_cfg(workers: usize, capture_traces: bool) -> CampaignConfig {
     let mut fuzz = FuzzConfig::quick(Pass::Arch, ContractKind::ArchSeq, Adversary::CacheTlb);
@@ -39,7 +47,7 @@ fn temp_snapshot(name: &str) -> PathBuf {
 /// 4 between the killed and resuming halves.
 #[test]
 fn killed_campaign_resumes_byte_identically() {
-    let uninterrupted = run_campaign(&engine_cfg(1, false), &|| Box::new(UnsafePolicy));
+    let uninterrupted = run(&engine_cfg(1, false));
     assert!(uninterrupted.complete);
     assert!(
         uninterrupted.report.violations > 0,
@@ -54,13 +62,13 @@ fn killed_campaign_resumes_byte_identically() {
             let mut first = engine_cfg(kill_workers, false);
             first.snapshot = Some(path.clone());
             first.max_chunks_per_call = Some(kill_after);
-            let partial = run_campaign(&first, &|| Box::new(UnsafePolicy));
+            let partial = run(&first);
             assert!(!partial.complete, "kill after {kill_after} chunks");
             assert_eq!(partial.chunks_done as usize, kill_after);
 
             let mut second = engine_cfg(resume_workers, false);
             second.snapshot = Some(path.clone());
-            let resumed = run_campaign(&second, &|| Box::new(UnsafePolicy));
+            let resumed = run(&second);
             assert!(resumed.resumed, "second call must load the snapshot");
             assert!(resumed.complete);
             assert_eq!(
@@ -77,7 +85,7 @@ fn killed_campaign_resumes_byte_identically() {
 /// traces — survive the snapshot roundtrip byte-identically.
 #[test]
 fn resumed_examples_keep_their_traces() {
-    let uninterrupted = run_campaign(&engine_cfg(1, true), &|| Box::new(UnsafePolicy));
+    let uninterrupted = run(&engine_cfg(1, true));
     assert!(uninterrupted
         .report
         .examples
@@ -88,10 +96,10 @@ fn resumed_examples_keep_their_traces() {
     let mut first = engine_cfg(4, true);
     first.snapshot = Some(path.clone());
     first.max_chunks_per_call = Some(2);
-    run_campaign(&first, &|| Box::new(UnsafePolicy));
+    run(&first);
     let mut second = engine_cfg(1, true);
     second.snapshot = Some(path.clone());
-    let resumed = run_campaign(&second, &|| Box::new(UnsafePolicy));
+    let resumed = run(&second);
     assert_eq!(resumed.digest(), uninterrupted.digest());
     let _ = std::fs::remove_file(&path);
 }
@@ -102,8 +110,8 @@ fn resumed_examples_keep_their_traces() {
 /// order cannot leak into scheduling).
 #[test]
 fn coverage_map_is_worker_count_independent() {
-    let a = run_campaign(&engine_cfg(1, false), &|| Box::new(UnsafePolicy));
-    let b = run_campaign(&engine_cfg(4, false), &|| Box::new(UnsafePolicy));
+    let a = run(&engine_cfg(1, false));
+    let b = run(&engine_cfg(4, false));
     assert_eq!(a.coverage, b.coverage);
     assert_eq!(a.digest(), b.digest());
 }
@@ -123,10 +131,58 @@ fn features_off_resume_still_matches_fuzz() {
     first.fuzz.workers = Some(4);
     first.snapshot = Some(path.clone());
     first.max_chunks_per_call = Some(1);
-    run_campaign(&first, &|| Box::new(UnsafePolicy));
+    run(&first);
     let mut second = base.clone();
     second.snapshot = Some(path.clone());
-    let resumed = run_campaign(&second, &|| Box::new(UnsafePolicy));
+    let resumed = run(&second);
     assert_eq!(format!("{direct:?}"), format!("{:?}", resumed.report));
     let _ = std::fs::remove_file(&path);
+}
+
+/// A snapshot cut short at any byte — a torn copy, a full disk — either
+/// is refused with a clean error or (when only trailing whitespace was
+/// lost) resumes to the uninterrupted result. It is never resumed as a
+/// silently different state, and never panics.
+#[test]
+fn truncated_snapshot_is_refused_or_resumes_identically() {
+    let mut cfg = engine_cfg(1, false);
+    cfg.fuzz.programs = 4;
+    cfg.fuzz.inputs_per_program = 2;
+    let uninterrupted = run(&cfg);
+
+    let path = temp_snapshot("truncated_source");
+    let mut first = cfg.clone();
+    first.snapshot = Some(path.clone());
+    first.max_chunks_per_call = Some(1);
+    run(&first);
+    let full = std::fs::read(&path).expect("snapshot written");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        full.windows(9).any(|w| w == b"\"example\""),
+        "the cut snapshot must hold every row kind worth truncating"
+    );
+
+    let cut_path = temp_snapshot("truncated");
+    let mut resume = cfg.clone();
+    resume.snapshot = Some(cut_path.clone());
+    let mut resumed = 0;
+    for len in 0..=full.len() {
+        std::fs::write(&cut_path, &full[..len]).unwrap();
+        match run_campaign(&resume, &|| Box::new(UnsafePolicy)) {
+            Ok(r) => {
+                resumed += 1;
+                assert!(r.resumed, "cut at {len}");
+                assert_eq!(r.digest(), uninterrupted.digest(), "cut at {len}");
+            }
+            Err(SnapshotError::Io { .. } | SnapshotError::Malformed { .. }) => {}
+            Err(e) => panic!("cut at {len}: unexpected error {e}"),
+        }
+    }
+    // The uncut file resumes; beyond it only cuts of trailing
+    // whitespace may.
+    assert!(
+        (1..4).contains(&resumed),
+        "only whitespace-only cuts may resume ({resumed} did)"
+    );
+    let _ = std::fs::remove_file(&cut_path);
 }

@@ -5,7 +5,7 @@
 //! against (possibly truncated) hardware runs — and a hardware run cut
 //! off by its budget must never enter an adversary comparison.
 
-use protean_amulet::{fuzz, Adversary, ContractKind, FuzzConfig};
+use protean_amulet::{fuzz, run_campaign, Adversary, CampaignConfig, ContractKind, FuzzConfig};
 use protean_arch::OracleMode;
 use protean_cc::Pass;
 use protean_core::ProtTrackPolicy;
@@ -92,10 +92,11 @@ impl protean_sim::DefensePolicy for StallForeverPolicy {
 }
 
 /// When the base hardware run is truncated, no mutant has a comparison
-/// partner: the whole mutant loop must be skipped up front — no SEQ
-/// traces are paid for, `pairs_rejected` stays untouched (it counts
-/// genuine contract non-equivalence, not missing partners), and the
-/// skips are accounted under `no_partner`.
+/// partner. The worker has already SEQ-traced every mutant (stage 1
+/// runs before any hardware run), but it replays none of them on the
+/// core, books all of them under `no_partner`, and leaves
+/// `pairs_rejected` untouched: that counter is for genuine contract
+/// non-equivalence, not for missing partners.
 #[test]
 fn truncated_base_run_skips_mutants_as_no_partner() {
     let cfg = budget_cfg(60_000);
@@ -137,4 +138,50 @@ fn partial_budget_is_consistent_across_oracles() {
     assert_eq!(a.false_positives, b.false_positives);
     assert_eq!(a.committed_uops, b.committed_uops);
     assert_eq!(a.hw_truncated, b.hw_truncated);
+}
+
+/// The same rule with the SEQ prefilter on: a program whose stage 1
+/// admits a mutant builds its core, deadlocks on the base run, and
+/// books every mutant as partnerless — while the engine's own
+/// stage-1 statistics still count what the cheap stage rejected.
+#[test]
+fn truncated_base_rule_holds_under_prefilter() {
+    let mut cfg = CampaignConfig::new(budget_cfg(60_000));
+    cfg.prefilter = true;
+    let r = run_campaign(&cfg, &|| Box::new(StallForeverPolicy)).expect("no snapshot");
+    let mutants = (cfg.fuzz.programs * cfg.fuzz.inputs_per_program) as u64;
+    assert_eq!(r.report.hw_truncated, cfg.fuzz.programs as u64);
+    assert_eq!(r.report.no_partner, mutants);
+    assert_eq!(r.report.pairs_rejected, 0);
+    assert_eq!(r.report.tests, 0);
+    assert_eq!(r.hw_pairs, 0);
+    assert_eq!(r.prefilter_pairs + r.prefilter_rejected, mutants);
+}
+
+/// `stop_at_first` with the prefilter on ends where the plain campaign
+/// ends and counts the same rejections: inputs drawn after the stopping
+/// one are SEQ-traced by stage 1 but not counted in `pairs_rejected`.
+/// (`committed_uops` is left out: the prefilter skips the base run of a
+/// program whose mutants are all rejected.)
+#[test]
+fn stop_at_first_under_prefilter_matches_fuzz() {
+    let mut fuzz_cfg = budget_cfg(60_000);
+    fuzz_cfg.stop_at_first = true;
+    fuzz_cfg.capture_traces = false;
+    let plain = fuzz(&fuzz_cfg, &|| Box::new(UnsafePolicy));
+    assert!(plain.violations > 0, "the unsafe core must leak");
+    let mut cfg = CampaignConfig::new(fuzz_cfg);
+    cfg.prefilter = true;
+    let r = run_campaign(&cfg, &|| Box::new(UnsafePolicy)).expect("no snapshot");
+    assert!(r.stopped);
+    assert_eq!(r.report.tests, plain.tests);
+    assert_eq!(r.report.pairs_rejected, plain.pairs_rejected);
+    assert_eq!(r.report.violations, plain.violations);
+    assert_eq!(r.report.false_positives, plain.false_positives);
+    assert_eq!(r.report.hw_truncated, plain.hw_truncated);
+    assert_eq!(r.report.no_partner, plain.no_partner);
+    assert_eq!(
+        format!("{:?}", r.report.examples),
+        format!("{:?}", plain.examples)
+    );
 }

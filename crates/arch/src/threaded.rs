@@ -14,7 +14,8 @@
 //! [`protean_isa::div_eval`]) and the same register-write/ProtSet helper
 //! as the interpreter, and produces bit-identical [`ExecRecord`]s. The
 //! interpreter stays as the differential-testing oracle
-//! ([`OracleMode::Interp`], `PROTEAN_ORACLE=interp`); the equivalence is
+//! ([`OracleMode::Interp`], selected per campaign through
+//! `FuzzConfig::oracle`); the equivalence is
 //! enforced by a property test over random fuzzer programs.
 
 use crate::emulator::{apply_reg_write, ArchState, ExecRecord, MemAccess};
@@ -133,17 +134,6 @@ pub enum OracleMode {
     /// The threaded-code lowering (default: fast campaigns).
     #[default]
     Threaded,
-}
-
-impl OracleMode {
-    /// Reads `PROTEAN_ORACLE` (`interp` | `threaded`); defaults to
-    /// [`OracleMode::Threaded`].
-    pub fn from_env() -> OracleMode {
-        match std::env::var("PROTEAN_ORACLE").as_deref() {
-            Ok("interp") => OracleMode::Interp,
-            _ => OracleMode::Threaded,
-        }
-    }
 }
 
 /// Lowers one instruction to its pre-bound body. Each arm mirrors the

@@ -24,9 +24,7 @@
 //! `PROTEAN_BENCH_SAMPLES` / `PROTEAN_BENCH_WARMUP` override the
 //! default 3 samples / 1 warmup.
 
-use protean_amulet::{
-    fuzz, run_campaign, Adversary, CampaignConfig, ContractKind, FuzzConfig, Report,
-};
+use protean_amulet::{fuzz, Adversary, ContractKind, FuzzConfig, Report};
 use protean_bench::harness::Bench;
 use protean_bench::report::BenchReport;
 use protean_cc::Pass;
@@ -87,26 +85,11 @@ fn main() {
     let mut timing_rep = BenchReport::new("campaign_perf");
     let mut det_rep = BenchReport::new("campaign_perf_report");
 
-    // `PROTEAN_CAMPAIGN_ENGINE=1` routes every campaign through the
-    // chunked engine with all features off — `ci.sh` byte-compares the
-    // resulting deterministic report against the batch driver's to gate
-    // the engine's features-off equivalence contract.
-    let engine = std::env::var("PROTEAN_CAMPAIGN_ENGINE").is_ok_and(|v| v == "1");
-    let run = move |cfg: &FuzzConfig,
-                    factory: &'static (dyn Fn() -> Box<dyn DefensePolicy> + Sync)|
-          -> Report {
-        if engine {
-            run_campaign(&CampaignConfig::new(cfg.clone()), factory).report
-        } else {
-            fuzz(cfg, factory)
-        }
-    };
-
     for case in cases(programs) {
         // One untimed run pins the deterministic counters; the timed
         // samples below re-run the identical campaign.
-        let report: Report = run(&case.cfg, case.factory);
-        let stats = bench.run(case.name, || run(&case.cfg, case.factory));
+        let report: Report = fuzz(&case.cfg, case.factory);
+        let stats = bench.run(case.name, || fuzz(&case.cfg, case.factory));
         let secs = stats.median.as_secs_f64();
         let runs_per_s = report.tests as f64 / secs;
         let kuops_per_s = report.committed_uops as f64 / secs / 1e3;

@@ -115,7 +115,10 @@ fn main() {
     let mut rep = BenchReport::new("campaign_service");
     let mut all_complete = true;
     for case in cases(kill_after) {
-        let r = run_campaign(&case.cfg, case.factory);
+        let r = run_campaign(&case.cfg, case.factory).unwrap_or_else(|e| {
+            eprintln!("campaign_service: {}: {e}", case.name);
+            std::process::exit(1);
+        });
         let traced = r.prefilter_pairs + r.prefilter_rejected;
         let hit_rate = if traced > 0 {
             r.prefilter_pairs as f64 / traced as f64

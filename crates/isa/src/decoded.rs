@@ -10,10 +10,8 @@
 //! flow pre-classified into [`CtrlFlow`], so the per-visit cost is one
 //! indexed copy.
 //!
-//! [`DecodedInst::decode`] is the single lowering function; the
-//! pipeline's legacy decode-per-visit fallback calls the same function,
-//! which makes the cached and uncached paths identical by construction
-//! (and lets a differential test exercise everything *around* them).
+//! [`DecodedInst::decode`] is the single lowering function, applied by
+//! [`DecodedProgram`] once per static instruction.
 
 use crate::inst::{Inst, Op, Operand, Width};
 use crate::program::Program;
@@ -100,8 +98,7 @@ impl DecodedInst {
     /// Lowers the instruction at `idx` of `program`.
     ///
     /// This is the *only* lowering routine: [`DecodedProgram`] applies
-    /// it per static instruction, and any decode-per-visit fallback
-    /// must call it too, so both paths agree by construction.
+    /// it per static instruction.
     ///
     /// # Panics
     ///
@@ -160,12 +157,6 @@ impl DecodedProgram {
         self.insts.clear();
         self.insts
             .extend((0..program.len() as u32).map(|idx| DecodedInst::decode(program, idx)));
-    }
-
-    /// Drops all entries (used when the table is disabled) while keeping
-    /// the allocation for a later [`DecodedProgram::rebuild`].
-    pub fn clear(&mut self) {
-        self.insts.clear();
     }
 
     /// The entry for instruction index `idx`.

@@ -115,18 +115,6 @@ pub struct CoreConfig {
     /// (see `crate::trace`). Off by default; the `PROTEAN_TRACE`
     /// environment variable (set to anything but `0`) also enables it.
     pub trace: bool,
-    /// Use the per-program pre-decoded µop table built at `Core::reset`
-    /// (the decode-once front end). `false` falls back to decoding every
-    /// instruction on every dynamic visit — observationally identical,
-    /// kept for differential testing. The `PROTEAN_DECODE_CACHE`
-    /// environment variable overrides (set to `0` to disable).
-    pub decode_cache: bool,
-    /// Use the flat ROB-slot scheduler (bitset status sets, calendar-
-    /// queue completion wheel; see `crate::sched`). `false` falls back
-    /// to the legacy ordered-set scheduler — observationally identical,
-    /// kept for differential testing. The `PROTEAN_SCHED` environment
-    /// variable overrides (set to `btree` to fall back).
-    pub flat_sched: bool,
 }
 
 impl CoreConfig {
@@ -177,8 +165,6 @@ impl CoreConfig {
             speculation: SpeculationModel::AtCommit,
             mem_prot: MemProtTracking::TaggedL1d,
             trace: false,
-            decode_cache: true,
-            flat_sched: true,
         }
     }
 
@@ -231,8 +217,6 @@ impl CoreConfig {
             speculation: SpeculationModel::AtCommit,
             mem_prot: MemProtTracking::TaggedL1d,
             trace: false,
-            decode_cache: true,
-            flat_sched: true,
         }
     }
 
@@ -291,8 +275,6 @@ impl CoreConfig {
             speculation: SpeculationModel::AtCommit,
             mem_prot: MemProtTracking::TaggedL1d,
             trace: false,
-            decode_cache: true,
-            flat_sched: true,
         }
     }
 }

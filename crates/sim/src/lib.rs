@@ -51,7 +51,7 @@ mod stats;
 pub mod trace;
 
 pub use bpred::{Btb, Rsb, TagePredictor, HIST_LENGTHS};
-pub use cache::{AccessResult, BoolMetaCache, Cache};
+pub use cache::{AccessResult, Cache};
 pub use config::{CacheConfig, CoreConfig, MemProtTracking, SpeculationModel};
 pub use defense::{
     propagate_tags, sensitive_phys, sensitive_root_tainted, sensitive_value_tainted, BlockPoint,

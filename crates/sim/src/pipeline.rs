@@ -20,8 +20,8 @@ use crate::{Btb, Rsb, TagePredictor};
 use crate::{Cache, CoreConfig, MemProtTracking, Stats};
 use protean_arch::{ArchState, Memory};
 use protean_isa::{
-    alu_eval, div_eval, CtrlFlow, DecodedInst, DecodedProgram, Flags, InlineVec, Inst, Op, Operand,
-    Program, Reg, RegSet,
+    alu_eval, div_eval, CtrlFlow, DecodedProgram, Flags, InlineVec, Inst, Op, Operand, Program,
+    Reg, RegSet,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -276,15 +276,11 @@ pub struct Core<'a> {
     fetch_stalled_until: u64,
     /// Decode-once µop table, rebuilt at every [`Core::reset`] (the
     /// program reference may point at reused storage, so no caching on
-    /// pointer identity). Empty when `decode_cache` is off.
+    /// pointer identity).
     decoded: DecodedProgram,
-    /// Effective decode-cache switch: [`CoreConfig::decode_cache`] unless
-    /// overridden by `PROTEAN_DECODE_CACHE` (read once at construction).
-    decode_cache: bool,
     /// Per-static-instruction sensitive-register sets under the active
     /// policy's transmitter set, precomputed at reset alongside the
-    /// decoded table. The legacy path recomputes per dynamic visit so the
-    /// differential test exercises genuinely independent code.
+    /// decoded table.
     sens_table: Vec<RegSet>,
     /// Static index whose L1I miss has already been booked and filled:
     /// the post-stall re-fetch must not access the cache again (it would
@@ -376,14 +372,6 @@ impl<'a> Core<'a> {
         let n_phys = cfg.phys_regs.max(Reg::COUNT * 2);
         let meta_fill = policy.l1d_meta_fill();
         let trace_on = cfg.trace || std::env::var("PROTEAN_TRACE").is_ok_and(|v| v.trim() != "0");
-        let decode_cache = match std::env::var("PROTEAN_DECODE_CACHE") {
-            Ok(v) => v.trim() != "0",
-            Err(_) => cfg.decode_cache,
-        };
-        let flat_sched = match std::env::var("PROTEAN_SCHED") {
-            Ok(v) => v.trim() != "btree",
-            Err(_) => cfg.flat_sched,
-        };
         // The largest completion latency any µop can schedule, for the
         // calendar queue's ring sizing: a DRAM-missing load (or any cache
         // hit, +1 for the load pipe), the multiplier, and the worst-case
@@ -401,7 +389,6 @@ impl<'a> Core<'a> {
             fetch_queue: FetchQueue::default(),
             fetch_stalled_until: 0,
             decoded: DecodedProgram::default(),
-            decode_cache,
             sens_table: Vec::new(),
             l1i_paid: None,
             tage: TagePredictor::new(),
@@ -418,7 +405,7 @@ impl<'a> Core<'a> {
             lq_used: 0,
             sq_used: 0,
             div_busy_until: 0,
-            sched: Scheduler::new(n_phys, cfg.rob_size, max_completion_latency, flat_sched),
+            sched: Scheduler::new(n_phys, cfg.rob_size, max_completion_latency),
             cached_frontier: None,
             exec_blocked: Vec::new(),
             completions: Vec::new(),
@@ -490,19 +477,15 @@ impl<'a> Core<'a> {
         };
         self.fetch_queue.clear();
         self.fetch_stalled_until = 0;
+        self.decoded.rebuild(self.program);
+        let transmitters = self.policy.transmitters();
         self.sens_table.clear();
-        if self.decode_cache {
-            self.decoded.rebuild(self.program);
-            let transmitters = self.policy.transmitters();
-            self.sens_table.extend(
-                self.program
-                    .insts
-                    .iter()
-                    .map(|i| transmitters.sensitive_regs(i)),
-            );
-        } else {
-            self.decoded.clear();
-        }
+        self.sens_table.extend(
+            self.program
+                .insts
+                .iter()
+                .map(|i| transmitters.sensitive_regs(i)),
+        );
         self.l1i_paid = None;
         self.tage.reset();
         self.btb.reset();
@@ -993,10 +976,9 @@ impl<'a> Core<'a> {
         deps.clear();
         self.sched.drain_deps(phys, &mut deps);
         for &seq in &deps {
-            let Some(i) = self.rob_index(seq) else {
-                continue; // squashed (legacy backend's lazy filter);
-                          // sequence numbers are never reused
-            };
+            let i = self
+                .rob_index(seq)
+                .expect("drained dependents are live (squash unlinks eagerly)");
             if self.rob[i].status != UopStatus::Waiting {
                 continue;
             }
@@ -1019,9 +1001,9 @@ impl<'a> Core<'a> {
         let mut completions = std::mem::take(&mut self.completions);
         self.sched.pop_completions(cycle, &mut completions);
         for &seq in &completions {
-            let Some(i) = self.rob_index(seq) else {
-                continue; // squashed after scheduling; stale event
-            };
+            let i = self
+                .rob_index(seq)
+                .expect("the wheel yields only live µops (stale events are filtered)");
             let u = &mut self.rob[i];
             let UopStatus::Executing(done) = u.status else {
                 continue;
@@ -1257,12 +1239,6 @@ impl<'a> Core<'a> {
                 self.prf_ready[d.new_phys] = false;
             }
         }
-        // Squashed sequence numbers never reappear. The flat backend
-        // cleaned each popped µop in `on_squash_pop`; the legacy backend
-        // cleans its ordered sets in bulk here and filters wheel slots
-        // and dependent lists lazily when drained. Both leave stale
-        // completion events in the wheel (see `crate::sched`).
-        self.sched.squash_after(surviving);
         self.invalidate_frontier();
         self.policy.on_squash(surviving);
     }
@@ -1317,7 +1293,7 @@ impl<'a> Core<'a> {
                 return;
             }
             // Scheduler entries for the head must be cleared while it
-            // still occupies ROB index 0: the flat backend frees the
+            // still occupies ROB index 0: the scheduler frees the
             // head's ring slot at `on_commit_head`.
             {
                 let head = self.rob.front().expect("checked above");
@@ -1934,40 +1910,6 @@ impl<'a> Core<'a> {
     // Rename
     // ------------------------------------------------------------------
 
-    /// The decoded form of static instruction `idx`: a copy out of the
-    /// decode-once table, or (legacy path, `decode_cache` off) a fresh
-    /// per-visit decode through the *same* lowering routine — the two
-    /// paths are identical by construction and checked against each
-    /// other by the `decode_cache_equiv` differential test.
-    fn decoded_at(&self, idx: u32) -> DecodedInst {
-        if self.decode_cache {
-            *self.decoded.get(idx)
-        } else {
-            DecodedInst::decode(self.program, idx)
-        }
-    }
-
-    /// Control-flow class of static instruction `idx` — the only
-    /// decoded field fetch needs, so the cached path reads it in place
-    /// instead of copying the whole `DecodedInst` out of the table.
-    fn ctrl_at(&self, idx: u32) -> CtrlFlow {
-        if self.decode_cache {
-            self.decoded.get(idx).ctrl
-        } else {
-            DecodedInst::decode(self.program, idx).ctrl
-        }
-    }
-
-    /// Sensitive-register set of static instruction `idx` under the
-    /// active policy's transmitter set (precomputed in cached mode).
-    fn sens_at(&self, idx: u32, inst: &Inst) -> RegSet {
-        if self.decode_cache {
-            self.sens_table[idx as usize]
-        } else {
-            self.policy.transmitters().sensitive_regs(inst)
-        }
-    }
-
     /// Consumes up to `fetch_width` µops from the fetch queue's front
     /// group(s). The queue hands the current group over as one slice;
     /// structural stalls (ROB/LQ/SQ/free-list) stop the whole cycle
@@ -1987,7 +1929,7 @@ impl<'a> Core<'a> {
             if self.rob.len() >= self.cfg.rob_size {
                 return;
             }
-            let d = self.decoded_at(idx);
+            let d = *self.decoded.get(idx);
             if d.is_load && self.lq_used >= self.cfg.lq_size {
                 return;
             }
@@ -2020,7 +1962,7 @@ impl<'a> Core<'a> {
                 .map(|r| (*r, self.rename_map[r.index()]))
                 .collect();
             let src_prot = srcs.iter().any(|(_, p)| self.tags.prot[*p]);
-            let sens_arch = self.sens_at(idx, &d.inst);
+            let sens_arch = self.sens_table[idx as usize];
             let sens_prot = srcs
                 .iter()
                 .any(|(r, p)| sens_arch.contains(*r) && self.tags.prot[*p]);
@@ -2178,7 +2120,7 @@ impl<'a> Core<'a> {
                 break;
             }
             let pc = self.program.pc_of(idx);
-            let ctrl = self.ctrl_at(idx);
+            let ctrl = self.decoded.get(idx).ctrl;
             // Instruction-cache access: a miss stalls the front end for
             // the L2 hit latency (instruction lines are L2-resident for
             // our workload sizes; the line is filled by the access that

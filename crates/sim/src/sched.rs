@@ -35,54 +35,49 @@
 //! # Flat, ROB-slot-indexed representation
 //!
 //! Every one of those sets holds µops that live in a ROB bounded at
-//! `rob_size` entries, so the default [`FlatSched`] backs them with
-//! fixed-capacity **bitsets over ROB ring slots** instead of ordered
-//! trees. The scheduler mirrors the ROB ring with two monotonic
-//! counters: `head_pos` (incremented when the head commits) and
-//! `tail_pos` (incremented at dispatch, decremented per squashed µop),
-//! with `tail_pos - head_pos == rob.len()` at every pipeline step. The
-//! µop at ROB index `i` occupies slot `(head_pos + i) & (cap - 1)` where
-//! `cap = rob_size.next_power_of_two()`; the window never exceeds `cap`
-//! entries, so the mapping is collision-free *even across squashes*
-//! (naive `seq % rob_size` indexing is not: squashes leave gaps in the
-//! live sequence numbers, so the in-ROB seq spread is unbounded).
+//! `rob_size` entries, so the scheduler backs them with fixed-capacity
+//! **bitsets over ROB ring slots**. It mirrors the ROB ring with two
+//! monotonic counters: `head_pos` (incremented when the head commits)
+//! and `tail_pos` (incremented at dispatch, decremented per squashed
+//! µop), with `tail_pos - head_pos == rob.len()` at every pipeline step.
+//! The µop at ROB index `i` occupies slot `(head_pos + i) & (cap - 1)`
+//! where `cap = rob_size.next_power_of_two()`; the window never exceeds
+//! `cap` entries, so the mapping is collision-free *even across
+//! squashes* (naive `seq % rob_size` indexing is not: squashes leave
+//! gaps in the live sequence numbers, so the in-ROB seq spread is
+//! unbounded).
 //!
 //! Age order ≡ seq order ≡ ROB position order (sequence numbers are
 //! assigned at dispatch and never reused), so age-ordered iteration of a
 //! bitset is a trailing-zeros walk **anchored at the ROB head slot**:
 //! the cyclic window `[head_slot, head_slot + len)` splits into at most
-//! two linear word ranges, walked in order. This reproduces the
-//! `BTreeSet` iteration order of the legacy scheduler exactly.
+//! two linear word ranges, walked in order.
 //!
-//! The completion wheel becomes a **calendar queue**: a power-of-two
-//! ring of per-cycle buckets sized past the maximum in-tree completion
-//! latency (a DRAM-missing load, the worst-case divider, the
-//! multiplier), plus a small sorted overflow list as a safety net for
-//! events beyond the horizon. Bucket `Vec`s are pooled (cleared, never
-//! dropped), so the steady state allocates nothing. Each event carries
-//! its slot and a **per-slot generation stamp** (bumped at dispatch), so
-//! a stale event from a squashed µop is recognised in O(1) — generation
-//! mismatch, or slot outside the live window — without the legacy
-//! seq-against-ROB filter. Stale events are deliberately *left in the
-//! wheel* on squash, in both implementations: the cached minimum
-//! deadline ([`Scheduler::next_completion_cycle`], an O(1) field
-//! maintained on push and recomputed on drain) feeds idle-cycle
-//! fast-forward, and removing stale events would change jump targets —
-//! and with them the blocked-cycle span structure of the trace — away
-//! from the legacy scheduler's stale-inclusive `BTreeMap` minimum.
+//! The completion wheel is a **calendar queue**: a power-of-two ring of
+//! per-cycle buckets sized past the maximum in-tree completion latency
+//! (a DRAM-missing load, the worst-case divider, the multiplier), plus a
+//! small sorted overflow list as a safety net for events beyond the
+//! horizon. Bucket `Vec`s are pooled (cleared, never dropped), so the
+//! steady state allocates nothing. Each event carries its slot and a
+//! **per-slot generation stamp** (bumped at dispatch), so a stale event
+//! from a squashed µop is recognised in O(1) — generation mismatch, or
+//! slot outside the live window — and never reaches the pipeline.
+//!
+//! Stale events are nevertheless deliberately *left in the wheel* on
+//! squash: the cached minimum deadline
+//! ([`Scheduler::next_completion_cycle`], an O(1) field maintained on
+//! push and recomputed on drain) feeds idle-cycle fast-forward, and its
+//! value counts stale deadlines. Removing them would change the
+//! fast-forward jump targets — and with them the blocked-cycle span
+//! structure of the trace, which the golden scheduler fixture pins.
 //!
 //! Per-physical-register dependent lists live in one **arena of
 //! intrusive doubly-linked nodes indexed by ROB slot** (a µop parks on
 //! at most one register at a time). Squash unlinks a parked node in
 //! O(1) — lazy filtering would corrupt lists when a squashed µop's slot
-//! is reused and re-parked — and `Core::reset` invalidates every list
-//! head in O(1) by bumping an epoch.
-//!
-//! The legacy `BTreeSet`/`BTreeMap` scheduler ([`BTreeSched`]) is kept
-//! behind [`crate::CoreConfig::flat_sched`] / the `PROTEAN_SCHED=btree`
-//! environment override, as a differential-testing oracle (the
-//! `sched_flat_equiv` bench test drives both over random programs ×
-//! every defense and compares full-observable digests).
+//! is reused and re-parked — so a drained list holds only live µops, and
+//! `Core::reset` invalidates every list head in O(1) by bumping an
+//! epoch.
 //!
 //! The scheduler also powers **idle-cycle fast-forward**: when a tick
 //! makes no progress (see [`Scheduler::progress`]), the pipeline asks
@@ -94,11 +89,11 @@
 //! argument.
 
 use crate::defense::Seq;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Identifies one of the eight status sets (see module docs). The
-/// numeric value indexes the per-implementation set arrays.
+/// numeric value indexes the scheduler's set array.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum SetId {
     /// Every µop currently in `UopStatus::Waiting`, in age order.
@@ -122,391 +117,6 @@ pub(crate) enum SetId {
 }
 
 const N_SETS: usize = 8;
-
-/// Event-driven scheduling state owned by the core (see module docs):
-/// the flat ROB-slot scheduler by default, or the legacy ordered-set
-/// scheduler for differential testing. All cross-implementation
-/// bookkeeping (progress flag, scratch buffer, occupancy high-water
-/// marks) lives here so both backends report identical statistics.
-#[derive(Debug)]
-pub(crate) struct Scheduler {
-    imp: SchedImpl,
-    /// High-water mark of the waiting set (issue-queue occupancy).
-    iq_hwm: u64,
-    /// Outstanding completion events (live + stale), and their maximum.
-    wheel_live: u64,
-    wheel_hwm: u64,
-    /// Whether the current tick changed any simulator state (beyond
-    /// blocked-cycle accounting). Cleared at tick start; an un-set flag
-    /// at tick end certifies the cycle is repeatable and fast-forward is
-    /// sound.
-    progress: bool,
-    /// Scratch buffer recycled by the pipeline's per-stage iteration
-    /// (sets cannot be mutated while iterated).
-    pub scratch: Vec<Seq>,
-}
-
-#[derive(Debug)]
-enum SchedImpl {
-    Flat(FlatSched),
-    BTree(BTreeSched),
-}
-
-impl Scheduler {
-    /// Creates a scheduler for a core with `n_phys` physical registers
-    /// and a `rob_size`-entry ROB. `max_latency` bounds the completion
-    /// latency any µop can schedule (sizes the calendar ring); `flat`
-    /// selects the flat ROB-slot backend over the legacy ordered sets.
-    pub fn new(n_phys: usize, rob_size: usize, max_latency: u32, flat: bool) -> Scheduler {
-        let imp = if flat {
-            SchedImpl::Flat(FlatSched::new(n_phys, rob_size, max_latency))
-        } else {
-            SchedImpl::BTree(BTreeSched::new(n_phys))
-        };
-        Scheduler {
-            imp,
-            iq_hwm: 0,
-            wheel_live: 0,
-            wheel_hwm: 0,
-            progress: false,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Empties every event structure in place, keeping all backing
-    /// allocations (the `Core::reset` arena path).
-    pub fn reset(&mut self) {
-        match &mut self.imp {
-            SchedImpl::Flat(s) => s.reset(),
-            SchedImpl::BTree(s) => s.reset(),
-        }
-        self.iq_hwm = 0;
-        self.wheel_live = 0;
-        self.wheel_hwm = 0;
-        self.progress = false;
-        self.scratch.clear();
-    }
-
-    // ---- ROB lifecycle ----------------------------------------------
-
-    /// Registers a freshly renamed µop (about to be pushed at the ROB
-    /// tail) with the scheduler. Must be called before any set insert
-    /// for that µop.
-    #[inline]
-    pub fn on_dispatch(&mut self, seq: Seq) {
-        if let SchedImpl::Flat(s) = &mut self.imp {
-            s.on_dispatch(seq);
-        }
-    }
-
-    /// The ROB head was just committed (popped). All set entries for the
-    /// head must have been removed beforehand.
-    #[inline]
-    pub fn on_commit_head(&mut self) {
-        if let SchedImpl::Flat(s) = &mut self.imp {
-            s.on_commit_head();
-        }
-    }
-
-    /// One µop (`seq`, the current ROB tail) was just squashed (popped
-    /// from the back). Clears its membership in every status set and
-    /// unlinks it from any dependent list; its completion events (if
-    /// any) stay in the wheel as stale entries (see module docs).
-    #[inline]
-    pub fn on_squash_pop(&mut self, seq: Seq) {
-        if let SchedImpl::Flat(s) = &mut self.imp {
-            s.on_squash_pop(seq);
-        }
-    }
-
-    /// Legacy bulk cleanup after a squash: discards every entry younger
-    /// than `surviving` from the ordered sets (`split_off`). A no-op for
-    /// the flat backend, whose [`Scheduler::on_squash_pop`] already
-    /// cleared each popped µop.
-    pub fn squash_after(&mut self, surviving: Seq) {
-        if let SchedImpl::BTree(s) = &mut self.imp {
-            s.squash_after(surviving);
-        }
-    }
-
-    // ---- status sets ------------------------------------------------
-
-    /// Inserts `seq` (at ROB index `rob_i`) into `set`. Idempotent.
-    #[inline]
-    pub fn insert(&mut self, set: SetId, seq: Seq, rob_i: usize) {
-        let n = match &mut self.imp {
-            SchedImpl::Flat(s) => {
-                s.insert(set, seq, rob_i);
-                s.sets[set as usize].len
-            }
-            SchedImpl::BTree(s) => {
-                s.sets[set as usize].insert(seq);
-                s.sets[set as usize].len()
-            }
-        };
-        if set == SetId::Waiting && n as u64 > self.iq_hwm {
-            self.iq_hwm = n as u64;
-        }
-    }
-
-    /// Removes `seq` (at ROB index `rob_i`) from `set`. Idempotent.
-    #[inline]
-    pub fn remove(&mut self, set: SetId, seq: Seq, rob_i: usize) {
-        match &mut self.imp {
-            SchedImpl::Flat(s) => s.remove(set, seq, rob_i),
-            SchedImpl::BTree(s) => {
-                s.sets[set as usize].remove(&seq);
-            }
-        }
-    }
-
-    /// Number of entries in `set`.
-    #[inline]
-    pub fn len(&self, set: SetId) -> usize {
-        match &self.imp {
-            SchedImpl::Flat(s) => s.sets[set as usize].len,
-            SchedImpl::BTree(s) => s.sets[set as usize].len(),
-        }
-    }
-
-    /// Whether `set` is empty.
-    #[inline]
-    pub fn is_empty(&self, set: SetId) -> bool {
-        self.len(set) == 0
-    }
-
-    /// The oldest entry of `set`, if any.
-    #[inline]
-    pub fn first(&self, set: SetId) -> Option<Seq> {
-        match &self.imp {
-            SchedImpl::Flat(s) => s.first(set),
-            SchedImpl::BTree(s) => s.sets[set as usize].first().copied(),
-        }
-    }
-
-    /// The `n`-th oldest entry of `set` (0-based), if any.
-    pub fn nth(&self, set: SetId, n: usize) -> Option<Seq> {
-        match &self.imp {
-            SchedImpl::Flat(s) => s.nth(set, n),
-            SchedImpl::BTree(s) => s.sets[set as usize].iter().nth(n).copied(),
-        }
-    }
-
-    /// Appends every entry of `set` to `out`, oldest first.
-    #[inline]
-    pub fn collect(&self, set: SetId, out: &mut Vec<Seq>) {
-        match &self.imp {
-            SchedImpl::Flat(s) => s.collect(set, out),
-            SchedImpl::BTree(s) => out.extend(s.sets[set as usize].iter().copied()),
-        }
-    }
-
-    /// Appends every entry of `set` older than `bound` (exclusive) to
-    /// `out`, oldest first.
-    #[inline]
-    pub fn collect_below(&self, set: SetId, bound: Seq, out: &mut Vec<Seq>) {
-        match &self.imp {
-            SchedImpl::Flat(s) => s.collect_below(set, bound, out),
-            SchedImpl::BTree(s) => out.extend(s.sets[set as usize].range(..bound).copied()),
-        }
-    }
-
-    /// Visits every in-flight store older than the load `(seq, rob_i)`,
-    /// **youngest first** (the store-queue search order of
-    /// `execute_load`). `f` returns `false` to stop the walk.
-    #[inline]
-    pub fn for_each_store_older(&self, seq: Seq, rob_i: usize, mut f: impl FnMut(Seq) -> bool) {
-        match &self.imp {
-            SchedImpl::Flat(s) => s.walk_desc_before(SetId::InflightStores, seq, rob_i, &mut f),
-            SchedImpl::BTree(s) => {
-                for &s_seq in s.sets[SetId::InflightStores as usize].range(..seq).rev() {
-                    if !f(s_seq) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Visits every in-flight load younger than the store `(seq, rob_i)`,
-    /// **oldest first** (the violation-scan order of `execute_store`).
-    /// `f` returns `false` to stop the walk.
-    #[inline]
-    pub fn for_each_load_younger(&self, seq: Seq, rob_i: usize, mut f: impl FnMut(Seq) -> bool) {
-        match &self.imp {
-            SchedImpl::Flat(s) => s.walk_asc_after(SetId::InflightLoads, seq, rob_i, &mut f),
-            SchedImpl::BTree(s) => {
-                for &l_seq in s.sets[SetId::InflightLoads as usize].range(seq + 1..) {
-                    if !f(l_seq) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- completion wheel -------------------------------------------
-
-    /// Schedules `seq` (at ROB index `rob_i`) to complete at `done`.
-    #[inline]
-    pub fn schedule_completion(&mut self, done: u64, seq: Seq, rob_i: usize) {
-        match &mut self.imp {
-            SchedImpl::Flat(s) => s.schedule_completion(done, seq, rob_i),
-            SchedImpl::BTree(s) => s.wheel.entry(done).or_default().push(seq),
-        }
-        self.wheel_live += 1;
-        if self.wheel_live > self.wheel_hwm {
-            self.wheel_hwm = self.wheel_live;
-        }
-    }
-
-    /// Removes every completion event due at or before `cycle` and fills
-    /// `out` with the due µops in age order. The flat backend filters
-    /// stale (squashed) events here in O(1) via generation stamps; the
-    /// legacy backend leaves them for the caller's ROB check (which has
-    /// no observable side effects, so the two are interchangeable).
-    #[inline]
-    pub fn pop_completions(&mut self, cycle: u64, out: &mut Vec<Seq>) {
-        out.clear();
-        let drained = match &mut self.imp {
-            SchedImpl::Flat(s) => s.pop_completions(cycle, out),
-            SchedImpl::BTree(s) => {
-                while let Some(entry) = s.wheel.first_entry() {
-                    if *entry.key() > cycle {
-                        break;
-                    }
-                    out.extend(entry.remove());
-                }
-                out.len() as u64
-            }
-        };
-        // Multiple deadlines can drain at once only after a squash or a
-        // fast-forward jump; keep age order so processing matches the
-        // old ROB scan.
-        if out.len() > 1 {
-            out.sort_unstable();
-        }
-        debug_assert!(drained <= self.wheel_live);
-        self.wheel_live -= drained;
-    }
-
-    /// The cycle of the earliest outstanding completion event (live or
-    /// stale), if any. O(1): a cached field in the flat backend
-    /// (maintained on push, recomputed on drain; squash leaves it
-    /// untouched because stale events stay in the wheel).
-    #[inline]
-    pub fn next_completion_cycle(&self) -> Option<u64> {
-        match &self.imp {
-            SchedImpl::Flat(s) => s.next_completion_cycle(),
-            SchedImpl::BTree(s) => s.wheel.keys().next().copied(),
-        }
-    }
-
-    // ---- dependent lists --------------------------------------------
-
-    /// Parks `seq` (at ROB index `rob_i`) until physical register `phys`
-    /// is written back. A µop is parked on at most one register at a
-    /// time.
-    #[inline]
-    pub fn register_dep(&mut self, phys: usize, seq: Seq, rob_i: usize) {
-        match &mut self.imp {
-            SchedImpl::Flat(s) => s.register_dep(phys, seq, rob_i),
-            SchedImpl::BTree(s) => s.dep_lists[phys].push(seq),
-        }
-    }
-
-    /// Drains the dependent list of `phys` into `out` in registration
-    /// order (the caller re-registers entries that are still not ready).
-    /// The flat backend yields only live µops; the legacy backend may
-    /// yield stale (squashed) entries for the caller to filter.
-    #[inline]
-    pub fn drain_deps(&mut self, phys: usize, out: &mut Vec<Seq>) {
-        match &mut self.imp {
-            SchedImpl::Flat(s) => s.drain_deps(phys, out),
-            SchedImpl::BTree(s) => out.append(&mut s.dep_lists[phys]),
-        }
-    }
-
-    // ---- occupancy statistics ---------------------------------------
-
-    /// High-water mark of the waiting set (issue-queue occupancy).
-    pub fn iq_hwm(&self) -> u64 {
-        self.iq_hwm
-    }
-
-    /// High-water mark of outstanding completion-wheel events (live and
-    /// stale alike — both occupy wheel storage).
-    pub fn wheel_hwm(&self) -> u64 {
-        self.wheel_hwm
-    }
-
-    // ---- progress flag ----------------------------------------------
-
-    /// Clears the progress flag at tick start.
-    #[inline]
-    pub fn clear_progress(&mut self) {
-        self.progress = false;
-    }
-
-    /// Marks that this tick changed simulator state.
-    #[inline]
-    pub fn mark_progress(&mut self) {
-        self.progress = true;
-    }
-
-    /// Whether this tick changed simulator state.
-    #[inline]
-    pub fn progress(&self) -> bool {
-        self.progress
-    }
-}
-
-// ---------------------------------------------------------------------
-// Legacy ordered-set backend
-// ---------------------------------------------------------------------
-
-/// The PR 4 scheduler: one `BTreeSet` per status set, a `BTreeMap`
-/// completion wheel, per-register `Vec` dependent lists. Kept as the
-/// differential-testing oracle for [`FlatSched`]; stale entries from
-/// squashed µops are filtered lazily by the pipeline (sequence numbers
-/// are never reused, so a stale entry can never be mistaken for live
-/// work).
-#[derive(Debug, Default)]
-struct BTreeSched {
-    wheel: BTreeMap<u64, Vec<Seq>>,
-    sets: [BTreeSet<Seq>; N_SETS],
-    dep_lists: Vec<Vec<Seq>>,
-}
-
-impl BTreeSched {
-    fn new(n_phys: usize) -> BTreeSched {
-        BTreeSched {
-            dep_lists: vec![Vec::new(); n_phys],
-            ..BTreeSched::default()
-        }
-    }
-
-    fn reset(&mut self) {
-        self.wheel.clear();
-        for set in &mut self.sets {
-            set.clear();
-        }
-        for list in &mut self.dep_lists {
-            list.clear();
-        }
-    }
-
-    fn squash_after(&mut self, surviving: Seq) {
-        let bound = surviving + 1;
-        for set in &mut self.sets {
-            set.split_off(&bound);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Flat ROB-slot backend
-// ---------------------------------------------------------------------
 
 const NO_NODE: u32 = u32::MAX;
 
@@ -646,9 +256,12 @@ struct WheelEvent {
     seq: Seq,
 }
 
-/// The flat ROB-slot scheduler (see module docs).
+/// Event-driven scheduling state owned by the core: the flat ROB-slot
+/// status sets, calendar-queue completion wheel and dependent-list
+/// arena (see module docs), plus the progress flag, a scratch buffer
+/// and the occupancy high-water marks.
 #[derive(Debug)]
-struct FlatSched {
+pub(crate) struct Scheduler {
     /// Ring capacity: `rob_size.next_power_of_two()`.
     cap: usize,
     /// Monotonic position counters mirroring the ROB ring; the window
@@ -694,20 +307,37 @@ struct FlatSched {
     /// Cached minimum deadline across the buckets (`u64::MAX` when none)
     /// and the bucketed-event count. The overall wheel minimum is
     /// `min(bucket_min, overflow.last())` — O(1) for the idle-cycle
-    /// fast-forward query that used to be a fresh `BTreeMap` first-key
-    /// lookup per no-progress tick.
+    /// fast-forward query asked on every no-progress tick.
     bucket_min: u64,
     bucket_events: u64,
+
+    // ---- statistics and pipeline hand-off ---------------------------
+    /// High-water mark of the waiting set (issue-queue occupancy).
+    iq_hwm: u64,
+    /// Outstanding completion events (live + stale), and their maximum.
+    wheel_live: u64,
+    wheel_hwm: u64,
+    /// Whether the current tick changed any simulator state (beyond
+    /// blocked-cycle accounting). Cleared at tick start; an un-set flag
+    /// at tick end certifies the cycle is repeatable and fast-forward is
+    /// sound.
+    progress: bool,
+    /// Scratch buffer recycled by the pipeline's per-stage iteration
+    /// (sets cannot be mutated while iterated).
+    pub scratch: Vec<Seq>,
 }
 
-impl FlatSched {
-    fn new(n_phys: usize, rob_size: usize, max_latency: u32) -> FlatSched {
+impl Scheduler {
+    /// Creates a scheduler for a core with `n_phys` physical registers
+    /// and a `rob_size`-entry ROB. `max_latency` bounds the completion
+    /// latency any µop can schedule (sizes the calendar ring).
+    pub fn new(n_phys: usize, rob_size: usize, max_latency: u32) -> Scheduler {
         let cap = rob_size.next_power_of_two();
         // Every in-tree completion schedules at most `max_latency + 1`
         // cycles ahead; the ring must strictly exceed that so two
         // outstanding deadlines never alias a bucket.
         let wsize = (max_latency as u64 + 2).next_power_of_two().max(16) as usize;
-        FlatSched {
+        Scheduler {
             cap,
             head_pos: 0,
             tail_pos: 0,
@@ -727,10 +357,17 @@ impl FlatSched {
             overflow: Vec::new(),
             bucket_min: u64::MAX,
             bucket_events: 0,
+            iq_hwm: 0,
+            wheel_live: 0,
+            wheel_hwm: 0,
+            progress: false,
+            scratch: Vec::new(),
         }
     }
 
-    fn reset(&mut self) {
+    /// Empties every event structure in place, keeping all backing
+    /// allocations (the `Core::reset` arena path).
+    pub fn reset(&mut self) {
         self.head_pos = 0;
         self.tail_pos = 0;
         // Slot generations are deliberately *not* reset: monotonic per
@@ -745,6 +382,11 @@ impl FlatSched {
         self.overflow.clear();
         self.bucket_min = u64::MAX;
         self.bucket_events = 0;
+        self.iq_hwm = 0;
+        self.wheel_live = 0;
+        self.wheel_hwm = 0;
+        self.progress = false;
+        self.scratch.clear();
     }
 
     // ---- ring geometry ----------------------------------------------
@@ -764,10 +406,14 @@ impl FlatSched {
         (self.head_pos & self.mask()) as usize
     }
 
+    /// The slot of the µop at ROB index `rob_i`, checked (in debug
+    /// builds) against the sequence number the caller expects there.
     #[inline]
-    fn slot_of(&self, rob_i: usize) -> usize {
+    fn slot_of(&self, rob_i: usize, seq: Seq) -> usize {
         debug_assert!(rob_i < self.window_len(), "ROB index outside the window");
-        ((self.head_pos + rob_i as u64) & self.mask()) as usize
+        let slot = ((self.head_pos + rob_i as u64) & self.mask()) as usize;
+        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
+        slot
     }
 
     /// The cyclic offset range `[start_off, end_off)` from the head as
@@ -784,10 +430,13 @@ impl FlatSched {
         }
     }
 
-    // ---- lifecycle --------------------------------------------------
+    // ---- ROB lifecycle ----------------------------------------------
 
+    /// Registers a freshly renamed µop (about to be pushed at the ROB
+    /// tail) with the scheduler. Must be called before any set insert
+    /// for that µop.
     #[inline]
-    fn on_dispatch(&mut self, seq: Seq) {
+    pub fn on_dispatch(&mut self, seq: Seq) {
         debug_assert!(
             self.window_len() < self.cap,
             "ROB window exceeds scheduler ring capacity"
@@ -803,8 +452,10 @@ impl FlatSched {
         }
     }
 
+    /// The ROB head was just committed (popped). All set entries for the
+    /// head must have been removed beforehand.
     #[inline]
-    fn on_commit_head(&mut self) {
+    pub fn on_commit_head(&mut self) {
         debug_assert!(self.window_len() > 0, "commit from an empty window");
         #[cfg(debug_assertions)]
         {
@@ -817,40 +468,57 @@ impl FlatSched {
         self.head_pos += 1;
     }
 
-    fn on_squash_pop(&mut self, seq: Seq) {
+    /// One µop (`seq`, the current ROB tail) was just squashed (popped
+    /// from the back). Clears its membership in every status set and
+    /// unlinks it from any dependent list; its completion events (if
+    /// any) stay in the wheel as stale entries (see module docs).
+    #[inline]
+    pub fn on_squash_pop(&mut self, seq: Seq) {
         debug_assert!(self.window_len() > 0, "squash from an empty window");
         self.tail_pos -= 1;
         let slot = (self.tail_pos & self.mask()) as usize;
         debug_assert_eq!(self.slot_seq[slot], seq, "squash pops the ROB tail");
-        let _ = seq;
         for set in &mut self.sets {
             set.remove(slot);
         }
         self.unlink_dep(slot);
-        // Completion events stay in the wheel as stale entries (module
-        // docs): the cached minimum must keep counting them so the
-        // fast-forward jump targets match the legacy scheduler exactly.
     }
 
     // ---- status sets ------------------------------------------------
 
+    /// Inserts `seq` (at ROB index `rob_i`) into `set`. Idempotent.
     #[inline]
-    fn insert(&mut self, set: SetId, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i);
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
-        let _ = seq;
-        self.sets[set as usize].insert(slot);
+    pub fn insert(&mut self, set: SetId, seq: Seq, rob_i: usize) {
+        let slot = self.slot_of(rob_i, seq);
+        let s = &mut self.sets[set as usize];
+        s.insert(slot);
+        if set == SetId::Waiting && s.len as u64 > self.iq_hwm {
+            self.iq_hwm = s.len as u64;
+        }
     }
 
+    /// Removes `seq` (at ROB index `rob_i`) from `set`. Idempotent.
     #[inline]
-    fn remove(&mut self, set: SetId, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i);
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
-        let _ = seq;
+    pub fn remove(&mut self, set: SetId, seq: Seq, rob_i: usize) {
+        let slot = self.slot_of(rob_i, seq);
         self.sets[set as usize].remove(slot);
     }
 
-    fn first(&self, set: SetId) -> Option<Seq> {
+    /// Number of entries in `set`.
+    #[inline]
+    pub fn len(&self, set: SetId) -> usize {
+        self.sets[set as usize].len
+    }
+
+    /// Whether `set` is empty.
+    #[inline]
+    pub fn is_empty(&self, set: SetId) -> bool {
+        self.len(set) == 0
+    }
+
+    /// The oldest entry of `set`, if any.
+    #[inline]
+    pub fn first(&self, set: SetId) -> Option<Seq> {
         let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
         let s = &self.sets[set as usize];
         let mut found = None;
@@ -864,7 +532,8 @@ impl FlatSched {
         found
     }
 
-    fn nth(&self, set: SetId, n: usize) -> Option<Seq> {
+    /// The `n`-th oldest entry of `set` (0-based), if any.
+    pub fn nth(&self, set: SetId, n: usize) -> Option<Seq> {
         let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
         let s = &self.sets[set as usize];
         match s.select(a0, a1, n) {
@@ -873,7 +542,9 @@ impl FlatSched {
         }
     }
 
-    fn collect(&self, set: SetId, out: &mut Vec<Seq>) {
+    /// Appends every entry of `set` to `out`, oldest first.
+    #[inline]
+    pub fn collect(&self, set: SetId, out: &mut Vec<Seq>) {
         let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
         let s = &self.sets[set as usize];
         let mut f = |slot: usize| {
@@ -884,7 +555,10 @@ impl FlatSched {
         s.walk_asc(b0, b1, &mut f);
     }
 
-    fn collect_below(&self, set: SetId, bound: Seq, out: &mut Vec<Seq>) {
+    /// Appends every entry of `set` older than `bound` (exclusive) to
+    /// `out`, oldest first.
+    #[inline]
+    pub fn collect_below(&self, set: SetId, bound: Seq, out: &mut Vec<Seq>) {
         let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
         let s = &self.sets[set as usize];
         // Age order ≡ seq order: stop at the first entry ≥ bound.
@@ -901,64 +575,64 @@ impl FlatSched {
         }
     }
 
-    /// Walks `set` over ROB indices `[0, rob_i)`, youngest first.
-    fn walk_desc_before(
-        &self,
-        set: SetId,
-        seq: Seq,
-        rob_i: usize,
-        f: &mut impl FnMut(Seq) -> bool,
-    ) {
+    /// Visits every in-flight store older than the load `(seq, rob_i)`,
+    /// **youngest first** (the store-queue search order of
+    /// `execute_load`). `f` returns `false` to stop the walk.
+    #[inline]
+    pub fn for_each_store_older(&self, seq: Seq, rob_i: usize, mut f: impl FnMut(Seq) -> bool) {
         let ((a0, a1), (b0, b1)) = self.pieces(0, rob_i);
-        let s = &self.sets[set as usize];
+        let s = &self.sets[SetId::InflightStores as usize];
         let mut g = |slot: usize| {
             debug_assert!(self.slot_seq[slot] < seq, "older walk crossed the bound");
             f(self.slot_seq[slot])
         };
-        let _ = seq;
         if s.walk_desc(b0, b1, &mut g) {
             s.walk_desc(a0, a1, &mut g);
         }
     }
 
-    /// Walks `set` over ROB indices `(rob_i, window)`, oldest first.
-    fn walk_asc_after(&self, set: SetId, seq: Seq, rob_i: usize, f: &mut impl FnMut(Seq) -> bool) {
+    /// Visits every in-flight load younger than the store `(seq, rob_i)`,
+    /// **oldest first** (the violation-scan order of `execute_store`).
+    /// `f` returns `false` to stop the walk.
+    #[inline]
+    pub fn for_each_load_younger(&self, seq: Seq, rob_i: usize, mut f: impl FnMut(Seq) -> bool) {
         let ((a0, a1), (b0, b1)) = self.pieces(rob_i + 1, self.window_len());
-        let s = &self.sets[set as usize];
+        let s = &self.sets[SetId::InflightLoads as usize];
         let mut g = |slot: usize| {
             debug_assert!(self.slot_seq[slot] > seq, "younger walk crossed the bound");
             f(self.slot_seq[slot])
         };
-        let _ = seq;
         if s.walk_asc(a0, a1, &mut g) {
             s.walk_asc(b0, b1, &mut g);
         }
     }
 
-    // ---- calendar queue ---------------------------------------------
+    // ---- completion wheel -------------------------------------------
 
+    /// Schedules `seq` (at ROB index `rob_i`) to complete at `done`.
     #[inline]
-    fn schedule_completion(&mut self, done: u64, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i);
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
+    pub fn schedule_completion(&mut self, done: u64, seq: Seq, rob_i: usize) {
+        let slot = self.slot_of(rob_i, seq);
         let ev = WheelEvent {
             slot: slot as u32,
             gen: self.slot_gen[slot],
             seq,
         };
+        self.wheel_live += 1;
+        if self.wheel_live > self.wheel_hwm {
+            self.wheel_hwm = self.wheel_live;
+        }
         let b = (done & self.wmask) as usize;
         if self.buckets[b].is_empty() {
             self.stamp[b] = done;
-            self.buckets[b].push(ev);
-        } else if self.stamp[b] == done {
-            self.buckets[b].push(ev);
-        } else {
+        } else if self.stamp[b] != done {
             // Beyond the ring horizon: sorted overflow (descending, so
             // the nearest deadline pops from the back).
             let pos = self.overflow.partition_point(|(d, _)| *d > done);
             self.overflow.insert(pos, (done, ev));
             return;
         }
+        self.buckets[b].push(ev);
         self.bucket_events += 1;
         if done < self.bucket_min {
             self.bucket_min = done;
@@ -981,7 +655,12 @@ impl FlatSched {
         live
     }
 
-    fn pop_completions(&mut self, cycle: u64, out: &mut Vec<Seq>) -> u64 {
+    /// Removes every completion event due at or before `cycle` and fills
+    /// `out` with the due µops in age order. Stale (squashed) events are
+    /// dropped here in O(1) via generation stamps, so `out` holds only
+    /// live µops.
+    pub fn pop_completions(&mut self, cycle: u64, out: &mut Vec<Seq>) {
+        out.clear();
         debug_assert_eq!(self.bucket_min, self.recomputed_bucket_min(), "stale cache");
         let mut drained = 0u64;
         if self.bucket_min <= cycle {
@@ -1036,10 +715,22 @@ impl FlatSched {
                 out.push(ev.seq);
             }
         }
-        drained
+        // A bucket holds events in scheduling order, and a fast-forward
+        // landing drains several deadlines at once; keep age order so
+        // processing matches the old ROB scan.
+        if out.len() > 1 {
+            out.sort_unstable();
+        }
+        debug_assert!(drained <= self.wheel_live);
+        self.wheel_live -= drained;
     }
 
-    fn next_completion_cycle(&self) -> Option<u64> {
+    /// The cycle of the earliest outstanding completion event (live or
+    /// stale), if any. O(1): a cached field maintained on push and
+    /// recomputed on drain; squash leaves it untouched because stale
+    /// events stay in the wheel.
+    #[inline]
+    pub fn next_completion_cycle(&self) -> Option<u64> {
         debug_assert_eq!(self.bucket_min, self.recomputed_bucket_min(), "stale cache");
         let min = match self.overflow.last() {
             Some(&(done, _)) => self.bucket_min.min(done),
@@ -1059,7 +750,7 @@ impl FlatSched {
             .unwrap_or(u64::MAX)
     }
 
-    // ---- dependent-list arena ---------------------------------------
+    // ---- dependent lists --------------------------------------------
 
     /// The list head for `phys`, honouring the epoch (a stale head from
     /// before the last reset reads as empty).
@@ -1072,11 +763,12 @@ impl FlatSched {
         }
     }
 
+    /// Parks `seq` (at ROB index `rob_i`) until physical register `phys`
+    /// is written back. A µop is parked on at most one register at a
+    /// time.
     #[inline]
-    fn register_dep(&mut self, phys: usize, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i);
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
-        let _ = seq;
+    pub fn register_dep(&mut self, phys: usize, seq: Seq, rob_i: usize) {
+        let slot = self.slot_of(rob_i, seq);
         debug_assert_eq!(self.dep_phys[slot], NO_NODE, "µop parked twice");
         self.dep_phys[slot] = phys as u32;
         self.dep_next[slot] = NO_NODE;
@@ -1094,8 +786,11 @@ impl FlatSched {
         }
     }
 
+    /// Drains the dependent list of `phys` into `out` in registration
+    /// order (the caller re-registers entries that are still not ready).
+    /// Yields only live µops: squash unlinks eagerly.
     #[inline]
-    fn drain_deps(&mut self, phys: usize, out: &mut Vec<Seq>) {
+    pub fn drain_deps(&mut self, phys: usize, out: &mut Vec<Seq>) {
         let mut node = self.dep_head_of(phys);
         if node == NO_NODE {
             return;
@@ -1133,6 +828,39 @@ impl FlatSched {
             self.dep_prev[next as usize] = prev;
         }
         self.dep_phys[slot] = NO_NODE;
+    }
+
+    // ---- occupancy statistics ---------------------------------------
+
+    /// High-water mark of the waiting set (issue-queue occupancy).
+    pub fn iq_hwm(&self) -> u64 {
+        self.iq_hwm
+    }
+
+    /// High-water mark of outstanding completion-wheel events (live and
+    /// stale alike — both occupy wheel storage).
+    pub fn wheel_hwm(&self) -> u64 {
+        self.wheel_hwm
+    }
+
+    // ---- progress flag ----------------------------------------------
+
+    /// Clears the progress flag at tick start.
+    #[inline]
+    pub fn clear_progress(&mut self) {
+        self.progress = false;
+    }
+
+    /// Marks that this tick changed simulator state.
+    #[inline]
+    pub fn mark_progress(&mut self) {
+        self.progress = true;
+    }
+
+    /// Whether this tick changed simulator state.
+    #[inline]
+    pub fn progress(&self) -> bool {
+        self.progress
     }
 }
 
@@ -1283,10 +1011,10 @@ mod tests {
         SetId::InflightStores,
     ];
 
-    /// A small scheduler (8-slot ring, 32-bucket wheel) in either
-    /// backend — wrap-around is a handful of dispatches away.
-    fn sched(flat: bool) -> Scheduler {
-        Scheduler::new(8, 8, 30, flat)
+    /// A small scheduler (8-slot ring, 32-bucket wheel): wrap-around is
+    /// a handful of dispatches away.
+    fn sched() -> Scheduler {
+        Scheduler::new(8, 8, 30)
     }
 
     fn contents(s: &Scheduler, set: SetId) -> Vec<Seq> {
@@ -1297,114 +1025,93 @@ mod tests {
 
     #[test]
     fn wheel_pops_due_events_in_age_order() {
-        for flat in [true, false] {
-            let mut s = sched(flat);
-            for (i, seq) in [1u64, 2, 3, 7].into_iter().enumerate() {
-                s.on_dispatch(seq);
-                let _ = i;
-            }
-            s.schedule_completion(10, 3, 2);
-            s.schedule_completion(5, 7, 3);
-            s.schedule_completion(5, 2, 1);
-            s.schedule_completion(12, 1, 0);
-            let mut out = Vec::new();
-            s.pop_completions(4, &mut out);
-            assert!(out.is_empty(), "flat={flat}");
-            assert_eq!(s.next_completion_cycle(), Some(5), "flat={flat}");
-            s.pop_completions(10, &mut out);
-            assert_eq!(out, vec![2, 3, 7], "flat={flat}");
-            assert_eq!(s.next_completion_cycle(), Some(12), "flat={flat}");
-            s.pop_completions(100, &mut out);
-            assert_eq!(out, vec![1], "flat={flat}");
-            assert_eq!(s.next_completion_cycle(), None, "flat={flat}");
+        let mut s = sched();
+        for seq in [1u64, 2, 3, 7] {
+            s.on_dispatch(seq);
         }
+        s.schedule_completion(10, 3, 2);
+        s.schedule_completion(5, 7, 3);
+        s.schedule_completion(5, 2, 1);
+        s.schedule_completion(12, 1, 0);
+        let mut out = Vec::new();
+        s.pop_completions(4, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(s.next_completion_cycle(), Some(5));
+        s.pop_completions(10, &mut out);
+        assert_eq!(out, vec![2, 3, 7]);
+        assert_eq!(s.next_completion_cycle(), Some(12));
+        s.pop_completions(100, &mut out);
+        assert_eq!(out, vec![1]);
+        assert_eq!(s.next_completion_cycle(), None);
     }
 
     #[test]
     fn squash_discards_only_younger_entries() {
-        for flat in [true, false] {
-            let mut s = sched(flat);
-            for (i, seq) in [1u64, 5, 9].into_iter().enumerate() {
-                s.on_dispatch(seq);
-                for set in ALL_SETS {
-                    s.insert(set, seq, i);
-                }
-            }
-            // The pipeline squash: pop younger µops (tail first), then
-            // the legacy bulk cleanup.
-            s.on_squash_pop(9);
-            s.squash_after(5);
+        let mut s = sched();
+        for (i, seq) in [1u64, 5, 9].into_iter().enumerate() {
+            s.on_dispatch(seq);
             for set in ALL_SETS {
-                assert_eq!(contents(&s, set), vec![1, 5], "flat={flat}");
+                s.insert(set, seq, i);
             }
+        }
+        // The pipeline squash pops younger µops, tail first.
+        s.on_squash_pop(9);
+        for set in ALL_SETS {
+            assert_eq!(contents(&s, set), vec![1, 5]);
         }
     }
 
     #[test]
     fn squash_and_age_order_across_ring_wraparound() {
-        for flat in [true, false] {
-            let mut s = sched(flat);
-            // Fill most of the 8-slot ring...
-            for (i, seq) in (10..16).enumerate() {
-                s.on_dispatch(seq);
-                s.insert(SetId::Waiting, seq, i);
-            }
-            // ...commit 5 heads so later dispatches wrap slots 0..=2.
-            for seq in 10..15 {
-                s.remove(SetId::Waiting, seq, 0);
-                s.on_commit_head();
-            }
-            for (i, seq) in (20..26).enumerate() {
-                s.on_dispatch(seq);
-                s.insert(SetId::Waiting, seq, 1 + i);
-                s.insert(SetId::InflightLoads, seq, 1 + i);
-            }
-            // Age order across the wrap: head is µop 15 at ROB index 0.
-            assert_eq!(
-                contents(&s, SetId::Waiting),
-                vec![15, 20, 21, 22, 23, 24, 25],
-                "flat={flat}"
-            );
-            assert_eq!(s.nth(SetId::Waiting, 3), Some(22), "flat={flat}");
-            let mut below = Vec::new();
-            s.collect_below(SetId::Waiting, 23, &mut below);
-            assert_eq!(below, vec![15, 20, 21, 22], "flat={flat}");
-            // Squash the youngest three (all on wrapped slots).
-            for seq in [25, 24, 23] {
-                s.on_squash_pop(seq);
-            }
-            s.squash_after(22);
-            assert_eq!(
-                contents(&s, SetId::Waiting),
-                vec![15, 20, 21, 22],
-                "flat={flat}"
-            );
-            assert_eq!(
-                contents(&s, SetId::InflightLoads),
-                vec![20, 21, 22],
-                "flat={flat}"
-            );
-            // Refill the squashed slots: no leakage from the dead µops.
-            for (i, seq) in (30..33).enumerate() {
-                s.on_dispatch(seq);
-                s.insert(SetId::Waiting, seq, 4 + i);
-            }
-            assert_eq!(
-                contents(&s, SetId::Waiting),
-                vec![15, 20, 21, 22, 30, 31, 32],
-                "flat={flat}"
-            );
+        let mut s = sched();
+        // Fill most of the 8-slot ring...
+        for (i, seq) in (10..16).enumerate() {
+            s.on_dispatch(seq);
+            s.insert(SetId::Waiting, seq, i);
         }
+        // ...commit 5 heads so later dispatches wrap slots 0..=2.
+        for seq in 10..15 {
+            s.remove(SetId::Waiting, seq, 0);
+            s.on_commit_head();
+        }
+        for (i, seq) in (20..26).enumerate() {
+            s.on_dispatch(seq);
+            s.insert(SetId::Waiting, seq, 1 + i);
+            s.insert(SetId::InflightLoads, seq, 1 + i);
+        }
+        // Age order across the wrap: head is µop 15 at ROB index 0.
+        assert_eq!(
+            contents(&s, SetId::Waiting),
+            vec![15, 20, 21, 22, 23, 24, 25]
+        );
+        assert_eq!(s.nth(SetId::Waiting, 3), Some(22));
+        let mut below = Vec::new();
+        s.collect_below(SetId::Waiting, 23, &mut below);
+        assert_eq!(below, vec![15, 20, 21, 22]);
+        // Squash the youngest three (all on wrapped slots).
+        for seq in [25, 24, 23] {
+            s.on_squash_pop(seq);
+        }
+        assert_eq!(contents(&s, SetId::Waiting), vec![15, 20, 21, 22]);
+        assert_eq!(contents(&s, SetId::InflightLoads), vec![20, 21, 22]);
+        // Refill the squashed slots: no leakage from the dead µops.
+        for (i, seq) in (30..33).enumerate() {
+            s.on_dispatch(seq);
+            s.insert(SetId::Waiting, seq, 4 + i);
+        }
+        assert_eq!(
+            contents(&s, SetId::Waiting),
+            vec![15, 20, 21, 22, 30, 31, 32]
+        );
     }
 
     #[test]
     fn generation_stamps_skip_stale_wheel_events() {
-        let mut s = sched(true);
+        let mut s = sched();
         s.on_dispatch(1);
         s.on_dispatch(2);
         s.schedule_completion(50, 2, 1);
         s.on_squash_pop(2);
-        s.squash_after(1);
         // The stale event stays in the wheel and keeps feeding the
         // cached minimum (fast-forward jump-target parity)...
         assert_eq!(s.next_completion_cycle(), Some(50));
@@ -1423,7 +1130,6 @@ mod tests {
         s.on_dispatch(4);
         s.schedule_completion(60, 4, 2);
         s.on_squash_pop(4);
-        s.squash_after(3);
         out.clear();
         s.pop_completions(60, &mut out);
         assert!(out.is_empty());
@@ -1433,7 +1139,7 @@ mod tests {
     fn wheel_overflow_beyond_horizon() {
         // max_latency 30 → 32-bucket ring: deadlines 32 cycles apart
         // collide and the younger goes to the sorted overflow list.
-        let mut s = sched(true);
+        let mut s = sched();
         s.on_dispatch(1);
         s.on_dispatch(2);
         s.schedule_completion(5, 1, 0);
@@ -1450,25 +1156,23 @@ mod tests {
 
     #[test]
     fn dep_lists_roundtrip_in_registration_order() {
-        for flat in [true, false] {
-            let mut s = sched(flat);
-            s.on_dispatch(4);
-            s.on_dispatch(8);
-            s.register_dep(1, 4, 0);
-            s.register_dep(1, 8, 1);
-            let mut out = Vec::new();
-            s.drain_deps(1, &mut out);
-            assert_eq!(out, vec![4, 8], "flat={flat}");
-            out.clear();
-            s.drain_deps(1, &mut out);
-            s.drain_deps(0, &mut out);
-            assert!(out.is_empty(), "flat={flat}");
-        }
+        let mut s = sched();
+        s.on_dispatch(4);
+        s.on_dispatch(8);
+        s.register_dep(1, 4, 0);
+        s.register_dep(1, 8, 1);
+        let mut out = Vec::new();
+        s.drain_deps(1, &mut out);
+        assert_eq!(out, vec![4, 8]);
+        out.clear();
+        s.drain_deps(1, &mut out);
+        s.drain_deps(0, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn flat_dep_lists_unlink_on_squash_and_reset_by_epoch() {
-        let mut s = sched(true);
+    fn dep_lists_unlink_on_squash_and_reset_by_epoch() {
+        let mut s = sched();
         s.on_dispatch(1);
         s.on_dispatch(2);
         s.on_dispatch(3);
@@ -1479,7 +1183,6 @@ mod tests {
         // one itself: both unlink in O(1), the head survives.
         s.on_squash_pop(3);
         s.on_squash_pop(2);
-        s.squash_after(1);
         let mut out = Vec::new();
         s.drain_deps(5, &mut out);
         assert_eq!(out, vec![1]);
@@ -1499,64 +1202,57 @@ mod tests {
     }
 
     #[test]
-    fn disambiguation_walks_match_across_backends() {
-        let mut flat = sched(true);
-        let mut btree = sched(false);
-        for s in [&mut flat, &mut btree] {
-            for (i, seq) in (1..=6).enumerate() {
-                s.on_dispatch(seq);
-                if seq % 2 == 1 {
-                    s.insert(SetId::InflightStores, seq, i);
-                } else {
-                    s.insert(SetId::InflightLoads, seq, i);
-                }
+    fn disambiguation_walks_visit_in_search_order() {
+        let mut s = sched();
+        for (i, seq) in (1..=6).enumerate() {
+            s.on_dispatch(seq);
+            if seq % 2 == 1 {
+                s.insert(SetId::InflightStores, seq, i);
+            } else {
+                s.insert(SetId::InflightLoads, seq, i);
             }
         }
-        for s in [&flat, &btree] {
-            let mut stores = Vec::new();
-            // Stores older than the load seq 6 (ROB index 5),
-            // youngest first.
-            s.for_each_store_older(6, 5, |q| {
-                stores.push(q);
-                true
-            });
-            assert_eq!(stores, vec![5, 3, 1]);
-            let mut loads = Vec::new();
-            // Loads younger than the store seq 1 (ROB index 0), oldest
-            // first, with an early stop.
-            s.for_each_load_younger(1, 0, |q| {
-                loads.push(q);
-                q != 4
-            });
-            assert_eq!(loads, vec![2, 4]);
-        }
+        let mut stores = Vec::new();
+        // Stores older than the load seq 6 (ROB index 5), youngest
+        // first.
+        s.for_each_store_older(6, 5, |q| {
+            stores.push(q);
+            true
+        });
+        assert_eq!(stores, vec![5, 3, 1]);
+        let mut loads = Vec::new();
+        // Loads younger than the store seq 1 (ROB index 0), oldest
+        // first, with an early stop.
+        s.for_each_load_younger(1, 0, |q| {
+            loads.push(q);
+            q != 4
+        });
+        assert_eq!(loads, vec![2, 4]);
     }
 
     #[test]
     fn occupancy_high_water_marks() {
-        for flat in [true, false] {
-            let mut s = sched(flat);
-            for (i, seq) in (1..=3).enumerate() {
-                s.on_dispatch(seq);
-                s.insert(SetId::Waiting, seq, i);
-            }
-            s.remove(SetId::Waiting, 3, 2);
-            s.insert(SetId::Waiting, 3, 2);
-            assert_eq!(s.iq_hwm(), 3, "flat={flat}");
-            s.schedule_completion(4, 1, 0);
-            s.schedule_completion(4, 2, 1);
-            let mut out = Vec::new();
-            s.pop_completions(4, &mut out);
-            s.schedule_completion(9, 3, 2);
-            assert_eq!(s.wheel_hwm(), 2, "flat={flat}");
-            s.reset();
-            assert_eq!((s.iq_hwm(), s.wheel_hwm()), (0, 0), "flat={flat}");
+        let mut s = sched();
+        for (i, seq) in (1..=3).enumerate() {
+            s.on_dispatch(seq);
+            s.insert(SetId::Waiting, seq, i);
         }
+        s.remove(SetId::Waiting, 3, 2);
+        s.insert(SetId::Waiting, 3, 2);
+        assert_eq!(s.iq_hwm(), 3);
+        s.schedule_completion(4, 1, 0);
+        s.schedule_completion(4, 2, 1);
+        let mut out = Vec::new();
+        s.pop_completions(4, &mut out);
+        s.schedule_completion(9, 3, 2);
+        assert_eq!(s.wheel_hwm(), 2);
+        s.reset();
+        assert_eq!((s.iq_hwm(), s.wheel_hwm()), (0, 0));
     }
 
     #[test]
     fn progress_flag_lifecycle() {
-        let mut s = sched(true);
+        let mut s = sched();
         assert!(!s.progress());
         s.mark_progress();
         assert!(s.progress());

@@ -56,23 +56,6 @@ fn l1i_accesses_equal_fetched_uops_on_cold_cache() {
     }
 }
 
-/// The decode-cache switch may not change the corrected L1I accounting
-/// (the fix lives in the fetch loop both paths share).
-#[test]
-fn l1i_accounting_identical_with_and_without_decode_cache() {
-    let prog = straight_line(100);
-    let mut on = CoreConfig::test_tiny();
-    on.decode_cache = true;
-    let mut off = CoreConfig::test_tiny();
-    off.decode_cache = false;
-    let a = run(&prog, on);
-    let b = run(&prog, off);
-    assert_eq!(a.stats.l1i_hits, b.stats.l1i_hits);
-    assert_eq!(a.stats.l1i_misses, b.stats.l1i_misses);
-    assert_eq!(a.stats.cycles, b.stats.cycles);
-    assert_eq!(a.final_regs, b.final_regs);
-}
-
 /// Batched fetch hands whole groups to rename: with tracing on, the
 /// per-cycle fetch-group events must cover every fetch (group sizes in
 /// `1..=fetch_width`, strictly increasing cycles, and total µops equal
