@@ -62,43 +62,40 @@ cargo test -q --offline -p protean-sim --test cache_flat_equiv
 cargo test -q --release --offline -p protean-sim --test tage_fold_equiv
 cargo test -q --offline -p protean-sim --test tage_fold_equiv
 
-echo "== bench JSON smoke (ablation_fixes --quick + perf_smoke + validate_json)"
-# Two bench binaries end to end: write their JSON reports to a scratch
-# dir, then check them against the schema shared by all reports.
-# perf_smoke also exercises the idle-cycle fast-forward path under the
-# real bench corpus (its committed/cycles columns are deterministic).
+echo "== bench JSON smoke (ablation_fixes --quick + validate_json)"
+# A table bench end to end: write its JSON report to a scratch dir, then
+# check it (with every other report below) against the schema shared by
+# all reports.
 BENCH_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$BENCH_SMOKE_DIR"' EXIT
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
     cargo run -q --release --offline -p protean-bench --bin ablation_fixes -- --quick >/dev/null
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
-    cargo run -q --release --offline -p protean-bench --bin perf_smoke >/dev/null
-
-echo "== section profiler smoke (perf_smoke, PROTEAN_PROFILE=1)"
-# The profiler must run end to end and emit a schema-valid profile.json
-# (checked by the validate_json pass below) without disturbing the
-# simulation — it is a pure observer, same contract as the tracer.
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_PROFILE=1 \
-    PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
-    cargo run -q --release --offline -p protean-bench --bin perf_smoke >/dev/null
-if [ ! -f "$BENCH_SMOKE_DIR/profile.json" ]; then
-    echo "PROTEAN_PROFILE=1 perf_smoke did not write profile.json" >&2
-    exit 1
-fi
 
 echo "== campaign_perf determinism (--quick, PROTEAN_JOBS=1 vs 4)"
-# The campaign-throughput bench writes a second, wall-time-free report
-# (campaign_perf_report.json) holding only the deterministic campaign
-# results. It must be byte-identical at any job-pool width — the
-# determinism contract the reusable Core arena and COW memory are held
-# to — so run it serially, stash the report, rerun at width 4, and
-# byte-compare. (The .bak suffix keeps the stash out of validate_json's
-# *.json glob below.)
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=1 PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
+# campaign_perf_report.json holds only deterministic campaign counters.
+# It must be byte-identical at any job-pool width — the determinism
+# contract the reusable Core arena and COW memory are held to — so run
+# it serially, stash the report, rerun at width 4, and byte-compare.
+# (The .bak suffix keeps the stash out of validate_json's *.json glob
+# below.)
+PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=1 \
     cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
 cp "$BENCH_SMOKE_DIR/campaign_perf_report.json" "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak"
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=4 PROTEAN_BENCH_SAMPLES=1 PROTEAN_BENCH_WARMUP=0 \
+PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=4 \
     cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
+cmp "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
+
+echo "== section profiler smoke (campaign_perf --quick, PROTEAN_PROFILE=1)"
+# The profiler must run end to end and emit a schema-valid profile.json
+# (checked by the validate_json pass below) without disturbing the
+# simulation — it is a pure observer, same contract as the tracer — so
+# the profiled run's report must equal the unprofiled PROTEAN_JOBS=1 one.
+PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_PROFILE=1 PROTEAN_JOBS=1 \
+    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
+if [ ! -f "$BENCH_SMOKE_DIR/profile.json" ]; then
+    echo "PROTEAN_PROFILE=1 campaign_perf did not write profile.json" >&2
+    exit 1
+fi
 cmp "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
 
 echo "== campaign_service kill/resume byte-compare (uninterrupted JOBS=1 vs killed+resumed JOBS=4/2)"

@@ -53,7 +53,7 @@ use protean_arch::{ArchState, ExecRecord};
 use protean_cc::compile_with;
 use protean_rng::Rng;
 use protean_sim::json::Json;
-use protean_sim::{Core, DefensePolicy, SimExit};
+use protean_sim::{Core, DefensePolicy, SimExit, SimResult};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -393,6 +393,21 @@ fn fold_outcome(state: &mut CampaignReport, outcome: ProgramOutcome) {
     report.examples.extend(part.examples.into_iter().take(room));
 }
 
+/// Panics if a hardware run ended on the deadlock watchdog. A core that
+/// stops committing is a simulator (or defense-policy) bug, not a run
+/// cut short by its budget, so it must not be booked as `hw_truncated`;
+/// the panic names the program seed and input (`None` = the base
+/// input) and carries the dump.
+fn assert_no_deadlock(hw: &SimResult, seed: u64, input: Option<usize>) {
+    if hw.exit == SimExit::Deadlock {
+        let input = input.map_or("the base input".to_string(), |i| format!("input {i}"));
+        panic!(
+            "hardware run deadlocked (program seed {seed}, {input})\n{}",
+            hw.deadlock_dump.as_deref().unwrap_or("")
+        );
+    }
+}
+
 /// Template weights from the coverage map: `w = 1 + c_max − c`, where
 /// `c` sums every event counter attributed to the template. A template
 /// at the coverage frontier (max events) keeps weight 1; the least
@@ -514,6 +529,7 @@ fn run_program(
     let mut core = Core::new(&program, core_cfg, policy_factory(), &base);
     core.record_traces(true);
     let base_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
+    assert_no_deadlock(&base_hw, seed, None);
     out.report.committed_uops += base_hw.stats.committed;
     if cc.coverage_guided {
         if let Some(trace) = &base_hw.trace {
@@ -538,9 +554,10 @@ fn run_program(
             }
         }
     }
-    // The SEQ oracle halted within `max_steps`, but a defense can stall
-    // the hardware into the cycle budget (`max_steps * 60`): a truncated
-    // run observed only a prefix and must not be compared.
+    // The SEQ oracle halted within `max_steps`, but a defense can slow
+    // the hardware past its instruction/cycle budget (`max_steps`,
+    // `max_steps * 60`): a truncated run observed only a prefix and
+    // must not be compared.
     if base_hw.exit != SimExit::Halted {
         // No mutant has a comparison partner. They are all counted as
         // partnerless, and none as rejected: `pairs_rejected` counts
@@ -559,6 +576,7 @@ fn run_program(
         core.reset(&program, policy_factory(), &mutant);
         core.record_traces(true);
         let mutant_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
+        assert_no_deadlock(&mutant_hw, seed, Some(i));
         out.report.committed_uops += mutant_hw.stats.committed;
         if mutant_hw.exit != SimExit::Halted {
             out.report.hw_truncated += 1;

@@ -188,7 +188,8 @@ pub struct Report {
     /// halting. A truncated run's adversary observations cover only a
     /// prefix of the execution, so comparing it against a completed (or
     /// differently truncated) run would manufacture bogus candidate
-    /// violations — such runs are counted here and never compared.
+    /// violations — such runs are counted here and never compared. A
+    /// run that deadlocks is not counted: the campaign panics instead.
     pub hw_truncated: u64,
     /// Mutants skipped because the program's *base* hardware run was
     /// truncated: with no comparison partner they can never be tested,

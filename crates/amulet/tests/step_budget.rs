@@ -3,7 +3,9 @@
 //! `(max_steps, max_steps * 60)` instruction/cycle budget. A program the
 //! SEQ oracle cannot finish must be skipped outright — never compared
 //! against (possibly truncated) hardware runs — and a hardware run cut
-//! off by its budget must never enter an adversary comparison.
+//! off by its budget must never enter an adversary comparison. A
+//! hardware run that deadlocks is not a truncation but a simulator bug:
+//! the campaign panics with the watchdog's dump.
 
 use protean_amulet::{fuzz, run_campaign, Adversary, CampaignConfig, ContractKind, FuzzConfig};
 use protean_arch::OracleMode;
@@ -72,9 +74,16 @@ fn full_budget_reports_match_across_oracles() {
 }
 
 /// A defense that never lets any µop begin execution: the pipeline
-/// commits nothing, the deadlock watchdog fires, and every *base*
-/// hardware run ends truncated (`exit != Halted`).
+/// commits nothing. Under [`STALL_STEPS`] every *base* hardware run
+/// ends `MaxCycles`; under the normal budget the deadlock watchdog
+/// fires first.
 struct StallForeverPolicy;
+
+/// A step budget whose hardware cycle budget (`60 ×` steps = 96 000
+/// cycles) runs out before the core's 100 000-cycle deadlock watchdog,
+/// and which every program of [`budget_cfg`]'s campaign finishes on the
+/// SEQ oracle: a stalled run is truncated, not deadlocked.
+const STALL_STEPS: u64 = 1_600;
 
 impl protean_sim::DefensePolicy for StallForeverPolicy {
     fn name(&self) -> String {
@@ -99,11 +108,11 @@ impl protean_sim::DefensePolicy for StallForeverPolicy {
 /// non-equivalence, not for missing partners.
 #[test]
 fn truncated_base_run_skips_mutants_as_no_partner() {
-    let cfg = budget_cfg(60_000);
+    let cfg = budget_cfg(STALL_STEPS);
     let r = fuzz(&cfg, &|| Box::new(StallForeverPolicy));
     assert_eq!(
         r.hw_truncated, cfg.programs as u64,
-        "every base run must deadlock under the stalling policy"
+        "every base run must hit the cycle budget under the stalling policy"
     );
     assert_eq!(
         r.no_partner,
@@ -118,6 +127,26 @@ fn truncated_base_run_skips_mutants_as_no_partner() {
     assert_eq!(r.violations, 0);
     assert_eq!(r.false_positives, 0);
     assert_eq!(r.committed_uops, 0, "a fully stalled core commits nothing");
+}
+
+/// With the normal budget the stalled core trips the deadlock watchdog
+/// long before the cycle budget. That is a simulator (or policy) bug,
+/// not a truncated run: the campaign panics, naming the program seed
+/// and input and carrying the watchdog's pipeline dump, instead of
+/// booking the run as `hw_truncated`.
+#[test]
+fn deadlocked_hardware_run_panics_with_dump() {
+    let mut cfg = budget_cfg(60_000);
+    cfg.workers = Some(1);
+    let panic = std::panic::catch_unwind(|| fuzz(&cfg, &|| Box::new(StallForeverPolicy)))
+        .expect_err("a deadlocked hardware run must panic");
+    let msg = panic
+        .downcast_ref::<String>()
+        .expect("panic message is a String");
+    assert!(msg.contains("hardware run deadlocked"), "{msg}");
+    assert!(msg.contains("program seed"), "{msg}");
+    assert!(msg.contains("the base input"), "{msg}");
+    assert!(msg.contains("--- deadlock dump @cycle"), "{msg}");
 }
 
 /// An in-between budget: some generated programs finish inside it, some
@@ -141,12 +170,12 @@ fn partial_budget_is_consistent_across_oracles() {
 }
 
 /// The same rule with the SEQ prefilter on: a program whose stage 1
-/// admits a mutant builds its core, deadlocks on the base run, and
-/// books every mutant as partnerless — while the engine's own
+/// admits a mutant builds its core, runs out of cycles on the base
+/// run, and books every mutant as partnerless — while the engine's own
 /// stage-1 statistics still count what the cheap stage rejected.
 #[test]
 fn truncated_base_rule_holds_under_prefilter() {
-    let mut cfg = CampaignConfig::new(budget_cfg(60_000));
+    let mut cfg = CampaignConfig::new(budget_cfg(STALL_STEPS));
     cfg.prefilter = true;
     let r = run_campaign(&cfg, &|| Box::new(StallForeverPolicy)).expect("no snapshot");
     let mutants = (cfg.fuzz.programs * cfg.fuzz.inputs_per_program) as u64;

@@ -1,31 +1,19 @@
-//! `campaign_perf`: AMuLeT\* campaign-throughput benchmark (record-only).
+//! `campaign_perf`: deterministic AMuLeT\* campaign report.
 //!
-//! Times whole fuzzing campaigns — program generation, ProtCC
-//! instrumentation, sequential contract traces, and defended hardware
-//! runs — and reports **campaign runs per wall-second** (µarch
-//! executions compared, `Report::tests`) and **committed-µop
-//! throughput**. Contract-testing coverage is bounded by exactly this
-//! number, so it is the headline metric for the allocation-free hot
-//! paths (COW memory, `Core::reset` arenas).
+//! Runs three fixed campaigns — unsafe baseline, ProtDelay, and
+//! ProtTrack — once each and writes their counters (tests / rejected
+//! pairs / violations / false positives / committed µops / truncated
+//! and partnerless runs) to `campaign_perf_report.json`. The file holds
+//! no wall-clock numbers, so it is byte-identical at any `PROTEAN_JOBS`
+//! setting; `ci.sh` diffs it across worker counts and with the section
+//! profiler on. Campaign throughput is measured by the repository
+//! benchmark (`perfbench`, workload `campaign`), not here.
 //!
 //! ```text
 //! cargo run --release -p protean-bench --bin campaign_perf [--quick]
 //! ```
-//!
-//! Two JSON files are written:
-//!
-//! * `campaign_perf.json` — wall-clock rows (machine-dependent, exempt
-//!   from the byte-identical contract like `perf_smoke`);
-//! * `campaign_perf_report.json` — the deterministic campaign counters
-//!   only (tests / rejected pairs / violations / false positives /
-//!   committed µops). This file **is** byte-identical at any
-//!   `PROTEAN_JOBS` setting; `ci.sh` diffs it across worker counts.
-//!
-//! `PROTEAN_BENCH_SAMPLES` / `PROTEAN_BENCH_WARMUP` override the
-//! default 3 samples / 1 warmup.
 
 use protean_amulet::{fuzz, Adversary, ContractKind, FuzzConfig, Report};
-use protean_bench::harness::Bench;
 use protean_bench::report::BenchReport;
 use protean_cc::Pass;
 use protean_core::{ProtDelayPolicy, ProtTrackPolicy};
@@ -46,8 +34,8 @@ fn cases(programs: usize) -> Vec<Case> {
         cfg.programs = programs;
         cfg.inputs_per_program = 3;
         cfg.gen.seed = 0xbead;
-        // Timing benchmark: skip the rendered-trace re-runs for example
-        // violations. Every deterministic report counter is unaffected.
+        // Skip the rendered-trace re-runs for example violations: the
+        // report holds counters only, and none of them depends on it.
         cfg.capture_traces = false;
         cfg
     };
@@ -78,35 +66,21 @@ fn main() {
     let (quick, _) = protean_bench::parse_flags();
     let programs = if quick { 6 } else { 16 };
 
-    println!("campaign_perf: AMuLeT* campaign throughput (record-only)");
-    println!("========================================================\n");
+    println!("campaign_perf: AMuLeT* campaign counters");
+    println!("========================================\n");
 
-    let bench = Bench::new("campaign_perf").samples(3).warmup(1);
-    let mut timing_rep = BenchReport::new("campaign_perf");
-    let mut det_rep = BenchReport::new("campaign_perf_report");
-
+    let mut rep = BenchReport::new("campaign_perf_report");
     for case in cases(programs) {
-        // One untimed run pins the deterministic counters; the timed
-        // samples below re-run the identical campaign.
         let report: Report = fuzz(&case.cfg, case.factory);
-        let stats = bench.run(case.name, || fuzz(&case.cfg, case.factory));
-        let secs = stats.median.as_secs_f64();
-        let runs_per_s = report.tests as f64 / secs;
-        let kuops_per_s = report.committed_uops as f64 / secs / 1e3;
         println!(
-            "  {:<24} {:>5} tests {:>9} µops  {:>8.1} runs/s  {:>9.1} kuops/s\n",
-            case.name, report.tests, report.committed_uops, runs_per_s, kuops_per_s
+            "  {:<24} {:>5} tests {:>9} µops  {:>3} violations  {:>3} false positives",
+            case.name,
+            report.tests,
+            report.committed_uops,
+            report.violations,
+            report.false_positives
         );
-        timing_rep.row(vec![
-            ("case", Json::str(case.name)),
-            ("programs", Json::U64(programs as u64)),
-            ("tests", Json::U64(report.tests)),
-            ("committed_uops", Json::U64(report.committed_uops)),
-            ("wall_ms_median", Json::F64(secs * 1e3)),
-            ("runs_per_s", Json::F64(runs_per_s)),
-            ("kuops_per_s", Json::F64(kuops_per_s)),
-        ]);
-        det_rep.row(vec![
+        rep.row(vec![
             ("case", Json::str(case.name)),
             ("programs", Json::U64(programs as u64)),
             ("tests", Json::U64(report.tests)),
@@ -119,7 +93,6 @@ fn main() {
         ]);
     }
 
-    timing_rep.write_and_announce();
-    det_rep.write_and_announce();
+    rep.write_and_announce();
     protean_bench::report::write_profile_report_if_enabled();
 }

@@ -26,7 +26,7 @@
 //! violations per root-cause bucket).
 
 use protean_amulet::{run_campaign, Adversary, CampaignConfig, ContractKind, FuzzConfig};
-use protean_bench::report::BenchReport;
+use protean_bench::report::{results_dir, BenchReport};
 use protean_cc::Pass;
 use protean_core::{ProtDelayPolicy, ProtTrackPolicy};
 use protean_sim::json::Json;
@@ -92,10 +92,7 @@ fn cases(kill_after: Option<usize>) -> Vec<Case> {
 /// `$PROTEAN_BENCH_DIR/campaign_snapshot_<case>.json` with the case
 /// name's separators flattened for the filesystem.
 fn snapshot_path(case: &str) -> PathBuf {
-    let dir = std::env::var_os("PROTEAN_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("bench_results"));
-    dir.join(format!("campaign_snapshot_{}.json", case.replace('/', "_")))
+    results_dir().join(format!("campaign_snapshot_{}.json", case.replace('/', "_")))
 }
 
 fn main() {

@@ -10,16 +10,14 @@
 //! cargo run --release -p protean-bench --bin validate_json [files...]
 //! ```
 
-use protean_bench::report::BenchReport;
+use protean_bench::report::{results_dir, BenchReport};
 use protean_sim::json::Json;
 use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paths: Vec<PathBuf> = if args.is_empty() {
-        let dir = std::env::var_os("PROTEAN_BENCH_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("bench_results"));
+        let dir = results_dir();
         let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| {
             eprintln!("error: cannot read {}: {e}", dir.display());
             std::process::exit(2)

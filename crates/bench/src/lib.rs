@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod harness;
 pub mod report;
 
 use protean_baselines::{AccessDelayPolicy, SptPolicy, SptSbPolicy, SttPolicy};
@@ -188,9 +187,10 @@ pub fn run_workload(
             assert_eq!(
                 t.exit,
                 SimExit::Halted,
-                "{} thread {i} under {defense:?}: {:?}",
+                "{} thread {i} under {defense:?}: {:?}\n{}",
                 workload.name,
-                t.exit
+                t.exit,
+                t.deadlock_dump.as_deref().unwrap_or("")
             );
         }
         let sum = |f: fn(&protean_sim::Stats) -> u64| -> u64 {
@@ -225,9 +225,10 @@ pub fn run_workload(
         assert_eq!(
             result.exit,
             SimExit::Halted,
-            "{} under {defense:?}: {:?}",
+            "{} under {defense:?}: {:?}\n{}",
             workload.name,
-            result.exit
+            result.exit,
+            result.deadlock_dump.as_deref().unwrap_or("")
         );
         RunResult {
             cycles: result.stats.cycles,

@@ -37,6 +37,15 @@ use std::path::PathBuf;
 /// trailing fields are compatible: consumers match by key).
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// The directory bench reports and campaign snapshots live in:
+/// `$PROTEAN_BENCH_DIR`, defaulting to `bench_results/` under the
+/// current directory.
+pub fn results_dir() -> PathBuf {
+    std::env::var_os("PROTEAN_BENCH_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("bench_results"))
+}
+
 /// An accumulating JSON report for one bench binary.
 #[derive(Clone, Debug)]
 pub struct BenchReport {
@@ -131,13 +140,9 @@ impl BenchReport {
         Ok(())
     }
 
-    /// The output path: `$PROTEAN_BENCH_DIR/<bench>.json`, defaulting to
-    /// `bench_results/` under the current directory.
+    /// The output path: `<bench>.json` under [`results_dir`].
     pub fn path(&self) -> PathBuf {
-        let dir = std::env::var_os("PROTEAN_BENCH_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("bench_results"));
-        dir.join(format!("{}.json", self.bench))
+        results_dir().join(format!("{}.json", self.bench))
     }
 
     /// Validates and writes the report to [`BenchReport::path`]

@@ -112,8 +112,7 @@ pub struct CoreConfig {
     /// ProtISA memory-protection tracking variant (§IX-A3).
     pub mem_prot: MemProtTracking,
     /// Record a per-µop pipeline trace and defense-decision audit log
-    /// (see `crate::trace`). Off by default; the `PROTEAN_TRACE`
-    /// environment variable (set to anything but `0`) also enables it.
+    /// (see `crate::trace`). Off by default.
     pub trace: bool,
 }
 

@@ -250,12 +250,11 @@ pub struct SimResult {
     pub final_reg_prot: [bool; Reg::COUNT],
     /// Backend-state dump captured when the watchdog fired
     /// ([`SimExit::Deadlock`] only). Rendered to a string so a parallel
-    /// campaign runner can report it atomically instead of letting
-    /// worker dumps interleave on stderr; it is also printed to stderr
-    /// directly when `PROTEAN_SIM_DEBUG=1`.
+    /// campaign runner can report it atomically (in its panic message)
+    /// instead of letting worker dumps interleave on stderr.
     pub deadlock_dump: Option<String>,
     /// Per-µop pipeline trace and defense-decision audit log, recorded
-    /// when [`CoreConfig::trace`] or `PROTEAN_TRACE` is set (see
+    /// when [`CoreConfig::trace`] is set (see
     /// [`crate::trace`]). `None` when tracing is disabled.
     pub trace: Option<Trace>,
 }
@@ -338,18 +337,10 @@ pub struct Core<'a> {
     timing: Vec<[u64; 6]>,
     committed_idxs: Vec<u32>,
     record_traces: bool,
-    /// Whether µop-level tracing is enabled ([`CoreConfig::trace`] or
-    /// `PROTEAN_TRACE`), read once at construction so [`Core::reset`]
-    /// never re-reads the environment.
-    trace_on: bool,
-    /// `Some` only when µop-level tracing is enabled ([`CoreConfig::trace`]
-    /// or `PROTEAN_TRACE`): every event site is one `Option` check when off.
+    /// `Some` only when µop-level tracing is enabled ([`CoreConfig::trace`]):
+    /// every event site is one `Option` check when off.
     tracer: Option<Box<Tracer>>,
     no_commit_cycles: u64,
-    /// `PROTEAN_DEBUG_BLOCKED`, read once at construction.
-    debug_blocked: bool,
-    /// `PROTEAN_SIM_DEBUG=1`, read once at construction.
-    sim_debug: bool,
     /// Section profiling enabled (`PROTEAN_PROFILE`, read once): one
     /// boolean branch per tick when off (see [`crate::profile`]).
     profile_on: bool,
@@ -371,7 +362,6 @@ impl<'a> Core<'a> {
     ) -> Core<'a> {
         let n_phys = cfg.phys_regs.max(Reg::COUNT * 2);
         let meta_fill = policy.l1d_meta_fill();
-        let trace_on = cfg.trace || std::env::var("PROTEAN_TRACE").is_ok_and(|v| v.trim() != "0");
         // The largest completion latency any µop can schedule, for the
         // calendar queue's ring sizing: a DRAM-missing load (or any cache
         // hit, +1 for the load pipe), the multiplier, and the worst-case
@@ -422,7 +412,6 @@ impl<'a> Core<'a> {
             timing: Vec::new(),
             committed_idxs: Vec::new(),
             record_traces: false,
-            trace_on,
             tracer: None,
             cycle: 0,
             next_seq: 1,
@@ -431,8 +420,6 @@ impl<'a> Core<'a> {
             program,
             policy,
             no_commit_cycles: 0,
-            debug_blocked: std::env::var_os("PROTEAN_DEBUG_BLOCKED").is_some(),
-            sim_debug: std::env::var_os("PROTEAN_SIM_DEBUG").is_some_and(|v| v == "1"),
             profile_on: crate::profile::enabled(),
             profile: SectionTimes::default(),
         };
@@ -525,7 +512,8 @@ impl<'a> Core<'a> {
         self.committed_idxs.clear();
         self.record_traces = false;
         self.tracer = self
-            .trace_on
+            .cfg
+            .trace
             .then(|| Box::new(Tracer::new(self.policy.name())));
         self.no_commit_cycles = 0;
     }
@@ -586,27 +574,22 @@ impl<'a> Core<'a> {
                 break;
             }
             if self.no_commit_cycles > WATCHDOG_CYCLES {
-                let dump = self.debug_dump();
-                if self.sim_debug {
-                    eprint!("{dump}");
-                }
-                deadlock_dump = Some(dump);
+                deadlock_dump = Some(self.debug_dump());
                 self.halted = Some(SimExit::Deadlock);
                 break;
             }
             // Idle-cycle fast-forward after the tick: when a tick changed
             // nothing, every cycle until the next scheduled event is an
             // exact repeat — jump there and bulk-attribute the skipped
-            // cycles. Disabled under PROTEAN_DEBUG_BLOCKED so the
-            // per-cycle stderr lines stay per-cycle.
+            // cycles.
             if !self.profile_on {
                 self.tick();
-                if !self.sched.progress() && !self.debug_blocked {
+                if !self.sched.progress() {
                     self.fast_forward(max_cycles);
                 }
             } else {
                 self.tick_profiled();
-                if !self.sched.progress() && !self.debug_blocked {
+                if !self.sched.progress() {
                     let t = std::time::Instant::now();
                     self.fast_forward(max_cycles);
                     self.profile.add(Section::FastForward, t.elapsed());
@@ -657,10 +640,9 @@ impl<'a> Core<'a> {
     }
 
     /// Renders backend state (watchdog diagnostics) to a string. Never
-    /// printed unconditionally: under a parallel campaign, per-worker
-    /// stderr writes would interleave into garbage, so the dump travels
-    /// in [`SimResult::deadlock_dump`] and only reaches stderr when
-    /// `PROTEAN_SIM_DEBUG=1`.
+    /// printed here: under a parallel campaign, per-worker stderr writes
+    /// would interleave into garbage, so the dump travels in
+    /// [`SimResult::deadlock_dump`] for the caller to report.
     fn debug_dump(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -1061,13 +1043,6 @@ impl<'a> Core<'a> {
                     if let Some(t) = self.tracer.as_mut() {
                         t.on_block(seq, BlockPoint::Wakeup, cycle, rule);
                     }
-                }
-                if self.debug_blocked {
-                    let u = &self.rob[i];
-                    eprintln!(
-                        "wakeup-blocked idx={} {} mem_prot={:?}",
-                        u.idx, u.inst, u.mem_prot
-                    );
                 }
             }
         }
@@ -1534,13 +1509,6 @@ impl<'a> Core<'a> {
             if !self.policy.may_execute(&self.rob[i], &self.tags, &fr) {
                 self.stats.exec_blocked_cycles += 1;
                 self.trace_block(i, BlockPoint::Execute, &fr);
-                if self.debug_blocked {
-                    let u = &self.rob[i];
-                    eprintln!(
-                        "blocked idx={} {} seq={} sens_prot={} yrot_in={}",
-                        u.idx, u.inst, u.seq, u.sens_prot, u.in_yrot
-                    );
-                }
                 self.exec_blocked.push(seq);
                 continue;
             }

@@ -1,9 +1,10 @@
 //! Hand-rolled wall-time section profiler for the pipeline's phases.
 //!
-//! Enabled by `PROTEAN_PROFILE=1` (anything but `0`); same pure-observer
-//! discipline as the tracer (`crate::trace`): the profiler never feeds
-//! back into simulation, and with it off the entire cost is one cached
-//! boolean branch per tick — no `Instant` reads, no atomics.
+//! Enabled by `PROTEAN_PROFILE=1` (`0` or unset is off; any other value
+//! is refused); same pure-observer discipline as the tracer
+//! (`crate::trace`): the profiler never feeds back into simulation, and
+//! with it off the entire cost is one cached boolean branch per tick —
+//! no `Instant` reads, no atomics.
 //!
 //! When on, each [`crate::pipeline::Core`] accumulates per-phase wall
 //! time and call counts in a thread-local [`SectionTimes`] and flushes
@@ -70,9 +71,29 @@ const NAMES: [&str; N_SECTIONS] = [
 ];
 
 /// Whether profiling is enabled (`PROTEAN_PROFILE`, read once).
+///
+/// # Panics
+///
+/// Panics if `PROTEAN_PROFILE` is set to anything but `0` or `1` — a
+/// value like `off` silently turning profiling *on* would skew every
+/// wall-clock number of the run.
 pub fn enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("PROTEAN_PROFILE").is_ok_and(|v| v.trim() != "0"))
+    *ON.get_or_init(|| {
+        let raw = std::env::var_os("PROTEAN_PROFILE").map(|v| v.to_string_lossy().into_owned());
+        parse_enabled(raw.as_deref()).unwrap_or_else(|why| panic!("{why}"))
+    })
+}
+
+/// Parses a `PROTEAN_PROFILE` value (`None` = unset): unset or `0` is
+/// off, `1` is on, surrounding whitespace is ignored, and anything else
+/// is an error naming the variable.
+fn parse_enabled(raw: Option<&str>) -> Result<bool, String> {
+    match raw.map(str::trim) {
+        None | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(other) => Err(format!("PROTEAN_PROFILE={other} is not 0 or 1")),
+    }
 }
 
 /// Per-core accumulator: nanoseconds and entry counts per section.
@@ -161,6 +182,18 @@ pub fn totals() -> Vec<(&'static str, u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn profile_switch_accepts_only_0_and_1() {
+        assert_eq!(parse_enabled(None), Ok(false));
+        assert_eq!(parse_enabled(Some("0")), Ok(false));
+        assert_eq!(parse_enabled(Some("1")), Ok(true));
+        assert_eq!(parse_enabled(Some(" 1\n")), Ok(true));
+        for bad in ["", "false", "off", "true", "on", "2", "01"] {
+            let err = parse_enabled(Some(bad)).unwrap_err();
+            assert!(err.contains("PROTEAN_PROFILE"), "{bad:?}: {err}");
+        }
+    }
 
     #[test]
     fn laps_accumulate_and_flush_folds() {

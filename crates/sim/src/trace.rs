@@ -1,11 +1,11 @@
 //! µop-level pipeline tracing and the defense-decision audit log.
 //!
-//! When tracing is enabled (via [`crate::CoreConfig::trace`] or the
-//! `PROTEAN_TRACE` environment variable), the core records one
-//! [`UopTrace`] per renamed µop — its fetch/rename/issue/complete/commit
-//! cycles, any squash event tagged with its cause, and, per defense gate
-//! ([`BlockPoint`]), how many cycles the active [`DefensePolicy`] held
-//! it back and under which rule. The full stream is exported as
+//! When tracing is enabled ([`crate::CoreConfig::trace`]), the core
+//! records one [`UopTrace`] per renamed µop — its
+//! fetch/rename/issue/complete/commit cycles, any squash event tagged
+//! with its cause, and, per defense gate ([`BlockPoint`]), how many
+//! cycles the active [`DefensePolicy`] held it back and under which
+//! rule. The full stream is exported as
 //! [`SimResult::trace`](crate::SimResult) and renderable as:
 //!
 //! * a Konata-style text pipeline diagram ([`Trace::render_pipeline`]);
@@ -26,10 +26,10 @@ use crate::defense::{BlockPoint, Seq, SquashKind};
 use crate::json::Json;
 use crate::pipeline::DynInst;
 
-/// Default cap on recorded µops (`PROTEAN_TRACE_LIMIT` overrides):
-/// bounds trace memory on long runs; blocked-cycle *totals* keep
-/// accumulating past the cap so audit reconciliation stays exact.
-pub const DEFAULT_TRACE_LIMIT: usize = 1_000_000;
+/// Cap on recorded µops: bounds trace memory on long runs; blocked-cycle
+/// *totals* keep accumulating past the cap so audit reconciliation
+/// stays exact.
+pub const TRACE_LIMIT: usize = 1_000_000;
 
 /// A squash observed on a µop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -136,7 +136,6 @@ pub struct FetchGroupEvent {
 pub struct Tracer {
     policy: String,
     uops: Vec<UopTrace>,
-    limit: usize,
     /// µops not recorded because the cap was reached.
     dropped: u64,
     /// Blocked cycles attributed to dropped µops, per gate — keeps
@@ -148,18 +147,12 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer for a run under `policy`. The recorded-µop cap
-    /// comes from `PROTEAN_TRACE_LIMIT` (default
-    /// [`DEFAULT_TRACE_LIMIT`]).
+    /// Creates a tracer for a run under `policy`, recording at most
+    /// [`TRACE_LIMIT`] µops.
     pub fn new(policy: String) -> Tracer {
-        let limit = std::env::var("PROTEAN_TRACE_LIMIT")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_TRACE_LIMIT);
         Tracer {
             policy,
             uops: Vec::new(),
-            limit: limit.max(1),
             dropped: 0,
             overflow_blocked: [0; 3],
             fetch_groups: Vec::new(),
@@ -170,7 +163,7 @@ impl Tracer {
     /// index `start_idx` this cycle. Groups past the recording cap are
     /// dropped (they carry no Stats-reconciled totals).
     pub fn on_fetch_group(&mut self, cycle: u64, start_idx: u32, len: u32) {
-        if self.fetch_groups.len() < self.limit {
+        if self.fetch_groups.len() < TRACE_LIMIT {
             self.fetch_groups.push(FetchGroupEvent {
                 cycle,
                 start_idx,
@@ -187,7 +180,7 @@ impl Tracer {
     /// A µop entered the ROB. Must be called in `seq` order (the
     /// pipeline renames in age order).
     pub fn on_rename(&mut self, u: &DynInst, cycle: u64) {
-        if self.uops.len() >= self.limit {
+        if self.uops.len() >= TRACE_LIMIT {
             self.dropped += 1;
             return;
         }
@@ -306,7 +299,7 @@ pub struct Trace {
     pub policy: String,
     /// Per-µop lifecycle records, in `seq` order.
     pub uops: Vec<UopTrace>,
-    /// µops beyond the `PROTEAN_TRACE_LIMIT` cap (not recorded).
+    /// µops beyond the [`TRACE_LIMIT`] cap (not recorded).
     pub dropped: u64,
     /// Blocked cycles attributed to dropped µops, per gate.
     pub overflow_blocked: [u64; 3],
@@ -538,7 +531,7 @@ impl Trace {
         if self.dropped > 0 {
             let _ = writeln!(
                 out,
-                "({} uops dropped past PROTEAN_TRACE_LIMIT)",
+                "({} uops dropped past the {TRACE_LIMIT}-uop trace limit)",
                 self.dropped
             );
         }

@@ -7,9 +7,9 @@
 //! cargo run --release --example trace_pipeline
 //! ```
 //!
-//! The same views are reachable from the CLI without writing code:
-//! `simulate --trace --trace-json out.json prog.s`, or
-//! `PROTEAN_TRACE=1` on any embedding of the simulator.
+//! The same views are reachable from the CLI without writing code
+//! (`simulate --trace --trace-json out.json prog.s`); any embedding of
+//! the simulator turns them on with `CoreConfig::trace`, as below.
 
 use protean::arch::ArchState;
 use protean::core_defense::ProtDelayPolicy;
@@ -46,9 +46,8 @@ fn main() {
             .write(0x40000 + i * 8, 8, (i * 0x9e37).rotate_left(11) & 0xff);
     }
 
-    // `cfg.trace = true` is all it takes (or set PROTEAN_TRACE=1 and
-    // leave the config alone). Tracing is a pure observer: cycle counts
-    // and architectural results are identical with it off.
+    // `cfg.trace = true` is all it takes. Tracing is a pure observer:
+    // cycle counts and architectural results are identical with it off.
     let mut cfg = CoreConfig::p_core();
     cfg.trace = true;
     let core = Core::new(&program, cfg, Box::new(ProtDelayPolicy::new()), &init);
