@@ -50,15 +50,22 @@ echo "== threaded oracle differential (release + debug)"
 cargo test -q --release --offline -p protean-bench --test threaded_oracle_equiv
 cargo test -q --offline -p protean-bench --test threaded_oracle_equiv
 
-echo "== component-model differentials: flat cache + TAGE folds (release + debug)"
+echo "== component-model differentials: flat cache + core reset + TAGE folds (release + debug)"
 # The flat SoA/word-bitmap cache and the incrementally folded TAGE are
 # the only implementations on the simulation paths; the boxed-bool
 # cache and the reference history fold survive solely as test oracles,
 # so these differential suites are the equivalence gate (there is no
 # runtime toggle to byte-compare across). The debug pass arms overflow
 # checks on the wrapping metadata arithmetic (u64::MAX-spanning ranges).
+# A cache reset, and a dropped cache whose arrays a later Cache::new
+# reuses, zeroes only the sets filled since the previous clear, so that
+# touched-set clear is all that makes a reused arena core equal a fresh
+# one: core_reset checks it end to end on the tiny, P- and E-core
+# geometries.
 cargo test -q --release --offline -p protean-sim --test cache_flat_equiv
 cargo test -q --offline -p protean-sim --test cache_flat_equiv
+cargo test -q --release --offline -p protean-bench --test core_reset
+cargo test -q --offline -p protean-bench --test core_reset
 cargo test -q --release --offline -p protean-sim --test tage_fold_equiv
 cargo test -q --offline -p protean-sim --test tage_fold_equiv
 

@@ -70,13 +70,16 @@ fn corpus_input(seed: u64) -> ArchState {
 }
 
 /// Configs covering the traced tiny core, the shadow memory-protection
-/// ablation (exercises `shadow_unprot` reset), and a realistic core.
+/// ablation (exercises `shadow_unprot` reset), and both realistic cores:
+/// the P-core's 12-way 30 MiB L3 and 10-way 1.25 MiB L2 are the geometry
+/// every Tab. IV/V P-core cell runs on.
 fn configs() -> Vec<(&'static str, CoreConfig, bool)> {
     let mut tiny_shadow = CoreConfig::test_tiny();
     tiny_shadow.mem_prot = MemProtTracking::PerfectShadow;
     vec![
         ("tiny", CoreConfig::test_tiny(), true),
         ("tiny_shadow", tiny_shadow, false),
+        ("p_core", CoreConfig::p_core(), false),
         ("e_core", CoreConfig::e_core(), false),
     ]
 }

@@ -11,23 +11,78 @@
 //!
 //! [`Cache`] is a structure-of-arrays: three flat vectors indexed by
 //! `set * ways + way` instead of a `Vec` of per-line structs. Tags live
-//! in one contiguous `Vec<u64>` (with [`INVALID_TAG`] as the
-//! invalid-line sentinel), so a way probe is a linear scan of a few
-//! adjacent words; LRU stamps live in a parallel `Vec<u64>`; and the
+//! in one contiguous `Vec<u64>`, so a way probe is a linear scan of a
+//! few adjacent words; LRU stamps live in a parallel `Vec<u64>`; and the
 //! per-byte metadata is a bitmap of [`CacheConfig::meta_words_per_line`]
 //! `u64` words per line, so `meta_any` / `meta_all` / `meta_set` are
 //! masked word operations and a miss fill is one word store per 64 bytes
 //! of line instead of a per-byte `bool` loop. The original boxed-`bool`
 //! representation survives only as the differential-test oracle in
 //! `tests/cache_flat_equiv.rs`.
+//!
+//! # Zero means empty
+//!
+//! An invalid way holds tag `0`; a resident line stores `line_addr | 1`
+//! (`line_bytes >= 2`, so bit 0 of a line address is free). An empty
+//! cache is therefore all zeros, and [`Cache::new`] is three zeroed
+//! allocations (or spare arrays, below): the pages of a 30 MiB L3 that a
+//! run never touches are never faulted in. Metadata needs no initial fill either — it is only
+//! read through a resident way, and a miss writes the fill word when it
+//! allocates the line. The observable tag ([`AccessResult::evicted`],
+//! [`Cache::tag_observation`]) strips bit 0, so nothing outside this
+//! module sees the encoding.
+//!
+//! # Touched-set reset
+//!
+//! The first miss fill of a set since the last reset marks the set in a
+//! per-set bitmap and pushes its index onto a touched list. Only a miss
+//! fill makes a way valid, so every set holding a non-zero tag or LRU
+//! stamp is on the list, and [`Cache::reset`] zeroes exactly those sets:
+//! it costs O(sets touched), not O(capacity).
+//!
+//! # Spare storage
+//!
+//! A zeroed allocation is only free while the allocator hands out fresh
+//! pages. A long-running process that builds and drops many cores (one
+//! per table cell) gets recycled heap memory instead — glibc, for one,
+//! stops serving these sizes from `mmap` once the first such block is
+//! freed — and `calloc` then clears all of it: ~1.8 ms for a 30 MiB L3
+//! on a 2-vCPU Xeon.
+//! So a dropped cache empties its touched sets, exactly as `reset` does,
+//! and leaves its arrays in a small per-thread spare list; `new` takes a
+//! spare of the same array lengths before it allocates. An emptied
+//! array is all zeros in tags and LRU stamps, the same state a zeroed
+//! allocation starts in, so a cache built from a spare is
+//! indistinguishable from one built from fresh memory.
 
 use crate::CacheConfig;
+use std::cell::RefCell;
 
-/// Sentinel stored in [`Cache::tags`] for an invalid way. Real tags are
-/// line-aligned addresses, and `line_bytes >= 2` (enforced in
-/// [`Cache::new`]) means `u64::MAX` is never line-aligned, so the
-/// sentinel can never collide with a resident line.
-const INVALID_TAG: u64 = u64::MAX;
+/// Tag stored in [`Cache::tags`] for an invalid way.
+const INVALID_TAG: u64 = 0;
+
+/// Bit a resident line's tag carries on top of its line address.
+/// `line_bytes >= 2` (enforced in [`Cache::new`]) keeps bit 0 of a line
+/// address clear, so `line_addr | RESIDENT` is never [`INVALID_TAG`] and
+/// `tag & !RESIDENT` recovers the line address exactly.
+const RESIDENT: u64 = 1;
+
+/// The flat arrays of a dropped, emptied cache (see "Spare storage").
+struct Spare {
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    meta: Vec<u64>,
+    touched_bits: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+/// Spares kept per thread: a core's four caches, plus the shared L3 and
+/// a swapped-out one that a multi-core run drops alongside them.
+const MAX_SPARES: usize = 8;
+
+thread_local! {
+    static SPARES: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A set-associative, LRU, write-allocate cache (timing + metadata).
 ///
@@ -45,14 +100,22 @@ const INVALID_TAG: u64 = u64::MAX;
 pub struct Cache {
     cfg: CacheConfig,
     /// Line tags in one flat array: way `w` of set `s` lives at index
-    /// `s * ways + w`. [`INVALID_TAG`] marks an invalid way, so the hit
-    /// probe is a branch-predictable scan of one contiguous `u64` slice.
+    /// `s * ways + w`. [`INVALID_TAG`] (zero) marks an invalid way and a
+    /// resident line stores `line_addr | RESIDENT`, so the hit probe is a
+    /// branch-predictable scan of one contiguous `u64` slice.
     tags: Vec<u64>,
     /// LRU timestamps, parallel to `tags`.
     lru: Vec<u64>,
     /// Per-byte metadata bitmap: `words_per_line` `u64` words per line,
-    /// bit `b` of word `w` covering byte `w * 64 + b` of the line.
+    /// bit `b` of word `w` covering byte `w * 64 + b` of the line. Only
+    /// meaningful for resident ways (written on every miss fill).
     meta: Vec<u64>,
+    /// One bit per cache set, on once the set has had a miss fill since
+    /// the last reset (or construction).
+    touched_bits: Vec<u64>,
+    /// Exactly the sets whose bit is on in `touched_bits`, in first-fill
+    /// order.
+    touched: Vec<u32>,
     /// `ceil(line_bytes / 64)` — cached from the config.
     words_per_line: usize,
     /// Metadata value for bytes of a newly filled line.
@@ -86,41 +149,51 @@ impl Cache {
     /// Creates an empty cache. `meta_fill` is the metadata value given to
     /// every byte of a newly allocated line (ProtISA: `true` = protected;
     /// SPT shadow bits: `false` = private).
+    ///
+    /// Storage is a spare of the same array lengths or a zeroed
+    /// allocation (empty is all zeros), so this is O(1) in the capacity:
+    /// pages are faulted in only as sets fill.
     pub fn new(cfg: CacheConfig, meta_fill: bool) -> Cache {
         assert!(
             cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 2,
-            "line_bytes must be a power of two >= 2 (INVALID_TAG sentinel)"
+            "line_bytes must be a power of two >= 2 (bit 0 marks a resident tag)"
+        );
+        let sets = cfg.sets();
+        assert!(
+            u32::try_from(sets).is_ok(),
+            "set count must fit the u32 touched list"
         );
         let lines = cfg.lines();
         let words_per_line = cfg.meta_words_per_line();
-        let fill_word = if meta_fill { u64::MAX } else { 0 };
-        Cache {
-            cfg,
+        let (meta_len, bits_len) = (lines * words_per_line, sets.div_ceil(64));
+        let spare = SPARES.with(|spares| {
+            let mut spares = spares.borrow_mut();
+            spares
+                .iter()
+                .position(|s| {
+                    s.tags.len() == lines
+                        && s.meta.len() == meta_len
+                        && s.touched_bits.len() == bits_len
+                })
+                .map(|i| spares.swap_remove(i))
+        });
+        let spare = spare.unwrap_or_else(|| Spare {
             tags: vec![INVALID_TAG; lines],
             lru: vec![0; lines],
-            meta: vec![fill_word; lines * words_per_line],
-            words_per_line,
-            meta_fill,
-            fill_word,
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// A configuration-only husk with no line storage, for
-    /// `std::mem::replace` swaps that need *a* `Cache` value which is
-    /// then dropped unused (the shared-L3 hand-back in
-    /// [`crate::Multicore`]). Accessing it panics.
-    pub(crate) fn placeholder(cfg: CacheConfig) -> Cache {
+            meta: vec![0; meta_len],
+            touched_bits: vec![0; bits_len],
+            touched: Vec::new(),
+        });
         Cache {
             cfg,
-            tags: Vec::new(),
-            lru: Vec::new(),
-            meta: Vec::new(),
-            words_per_line: 0,
-            meta_fill: true,
-            fill_word: u64::MAX,
+            tags: spare.tags,
+            lru: spare.lru,
+            meta: spare.meta,
+            touched_bits: spare.touched_bits,
+            touched: spare.touched,
+            words_per_line,
+            meta_fill,
+            fill_word: if meta_fill { u64::MAX } else { 0 },
             clock: 0,
             hits: 0,
             misses: 0,
@@ -130,15 +203,32 @@ impl Cache {
     /// Empties the cache in place, reusing the flat arrays (the
     /// `Core::reset` arena path). `meta_fill` may change because it is
     /// policy-derived and the arena is reused across policies.
+    ///
+    /// Zeroes the tags and LRU stamps of the touched sets only; their
+    /// metadata is left stale, since a miss fill rewrites it before any
+    /// read. O(sets touched since the last reset).
     pub fn reset(&mut self, meta_fill: bool) {
         self.meta_fill = meta_fill;
         self.fill_word = if meta_fill { u64::MAX } else { 0 };
-        self.tags.fill(INVALID_TAG);
-        self.lru.fill(0);
-        self.meta.fill(self.fill_word);
+        self.clear_touched();
         self.clock = 0;
         self.hits = 0;
         self.misses = 0;
+    }
+
+    /// Zeroes the tags and LRU stamps of every set filled since the last
+    /// clear, leaving the arrays as a fresh zeroed allocation.
+    fn clear_touched(&mut self) {
+        let ways = self.cfg.ways;
+        for &set in &self.touched {
+            let set = set as usize;
+            let base = set * ways;
+            self.tags[base..base + ways].fill(INVALID_TAG);
+            self.lru[base..base + ways].fill(0);
+            // Every set with a bit on is on the list: clear whole words.
+            self.touched_bits[set / 64] = 0;
+        }
+        self.touched.clear();
     }
 
     /// The configuration.
@@ -155,14 +245,15 @@ impl Cache {
     }
 
     /// Index into the flat arrays of the resident way holding line `la`
-    /// (a line-aligned address), or `None`. `la` can never equal
+    /// (a line-aligned address), or `None`. A resident tag is never
     /// [`INVALID_TAG`], so invalid ways never match.
     #[inline]
     fn find_way(&self, la: u64) -> Option<usize> {
         let base = self.set_index(la) * self.cfg.ways;
+        let tag = la | RESIDENT;
         self.tags[base..base + self.cfg.ways]
             .iter()
-            .position(|&t| t == la)
+            .position(|&t| t == tag)
             .map(|w| base + w)
     }
 
@@ -186,9 +277,15 @@ impl Cache {
             };
         }
         self.misses += 1;
+        let set = self.set_index(addr);
+        let bit = 1u64 << (set % 64);
+        if self.touched_bits[set / 64] & bit == 0 {
+            self.touched_bits[set / 64] |= bit;
+            self.touched.push(set as u32);
+        }
         // Victim: invalid way, else LRU — the *first* way with the
         // minimal (valid, lru) key, matching `Iterator::min_by_key`.
-        let base = self.set_index(addr) * self.cfg.ways;
+        let base = set * self.cfg.ways;
         let mut victim = base;
         let mut best = (self.tags[base] != INVALID_TAG, self.lru[base]);
         for idx in base + 1..base + self.cfg.ways {
@@ -198,8 +295,8 @@ impl Cache {
                 victim = idx;
             }
         }
-        let evicted = (self.tags[victim] != INVALID_TAG).then_some(self.tags[victim]);
-        self.tags[victim] = la;
+        let evicted = (self.tags[victim] != INVALID_TAG).then_some(self.tags[victim] & !RESIDENT);
+        self.tags[victim] = la | RESIDENT;
         self.lru[victim] = self.clock;
         let mbase = victim * self.words_per_line;
         self.meta[mbase..mbase + self.words_per_line].fill(self.fill_word);
@@ -210,13 +307,12 @@ impl Cache {
     }
 
     /// Invalidates the line containing `addr` (coherence), dropping its
-    /// metadata. Returns `true` if a line was invalidated.
+    /// metadata (the next fill of the way rewrites it). Returns `true` if
+    /// a line was invalidated.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         match self.find_way(self.line_addr(addr)) {
             Some(idx) => {
                 self.tags[idx] = INVALID_TAG;
-                let mbase = idx * self.words_per_line;
-                self.meta[mbase..mbase + self.words_per_line].fill(self.fill_word);
                 true
             }
             None => false,
@@ -393,7 +489,7 @@ impl Cache {
                     .iter()
                     .enumerate()
                     .filter(|&(_, &t)| t != INVALID_TAG)
-                    .map(|(w, &t)| (self.lru[base + w], t)),
+                    .map(|(w, &t)| (self.lru[base + w], t & !RESIDENT)),
             );
             scratch.sort_unstable();
             out.push(i as u64);
@@ -409,6 +505,28 @@ impl Cache {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+impl Drop for Cache {
+    /// Empties the touched sets and keeps the arrays as a spare for the
+    /// next [`Cache::new`] on this thread (freed if the list is full or
+    /// the thread is exiting).
+    fn drop(&mut self) {
+        self.clear_touched();
+        let spare = Spare {
+            tags: std::mem::take(&mut self.tags),
+            lru: std::mem::take(&mut self.lru),
+            meta: std::mem::take(&mut self.meta),
+            touched_bits: std::mem::take(&mut self.touched_bits),
+            touched: std::mem::take(&mut self.touched),
+        };
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() < MAX_SPARES {
+                spares.push(spare);
+            }
+        });
     }
 }
 

@@ -536,11 +536,7 @@ impl<'a> Core<'a> {
         max_cycles: u64,
     ) -> (SimResult, Cache) {
         let result = self.run_inner(max_insts, max_cycles);
-        // A storage-free husk: the core is dropped right after the swap,
-        // so allocating a full L3's worth of arrays for it would be
-        // pure waste (~0.5M lines for the 30 MiB preset).
-        let placeholder = Cache::placeholder(self.cfg.l3);
-        let l3 = std::mem::replace(&mut self.l3, placeholder);
+        let l3 = std::mem::replace(&mut self.l3, Cache::new(self.cfg.l3, true));
         (result, l3)
     }
 

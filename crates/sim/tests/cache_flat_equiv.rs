@@ -10,6 +10,13 @@
 //! region (so sets and ways actually collide) with the last line of the
 //! address space, so the wrapping byte-count contract (`u64::MAX - 3`
 //! + 8 bytes wraps through 0) is exercised on every run.
+//!
+//! `Reset` ops interleave the arena path: the flat cache's touched-set
+//! `reset` (which zeroes only the sets filled since the last reset)
+//! against a freshly built oracle, possibly with the other `meta_fill`.
+//! `Renew` ops drop the flat cache and build a new one, which takes the
+//! dropped cache's emptied arrays from the per-thread spare list (or an
+//! earlier case's, of another geometry with the same array lengths).
 
 use protean_sim::{AccessResult, Cache, CacheConfig};
 use protean_testkit::{Checker, Rng};
@@ -240,6 +247,8 @@ enum Op {
     MetaAny(u64, u64),
     MetaAll(u64, u64),
     Observation,
+    Reset { meta_fill: bool },
+    Renew { meta_fill: bool },
 }
 
 /// Adversarial address mix: mostly a small region that collides in the
@@ -257,7 +266,7 @@ fn arb_op(rng: &mut Rng, line_bytes: u64) -> Op {
     let addr = arb_addr(rng, line_bytes);
     // Sizes from 0 (empty range) past two full lines (multi-chunk walks).
     let size = rng.gen_range(0u64..line_bytes * 2 + 3);
-    match rng.gen_range(0u32..12) {
+    match rng.gen_range(0u32..14) {
         0..=3 => Op::Access(addr),
         4 => Op::Invalidate(addr),
         5 => Op::Probe(addr),
@@ -265,6 +274,12 @@ fn arb_op(rng: &mut Rng, line_bytes: u64) -> Op {
         8 => Op::MetaAny(addr, size),
         9 => Op::MetaAll(addr, size),
         10 => Op::Observation,
+        11 => Op::Reset {
+            meta_fill: rng.gen::<bool>(),
+        },
+        12 => Op::Renew {
+            meta_fill: rng.gen::<bool>(),
+        },
         // The pinned regression shape: unprotect 8 bytes at MAX-3.
         _ => Op::MetaSet(u64::MAX - 3, 8, false),
     }
@@ -340,6 +355,15 @@ fn run_case(case: &Case) {
                     "tag_observation at op {i}"
                 );
             }
+            Op::Reset { meta_fill } => {
+                flat.reset(meta_fill);
+                oracle = BoolMetaCache::new(case.cfg, meta_fill);
+            }
+            Op::Renew { meta_fill } => {
+                drop(flat);
+                flat = Cache::new(case.cfg, meta_fill);
+                oracle = BoolMetaCache::new(case.cfg, meta_fill);
+            }
         }
     }
     // Final state: observation, counters, and a metadata sweep of the
@@ -394,6 +418,71 @@ fn cache_flat_equiv_pinned_wrap_cases() {
             Op::MetaAny(0x7c, 8),
             Op::Invalidate(u64::MAX - 3),
             Op::MetaAny(u64::MAX - 3, 8),
+            Op::Observation,
+        ];
+        run_case(&Case {
+            cfg,
+            meta_fill,
+            ops,
+        });
+    }
+}
+
+/// The touched-set clear, deterministically, through `reset` and through
+/// a drop + `new` that reuses the spare arrays: across a clear that flips
+/// the meta-fill polarity, a set touched then invalidated, a set filled
+/// twice, set 0 and the last set must all read as empty — no stale tag,
+/// LRU stamp or metadata — and refill exactly like a fresh cache.
+#[test]
+fn cache_flat_equiv_pinned_reset_cases() {
+    // 4 sets x 2 ways of 64-byte lines: set = (addr / 64) % 4.
+    let cfg = CacheConfig {
+        size_bytes: 512,
+        ways: 2,
+        line_bytes: 64,
+        latency: 1,
+    };
+    let clear = |renew: bool, meta_fill: bool| {
+        if renew {
+            Op::Renew { meta_fill }
+        } else {
+            Op::Reset { meta_fill }
+        }
+    };
+    for (renew, meta_fill) in [(false, true), (false, false), (true, true), (true, false)] {
+        let ops = vec![
+            Op::Access(0x000),     // set 0
+            Op::Access(0x100),     // set 0 again: both ways filled
+            Op::Access(0x000),     // 0x100 is now LRU
+            Op::Access(0x0c0),     // set 3, the last set
+            Op::Access(0x040),     // set 1 ...
+            Op::Invalidate(0x040), // ... then invalidated
+            Op::MetaSet(0x000, 8, !meta_fill),
+            Op::MetaSet(0x0c0, 64, !meta_fill),
+            Op::Observation,
+            clear(renew, !meta_fill),
+            Op::Observation,
+            Op::Probe(0x000),
+            Op::Probe(0x100),
+            Op::Probe(0x0c0),
+            Op::MetaAny(0x000, 8),
+            Op::MetaAll(0x0c0, 64),
+            // Refill: LRU order restarts, and fills take the new
+            // polarity.
+            Op::Access(0x200), // set 0
+            Op::Access(0x000), // set 0
+            Op::Access(0x300), // set 0: evicts 0x200
+            Op::Access(0x040), // set 1 after the invalidate
+            Op::Access(0x1c0), // set 3
+            Op::MetaAny(0x000, 64),
+            Op::MetaAll(0x040, 64),
+            Op::MetaAny(0x1c0, 64),
+            Op::Observation,
+            // A clear that keeps the polarity.
+            clear(renew, !meta_fill),
+            Op::Observation,
+            Op::Access(0x0c0),
+            Op::MetaAll(0x0c0, 64),
             Op::Observation,
         ];
         run_case(&Case {
