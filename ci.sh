@@ -28,46 +28,10 @@ env -u PROTEAN_JOBS cargo test -q --release --offline --workspace
 echo "== cargo test -q --offline --workspace (debug profile)"
 # Debug-profile pass: overflow checks and debug assertions are on here
 # and off in release, so arithmetic-edge bugs (e.g. u64 wrap in the
-# cache metadata folds) only surface in this configuration.
+# cache metadata folds) only surface in this configuration. The release
+# and debug passes both run the equivalence suites (golden_scheduler,
+# threaded_oracle_equiv, cache_flat_equiv, core_reset, tage_fold_equiv).
 cargo test -q --offline --workspace
-
-echo "== golden scheduler equivalence (release + debug)"
-# The event-driven scheduler must be observationally identical to the
-# scan-based core it replaced; the fixture was generated from the
-# pre-scheduler code. Run it explicitly in both profiles so a fixture
-# drift is named in CI output rather than buried in the workspace runs,
-# and so the debug profile's assertions cover the scheduler paths.
-cargo test -q --release --offline -p protean-bench --test golden_scheduler
-cargo test -q --offline -p protean-bench --test golden_scheduler
-
-echo "== threaded oracle differential (release + debug)"
-# The closure-IR oracle fast mode must be bit-identical to the
-# reference interpreter — full ExecRecord streams, final state, the
-# ProtSet, and every observer projection, across all ProtCC passes.
-# Run it named in both profiles: release for the real campaign
-# configuration, debug for overflow checks on the width-semantics
-# paths the lowering duplicates.
-cargo test -q --release --offline -p protean-bench --test threaded_oracle_equiv
-cargo test -q --offline -p protean-bench --test threaded_oracle_equiv
-
-echo "== component-model differentials: flat cache + core reset + TAGE folds (release + debug)"
-# The flat SoA/word-bitmap cache and the incrementally folded TAGE are
-# the only implementations on the simulation paths; the boxed-bool
-# cache and the reference history fold survive solely as test oracles,
-# so these differential suites are the equivalence gate (there is no
-# runtime toggle to byte-compare across). The debug pass arms overflow
-# checks on the wrapping metadata arithmetic (u64::MAX-spanning ranges).
-# A cache reset, and a dropped cache whose arrays a later Cache::new
-# reuses, zeroes only the sets filled since the previous clear, so that
-# touched-set clear is all that makes a reused arena core equal a fresh
-# one: core_reset checks it end to end on the tiny, P- and E-core
-# geometries.
-cargo test -q --release --offline -p protean-sim --test cache_flat_equiv
-cargo test -q --offline -p protean-sim --test cache_flat_equiv
-cargo test -q --release --offline -p protean-bench --test core_reset
-cargo test -q --offline -p protean-bench --test core_reset
-cargo test -q --release --offline -p protean-sim --test tage_fold_equiv
-cargo test -q --offline -p protean-sim --test tage_fold_equiv
 
 echo "== bench JSON smoke (ablation_fixes --quick + validate_json)"
 # A table bench end to end: write its JSON report to a scratch dir, then
@@ -87,22 +51,15 @@ echo "== campaign_perf determinism (--quick, PROTEAN_JOBS=1 vs 4)"
 # below.)
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=1 \
     cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
+# The always-on section profiler writes its breakdown of the same runs
+# (schema-checked by the validate_json pass below).
+if [ ! -f "$BENCH_SMOKE_DIR/profile.json" ]; then
+    echo "campaign_perf did not write profile.json" >&2
+    exit 1
+fi
 cp "$BENCH_SMOKE_DIR/campaign_perf_report.json" "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak"
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=4 \
     cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-cmp "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
-
-echo "== section profiler smoke (campaign_perf --quick, PROTEAN_PROFILE=1)"
-# The profiler must run end to end and emit a schema-valid profile.json
-# (checked by the validate_json pass below) without disturbing the
-# simulation — it is a pure observer, same contract as the tracer — so
-# the profiled run's report must equal the unprofiled PROTEAN_JOBS=1 one.
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_PROFILE=1 PROTEAN_JOBS=1 \
-    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-if [ ! -f "$BENCH_SMOKE_DIR/profile.json" ]; then
-    echo "PROTEAN_PROFILE=1 campaign_perf did not write profile.json" >&2
-    exit 1
-fi
 cmp "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
 
 echo "== campaign_service kill/resume byte-compare (uninterrupted JOBS=1 vs killed+resumed JOBS=4/2)"

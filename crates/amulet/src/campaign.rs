@@ -454,9 +454,8 @@ fn run_program(
     // Per-program arenas: one `Core` serves the base run and every
     // mutant run via `Core::reset` (byte-identical to constructing a
     // fresh core each time), one record buffer backs every SEQ trace,
-    // and one oracle lowering — the decode-once µop table for the
-    // interpreter, or the threaded-code closures for the fast mode —
-    // backs every SEQ emulation.
+    // and in the fast oracle mode one threaded-code lowering backs every
+    // SEQ emulation.
     let mut records: Vec<ExecRecord> = Vec::new();
     let oracle = SeqOracle::new(&program, cfg.oracle);
 

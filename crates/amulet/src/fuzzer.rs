@@ -21,7 +21,7 @@ use protean_arch::{
     ArchState, Emulator, ExecRecord, ExitStatus, ObserverMode, OracleMode, ThreadedProgram,
 };
 use protean_cc::{public_typing, Pass};
-use protean_isa::{DecodedProgram, Program};
+use protean_isa::Program;
 use protean_rng::{Rng, SplitMix64};
 use protean_sim::{Core, CoreConfig, DefensePolicy, SimResult, Trace};
 
@@ -260,25 +260,25 @@ pub(crate) fn derive_program_seed(base: u64, p: usize) -> u64 {
     sm.next_u64()
 }
 
-/// The per-program SEQ-oracle lowering: either the decode-once µop table
-/// (interpreter) or the threaded-code closures (fast mode). Built once
-/// per program, reused for the base trace and every mutant trace.
+/// The per-program SEQ oracle: the reference interpreter, or the
+/// threaded-code closures (fast mode) built once per program and reused
+/// for the base trace and every mutant trace.
 pub(crate) enum SeqOracle {
-    Interp(DecodedProgram),
+    Interp,
     Threaded(ThreadedProgram),
 }
 
 impl SeqOracle {
     pub(crate) fn new(program: &Program, mode: OracleMode) -> SeqOracle {
         match mode {
-            OracleMode::Interp => SeqOracle::Interp(DecodedProgram::new(program)),
+            OracleMode::Interp => SeqOracle::Interp,
             OracleMode::Threaded => SeqOracle::Threaded(ThreadedProgram::new(program)),
         }
     }
 
     pub(crate) fn emulator<'a>(&'a self, program: &'a Program, input: &ArchState) -> Emulator<'a> {
         match self {
-            SeqOracle::Interp(decoded) => Emulator::with_decoded(program, decoded, input.clone()),
+            SeqOracle::Interp => Emulator::new(program, input.clone()),
             SeqOracle::Threaded(threaded) => {
                 Emulator::with_threaded(program, threaded, input.clone())
             }

@@ -4,8 +4,7 @@
 use crate::threaded::{Ctrl, ThreadedProgram};
 use crate::{Memory, ProtState};
 use protean_isa::{
-    alu_eval, div_eval, DecodedProgram, DivOutcome, InlineVec, Inst, Op, Operand, Program, Reg,
-    Width,
+    alu_eval, div_eval, DivOutcome, InlineVec, Inst, Op, Operand, Program, Reg, Width,
 };
 
 /// Architectural machine state: registers plus memory.
@@ -131,10 +130,6 @@ pub enum ExitStatus {
 /// ```
 pub struct Emulator<'a> {
     program: &'a Program,
-    /// Pre-decoded µop table shared with the simulator's decode-once
-    /// front end ([`Emulator::with_decoded`]): instruction fetch becomes
-    /// one table read instead of an instruction load plus a PC multiply.
-    decoded: Option<&'a DecodedProgram>,
     /// Threaded-code lowering ([`Emulator::with_threaded`]): each step
     /// calls a pre-bound closure instead of decoding `inst.op`.
     threaded: Option<&'a ThreadedProgram>,
@@ -152,28 +147,12 @@ impl<'a> Emulator<'a> {
     pub fn new(program: &'a Program, state: ArchState) -> Emulator<'a> {
         Emulator {
             program,
-            decoded: None,
             threaded: None,
             state,
             prot: ProtState::new(),
             pc_idx: if program.is_empty() { None } else { Some(0) },
             steps: 0,
         }
-    }
-
-    /// Like [`Emulator::new`], but fetching `inst`/`pc` through a
-    /// pre-decoded table built once per program (the same table the
-    /// simulator's front end uses). `decoded` must have been built from
-    /// `program`; execution semantics are identical either way.
-    pub fn with_decoded(
-        program: &'a Program,
-        decoded: &'a DecodedProgram,
-        state: ArchState,
-    ) -> Emulator<'a> {
-        debug_assert_eq!(decoded.len(), program.len());
-        let mut emu = Emulator::new(program, state);
-        emu.decoded = Some(decoded);
-        emu
     }
 
     /// Like [`Emulator::new`], but executing through a threaded-code
@@ -210,13 +189,7 @@ impl<'a> Emulator<'a> {
         if let Some(threaded) = self.threaded {
             return Some(self.step_threaded(threaded, idx));
         }
-        let (inst, pc) = match self.decoded {
-            Some(d) => {
-                let di = d.get(idx);
-                (di.inst, di.pc)
-            }
-            None => (self.program.insts[idx as usize], self.program.pc_of(idx)),
-        };
+        let (inst, pc) = (self.program.insts[idx as usize], self.program.pc_of(idx));
         self.steps += 1;
 
         let mut record = ExecRecord {
@@ -231,8 +204,6 @@ impl<'a> Emulator<'a> {
         };
 
         let mut next = Some(idx + 1);
-        // Data prot bit for memory writes (set by the store arms below).
-        let mut store_data_prot = false;
 
         match inst.op {
             Op::MovImm { dst, imm, width } => {
@@ -326,7 +297,7 @@ impl<'a> Emulator<'a> {
                 });
                 // Written bytes inherit the data operand's protection
                 // (§IV-B2); immediates are public.
-                store_data_prot = match src {
+                let store_data_prot = match src {
                     Operand::Reg(r) => self.prot.reg_protected(r),
                     Operand::Imm(_) => false,
                 };
@@ -362,7 +333,6 @@ impl<'a> Emulator<'a> {
                 next = target;
                 if target.is_none() {
                     self.pc_idx = None;
-                    self.finish_prot(&inst, &record, store_data_prot);
                     return Some(record);
                 }
             }
@@ -515,11 +485,6 @@ impl<'a> Emulator<'a> {
             width,
             prot,
         );
-    }
-
-    fn finish_prot(&mut self, _inst: &Inst, _record: &ExecRecord, _store_prot: bool) {
-        // ProtSet updates are applied inline; this hook exists for the
-        // early-return paths and currently has nothing left to do.
     }
 }
 

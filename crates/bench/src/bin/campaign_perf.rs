@@ -5,9 +5,10 @@
 //! pairs / violations / false positives / committed µops / truncated
 //! and partnerless runs) to `campaign_perf_report.json`. The file holds
 //! no wall-clock numbers, so it is byte-identical at any `PROTEAN_JOBS`
-//! setting; `ci.sh` diffs it across worker counts and with the section
-//! profiler on. Campaign throughput is measured by the repository
-//! benchmark (`perfbench`, workload `campaign`), not here.
+//! setting; `ci.sh` diffs it across worker counts. The section
+//! profiler's breakdown of the same runs goes to `profile.json`.
+//! Campaign throughput is measured by the repository benchmark
+//! (`perfbench`, workload `campaign`), not here.
 //!
 //! ```text
 //! cargo run --release -p protean-bench --bin campaign_perf [--quick]
@@ -94,5 +95,5 @@ fn main() {
     }
 
     rep.write_and_announce();
-    protean_bench::report::write_profile_report_if_enabled();
+    protean_bench::report::write_profile_report();
 }

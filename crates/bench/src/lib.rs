@@ -28,7 +28,7 @@ use protean_baselines::{AccessDelayPolicy, SptPolicy, SptSbPolicy, SttPolicy};
 use protean_cc::{compile, compile_with, Pass};
 use protean_core::{ProtDelayPolicy, ProtTrackPolicy};
 use protean_isa::{Program, SecurityClass};
-use protean_sim::{Core, CoreConfig, DefensePolicy, Multicore, SimExit, Thread, UnsafePolicy};
+use protean_sim::{CoreConfig, DefensePolicy, Multicore, SimExit, Thread, UnsafePolicy};
 use protean_workloads::Workload;
 
 /// A defense configuration to benchmark.
@@ -154,7 +154,9 @@ pub struct RunResult {
 }
 
 /// Runs `workload` under `defense` on `core`, preparing the binary per
-/// `binary`.
+/// `binary`. Every workload runs on a [`Multicore`], one core per
+/// thread; a single-thread workload is a one-core machine whose shared
+/// L3 is its own.
 ///
 /// # Panics
 ///
@@ -167,79 +169,52 @@ pub fn run_workload(
     binary: Binary,
 ) -> RunResult {
     let max_cycles = workload.max_insts * 600;
-    if workload.is_multithreaded() {
-        let programs: Vec<Program> = workload
+    let programs: Vec<Program> = workload
+        .threads
+        .iter()
+        .map(|(p, _)| prepare(p, binary))
+        .collect();
+    let threads: Vec<Thread<'_>> = programs
+        .iter()
+        .zip(&workload.threads)
+        .map(|(p, (_, init))| Thread {
+            program: p,
+            initial: init.clone(),
+            policy: defense.make(),
+        })
+        .collect();
+    let result = Multicore::new(core.clone()).run(threads, workload.max_insts, max_cycles);
+    for (i, t) in result.threads.iter().enumerate() {
+        assert_eq!(
+            t.exit,
+            SimExit::Halted,
+            "{} thread {i} under {defense:?}: {:?}\n{}",
+            workload.name,
+            t.exit,
+            t.deadlock_dump.as_deref().unwrap_or("")
+        );
+    }
+    let sum = |f: fn(&protean_sim::Stats) -> u64| -> u64 {
+        result.threads.iter().map(|t| f(&t.stats)).sum()
+    };
+    // Occupancy peaks are per-core facts: max, not sum.
+    let max = |f: fn(&protean_sim::Stats) -> u64| -> u64 {
+        result
             .threads
             .iter()
-            .map(|(p, _)| prepare(p, binary))
-            .collect();
-        let threads: Vec<Thread<'_>> = programs
-            .iter()
-            .zip(&workload.threads)
-            .map(|(p, (_, init))| Thread {
-                program: p,
-                initial: init.clone(),
-                policy: defense.make(),
-            })
-            .collect();
-        let result = Multicore::new(core.clone()).run(threads, workload.max_insts, max_cycles);
-        for (i, t) in result.threads.iter().enumerate() {
-            assert_eq!(
-                t.exit,
-                SimExit::Halted,
-                "{} thread {i} under {defense:?}: {:?}\n{}",
-                workload.name,
-                t.exit,
-                t.deadlock_dump.as_deref().unwrap_or("")
-            );
-        }
-        let sum = |f: fn(&protean_sim::Stats) -> u64| -> u64 {
-            result.threads.iter().map(|t| f(&t.stats)).sum()
-        };
-        RunResult {
-            cycles: result.makespan,
-            committed: result.total_committed(),
-            mispred_rate: mispred_of(&result.threads[0].stats.policy),
-            exec_blocked_cycles: sum(|s| s.exec_blocked_cycles),
-            wakeup_blocked_cycles: sum(|s| s.wakeup_blocked_cycles),
-            resolve_blocked_cycles: sum(|s| s.resolve_blocked_cycles),
-            // Occupancy peaks are per-core facts: max, not sum.
-            iq_hwm: result
-                .threads
-                .iter()
-                .map(|t| t.stats.iq_hwm)
-                .max()
-                .unwrap_or(0),
-            wheel_hwm: result
-                .threads
-                .iter()
-                .map(|t| t.stats.wheel_hwm)
-                .max()
-                .unwrap_or(0),
-        }
-    } else {
-        let (program, init) = &workload.threads[0];
-        let prepared = prepare(program, binary);
-        let c = Core::new(&prepared, core.clone(), defense.make(), init);
-        let result = c.run(workload.max_insts, max_cycles);
-        assert_eq!(
-            result.exit,
-            SimExit::Halted,
-            "{} under {defense:?}: {:?}\n{}",
-            workload.name,
-            result.exit,
-            result.deadlock_dump.as_deref().unwrap_or("")
-        );
-        RunResult {
-            cycles: result.stats.cycles,
-            committed: result.stats.committed,
-            mispred_rate: mispred_of(&result.stats.policy),
-            exec_blocked_cycles: result.stats.exec_blocked_cycles,
-            wakeup_blocked_cycles: result.stats.wakeup_blocked_cycles,
-            resolve_blocked_cycles: result.stats.resolve_blocked_cycles,
-            iq_hwm: result.stats.iq_hwm,
-            wheel_hwm: result.stats.wheel_hwm,
-        }
+            .map(|t| f(&t.stats))
+            .max()
+            .unwrap_or(0)
+    };
+    RunResult {
+        cycles: result.makespan,
+        committed: result.total_committed(),
+        mispred_rate: mispred_of(&result.threads[0].stats.policy),
+        exec_blocked_cycles: sum(|s| s.exec_blocked_cycles),
+        wakeup_blocked_cycles: sum(|s| s.wakeup_blocked_cycles),
+        resolve_blocked_cycles: sum(|s| s.resolve_blocked_cycles),
+        iq_hwm: max(|s| s.iq_hwm),
+        wheel_hwm: max(|s| s.wheel_hwm),
     }
 }
 
@@ -339,27 +314,42 @@ pub fn fmt_norm(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Parses the common CLI flags: returns (quick, scale).
+/// Parses the common CLI flags from the process arguments: returns
+/// (quick, scale). Exits with status 2 and a usage line on anything
+/// [`parse_args`] refuses.
 pub fn parse_flags() -> (bool, u64) {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    parse_args(&args.collect::<Vec<_>>()).unwrap_or_else(|why| {
+        eprintln!("{why}\nusage: {bin} [--quick] [--scale N]");
+        std::process::exit(2);
+    })
+}
+
+/// Parses the common CLI flags (`args` without the program name):
+/// `--quick`, and `--scale N` with `N` a positive integer. Any other
+/// argument is an error, so a mistyped flag cannot silently run the
+/// full roster.
+pub fn parse_args(args: &[String]) -> Result<(bool, u64), String> {
     let mut quick = false;
     let mut scale = 1u64;
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--scale" => {
-                scale = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--scale requires an integer");
-                        std::process::exit(2);
-                    });
+                let v = args.next().ok_or("--scale requires a value")?;
+                scale = match v.parse() {
+                    Ok(0) | Err(_) => {
+                        return Err(format!("--scale must be a positive integer, got {v:?}"))
+                    }
+                    Ok(n) => n,
+                };
             }
-            _ => {}
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    (quick, scale)
+    Ok((quick, scale))
 }
 
 #[cfg(test)]
@@ -372,6 +362,35 @@ mod tests {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
+    }
+
+    fn parse(args: &[&str]) -> Result<(bool, u64), String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_accepts_the_common_flags() {
+        assert_eq!(parse(&[]), Ok((false, 1)));
+        assert_eq!(parse(&["--scale", "3", "--quick"]), Ok((true, 3)));
+    }
+
+    #[test]
+    fn parse_args_refuses_scale_zero() {
+        assert!(parse(&["--scale", "0"]).unwrap_err().contains("positive"));
+    }
+
+    #[test]
+    fn parse_args_refuses_a_non_integer_or_missing_scale() {
+        for bad in [&["--scale", "two"][..], &["--scale", "-1"], &["--scale"]] {
+            assert!(parse(bad).unwrap_err().contains("--scale"), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_args_refuses_unknown_arguments() {
+        for bad in ["--quikc", "quick", "-q"] {
+            assert!(parse(&[bad]).unwrap_err().contains("unknown"), "{bad}");
+        }
     }
 
     #[test]

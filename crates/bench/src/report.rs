@@ -196,27 +196,26 @@ pub fn measure_fields(r: &crate::RunResult, norm: f64) -> Vec<(&'static str, Jso
     ]
 }
 
-/// Writes a `profile.json` report from the process-wide section-timer
-/// totals — a no-op unless the run had `PROTEAN_PROFILE` set. Call at
-/// the tail of a bench main, after the bench's own report.
-pub fn write_profile_report_if_enabled() {
-    if !protean_sim::profile::enabled() {
-        return;
-    }
+/// Writes a `profile.json` report from the process-wide section
+/// profiler totals. `timed_calls` is the sample behind each row's
+/// (scaled) `nanos`. Call at the tail of a bench main, after the bench's
+/// own report.
+pub fn write_profile_report() {
     let totals = protean_sim::profile::totals();
-    let all: u64 = totals.iter().map(|&(_, ns, _)| ns).sum();
+    let all: u64 = totals.iter().map(|t| t.nanos).sum();
     let mut rep = BenchReport::new("profile");
-    for (section, nanos, calls) in totals {
+    for t in totals {
         let share = if all == 0 {
             0.0
         } else {
-            nanos as f64 * 100.0 / all as f64
+            t.nanos as f64 * 100.0 / all as f64
         };
         rep.row(vec![
-            ("section", Json::str(section)),
-            ("nanos", Json::U64(nanos)),
-            ("calls", Json::U64(calls)),
+            ("section", Json::str(t.section)),
+            ("nanos", Json::U64(t.nanos)),
+            ("calls", Json::U64(t.calls)),
             ("share_pct", Json::F64(share)),
+            ("timed_calls", Json::U64(t.timed_calls)),
         ]);
     }
     rep.write_and_announce();

@@ -168,11 +168,6 @@ impl DecodedProgram {
         &self.insts[idx as usize]
     }
 
-    /// All entries, in instruction-index order.
-    pub fn insts(&self) -> &[DecodedInst] {
-        &self.insts
-    }
-
     /// Number of decoded entries.
     pub fn len(&self) -> usize {
         self.insts.len()

@@ -13,7 +13,7 @@
 //! point; the unsafe baseline is the policy that never blocks anything.
 
 use crate::defense::{BlockPoint, DefensePolicy, RegTags, Seq, SpecFrontier, SquashKind, NO_ROOT};
-use crate::profile::{Section, SectionTimes};
+use crate::profile::{Profiler, Section};
 use crate::sched::{FetchEntry, FetchQueue, Scheduler, SetId};
 use crate::trace::{Trace, Tracer};
 use crate::{Btb, Rsb, TagePredictor};
@@ -341,12 +341,9 @@ pub struct Core<'a> {
     /// every event site is one `Option` check when off.
     tracer: Option<Box<Tracer>>,
     no_commit_cycles: u64,
-    /// Section profiling enabled (`PROTEAN_PROFILE`, read once): one
-    /// boolean branch per tick when off (see [`crate::profile`]).
-    profile_on: bool,
-    /// Per-core section accumulator, flushed into the process-wide
-    /// totals at the end of every run.
-    profile: SectionTimes,
+    /// Per-core section profiler (see [`crate::profile`]), flushed into
+    /// the process-wide totals at the end of every run.
+    profile: Profiler,
 }
 
 const WATCHDOG_CYCLES: u64 = 100_000;
@@ -420,8 +417,7 @@ impl<'a> Core<'a> {
             program,
             policy,
             no_commit_cycles: 0,
-            profile_on: crate::profile::enabled(),
-            profile: SectionTimes::default(),
+            profile: Profiler::default(),
         };
         core.reinit(initial);
         core
@@ -578,23 +574,14 @@ impl<'a> Core<'a> {
             // nothing, every cycle until the next scheduled event is an
             // exact repeat — jump there and bulk-attribute the skipped
             // cycles.
-            if !self.profile_on {
-                self.tick();
-                if !self.sched.progress() {
-                    self.fast_forward(max_cycles);
-                }
-            } else {
-                self.tick_profiled();
-                if !self.sched.progress() {
-                    let t = std::time::Instant::now();
-                    self.fast_forward(max_cycles);
-                    self.profile.add(Section::FastForward, t.elapsed());
-                }
+            self.tick();
+            if !self.sched.progress() {
+                self.profile.enter(Section::FastForward);
+                self.fast_forward(max_cycles);
             }
+            self.profile.end_tick();
         }
-        if self.profile_on {
-            crate::profile::flush(&mut self.profile);
-        }
+        self.profile.flush();
         let mut stats = std::mem::take(&mut self.stats);
         stats.cycles = self.cycle;
         stats.l1i_hits = self.l1i.hits;
@@ -720,86 +707,36 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Runs `f`, charging its wall time to component section `s` when
-    /// profiling is on (one branch when off — same pure-observer
-    /// discipline as the stage laps). The stage laps in
-    /// [`Core::tick_profiled`] subtract whatever the component sections
-    /// booked during them, so sections stay disjoint. Metadata work the
-    /// defense policies do through their `&Cache` hooks is *not* routed
-    /// through here and stays attributed to the parent stage.
+    /// Runs `f` inside section `s` (see [`crate::profile`]): component
+    /// models and execution are entered from the stage that calls them,
+    /// which resumes when `f` returns. Metadata work the defense
+    /// policies do through their `&Cache` hooks is *not* routed through
+    /// here and stays attributed to the calling stage.
     #[inline]
     fn with_comp<R>(&mut self, s: Section, f: impl FnOnce(&mut Self) -> R) -> R {
-        if !self.profile_on {
-            return f(self);
-        }
-        let t = std::time::Instant::now();
+        let prev = self.profile.enter(s);
         let r = f(self);
-        self.profile.add(s, t.elapsed());
+        self.profile.resume(prev);
         r
     }
 
-    /// Total nanoseconds booked to the component sections so far (the
-    /// delta subtracted from the enclosing stage's lap).
-    fn comp_nanos(&self) -> u64 {
-        self.profile.nanos_of(Section::CacheAccess)
-            + self.profile.nanos_of(Section::CacheMeta)
-            + self.profile.nanos_of(Section::Bpred)
-    }
-
-    /// One cycle.
+    /// One cycle; each stage boundary enters its profiler section.
     fn tick(&mut self) {
+        self.profile.begin_tick(self.cycle, Section::Wakeup);
         self.sched.clear_progress();
         self.complete_and_wakeup();
+        self.profile.enter(Section::StoreData);
         self.capture_store_data();
+        self.profile.enter(Section::Resolve);
         self.resolve_branches();
+        self.profile.enter(Section::Commit);
         self.commit();
+        self.profile.enter(Section::Issue);
         self.issue();
+        self.profile.enter(Section::Rename);
         self.rename();
+        self.profile.enter(Section::Fetch);
         self.fetch();
-        self.cycle += 1;
-        self.no_commit_cycles += 1;
-    }
-
-    /// One cycle with section profiling: [`Core::tick`] with a lap at
-    /// every stage boundary. A separate body so the unprofiled tick
-    /// carries no `Instant` reads at all; `#[cold]` keeps it out of the
-    /// hot path's code layout.
-    #[cold]
-    fn tick_profiled(&mut self) {
-        let mut t = std::time::Instant::now();
-        self.sched.clear_progress();
-        self.complete_and_wakeup();
-        t = self.profile.lap(t, Section::Wakeup);
-        self.capture_store_data();
-        t = self.profile.lap(t, Section::StoreData);
-        // Each stage's lap subtracts the component-model time
-        // (cache_access/cache_meta/bpred) its calls booked, so stage and
-        // component sections partition the tick and shares stay
-        // meaningful.
-        let comp = self.comp_nanos();
-        self.resolve_branches();
-        let comp_delta = self.comp_nanos() - comp;
-        t = self.profile.lap_minus(t, Section::Resolve, comp_delta);
-        let comp = self.comp_nanos();
-        self.commit();
-        let comp_delta = self.comp_nanos() - comp;
-        t = self.profile.lap_minus(t, Section::Commit, comp_delta);
-        // `issue` books its `execute_uop` spans to `Execute` (itself net
-        // of component time); the issue lap subtracts both.
-        let exec_before = self.profile.nanos_of(Section::Execute);
-        let comp = self.comp_nanos();
-        self.issue();
-        let exec_delta = self.profile.nanos_of(Section::Execute) - exec_before;
-        let comp_delta = self.comp_nanos() - comp;
-        t = self
-            .profile
-            .lap_minus(t, Section::Issue, exec_delta + comp_delta);
-        self.rename();
-        t = self.profile.lap(t, Section::Rename);
-        let comp = self.comp_nanos();
-        self.fetch();
-        let comp_delta = self.comp_nanos() - comp;
-        self.profile.lap_minus(t, Section::Fetch, comp_delta);
         self.cycle += 1;
         self.no_commit_cycles += 1;
     }
@@ -1426,7 +1363,7 @@ impl<'a> Core<'a> {
     }
 
     /// Walks the cache hierarchy for timing; returns the access latency.
-    /// Booked to [`Section::CacheAccess`] when profiling.
+    /// Booked to [`Section::CacheAccess`].
     fn mem_access_for_timing(&mut self, addr: u64) -> u32 {
         self.with_comp(Section::CacheAccess, |c| c.cache_walk(addr))
     }
@@ -1509,17 +1446,9 @@ impl<'a> Core<'a> {
                 continue;
             }
             // Execute (false = blocked, e.g. a partial store overlap).
-            let executed = if !self.profile_on {
-                self.execute_uop(i, &mut pending_violation)
-            } else {
-                let t = std::time::Instant::now();
-                let comp = self.comp_nanos();
-                let ok = self.execute_uop(i, &mut pending_violation);
-                let comp_delta = self.comp_nanos() - comp;
-                self.profile
-                    .add_minus(Section::Execute, t.elapsed(), comp_delta);
-                ok
-            };
+            let executed = self.with_comp(Section::Execute, |c| {
+                c.execute_uop(i, &mut pending_violation)
+            });
             if executed {
                 issued += 1;
                 if is_mem {

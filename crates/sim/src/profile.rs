@@ -1,27 +1,28 @@
-//! Hand-rolled wall-time section profiler for the pipeline's phases.
+//! Always-on wall-time section profiler for the pipeline's phases.
 //!
-//! Enabled by `PROTEAN_PROFILE=1` (`0` or unset is off; any other value
-//! is refused); same pure-observer discipline as the tracer
-//! (`crate::trace`): the profiler never feeds back into simulation, and
-//! with it off the entire cost is one cached boolean branch per tick —
-//! no `Instant` reads, no atomics.
+//! Each [`crate::pipeline::Core`] owns a [`Profiler`] with one *active
+//! section*. The tick enters a section at every stage boundary, and
+//! execution and the component models run inside an
+//! enter/[`Profiler::resume`] pair. Each switch charges the time since
+//! the previous one to the section being left, so nested sections
+//! partition the tick by construction. Calls are counted on every tick
+//! (exact, deterministic); `Instant` is read only on a deterministic
+//! one-in-[`SAMPLE_EVERY`] sample of ticks chosen by a hash of the cycle
+//! number, and the reported nanoseconds are scaled by total ÷ timed
+//! ticks.
 //!
-//! When on, each [`crate::pipeline::Core`] accumulates per-phase wall
-//! time and call counts in a thread-local [`SectionTimes`] and flushes
-//! into process-wide atomics at the end of every run ([`flush`]), so a
-//! whole campaign (including parallel workers) folds into one table.
-//! Bench binaries read [`totals`] and emit a schema-checked JSON
-//! breakdown through `protean_sim::json` — the data behind the "which
-//! phase paid for the speedup" tables in EXPERIMENTS.md.
+//! Same pure-observer discipline as the tracer (`crate::trace`): the
+//! profiler reads clocks and never feeds back into simulation. Cores
+//! flush into process-wide atomics at the end of every run, so a whole
+//! campaign (including parallel workers) folds into one [`totals`]
+//! table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// The profiled pipeline phases, in tick order. `Execute` is carved out
-/// of the issue stage (the execution units proper); `Issue` is the
-/// scheduling/gating remainder. `FastForward` is the idle-cycle jump
-/// machinery outside `tick`.
+/// The profiled pipeline phases, in tick order. `FastForward` is the
+/// idle-cycle jump machinery that runs after a tick that made no
+/// progress.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Section {
     /// Completion drain + wakeup arbitration (`complete_and_wakeup`).
@@ -32,9 +33,10 @@ pub enum Section {
     Resolve = 2,
     /// In-order commit.
     Commit = 3,
-    /// Issue-window scheduling and defense gating, minus execution.
+    /// Issue-window scheduling and defense gating.
     Issue = 4,
-    /// Execution units (`execute_uop` and its load/store legs).
+    /// Execution units (`execute_uop` and its load/store legs), entered
+    /// from the issue stage.
     Execute = 5,
     /// Rename/dispatch.
     Rename = 6,
@@ -43,13 +45,13 @@ pub enum Section {
     /// Idle-cycle fast-forward (bulk blocked-cycle attribution).
     FastForward = 8,
     /// Cache tag probes and fills (`Cache::access` walks for timing),
-    /// carved out of the stages that perform them (issue/commit/fetch).
+    /// entered from the stages that perform them (issue/commit/fetch).
     CacheAccess = 9,
-    /// L1D metadata word ops (`meta_any`/`meta_all`/`meta_set`), carved
-    /// out of the issue/commit stages.
+    /// L1D metadata word ops (`meta_any`/`meta_all`/`meta_set`), entered
+    /// from the issue/commit stages.
     CacheMeta = 10,
     /// Branch-predictor work (TAGE predict/update/speculate/restore,
-    /// BTB, RSB), carved out of the fetch/resolve/commit stages.
+    /// BTB, RSB), entered from the fetch/resolve/commit stages.
     Bpred = 11,
 }
 
@@ -70,111 +72,171 @@ const NAMES: [&str; N_SECTIONS] = [
     "bpred",
 ];
 
-/// Whether profiling is enabled (`PROTEAN_PROFILE`, read once).
-///
-/// # Panics
-///
-/// Panics if `PROTEAN_PROFILE` is set to anything but `0` or `1` — a
-/// value like `off` silently turning profiling *on* would skew every
-/// wall-clock number of the run.
-pub fn enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        let raw = std::env::var_os("PROTEAN_PROFILE").map(|v| v.to_string_lossy().into_owned());
-        parse_enabled(raw.as_deref()).unwrap_or_else(|why| panic!("{why}"))
-    })
+/// One tick in this many is timed.
+pub const SAMPLE_EVERY: u64 = 64;
+
+/// Whether the tick at `cycle` is timed: the top bits of a Fibonacci
+/// hash of the cycle number, so the sample is deterministic and spread
+/// evenly over a run (gaps of a few lengths, not one stride that could
+/// alias with a loop). The offset keeps cycle 0, the first tick of
+/// every run, out of the sample.
+#[inline]
+fn sampled(cycle: u64) -> bool {
+    cycle.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15) <= u64::MAX / SAMPLE_EVERY
 }
 
-/// Parses a `PROTEAN_PROFILE` value (`None` = unset): unset or `0` is
-/// off, `1` is on, surrounding whitespace is ignored, and anything else
-/// is an error naming the variable.
-fn parse_enabled(raw: Option<&str>) -> Result<bool, String> {
-    match raw.map(str::trim) {
-        None | Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        Some(other) => Err(format!("PROTEAN_PROFILE={other} is not 0 or 1")),
-    }
-}
-
-/// Per-core accumulator: nanoseconds and entry counts per section.
-#[derive(Clone, Debug, Default)]
-pub struct SectionTimes {
-    nanos: [u64; N_SECTIONS],
+/// Per-core accumulator (see the module docs).
+#[derive(Clone, Debug)]
+pub(crate) struct Profiler {
+    /// The section a timed tick is currently charging.
+    active: Section,
+    /// Whether the current tick is timed.
+    timing: bool,
+    /// The last switch of a timed tick.
+    last: Instant,
+    ticks: u64,
+    timed_ticks: u64,
     calls: [u64; N_SECTIONS],
+    timed_calls: [u64; N_SECTIONS],
+    nanos: [u64; N_SECTIONS],
 }
 
-impl SectionTimes {
-    /// Charges the time since `t` to `s`; returns a fresh timestamp for
-    /// the next section (one `Instant::now` per boundary).
-    pub fn lap(&mut self, t: Instant, s: Section) -> Instant {
-        let now = Instant::now();
-        self.nanos[s as usize] += (now - t).as_nanos() as u64;
-        self.calls[s as usize] += 1;
-        now
-    }
-
-    /// As [`SectionTimes::lap`], minus `sub_nanos` already charged
-    /// elsewhere (the issue stage subtracts the execution time its
-    /// `execute_uop` calls booked to [`Section::Execute`]).
-    pub fn lap_minus(&mut self, t: Instant, s: Section, sub_nanos: u64) -> Instant {
-        let now = Instant::now();
-        let span = (now - t).as_nanos() as u64;
-        self.nanos[s as usize] += span.saturating_sub(sub_nanos);
-        self.calls[s as usize] += 1;
-        now
-    }
-
-    /// Charges an already-measured duration to `s`.
-    pub fn add(&mut self, s: Section, d: Duration) {
-        self.nanos[s as usize] += d.as_nanos() as u64;
-        self.calls[s as usize] += 1;
-    }
-
-    /// As [`SectionTimes::add`], minus `sub_nanos` already charged
-    /// elsewhere — the stage-level counterpart of
-    /// [`SectionTimes::lap_minus`] for spans measured with an explicit
-    /// duration (e.g. `Execute` deducting the component-model time its
-    /// cache walks booked to [`Section::CacheAccess`]). Keeps sections
-    /// disjoint so share-of-total stays meaningful.
-    pub fn add_minus(&mut self, s: Section, d: Duration, sub_nanos: u64) {
-        self.nanos[s as usize] += (d.as_nanos() as u64).saturating_sub(sub_nanos);
-        self.calls[s as usize] += 1;
-    }
-
-    /// Nanoseconds accumulated for `s` so far.
-    pub fn nanos_of(&self, s: Section) -> u64 {
-        self.nanos[s as usize]
+impl Default for Profiler {
+    fn default() -> Profiler {
+        Profiler {
+            active: Section::Wakeup,
+            timing: false,
+            last: Instant::now(),
+            ticks: 0,
+            timed_ticks: 0,
+            calls: [0; N_SECTIONS],
+            timed_calls: [0; N_SECTIONS],
+            nanos: [0; N_SECTIONS],
+        }
     }
 }
 
-static TOTAL_NANOS: [AtomicU64; N_SECTIONS] = [const { AtomicU64::new(0) }; N_SECTIONS];
+impl Profiler {
+    /// Starts the tick at `cycle` in section `first`, counting one entry
+    /// to it; the clock starts if the tick is sampled.
+    #[inline]
+    pub fn begin_tick(&mut self, cycle: u64, first: Section) {
+        self.ticks += 1;
+        self.calls[first as usize] += 1;
+        self.timing = sampled(cycle);
+        if self.timing {
+            self.timed_ticks += 1;
+            self.timed_calls[first as usize] += 1;
+            self.active = first;
+            // After untimed ticks the clock's code and data run cold; a
+            // throwaway read keeps that miss out of the first section.
+            std::hint::black_box(Instant::now());
+            self.last = Instant::now();
+        }
+    }
+
+    /// Ends the current tick, charging the active section.
+    #[inline]
+    pub fn end_tick(&mut self) {
+        if self.timing {
+            self.switch_to(self.active);
+            self.timing = false;
+        }
+    }
+
+    /// Counts one entry to `s`. On a timed tick, makes `s` active and
+    /// returns the section left, for [`Profiler::resume`]; on an untimed
+    /// tick nothing is active and `resume` is a no-op.
+    #[inline]
+    pub fn enter(&mut self, s: Section) -> Section {
+        self.calls[s as usize] += 1;
+        if !self.timing {
+            return s;
+        }
+        self.timed_calls[s as usize] += 1;
+        self.switch_to(s)
+    }
+
+    /// Switches back to `prev` (as returned by [`Profiler::enter`])
+    /// without counting an entry.
+    #[inline]
+    pub fn resume(&mut self, prev: Section) {
+        if self.timing {
+            self.switch_to(prev);
+        }
+    }
+
+    /// Charges the time since the last switch to the active section,
+    /// makes `s` active and returns the section left.
+    #[cold]
+    fn switch_to(&mut self, s: Section) -> Section {
+        let now = Instant::now();
+        let left = std::mem::replace(&mut self.active, s);
+        self.nanos[left as usize] += (now - self.last).as_nanos() as u64;
+        self.last = now;
+        left
+    }
+
+    /// Folds this accumulator into the process-wide totals and zeroes
+    /// it. Called at the end of every run: one relaxed RMW per nonzero
+    /// counter.
+    pub fn flush(&mut self) {
+        let totals = [&TOTAL_TICKS, &TOTAL_TIMED_TICKS]
+            .into_iter()
+            .chain(&TOTAL_CALLS)
+            .chain(&TOTAL_TIMED_CALLS)
+            .chain(&TOTAL_NANOS);
+        let locals = [&mut self.ticks, &mut self.timed_ticks]
+            .into_iter()
+            .chain(&mut self.calls)
+            .chain(&mut self.timed_calls)
+            .chain(&mut self.nanos);
+        for (total, local) in totals.zip(locals) {
+            if *local != 0 {
+                total.fetch_add(std::mem::take(local), Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+static TOTAL_TICKS: AtomicU64 = AtomicU64::new(0);
+static TOTAL_TIMED_TICKS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_CALLS: [AtomicU64; N_SECTIONS] = [const { AtomicU64::new(0) }; N_SECTIONS];
+static TOTAL_TIMED_CALLS: [AtomicU64; N_SECTIONS] = [const { AtomicU64::new(0) }; N_SECTIONS];
+static TOTAL_NANOS: [AtomicU64; N_SECTIONS] = [const { AtomicU64::new(0) }; N_SECTIONS];
 
-/// Folds a core's accumulator into the process-wide totals and zeroes
-/// it. Called at the end of every run; cheap relative to a run (one
-/// relaxed RMW per section).
-pub fn flush(local: &mut SectionTimes) {
-    for i in 0..N_SECTIONS {
-        if local.nanos[i] != 0 {
-            TOTAL_NANOS[i].fetch_add(local.nanos[i], Ordering::Relaxed);
-        }
-        if local.calls[i] != 0 {
-            TOTAL_CALLS[i].fetch_add(local.calls[i], Ordering::Relaxed);
-        }
-    }
-    *local = SectionTimes::default();
+/// One section's process-wide totals.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SectionTotal {
+    /// The section's name (`wakeup`, `cache_access`, ...).
+    pub section: &'static str,
+    /// Wall time, scaled from the timed ticks to all ticks.
+    pub nanos: u64,
+    /// Entries on every tick (exact).
+    pub calls: u64,
+    /// Entries on timed ticks: the sample behind `nanos`.
+    pub timed_calls: u64,
 }
 
-/// Process-wide totals: `(section name, nanoseconds, calls)` per
-/// section, in tick order.
-pub fn totals() -> Vec<(&'static str, u64, u64)> {
+/// Scales `nanos` measured on `timed_ticks` of `ticks` ticks up to all
+/// of them (zero when nothing was timed).
+fn scale(nanos: u64, ticks: u64, timed_ticks: u64) -> u64 {
+    if timed_ticks == 0 {
+        return 0;
+    }
+    (u128::from(nanos) * u128::from(ticks) / u128::from(timed_ticks)) as u64
+}
+
+/// Process-wide totals per section, in tick order.
+pub fn totals() -> Vec<SectionTotal> {
+    let ticks = TOTAL_TICKS.load(Ordering::Relaxed);
+    let timed_ticks = TOTAL_TIMED_TICKS.load(Ordering::Relaxed);
     (0..N_SECTIONS)
-        .map(|i| {
-            (
-                NAMES[i],
-                TOTAL_NANOS[i].load(Ordering::Relaxed),
-                TOTAL_CALLS[i].load(Ordering::Relaxed),
-            )
+        .map(|i| SectionTotal {
+            section: NAMES[i],
+            nanos: scale(TOTAL_NANOS[i].load(Ordering::Relaxed), ticks, timed_ticks),
+            calls: TOTAL_CALLS[i].load(Ordering::Relaxed),
+            timed_calls: TOTAL_TIMED_CALLS[i].load(Ordering::Relaxed),
         })
         .collect()
 }
@@ -182,36 +244,53 @@ pub fn totals() -> Vec<(&'static str, u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn profile_switch_accepts_only_0_and_1() {
-        assert_eq!(parse_enabled(None), Ok(false));
-        assert_eq!(parse_enabled(Some("0")), Ok(false));
-        assert_eq!(parse_enabled(Some("1")), Ok(true));
-        assert_eq!(parse_enabled(Some(" 1\n")), Ok(true));
-        for bad in ["", "false", "off", "true", "on", "2", "01"] {
-            let err = parse_enabled(Some(bad)).unwrap_err();
-            assert!(err.contains("PROTEAN_PROFILE"), "{bad:?}: {err}");
+    fn nested_sections_charge_self_time() {
+        let mut p = Profiler::default();
+        p.begin_tick((0..).find(|&c| sampled(c)).unwrap(), Section::Issue);
+        let nap = Duration::from_millis(20);
+        let issue = p.enter(Section::Execute);
+        let exec = p.enter(Section::CacheAccess);
+        std::thread::sleep(nap);
+        p.resume(exec);
+        std::thread::sleep(nap);
+        p.resume(issue);
+        p.end_tick();
+        // Each level holds its own sleep, not its child's.
+        let (ns, nap) = (|s: Section| p.nanos[s as usize], nap.as_nanos() as u64);
+        assert!(ns(Section::CacheAccess) >= nap);
+        assert!((nap..2 * nap).contains(&ns(Section::Execute)));
+        assert!(ns(Section::Issue) < nap);
+        // `begin_tick` and `enter` count one call each; `resume` none.
+        let mut expect = [0; N_SECTIONS];
+        for s in [Section::Issue, Section::Execute, Section::CacheAccess] {
+            expect[s as usize] = 1;
         }
+        assert_eq!((p.calls, p.timed_calls), (expect, expect));
     }
 
     #[test]
-    fn laps_accumulate_and_flush_folds() {
-        let mut st = SectionTimes::default();
-        let t = Instant::now();
-        let t = st.lap(t, Section::Wakeup);
-        st.lap_minus(t, Section::Issue, u64::MAX); // saturates to 0
-        st.add(Section::Execute, Duration::from_nanos(42));
-        assert_eq!(st.nanos_of(Section::Execute), 42);
-        assert_eq!(st.nanos_of(Section::Issue), 0);
-        assert_eq!(st.calls[Section::Issue as usize], 1);
-        let before = totals();
-        flush(&mut st);
-        assert_eq!(st.nanos_of(Section::Execute), 0);
-        let after = totals();
-        let i = Section::Execute as usize;
-        assert_eq!(after[i].1 - before[i].1, 42);
-        assert!(after[i].2 > before[i].2);
-        assert_eq!(after[i].0, "execute");
+    fn untimed_ticks_count_calls_but_read_no_clock() {
+        let mut p = Profiler::default();
+        p.begin_tick((0..).find(|&c| !sampled(c)).unwrap(), Section::Wakeup);
+        let prev = p.enter(Section::Bpred);
+        p.resume(prev);
+        p.end_tick();
+        assert_eq!((p.ticks, p.timed_ticks), (1, 0));
+        assert_eq!(p.calls.iter().sum::<u64>(), 2);
+        assert_eq!((p.timed_calls, p.nanos), ([0; N_SECTIONS], [0; N_SECTIONS]));
+    }
+
+    #[test]
+    fn sampling_rate_and_scaling_are_exact() {
+        let n = 1 << 20;
+        let timed = (0..n).filter(|&c| sampled(c)).count() as u64;
+        assert!(timed.abs_diff(n / SAMPLE_EVERY) * 50 < n / SAMPLE_EVERY);
+        assert_eq!(scale(1_000, 64, 1), 64_000);
+        assert_eq!(scale(3_000, 640, 10), 192_000);
+        assert_eq!(scale(5, 1, 0), 0);
+        assert_eq!(scale(u64::MAX / 2, 4, 2), u64::MAX - 1); // no overflow
     }
 }
