@@ -31,16 +31,27 @@ echo "== cargo test -q --offline --workspace (debug profile)"
 # cache metadata folds) only surface in this configuration. The release
 # and debug passes both run the equivalence suites (golden_scheduler,
 # threaded_oracle_equiv, cache_flat_equiv, core_reset, tage_fold_equiv).
+# In this pass every tick also asserts that each parked defense-gate
+# µop is still closed and that the parked counts equal the old
+# per-cycle loop's (see DESIGN.md, "Parked gates").
 cargo test -q --offline --workspace
 
-echo "== bench JSON smoke (ablation_fixes --quick + validate_json)"
-# A table bench end to end: write its JSON report to a scratch dir, then
-# check it (with every other report below) against the schema shared by
-# all reports.
+echo "== --quick report golden set (11 table/figure/ablation binaries vs bench_results/quick)"
+# Every paper-table, figure and ablation binary, end to end: each
+# --quick JSON report must be byte-identical to the committed golden
+# set, and is schema-checked with every other report by validate_json
+# below. After an intentional change of results, re-pin by copying the
+# output over the set:
+#   for b in <the binaries below>; do PROTEAN_BENCH_DIR=bench_results/quick \
+#       cargo run --release -p protean-bench --bin $b -- --quick; done
 BENCH_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$BENCH_SMOKE_DIR"' EXIT
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
-    cargo run -q --release --offline -p protean-bench --bin ablation_fixes -- --quick >/dev/null
+for bin in table_i table_ii table_iv table_v figure_5 figure_6 \
+    ablation_protcc ablation_l1d ablation_access ablation_control ablation_fixes; do
+    PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
+        cargo run -q --release --offline -p protean-bench --bin "$bin" -- --quick >/dev/null
+    cmp "bench_results/quick/$bin.json" "$BENCH_SMOKE_DIR/$bin.json"
+done
 
 echo "== campaign_perf determinism (--quick, PROTEAN_JOBS=1 vs 4)"
 # campaign_perf_report.json holds only deterministic campaign counters.
@@ -57,10 +68,16 @@ if [ ! -f "$BENCH_SMOKE_DIR/profile.json" ]; then
     echo "campaign_perf did not write profile.json" >&2
     exit 1
 fi
+# The profiler's event counts (section calls and the defense-gate
+# evaluation/park/un-park counters) are exact too; only the sampled wall
+# time (nanos, share_pct) may differ between the two runs.
+profile_counts() { sed -E 's/"nanos":[0-9]+,//; s/"share_pct":[^,]*,//' "$1"; }
 cp "$BENCH_SMOKE_DIR/campaign_perf_report.json" "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak"
+profile_counts "$BENCH_SMOKE_DIR/profile.json" >"$BENCH_SMOKE_DIR/profile_counts.jobs1.bak"
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=4 \
     cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
 cmp "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
+profile_counts "$BENCH_SMOKE_DIR/profile.json" | cmp "$BENCH_SMOKE_DIR/profile_counts.jobs1.bak" -
 
 echo "== campaign_service kill/resume byte-compare (uninterrupted JOBS=1 vs killed+resumed JOBS=4/2)"
 # The resumable-campaign contract, end to end through the service

@@ -95,8 +95,9 @@ impl protean_sim::DefensePolicy for StallForeverPolicy {
         _u: &protean_sim::DynInst,
         _tags: &protean_sim::RegTags,
         _fr: &protean_sim::SpecFrontier,
-    ) -> bool {
-        false
+    ) -> protean_sim::Gate {
+        // Never lapses while the frontier is finite.
+        protean_sim::Gate::Closed { until: u64::MAX }
     }
 }
 

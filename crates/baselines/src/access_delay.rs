@@ -8,7 +8,7 @@
 //! NDA/SpecShield's target.
 
 use protean_isa::TransmitterSet;
-use protean_sim::{BlockPoint, DefensePolicy, DynInst, RegTags, SpecFrontier};
+use protean_sim::{BlockPoint, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The AccessDelay policy (NDA \[138\] / SpecShield \[13\]).
 ///
@@ -63,8 +63,11 @@ impl DefensePolicy for AccessDelayPolicy {
         }
     }
 
-    fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
-        !u.delay_wakeup_nonspec || fr.is_non_speculative(u.seq)
+    fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        if !u.delay_wakeup_nonspec {
+            return Gate::Open;
+        }
+        Gate::lapses_at(u.seq, fr)
     }
 
     fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {

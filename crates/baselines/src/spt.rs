@@ -24,8 +24,8 @@
 
 use protean_isa::{Op, TransmitterSet, Width};
 use protean_sim::{
-    sensitive_phys, sensitive_value_tainted, BlockPoint, Cache, DefensePolicy, DynInst, RegTags,
-    SpecFrontier,
+    sensitive_phys, sensitive_value_tainted, BlockPoint, Cache, DefensePolicy, DynInst, Gate,
+    RegTags, SpecFrontier,
 };
 
 /// The SPT policy. See the module docs for the modelled semantics.
@@ -142,14 +142,17 @@ impl DefensePolicy for SptPolicy {
         }
     }
 
-    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
-        if u.inst.is_branch() {
-            return true;
+    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        if u.inst.is_branch()
+            || !self.xmit.is_transmitter(&u.inst)
+            || !sensitive_value_tainted(u, &self.xmit, tags)
+        {
+            return Gate::Open;
         }
-        if !self.xmit.is_transmitter(&u.inst) {
-            return true;
-        }
-        fr.is_non_speculative(u.seq) || !sensitive_value_tainted(u, &self.xmit, tags)
+        // Value taint does not lapse with the frontier; only the µop
+        // turning non-speculative (or a commit-time untaint, which bumps
+        // the tag generation) opens the gate.
+        Gate::lapses_at(u.seq, fr)
     }
 
     fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
@@ -199,7 +202,7 @@ impl DefensePolicy for SptPolicy {
         // that ProtCC unprotects statically (§IX-B2, §IX-B3).
         if self.xmit.is_transmitter(&u.inst) {
             for &p in sensitive_phys(u, &self.xmit).iter() {
-                tags.taint[p] = false;
+                tags.untaint(p);
             }
         }
     }

@@ -9,7 +9,7 @@
 //! in the paper's evaluation (≈2.9× on SPEC, Tab. IV).
 
 use protean_isa::TransmitterSet;
-use protean_sim::{BlockPoint, DefensePolicy, DynInst, RegTags, SpecFrontier};
+use protean_sim::{BlockPoint, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The SPT-SB policy.
 ///
@@ -63,11 +63,11 @@ impl DefensePolicy for SptSbPolicy {
         self.buggy_squash
     }
 
-    fn may_execute(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
-        if u.inst.is_branch() {
-            return true;
+    fn may_execute(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        if u.inst.is_branch() || !self.xmit.is_transmitter(&u.inst) {
+            return Gate::Open;
         }
-        !self.xmit.is_transmitter(&u.inst) || fr.is_non_speculative(u.seq)
+        Gate::lapses_at(u.seq, fr)
     }
 
     fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {

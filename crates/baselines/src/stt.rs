@@ -10,7 +10,8 @@
 
 use protean_isa::TransmitterSet;
 use protean_sim::{
-    sensitive_root_tainted, BlockPoint, DefensePolicy, DynInst, RegTags, SpecFrontier,
+    sensitive_max_yrot, sensitive_root_tainted, BlockPoint, DefensePolicy, DynInst, Gate, RegTags,
+    SpecFrontier,
 };
 
 /// The STT policy.
@@ -97,14 +98,14 @@ impl DefensePolicy for SttPolicy {
         }
     }
 
-    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
-        if u.inst.is_branch() {
-            return true; // branches execute; their *resolution* is gated
+    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        if u.inst.is_branch() || !self.xmit.is_transmitter(&u.inst) {
+            // Branches execute; their *resolution* is gated.
+            return Gate::Open;
         }
-        if !self.xmit.is_transmitter(&u.inst) {
-            return true;
-        }
-        fr.is_non_speculative(u.seq) || !sensitive_root_tainted(u, &self.xmit, tags, fr)
+        // Held until the µop or its youngest sensitive taint root is
+        // non-speculative, whichever comes first.
+        Gate::lapses_at(u.seq.min(sensitive_max_yrot(u, &self.xmit, tags)), fr)
     }
 
     fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {

@@ -1,6 +1,6 @@
 //! The liveness invariant every policy must satisfy: once a µop is
 //! non-speculative (at the ROB head under ATCOMMIT), `may_execute`,
-//! `may_wakeup`, and `may_resolve` must all return `true`, no matter how
+//! `may_wakeup`, and `may_resolve` must all let it pass, no matter how
 //! tainted or protected its operands are — otherwise the pipeline
 //! deadlocks. (The watchdog in `protean-sim` would catch a violation at
 //! runtime; this checks the policies directly.)
@@ -110,7 +110,7 @@ fn non_speculative_uops_are_never_blocked() {
             };
             assert!(fr.is_non_speculative(seq), "frontier setup");
             assert!(
-                policy.may_execute(&u, &tags, &fr),
+                policy.may_execute(&u, &tags, &fr).is_open(),
                 "{name} blocks execution at the head ({model:?})"
             );
             assert!(
@@ -121,7 +121,7 @@ fn non_speculative_uops_are_never_blocked() {
             // root (seq-1) is older than the head, hence non-speculative
             // too, so wakeup must be allowed.
             assert!(
-                policy.may_wakeup(&u, &tags, &fr),
+                policy.may_wakeup(&u, &tags, &fr).is_open(),
                 "{name} blocks wakeup at the head ({model:?})"
             );
         }
@@ -146,7 +146,7 @@ fn speculative_worst_case_is_blocked_by_secure_policies() {
         let name = policy.name();
         if name.starts_with("STT") || name.starts_with("SPT") {
             assert!(
-                !policy.may_execute(&u, &tags, &fr),
+                !policy.may_execute(&u, &tags, &fr).is_open(),
                 "{name} should block a tainted-address speculative load"
             );
         }

@@ -80,3 +80,40 @@ fn division_transmitter_gating_costs_cycles() {
         "div gating should cost cycles: fixed={fixed}, original={original}"
     );
 }
+
+/// SPT's commit-time untaint opens gates of µops already waiting: the
+/// first load transmits the (initially private) `r0`, so at its commit
+/// `r0` becomes public and the last load, stalled on the same register
+/// behind a slow dependent load pair, may issue at once instead of
+/// waiting until it is non-speculative. (The pipeline parks a stalled
+/// µop until the frontier reaches it; the untaint must un-park it.)
+#[test]
+fn commit_time_untaint_releases_a_stalled_transmitter() {
+    let program = assemble(
+        r#"
+          load r1, [r0 + 0x10000]
+          load r5, [0x30000]
+          load r6, [r5 + 0x40000]   ; private index: waits for the head
+          load r2, [r0 + 0x10008]
+          halt
+        "#,
+    )
+    .unwrap();
+    let mut core = Core::new(
+        &program,
+        CoreConfig::p_core(),
+        Box::new(SptPolicy::fixed()),
+        &ArchState::new(),
+    );
+    core.record_traces(true);
+    let r = core.run(1_000, 100_000);
+    assert_eq!(r.exit, SimExit::Halted);
+    // `timing` rows: [pc, fetch, rename, issue, complete, commit].
+    let (first, slow, last) = (r.timing[0], r.timing[2], r.timing[3]);
+    assert!(
+        last[3] >= first[5] && last[3] < slow[4],
+        "the last load must issue once r0 is public, before the slow \
+         load completes: {:?}",
+        r.timing
+    );
+}

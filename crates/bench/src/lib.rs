@@ -67,6 +67,27 @@ pub enum Defense {
 }
 
 impl Defense {
+    /// Every defense configuration the repository ships, including the
+    /// originally released (buggy) baseline variants and the raw
+    /// ProtISA mechanisms: the set the equivalence and property tests
+    /// run under.
+    pub const SHIPPED: [Defense; 14] = [
+        Defense::Unsafe,
+        Defense::Nda,
+        Defense::Stt,
+        Defense::SttOriginal,
+        Defense::Spt,
+        Defense::SptOriginal,
+        Defense::SptNoPerfFix,
+        Defense::SptSb,
+        Defense::SptSbOriginal,
+        Defense::ProtDelay,
+        Defense::ProtTrack,
+        Defense::ProtTrackEntries(64),
+        Defense::RawAccessDelay,
+        Defense::RawAccessTrack,
+    ];
+
     /// Instantiates the policy.
     pub fn make(self) -> Box<dyn DefensePolicy> {
         match self {

@@ -198,7 +198,9 @@ pub fn measure_fields(r: &crate::RunResult, norm: f64) -> Vec<(&'static str, Jso
 
 /// Writes a `profile.json` report from the process-wide section
 /// profiler totals. `timed_calls` is the sample behind each row's
-/// (scaled) `nanos`. Call at the tail of a bench main, after the bench's
+/// (scaled) `nanos`; `gate_evals`/`gate_parks`/`gate_unparks` are the
+/// exact defense-gate counts of the gate a section runs (zero
+/// elsewhere). Call at the tail of a bench main, after the bench's
 /// own report.
 pub fn write_profile_report() {
     let totals = protean_sim::profile::totals();
@@ -216,6 +218,9 @@ pub fn write_profile_report() {
             ("calls", Json::U64(t.calls)),
             ("share_pct", Json::F64(share)),
             ("timed_calls", Json::U64(t.timed_calls)),
+            ("gate_evals", Json::U64(t.gate_evals)),
+            ("gate_parks", Json::U64(t.gate_parks)),
+            ("gate_unparks", Json::U64(t.gate_unparks)),
         ]);
     }
     rep.write_and_announce();

@@ -29,26 +29,6 @@ const MAX_INSTS: u64 = 50_000;
 /// Cycle budget per run.
 const MAX_CYCLES: u64 = 5_000_000;
 
-/// Every defense the repo ships, including the originally-released
-/// (buggy) baseline variants and the raw ProtISA mechanisms — the
-/// scheduler must be exact under all of their gating patterns.
-const DEFENSES: [Defense; 14] = [
-    Defense::Unsafe,
-    Defense::Nda,
-    Defense::Stt,
-    Defense::SttOriginal,
-    Defense::Spt,
-    Defense::SptOriginal,
-    Defense::SptNoPerfFix,
-    Defense::SptSb,
-    Defense::SptSbOriginal,
-    Defense::ProtDelay,
-    Defense::ProtTrack,
-    Defense::ProtTrackEntries(64),
-    Defense::RawAccessDelay,
-    Defense::RawAccessTrack,
-];
-
 /// The deterministic program corpus: seeds chosen to cover plain code,
 /// gadget-heavy code, and longer multi-segment programs.
 fn corpus() -> Vec<(String, Program)> {
@@ -125,7 +105,9 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 /// One snapshot line: everything observable about a finished run.
 fn snapshot(name: &str, program: &Program, config: &CoreConfig, traced: bool, seed: u64) -> String {
     let mut lines = String::new();
-    for defense in DEFENSES {
+    // Every shipped defense: the scheduler must be exact under all of
+    // their gating patterns.
+    for defense in Defense::SHIPPED {
         let input = corpus_input(seed);
         let mut core = Core::new(program, config.clone(), defense.make(), &input);
         if traced {

@@ -19,7 +19,7 @@
 
 use crate::support::is_access_transmitter;
 use protean_isa::TransmitterSet;
-use protean_sim::{BlockPoint, Cache, DefensePolicy, DynInst, RegTags, SpecFrontier};
+use protean_sim::{BlockPoint, Cache, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The ProtDelay policy.
 ///
@@ -103,19 +103,19 @@ impl DefensePolicy for ProtDelayPolicy {
         }
     }
 
-    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
-        if u.inst.is_branch() {
-            return true;
-        }
-        if !self.xmit.is_transmitter(&u.inst) {
-            return true;
+    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        if u.inst.is_branch() || !is_access_transmitter(u, &self.xmit, tags) {
+            return Gate::Open;
         }
         // Access transmitters may not transmit speculatively.
-        fr.is_non_speculative(u.seq) || !is_access_transmitter(u, &self.xmit, tags)
+        Gate::lapses_at(u.seq, fr)
     }
 
-    fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
-        !u.delay_wakeup_nonspec || fr.is_non_speculative(u.seq)
+    fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        if !u.delay_wakeup_nonspec {
+            return Gate::Open;
+        }
+        Gate::lapses_at(u.seq, fr)
     }
 
     fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {

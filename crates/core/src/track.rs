@@ -24,8 +24,8 @@ use crate::predictor::AccessPredictor;
 use crate::support::is_access_transmitter;
 use protean_isa::TransmitterSet;
 use protean_sim::{
-    sensitive_root_tainted, BlockPoint, Cache, DefensePolicy, DynInst, RegTags, SpecFrontier,
-    NO_ROOT,
+    sensitive_max_yrot, sensitive_root_tainted, BlockPoint, Cache, DefensePolicy, DynInst, Gate,
+    RegTags, SpecFrontier, NO_ROOT,
 };
 
 /// The ProtTrack policy.
@@ -163,28 +163,30 @@ impl DefensePolicy for ProtTrackPolicy {
         }
     }
 
-    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
-        if u.inst.is_branch() {
-            return true;
+    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        if u.inst.is_branch() || !self.xmit.is_transmitter(&u.inst) {
+            return Gate::Open;
         }
-        if !self.xmit.is_transmitter(&u.inst) {
-            return true;
-        }
-        if fr.is_non_speculative(u.seq) {
-            return true;
-        }
-        // Tainted sensitive operand (AccessTrack) or protected sensitive
-        // operand (access transmitter): stall.
-        !sensitive_root_tainted(u, &self.xmit, tags, fr)
-            && !is_access_transmitter(u, &self.xmit, tags)
+        // A protected sensitive operand (access transmitter) stalls until
+        // the µop is non-speculative; a tainted one (AccessTrack) until
+        // the µop or its youngest root is, whichever comes first.
+        let until = if is_access_transmitter(u, &self.xmit, tags) {
+            u.seq
+        } else {
+            u.seq.min(sensitive_max_yrot(u, &self.xmit, tags))
+        };
+        Gate::lapses_at(until, fr)
     }
 
-    fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
-        if u.delay_wakeup_nonspec && !fr.is_non_speculative(u.seq) {
-            return false;
-        }
-        // Store-forwarding hold: until the forwarded data's root retires.
-        !fr.root_speculative(u.wakeup_hold_root)
+    fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        // ProtDelay fallback until non-speculative, and the
+        // store-forwarding hold until the forwarded data's root retires.
+        let delay = if u.delay_wakeup_nonspec {
+            u.seq
+        } else {
+            NO_ROOT
+        };
+        Gate::lapses_at(delay.max(u.wakeup_hold_root), fr)
     }
 
     fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {

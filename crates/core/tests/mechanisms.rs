@@ -234,8 +234,14 @@ fn protean_policies_never_block_at_the_head() {
         ];
         for policy in policies {
             let name = policy.name();
-            assert!(policy.may_execute(&u, &tags, &fr), "{name} ({model:?})");
-            assert!(policy.may_wakeup(&u, &tags, &fr), "{name} ({model:?})");
+            assert!(
+                policy.may_execute(&u, &tags, &fr).is_open(),
+                "{name} ({model:?})"
+            );
+            assert!(
+                policy.may_wakeup(&u, &tags, &fr).is_open(),
+                "{name} ({model:?})"
+            );
             assert!(policy.may_resolve(&u, &tags, &fr), "{name} ({model:?})");
         }
     }

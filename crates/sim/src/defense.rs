@@ -21,6 +21,14 @@ pub const NO_ROOT: Seq = 0;
 
 /// Per-physical-register defense metadata, owned by the pipeline and
 /// manipulated by policies.
+///
+/// Policies write a register's tags when it is allocated (at rename of
+/// its producer) and when its producer executes, before any consumer
+/// can read it. A later write to a register that in-flight µops already
+/// read must go through a method that bumps [`RegTags::generation`]
+/// (today only [`RegTags::untaint`]): the pipeline parks gate denials on
+/// the frontier point named in their verdict (see [`Gate`]) and
+/// re-evaluates every parked µop when the generation moves.
 #[derive(Clone, Debug)]
 pub struct RegTags {
     /// ProtISA protection tag (paper §IV-E: exposed throughout the
@@ -34,6 +42,9 @@ pub struct RegTags {
     /// [`NO_ROOT`]. A value is *tainted* while its root is still
     /// speculative.
     pub yrot: Vec<Seq>,
+    /// Bumped by every tag write that can open a closed gate (see the
+    /// struct docs).
+    generation: u64,
 }
 
 impl RegTags {
@@ -45,6 +56,7 @@ impl RegTags {
             prot: vec![false; n],
             taint: vec![false; n],
             yrot: vec![NO_ROOT; n],
+            generation: 0,
         };
         for i in 0..arch_regs {
             tags.prot[i] = true;
@@ -53,12 +65,31 @@ impl RegTags {
         tags
     }
 
+    /// Clears the value taint of physical register `p`, bumping the
+    /// generation if it was set: the register may already be a source
+    /// of in-flight µops whose gates this opens (SPT's commit-time
+    /// untaint of transmitted operands).
+    #[inline]
+    pub fn untaint(&mut self, p: usize) {
+        if self.taint[p] {
+            self.taint[p] = false;
+            self.generation += 1;
+        }
+    }
+
+    /// The tag-write generation (see the struct docs).
+    #[inline]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Restores the freshly-constructed state in place (the
     /// `Core::reset` arena path).
     pub fn reset(&mut self, arch_regs: usize) {
         self.prot.fill(false);
         self.taint.fill(false);
         self.yrot.fill(NO_ROOT);
+        self.generation = 0;
         for i in 0..arch_regs {
             self.prot[i] = true;
             self.taint[i] = true;
@@ -80,17 +111,27 @@ pub struct SpecFrontier {
 }
 
 impl SpecFrontier {
+    /// The frontier point: every µop with a sequence number at or below
+    /// it is non-speculative this cycle. The ROB head under `AtCommit`,
+    /// the oldest unresolved branch under `Control` (`Seq::MAX` when
+    /// there is none).
+    #[inline]
+    pub fn point(&self) -> Seq {
+        match self.model {
+            SpeculationModel::AtCommit => self.head_seq,
+            SpeculationModel::Control => self.oldest_unresolved_branch,
+        }
+    }
+
     /// Whether the µop with sequence `seq` is non-speculative this cycle.
     ///
     /// Under `AtCommit`, a µop is non-speculative only once it reaches
     /// the ROB head; under `Control`, once all *prior* branches resolved
     /// — a branch does not keep itself speculative (`<=`), or a
     /// mispredicted branch could never be allowed to resolve.
+    #[inline]
     pub fn is_non_speculative(&self, seq: Seq) -> bool {
-        match self.model {
-            SpeculationModel::AtCommit => seq <= self.head_seq,
-            SpeculationModel::Control => seq <= self.oldest_unresolved_branch,
-        }
+        seq <= self.point()
     }
 
     /// Whether a taint root is still speculative (i.e. the tainted value
@@ -100,15 +141,56 @@ impl SpecFrontier {
     }
 }
 
+/// A defense gate's verdict on one µop ([`DefensePolicy::may_execute`]
+/// and [`DefensePolicy::may_wakeup`]).
+///
+/// Every in-tree defense holds a µop until the speculation frontier
+/// passes a known point — the µop itself ("until non-speculative") or a
+/// taint root it depends on — so a denial names that point. The
+/// pipeline parks a closed µop and does not ask the policy again until
+/// [`SpecFrontier::point`] reaches `until` (or a tag write bumps
+/// [`RegTags::generation`]); the parked µop still counts as blocked on
+/// every cycle it would have been asked.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Gate {
+    /// The µop may pass this cycle.
+    Open,
+    /// The µop is held at every frontier point below `until`, as long
+    /// as the tags it reads do not change.
+    Closed {
+        /// The frontier point at which the gate lapses.
+        until: Seq,
+    },
+}
+
+impl Gate {
+    /// The gate that lapses once the frontier point reaches `until`:
+    /// open now if it already has. [`NO_ROOT`] is always open.
+    #[inline]
+    pub fn lapses_at(until: Seq, fr: &SpecFrontier) -> Gate {
+        if until <= fr.point() {
+            Gate::Open
+        } else {
+            Gate::Closed { until }
+        }
+    }
+
+    /// Whether the verdict lets the µop pass.
+    #[inline]
+    pub fn is_open(self) -> bool {
+        self == Gate::Open
+    }
+}
+
 /// The pipeline gate at which a [`DefensePolicy`] denied a µop — the
 /// three hook points whose denials are counted in
 /// `Stats::{exec,wakeup,resolve}_blocked_cycles` and attributed per-µop
 /// in the trace audit log.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BlockPoint {
-    /// [`DefensePolicy::may_execute`] returned `false`.
+    /// [`DefensePolicy::may_execute`] returned [`Gate::Closed`].
     Execute = 0,
-    /// [`DefensePolicy::may_wakeup`] returned `false`.
+    /// [`DefensePolicy::may_wakeup`] returned [`Gate::Closed`].
     Wakeup = 1,
     /// [`DefensePolicy::may_resolve`] returned `false`.
     Resolve = 2,
@@ -184,17 +266,21 @@ pub trait DefensePolicy {
         propagate_tags(u, tags);
     }
 
-    /// May this ready µop begin execution this cycle? Returning `false`
-    /// delays transmission (XmitDelay-style); the pipeline retries every
-    /// cycle.
-    fn may_execute(&self, _u: &DynInst, _tags: &RegTags, _fr: &SpecFrontier) -> bool {
-        true
+    /// May this ready µop begin execution this cycle? A
+    /// [`Gate::Closed`] verdict delays transmission (XmitDelay-style)
+    /// until the frontier point reaches its `until`; the pipeline parks
+    /// the µop and asks again only then (or after a
+    /// [`RegTags::generation`] bump), so `until` must be sound: the gate
+    /// must stay closed at every frontier point in `[fr.point(), until)`.
+    fn may_execute(&self, _u: &DynInst, _tags: &RegTags, _fr: &SpecFrontier) -> Gate {
+        Gate::Open
     }
 
     /// May this completed µop wake its dependents this cycle?
-    /// (AccessDelay-style; the pipeline retries every cycle.)
-    fn may_wakeup(&self, _u: &DynInst, _tags: &RegTags, _fr: &SpecFrontier) -> bool {
-        true
+    /// (AccessDelay-style; parked on a closed verdict exactly like
+    /// [`DefensePolicy::may_execute`].)
+    fn may_wakeup(&self, _u: &DynInst, _tags: &RegTags, _fr: &SpecFrontier) -> Gate {
+        Gate::Open
     }
 
     /// May this executed, mispredicted branch initiate its squash this
@@ -206,8 +292,8 @@ pub trait DefensePolicy {
 
     /// Names the rule under which this policy just denied `u` at
     /// `point` — called by the tracer (only when tracing is enabled)
-    /// right after `may_execute`/`may_wakeup`/`may_resolve` returned
-    /// `false`, so the audit log can attribute blocked cycles to a
+    /// for every µop counted as denied at `point` this cycle (including
+    /// parked ones), so the audit log can attribute blocked cycles to a
     /// policy-specific rule. Must not allocate (return a `&'static
     /// str`). The default is a generic label.
     fn block_rule(
@@ -268,6 +354,17 @@ pub fn sensitive_phys(u: &DynInst, t: &TransmitterSet) -> protean_isa::InlineVec
         .collect()
 }
 
+/// The youngest taint root among `u`'s sensitive operands under
+/// transmitter set `t` ([`NO_ROOT`] if none is rooted): the frontier
+/// point at which all of them are untainted.
+pub fn sensitive_max_yrot(u: &DynInst, t: &TransmitterSet, tags: &RegTags) -> Seq {
+    sensitive_phys(u, t)
+        .iter()
+        .map(|&p| tags.yrot[p])
+        .max()
+        .unwrap_or(NO_ROOT)
+}
+
 /// Whether any sensitive operand of `u` is tainted under STT-style
 /// root-based taint.
 pub fn sensitive_root_tainted(
@@ -311,6 +408,10 @@ mod tests {
         assert!(fr.is_non_speculative(10)); // at head
         assert!(fr.is_non_speculative(5)); // older than head (committed)
         assert!(!fr.is_non_speculative(11));
+        assert_eq!(fr.point(), 10);
+        assert_eq!(Gate::lapses_at(10, &fr), Gate::Open);
+        assert_eq!(Gate::lapses_at(11, &fr), Gate::Closed { until: 11 });
+        assert!(Gate::lapses_at(NO_ROOT, &fr).is_open());
         assert!(!fr.root_speculative(NO_ROOT));
         assert!(fr.root_speculative(12));
         assert!(!fr.root_speculative(9));
@@ -329,6 +430,19 @@ mod tests {
         assert!(fr.is_non_speculative(19));
         assert!(fr.is_non_speculative(20));
         assert!(!fr.is_non_speculative(25));
+        assert_eq!(fr.point(), 20);
+    }
+
+    #[test]
+    fn untaint_bumps_the_generation_only_on_change() {
+        let mut tags = RegTags::new(8, 2);
+        tags.untaint(5); // already untainted: nothing to re-evaluate
+        assert_eq!(tags.generation(), 0);
+        tags.untaint(1);
+        assert!(!tags.taint[1]);
+        assert_eq!(tags.generation(), 1);
+        tags.reset(2);
+        assert_eq!(tags.generation(), 0);
     }
 
     #[test]

@@ -54,8 +54,9 @@ pub use bpred::{Btb, Rsb, TagePredictor, HIST_LENGTHS};
 pub use cache::{AccessResult, Cache};
 pub use config::{CacheConfig, CoreConfig, MemProtTracking, SpeculationModel};
 pub use defense::{
-    propagate_tags, sensitive_phys, sensitive_root_tainted, sensitive_value_tainted, BlockPoint,
-    DefensePolicy, RegTags, Seq, SpecFrontier, SquashKind, UnsafePolicy, NO_ROOT,
+    propagate_tags, sensitive_max_yrot, sensitive_phys, sensitive_root_tainted,
+    sensitive_value_tainted, BlockPoint, DefensePolicy, Gate, RegTags, Seq, SpecFrontier,
+    SquashKind, UnsafePolicy, NO_ROOT,
 };
 pub use multicore::{Multicore, MulticoreResult, Thread};
 pub use pipeline::{Core, DstInfo, DynInst, MemState, SimExit, SimResult, UopStatus};

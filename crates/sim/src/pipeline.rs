@@ -12,9 +12,11 @@
 //! The active [`DefensePolicy`] is consulted at every security-relevant
 //! point; the unsafe baseline is the policy that never blocks anything.
 
-use crate::defense::{BlockPoint, DefensePolicy, RegTags, Seq, SpecFrontier, SquashKind, NO_ROOT};
+use crate::defense::{
+    BlockPoint, DefensePolicy, Gate, RegTags, Seq, SpecFrontier, SquashKind, NO_ROOT,
+};
 use crate::profile::{Profiler, Section};
-use crate::sched::{FetchEntry, FetchQueue, Scheduler, SetId};
+use crate::sched::{FetchEntry, FetchQueue, Scheduler, SetId, EXEC_PARKED};
 use crate::trace::{Trace, Tracer};
 use crate::{Btb, Rsb, TagePredictor};
 use crate::{Cache, CoreConfig, MemProtTracking, Stats};
@@ -311,9 +313,15 @@ pub struct Core<'a> {
     /// Each pipeline stage still takes one snapshot at stage start, as
     /// the per-stage scans always did.
     cached_frontier: Option<SpecFrontier>,
-    /// µops the defense denied at the execute gate this tick — recorded
+    /// Number of µops counted as denied at the execute gate this tick,
     /// so idle-cycle fast-forward can bulk-attribute the skipped cycles.
+    exec_blocked_n: u64,
+    /// Those µops themselves, recorded only while tracing (fast-forward
+    /// attributes the skipped cycles to each of them).
     exec_blocked: Vec<Seq>,
+    /// The [`RegTags::generation`] the parked sets were last valid for:
+    /// when the tags move past it, every parked µop is un-parked.
+    parked_tag_gen: u64,
     /// Scratch for draining the completion wheel.
     completions: Vec<Seq>,
     /// Scratch for draining dependent lists in `publish_ready`.
@@ -394,7 +402,9 @@ impl<'a> Core<'a> {
             div_busy_until: 0,
             sched: Scheduler::new(n_phys, cfg.rob_size, max_completion_latency),
             cached_frontier: None,
+            exec_blocked_n: 0,
             exec_blocked: Vec::new(),
+            parked_tag_gen: 0,
             completions: Vec::new(),
             dep_scratch: Vec::new(),
             obs_scratch: Vec::new(),
@@ -492,7 +502,9 @@ impl<'a> Core<'a> {
         self.div_busy_until = 0;
         self.sched.reset();
         self.cached_frontier = None;
+        self.exec_blocked_n = 0;
         self.exec_blocked.clear();
+        self.parked_tag_gen = self.tags.generation();
         self.completions.clear();
         self.dep_scratch.clear();
         self.mem.clone_from(&initial.mem);
@@ -707,6 +719,27 @@ impl<'a> Core<'a> {
         }
     }
 
+    /// [`Core::trace_block`] for each of `seqs`.
+    fn trace_blocks(&mut self, seqs: &[Seq], point: BlockPoint, fr: &SpecFrontier) {
+        for &seq in seqs {
+            let i = self.rob_index(seq).expect("blocked µop is in the ROB");
+            self.trace_block(i, point, fr);
+        }
+    }
+
+    /// Un-parks every parked µop of both gates if a policy wrote tags
+    /// that in-flight µops read since the parks were made (see
+    /// [`RegTags::generation`]).
+    fn unpark_on_tag_write(&mut self) {
+        let gen = self.tags.generation();
+        if gen != self.parked_tag_gen {
+            self.parked_tag_gen = gen;
+            let [exec, wakeup] = self.sched.unpark_all();
+            self.profile.gate_unparks(BlockPoint::Execute, exec);
+            self.profile.gate_unparks(BlockPoint::Wakeup, wakeup);
+        }
+    }
+
     /// Runs `f` inside section `s` (see [`crate::profile`]): component
     /// models and execution are entered from the stage that calls them,
     /// which resumes when `f` returns. Metadata work the defense
@@ -785,18 +818,20 @@ impl<'a> Core<'a> {
         }
         let delta = target - cycle;
         // Each skipped tick would have counted exactly the candidates the
-        // just-simulated tick counted: every wakeup-pending µop, every
-        // resolve candidate (only the oldest under the buggy arbiter),
-        // and every defense-denied issue candidate.
+        // just-simulated tick counted: every wakeup-parked µop (a tick
+        // without progress granted no wakeup, so it parked every
+        // pending one), every resolve candidate (only the oldest under
+        // the buggy arbiter), and every denied issue candidate.
+        debug_assert!(self.sched.is_empty(SetId::WakeupPending));
         let buggy = self.policy.pending_squash_bug();
         let resolve_candidates = if buggy {
             self.sched.len(SetId::ResolvePending).min(1)
         } else {
             self.sched.len(SetId::ResolvePending)
         };
-        self.stats.wakeup_blocked_cycles += delta * self.sched.len(SetId::WakeupPending) as u64;
+        self.stats.wakeup_blocked_cycles += delta * self.sched.len(SetId::WakeupParked) as u64;
         self.stats.resolve_blocked_cycles += delta * resolve_candidates as u64;
-        self.stats.exec_blocked_cycles += delta * self.exec_blocked.len() as u64;
+        self.stats.exec_blocked_cycles += delta * self.exec_blocked_n;
         if self.tracer.is_some() {
             let fr = self.frontier();
             let last = target - 1;
@@ -805,7 +840,7 @@ impl<'a> Core<'a> {
                 scratch.clear();
                 match point {
                     BlockPoint::Wakeup => {
-                        self.sched.collect(SetId::WakeupPending, &mut scratch);
+                        self.sched.collect(SetId::WakeupParked, &mut scratch);
                     }
                     BlockPoint::Resolve if buggy => {
                         scratch.extend(self.sched.first(SetId::ResolvePending));
@@ -948,35 +983,55 @@ impl<'a> Core<'a> {
             self.sched.mark_progress();
         }
         self.completions = completions;
-        // Wakeup: grant or count every pending candidate, in age order —
-        // exactly the candidates the old full-ROB scan would visit.
-        if self.sched.is_empty(SetId::WakeupPending) {
-            return;
+        // Wakeup: grant or park every pending candidate, then count every
+        // parked one — exactly the denials of the old full-ROB scan, which
+        // asked the policy again each cycle. A parked µop is not asked
+        // until the frontier reaches its lapse point.
+        self.unpark_on_tag_write();
+        if !self.sched.is_empty(SetId::WakeupParked) {
+            let n = self.sched.unpark_due(BlockPoint::Wakeup, fr.point());
+            self.profile.gate_unparks(BlockPoint::Wakeup, n);
         }
         let mut scratch = std::mem::take(&mut self.sched.scratch);
-        scratch.clear();
-        self.sched.collect(SetId::WakeupPending, &mut scratch);
-        for &seq in &scratch {
-            let i = self.rob_index(seq).expect("pending µop is in the ROB");
-            if self.policy.may_wakeup(&self.rob[i], &self.tags, &fr) {
-                self.rob[i].wakeup_done = true;
-                for k in 0..self.rob[i].dsts.len() {
-                    let phys = self.rob[i].dsts[k].new_phys;
-                    self.publish_ready(phys);
-                }
-                self.sched.remove(SetId::WakeupPending, seq, i);
-                self.sched.mark_progress();
-            } else {
-                self.stats.wakeup_blocked_cycles += 1;
-                if self.tracer.is_some() {
-                    let u = &self.rob[i];
-                    let rule = self
-                        .policy
-                        .block_rule(u, BlockPoint::Wakeup, &self.tags, &fr);
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.on_block(seq, BlockPoint::Wakeup, cycle, rule);
+        if !self.sched.is_empty(SetId::WakeupPending) {
+            scratch.clear();
+            self.sched.collect(SetId::WakeupPending, &mut scratch);
+            for &seq in &scratch {
+                let i = self.rob_index(seq).expect("pending µop is in the ROB");
+                self.profile.gate_eval(BlockPoint::Wakeup);
+                match self.policy.may_wakeup(&self.rob[i], &self.tags, &fr) {
+                    Gate::Open => {
+                        self.rob[i].wakeup_done = true;
+                        for k in 0..self.rob[i].dsts.len() {
+                            let phys = self.rob[i].dsts[k].new_phys;
+                            self.publish_ready(phys);
+                        }
+                        self.sched.remove(SetId::WakeupPending, seq, i);
+                        self.sched.mark_progress();
+                    }
+                    Gate::Closed { until } => {
+                        self.sched.park(SetId::WakeupParked, seq, i, until);
+                        self.profile.gate_park(BlockPoint::Wakeup);
                     }
                 }
+            }
+        }
+        let parked = self.sched.len(SetId::WakeupParked);
+        self.stats.wakeup_blocked_cycles += parked as u64;
+        if parked != 0 && (self.tracer.is_some() || cfg!(debug_assertions)) {
+            scratch.clear();
+            self.sched.collect(SetId::WakeupParked, &mut scratch);
+            self.trace_blocks(&scratch, BlockPoint::Wakeup, &fr);
+            #[cfg(debug_assertions)]
+            for &seq in &scratch {
+                let i = self.rob_index(seq).expect("parked µop is in the ROB");
+                debug_assert!(
+                    !self
+                        .policy
+                        .may_wakeup(&self.rob[i], &self.tags, &fr)
+                        .is_open(),
+                    "wakeup-parked µop {seq} passed its lapse point unnoticed"
+                );
             }
         }
         self.sched.scratch = scratch;
@@ -1058,6 +1113,7 @@ impl<'a> Core<'a> {
             let i = self
                 .rob_index(seq)
                 .expect("resolve candidate is in the ROB");
+            self.profile.gate_eval(BlockPoint::Resolve);
             if self.policy.may_resolve(&self.rob[i], &self.tags, &fr) {
                 chosen = Some(i);
                 break;
@@ -1208,9 +1264,10 @@ impl<'a> Core<'a> {
                 let seq = head.seq;
                 if !head.wakeup_done && !head.dsts.is_empty() {
                     // The head may commit while its wakeup is still
-                    // denied — its pending entry must not outlive its
-                    // ROB slot.
+                    // denied — its pending (or parked) entry must not
+                    // outlive its ROB slot.
                     self.sched.remove(SetId::WakeupPending, seq, 0);
+                    self.sched.remove(SetId::WakeupParked, seq, 0);
                 }
                 if head.is_load() {
                     self.sched.remove(SetId::InflightLoads, seq, 0);
@@ -1390,19 +1447,40 @@ impl<'a> Core<'a> {
     // Issue & execute
     // ------------------------------------------------------------------
 
+    /// Number of µops parked at the execute gate.
+    fn exec_parked(&self) -> usize {
+        EXEC_PARKED.iter().map(|&s| self.sched.len(s)).sum()
+    }
+
+    /// The issue stage. Walks the issue-ready candidates inside the
+    /// issue window in age order, asking the defense about each one
+    /// that has a port; a closed verdict parks the µop until the
+    /// frontier reaches its lapse point.
+    ///
+    /// A parked µop is still counted as denied on every cycle the old
+    /// per-cycle loop would have asked about it: whenever the walk would
+    /// have reached it with its port class free (and, for a divide, the
+    /// divider idle). Parked µops consume no resources, so those
+    /// conditions change only at executed candidates; the walk records
+    /// the ROB index at which each one stopped holding and counts the
+    /// parked µops of each class below it with a rank query.
     fn issue(&mut self) {
-        // Recorded for idle-cycle fast-forward: the µops the defense
-        // denied this tick (an identical set would be denied every
-        // skipped idle cycle).
+        self.exec_blocked_n = 0;
         self.exec_blocked.clear();
-        if self.sched.is_empty(SetId::IssueReady) {
+        self.unpark_on_tag_write();
+        let mut parked = self.exec_parked() != 0;
+        if !parked && self.sched.is_empty(SetId::IssueReady) {
             return;
         }
         let fr = self.frontier();
+        if parked {
+            let n = self.sched.unpark_due(BlockPoint::Execute, fr.point());
+            self.profile.gate_unparks(BlockPoint::Execute, n);
+        }
         // The issue window admits the `iq_size` oldest *waiting* µops,
-        // ready or not — the old scan broke upon reaching the
-        // (iq_size+1)-th waiting entry, so that entry's sequence number
-        // is the exclusive cutoff for ready candidates.
+        // ready or not (parked ones included) — the old scan broke upon
+        // reaching the (iq_size+1)-th waiting entry, so that entry's
+        // sequence number is the exclusive cutoff for ready candidates.
         let cutoff = if self.sched.len(SetId::Waiting) > self.cfg.iq_size {
             self.sched
                 .nth(SetId::Waiting, self.cfg.iq_size)
@@ -1413,6 +1491,19 @@ impl<'a> Core<'a> {
         let mut alu_slots = self.cfg.alu_ports;
         let mut mem_slots = self.cfg.mem_ports;
         let mut issued = 0usize;
+        let width = self.cfg.issue_width;
+        let full =
+            |issued: usize, alu: usize, mem: usize| issued >= width || (alu == 0 && mem == 0);
+        // ROB indices from which the old loop would have skipped a parked
+        // µop: once the loop broke, once each port class ran out, once
+        // the divider was busy.
+        let n = self.rob.len();
+        let mut stop_end = if full(0, alu_slots, mem_slots) { 0 } else { n };
+        let (mut mem_end, mut alu_end) = (n, n);
+        let div_busy_at_start = self.div_busy_until > self.cycle;
+        let mut div_end = if div_busy_at_start { 0 } else { n };
+        #[cfg(debug_assertions)]
+        let mut issued_log: Vec<(usize, bool, bool)> = Vec::new();
         let mut pending_violation: Option<(Seq, u32)> = None;
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
@@ -1420,7 +1511,7 @@ impl<'a> Core<'a> {
             .collect_below(SetId::IssueReady, cutoff, &mut scratch);
 
         for &seq in &scratch {
-            if issued >= self.cfg.issue_width || (alu_slots == 0 && mem_slots == 0) {
+            if full(issued, alu_slots, mem_slots) {
                 break;
             }
             let i = self.rob_index(seq).expect("issue-ready µop is in the ROB");
@@ -1435,14 +1526,23 @@ impl<'a> Core<'a> {
                 continue;
             }
             // Divider occupancy.
-            if self.rob[i].inst.is_div() && self.div_busy_until > self.cycle {
+            let is_div = self.rob[i].inst.is_div();
+            if is_div && self.div_busy_until > self.cycle {
                 continue;
             }
             // Defense gate.
-            if !self.policy.may_execute(&self.rob[i], &self.tags, &fr) {
-                self.stats.exec_blocked_cycles += 1;
-                self.trace_block(i, BlockPoint::Execute, &fr);
-                self.exec_blocked.push(seq);
+            self.profile.gate_eval(BlockPoint::Execute);
+            if let Gate::Closed { until } = self.policy.may_execute(&self.rob[i], &self.tags, &fr) {
+                let class = if is_mem {
+                    SetId::ExecParkedMem
+                } else if is_div {
+                    SetId::ExecParkedDiv
+                } else {
+                    SetId::ExecParkedAlu
+                };
+                self.sched.park(class, seq, i, until);
+                self.profile.gate_park(BlockPoint::Execute);
+                parked = true;
                 continue;
             }
             // Execute (false = blocked, e.g. a partial store overlap).
@@ -1453,9 +1553,23 @@ impl<'a> Core<'a> {
                 issued += 1;
                 if is_mem {
                     mem_slots -= 1;
+                    if mem_slots == 0 {
+                        mem_end = i;
+                    }
                 } else {
                     alu_slots -= 1;
+                    if alu_slots == 0 {
+                        alu_end = i;
+                    }
                 }
+                if is_div && div_end == n && self.div_busy_until > self.cycle {
+                    div_end = i;
+                }
+                if full(issued, alu_slots, mem_slots) {
+                    stop_end = i;
+                }
+                #[cfg(debug_assertions)]
+                issued_log.push((i, is_mem, self.div_busy_until > self.cycle));
                 self.sched.remove(SetId::Waiting, seq, i);
                 self.sched.remove(SetId::IssueReady, seq, i);
                 self.sched.mark_progress();
@@ -1467,11 +1581,102 @@ impl<'a> Core<'a> {
                 }
             }
         }
+
+        if parked && self.exec_parked() != 0 {
+            let cutoff_end = match cutoff {
+                Seq::MAX => n,
+                seq => self.rob_index(seq).expect("waiting µop is in the ROB"),
+            };
+            let end = cutoff_end.min(stop_end);
+            self.count_exec_parked(
+                [
+                    end.min(mem_end),
+                    end.min(alu_end),
+                    end.min(alu_end).min(div_end),
+                ],
+                &fr,
+            );
+            #[cfg(debug_assertions)]
+            self.check_exec_parking(&fr, cutoff_end, div_busy_at_start, &issued_log);
+        }
         self.sched.scratch = scratch;
 
         if let Some((surviving, refetch_idx)) = pending_violation {
             self.squash_and_refetch(surviving, Some(refetch_idx), SquashKind::MemOrder);
         }
+    }
+
+    /// Counts (and traces) the execute-parked µops the old per-cycle
+    /// loop would have denied this tick: those of each parked class
+    /// (`EXEC_PARKED` order) below that class's ROB-index bound. Kept
+    /// out of line: the issue loop runs on every tick, this only on
+    /// ticks with parked µops.
+    #[inline(never)]
+    fn count_exec_parked(&mut self, ends: [usize; 3], fr: &SpecFrontier) {
+        for (set, end) in EXEC_PARKED.into_iter().zip(ends) {
+            if self.sched.is_empty(set) {
+                continue;
+            }
+            self.exec_blocked_n += self.sched.count_below(set, end) as u64;
+            if self.tracer.is_some() {
+                self.sched.collect_until(set, end, &mut self.exec_blocked);
+            }
+        }
+        self.stats.exec_blocked_cycles += self.exec_blocked_n;
+        let blocked = std::mem::take(&mut self.exec_blocked);
+        self.trace_blocks(&blocked, BlockPoint::Execute, fr);
+        self.exec_blocked = blocked;
+    }
+
+    /// Debug check of the parked-gate counting argument: replays the
+    /// old per-cycle issue loop over every execute-parked µop (using
+    /// the candidates this tick executed, as `(ROB index, is_mem,
+    /// divider busy after)`), asserts that each parked µop's gate is
+    /// still closed, and that the loop would have denied exactly
+    /// `exec_blocked_n` of them.
+    #[cfg(debug_assertions)]
+    fn check_exec_parking(
+        &self,
+        fr: &SpecFrontier,
+        cutoff_end: usize,
+        mut div_busy: bool,
+        issued_log: &[(usize, bool, bool)],
+    ) {
+        let (mut issued, mut alu, mut mem) = (0, self.cfg.alu_ports, self.cfg.mem_ports);
+        let mut log = issued_log.iter().peekable();
+        let mut denied = 0u64;
+        for (i, u) in self.rob.iter().enumerate() {
+            if let Some(&&(j, is_mem, busy)) = log.peek() {
+                if j == i {
+                    log.next();
+                    issued += 1;
+                    if is_mem {
+                        mem -= 1;
+                    } else {
+                        alu -= 1;
+                    }
+                    div_busy = busy;
+                    continue;
+                }
+            }
+            if !EXEC_PARKED
+                .iter()
+                .any(|&s| self.sched.contains(s, u.seq, i))
+            {
+                continue;
+            }
+            assert!(
+                !self.policy.may_execute(u, &self.tags, fr).is_open(),
+                "execute-parked µop {} passed its lapse point unnoticed",
+                u.seq
+            );
+            let broke = issued >= self.cfg.issue_width || (alu == 0 && mem == 0);
+            let port = if u.inst.is_mem() { mem } else { alu };
+            if i < cutoff_end && !broke && port > 0 && !(u.inst.is_div() && div_busy) {
+                denied += 1;
+            }
+        }
+        assert_eq!(denied, self.exec_blocked_n, "parked execute-gate count");
     }
 
     fn src_val(&self, u: &DynInst, reg: Reg) -> u64 {

@@ -11,12 +11,19 @@
 //! number, and the reported nanoseconds are scaled by total ÷ timed
 //! ticks.
 //!
+//! Beside the sections, the profiler counts the defense gates' work:
+//! policy evaluations, parks and un-parks per gate (see
+//! [`crate::Gate`]). These are exact event counts too, reported on the
+//! row of the section that runs the gate (`issue` for the execute gate,
+//! `wakeup`, `resolve`).
+//!
 //! Same pure-observer discipline as the tracer (`crate::trace`): the
 //! profiler reads clocks and never feeds back into simulation. Cores
 //! flush into process-wide atomics at the end of every run, so a whole
 //! campaign (including parallel workers) folds into one [`totals`]
 //! table.
 
+use crate::defense::BlockPoint;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -72,6 +79,9 @@ const NAMES: [&str; N_SECTIONS] = [
     "bpred",
 ];
 
+/// The section each gate runs in, indexed by [`BlockPoint`].
+const GATE_SECTIONS: [Section; 3] = [Section::Issue, Section::Wakeup, Section::Resolve];
+
 /// One tick in this many is timed.
 pub const SAMPLE_EVERY: u64 = 64;
 
@@ -99,6 +109,11 @@ pub(crate) struct Profiler {
     calls: [u64; N_SECTIONS],
     timed_calls: [u64; N_SECTIONS],
     nanos: [u64; N_SECTIONS],
+    /// Per gate ([`BlockPoint`] order): policy evaluations, parks and
+    /// un-parks.
+    gate_evals: [u64; 3],
+    gate_parks: [u64; 3],
+    gate_unparks: [u64; 3],
 }
 
 impl Default for Profiler {
@@ -112,6 +127,9 @@ impl Default for Profiler {
             calls: [0; N_SECTIONS],
             timed_calls: [0; N_SECTIONS],
             nanos: [0; N_SECTIONS],
+            gate_evals: [0; 3],
+            gate_parks: [0; 3],
+            gate_unparks: [0; 3],
         }
     }
 }
@@ -166,6 +184,24 @@ impl Profiler {
         }
     }
 
+    /// Counts one policy evaluation at `gate`.
+    #[inline]
+    pub fn gate_eval(&mut self, gate: BlockPoint) {
+        self.gate_evals[gate as usize] += 1;
+    }
+
+    /// Counts one µop parked at `gate`.
+    #[inline]
+    pub fn gate_park(&mut self, gate: BlockPoint) {
+        self.gate_parks[gate as usize] += 1;
+    }
+
+    /// Counts `n` µops un-parked at `gate`.
+    #[inline]
+    pub fn gate_unparks(&mut self, gate: BlockPoint, n: u64) {
+        self.gate_unparks[gate as usize] += n;
+    }
+
     /// Charges the time since the last switch to the active section,
     /// makes `s` active and returns the section left.
     #[cold]
@@ -185,12 +221,18 @@ impl Profiler {
             .into_iter()
             .chain(&TOTAL_CALLS)
             .chain(&TOTAL_TIMED_CALLS)
-            .chain(&TOTAL_NANOS);
+            .chain(&TOTAL_NANOS)
+            .chain(&TOTAL_GATE_EVALS)
+            .chain(&TOTAL_GATE_PARKS)
+            .chain(&TOTAL_GATE_UNPARKS);
         let locals = [&mut self.ticks, &mut self.timed_ticks]
             .into_iter()
             .chain(&mut self.calls)
             .chain(&mut self.timed_calls)
-            .chain(&mut self.nanos);
+            .chain(&mut self.nanos)
+            .chain(&mut self.gate_evals)
+            .chain(&mut self.gate_parks)
+            .chain(&mut self.gate_unparks);
         for (total, local) in totals.zip(locals) {
             if *local != 0 {
                 total.fetch_add(std::mem::take(local), Ordering::Relaxed);
@@ -204,6 +246,9 @@ static TOTAL_TIMED_TICKS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_CALLS: [AtomicU64; N_SECTIONS] = [const { AtomicU64::new(0) }; N_SECTIONS];
 static TOTAL_TIMED_CALLS: [AtomicU64; N_SECTIONS] = [const { AtomicU64::new(0) }; N_SECTIONS];
 static TOTAL_NANOS: [AtomicU64; N_SECTIONS] = [const { AtomicU64::new(0) }; N_SECTIONS];
+static TOTAL_GATE_EVALS: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
+static TOTAL_GATE_PARKS: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
+static TOTAL_GATE_UNPARKS: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 
 /// One section's process-wide totals.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -216,6 +261,13 @@ pub struct SectionTotal {
     pub calls: u64,
     /// Entries on timed ticks: the sample behind `nanos`.
     pub timed_calls: u64,
+    /// Defense-gate policy evaluations made in this section (exact;
+    /// zero for sections that run no gate).
+    pub gate_evals: u64,
+    /// µops parked at this section's gate (exact).
+    pub gate_parks: u64,
+    /// µops un-parked at this section's gate (exact).
+    pub gate_unparks: u64,
 }
 
 /// Scales `nanos` measured on `timed_ticks` of `ticks` ticks up to all
@@ -232,11 +284,18 @@ pub fn totals() -> Vec<SectionTotal> {
     let ticks = TOTAL_TICKS.load(Ordering::Relaxed);
     let timed_ticks = TOTAL_TIMED_TICKS.load(Ordering::Relaxed);
     (0..N_SECTIONS)
-        .map(|i| SectionTotal {
-            section: NAMES[i],
-            nanos: scale(TOTAL_NANOS[i].load(Ordering::Relaxed), ticks, timed_ticks),
-            calls: TOTAL_CALLS[i].load(Ordering::Relaxed),
-            timed_calls: TOTAL_TIMED_CALLS[i].load(Ordering::Relaxed),
+        .map(|i| {
+            let gate = GATE_SECTIONS.iter().position(|&s| s as usize == i);
+            let gate_total = |t: &[AtomicU64; 3]| gate.map_or(0, |g| t[g].load(Ordering::Relaxed));
+            SectionTotal {
+                section: NAMES[i],
+                nanos: scale(TOTAL_NANOS[i].load(Ordering::Relaxed), ticks, timed_ticks),
+                calls: TOTAL_CALLS[i].load(Ordering::Relaxed),
+                timed_calls: TOTAL_TIMED_CALLS[i].load(Ordering::Relaxed),
+                gate_evals: gate_total(&TOTAL_GATE_EVALS),
+                gate_parks: gate_total(&TOTAL_GATE_PARKS),
+                gate_unparks: gate_total(&TOTAL_GATE_UNPARKS),
+            }
         })
         .collect()
 }

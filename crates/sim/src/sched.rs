@@ -24,8 +24,15 @@
 //! * a **store-data waiter set**: stores (and calls) that have computed
 //!   their address but not yet captured their data operand;
 //! * a **wakeup-pending set**: completed µops whose result broadcast the
-//!   defense is still denying (`may_wakeup`) — re-checked each cycle
-//!   until granted, exactly like the old per-ROB scan;
+//!   defense has not yet granted (`may_wakeup`) and that are not parked;
+//! * **parked sets** for the two defense gates: µops whose
+//!   `may_execute`/`may_wakeup` verdict was `Gate::Closed { until }`
+//!   wait here, out of the candidate sets, until the frontier point
+//!   reaches `until` (a min-queue of lapse points per gate) or a tag
+//!   write bumps `RegTags::generation`. The execute-parked set is split
+//!   by port class (memory, ALU, divider) so the issue stage counts the
+//!   parked µops the old loop would have denied with one popcount rank
+//!   query per class instead of re-asking the policy;
 //! * a **resolve-pending set**: executed, unresolved, mispredicted
 //!   branches — the exact candidate set of `resolve_branches`;
 //! * an **unresolved-branch set** (every in-flight branch that has not
@@ -79,6 +86,13 @@
 //! `Core::reset` invalidates every list head in O(1) by bumping an
 //! epoch.
 //!
+//! The lapse-point queues use the same lazy deletion as the wheel: an
+//! entry carries its slot and dispatch generation and is dropped on pop
+//! unless that slot still holds the same µop in the same parked set,
+//! so squash and commit never touch a queue. A tick whose earliest lapse
+//! point is still ahead of the frontier un-parks nothing at the cost of
+//! one comparison.
+//!
 //! The scheduler also powers **idle-cycle fast-forward**: when a tick
 //! makes no progress (see [`Scheduler::progress`]), the pipeline asks
 //! for the next cycle at which anything can change
@@ -88,11 +102,11 @@
 //! reconciliation stay byte-exact. See `DESIGN.md` for the invariant
 //! argument.
 
-use crate::defense::Seq;
+use crate::defense::{BlockPoint, Seq};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Identifies one of the eight status sets (see module docs). The
+/// Identifies one of the twelve status sets (see module docs). The
 /// numeric value indexes the scheduler's set array.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum SetId {
@@ -114,9 +128,65 @@ pub(crate) enum SetId {
     InflightLoads = 6,
     /// Every in-flight store (including `call`), in age order.
     InflightStores = 7,
+    /// Issue-ready memory µops whose execute gate is closed (parked).
+    ExecParkedMem = 8,
+    /// Issue-ready non-memory, non-divide µops whose execute gate is
+    /// closed.
+    ExecParkedAlu = 9,
+    /// Issue-ready divide µops whose execute gate is closed (ALU port
+    /// plus the divider's occupancy rule).
+    ExecParkedDiv = 10,
+    /// Completed µops whose wakeup gate is closed.
+    WakeupParked = 11,
 }
 
-const N_SETS: usize = 8;
+const N_SETS: usize = 12;
+
+/// The execute-parked sets, one per port class.
+pub(crate) const EXEC_PARKED: [SetId; 3] = [
+    SetId::ExecParkedMem,
+    SetId::ExecParkedAlu,
+    SetId::ExecParkedDiv,
+];
+
+/// A parked µop's lapse point, slot and dispatch generation (the lazy
+/// deletion check).
+#[derive(Clone, Copy, Debug)]
+struct Lapse {
+    until: Seq,
+    slot: u32,
+    gen: u32,
+}
+
+/// A min-queue of lapse points: a deque kept sorted by `until`. Lapse
+/// points lie at or below the parked µop's own sequence number and µops
+/// park roughly in age order, so almost every park appends at the back
+/// and every un-park pops the front — cheaper than a binary heap's
+/// sifts for the short holds of a small core.
+#[derive(Debug, Default)]
+struct LapseQueue(VecDeque<Lapse>);
+
+impl LapseQueue {
+    #[inline]
+    fn push(&mut self, l: Lapse) {
+        let q = &mut self.0;
+        if q.back().is_none_or(|b| b.until <= l.until) {
+            q.push_back(l);
+        } else {
+            let at = q.partition_point(|e| e.until <= l.until);
+            q.insert(at, l);
+        }
+    }
+
+    /// The earliest entry if its lapse point is at or below `fp`.
+    #[inline]
+    fn pop_due(&mut self, fp: Seq) -> Option<Lapse> {
+        match self.0.front() {
+            Some(l) if l.until <= fp => self.0.pop_front(),
+            _ => None,
+        }
+    }
+}
 
 const NO_NODE: u32 = u32::MAX;
 
@@ -153,9 +223,34 @@ impl FlatSet {
         }
     }
 
-    #[cfg(debug_assertions)]
+    #[inline]
     fn contains(&self, slot: usize) -> bool {
         self.words[slot >> 6] & (1u64 << (slot & 63)) != 0
+    }
+
+    /// Word `w` of the slot range `[lo, hi)` (non-empty), with the
+    /// bits outside the range masked off.
+    #[inline]
+    fn masked(&self, w: usize, lo: usize, hi: usize) -> u64 {
+        let mut bits = self.words[w];
+        if w == lo >> 6 {
+            bits &= u64::MAX << (lo & 63);
+        }
+        if w == (hi - 1) >> 6 && hi & 63 != 0 {
+            bits &= (1u64 << (hi & 63)) - 1;
+        }
+        bits
+    }
+
+    /// Number of set slots in `[lo, hi)`: one popcount per word.
+    #[inline]
+    fn count(&self, lo: usize, hi: usize) -> usize {
+        if lo >= hi {
+            return 0;
+        }
+        ((lo >> 6)..=((hi - 1) >> 6))
+            .map(|w| self.masked(w, lo, hi).count_ones() as usize)
+            .sum()
     }
 
     fn clear(&mut self) {
@@ -172,15 +267,8 @@ impl FlatSet {
         if lo >= hi {
             return true;
         }
-        let (first_w, last_w) = (lo >> 6, (hi - 1) >> 6);
-        for w in first_w..=last_w {
-            let mut bits = self.words[w];
-            if w == first_w {
-                bits &= u64::MAX << (lo & 63);
-            }
-            if w == last_w && hi & 63 != 0 {
-                bits &= (1u64 << (hi & 63)) - 1;
-            }
+        for w in (lo >> 6)..=((hi - 1) >> 6) {
+            let mut bits = self.masked(w, lo, hi);
             while bits != 0 {
                 if !f((w << 6) | bits.trailing_zeros() as usize) {
                     return false;
@@ -197,15 +285,8 @@ impl FlatSet {
         if lo >= hi {
             return true;
         }
-        let (first_w, last_w) = (lo >> 6, (hi - 1) >> 6);
-        for w in (first_w..=last_w).rev() {
-            let mut bits = self.words[w];
-            if w == first_w {
-                bits &= u64::MAX << (lo & 63);
-            }
-            if w == last_w && hi & 63 != 0 {
-                bits &= (1u64 << (hi & 63)) - 1;
-            }
+        for w in ((lo >> 6)..=((hi - 1) >> 6)).rev() {
+            let mut bits = self.masked(w, lo, hi);
             while bits != 0 {
                 let b = 63 - bits.leading_zeros() as usize;
                 if !f((w << 6) | b) {
@@ -224,15 +305,8 @@ impl FlatSet {
         if lo >= hi {
             return Err(k);
         }
-        let (first_w, last_w) = (lo >> 6, (hi - 1) >> 6);
-        for w in first_w..=last_w {
-            let mut bits = self.words[w];
-            if w == first_w {
-                bits &= u64::MAX << (lo & 63);
-            }
-            if w == last_w && hi & 63 != 0 {
-                bits &= (1u64 << (hi & 63)) - 1;
-            }
+        for w in (lo >> 6)..=((hi - 1) >> 6) {
+            let mut bits = self.masked(w, lo, hi);
             let c = bits.count_ones() as usize;
             if k < c {
                 for _ in 0..k {
@@ -274,8 +348,12 @@ pub(crate) struct Scheduler {
     /// distinguishes a squashed µop's leftovers from the slot's current
     /// occupant.
     slot_gen: Vec<u32>,
-    /// The eight status sets as slot bitsets.
+    /// The status sets as slot bitsets.
     sets: [FlatSet; N_SETS],
+    /// Lapse points of the execute- and wakeup-parked µops (min-queues
+    /// with lazy deletion, see module docs).
+    exec_lapses: LapseQueue,
+    wakeup_lapses: LapseQueue,
 
     // ---- dependent-list arena ---------------------------------------
     /// Intrusive doubly-linked node per slot (`NO_NODE` = nil). A µop is
@@ -344,6 +422,8 @@ impl Scheduler {
             slot_seq: vec![0; cap],
             slot_gen: vec![0; cap],
             sets: std::array::from_fn(|_| FlatSet::with_capacity(cap)),
+            exec_lapses: LapseQueue::default(),
+            wakeup_lapses: LapseQueue::default(),
             dep_next: vec![NO_NODE; cap],
             dep_prev: vec![NO_NODE; cap],
             dep_phys: vec![NO_NODE; cap],
@@ -375,6 +455,8 @@ impl Scheduler {
         for set in &mut self.sets {
             set.clear();
         }
+        self.exec_lapses.0.clear();
+        self.wakeup_lapses.0.clear();
         self.dep_epoch_cur += 1; // O(1) dependent-list invalidation
         for b in &mut self.buckets {
             b.clear();
@@ -479,7 +561,9 @@ impl Scheduler {
         let slot = (self.tail_pos & self.mask()) as usize;
         debug_assert_eq!(self.slot_seq[slot], seq, "squash pops the ROB tail");
         for set in &mut self.sets {
-            set.remove(slot);
+            if set.len != 0 {
+                set.remove(slot);
+            }
         }
         self.unlink_dep(slot);
     }
@@ -490,6 +574,10 @@ impl Scheduler {
     #[inline]
     pub fn insert(&mut self, set: SetId, seq: Seq, rob_i: usize) {
         let slot = self.slot_of(rob_i, seq);
+        debug_assert!(
+            !matches!(set, SetId::IssueReady | SetId::WakeupPending) || !self.parked(slot),
+            "a parked µop re-entered a candidate set"
+        );
         let s = &mut self.sets[set as usize];
         s.insert(slot);
         if set == SetId::Waiting && s.len as u64 > self.iq_hwm {
@@ -508,6 +596,120 @@ impl Scheduler {
     #[inline]
     pub fn len(&self, set: SetId) -> usize {
         self.sets[set as usize].len
+    }
+
+    /// Number of entries of `set` at ROB indices below `rob_end` (the
+    /// popcount rank query behind the issue stage's parked counts).
+    #[inline]
+    pub fn count_below(&self, set: SetId, rob_end: usize) -> usize {
+        let ((a0, a1), (b0, b1)) = self.pieces(0, rob_end);
+        let s = &self.sets[set as usize];
+        s.count(a0, a1) + s.count(b0, b1)
+    }
+
+    /// Whether `seq` (at ROB index `rob_i`) is in `set`.
+    #[cfg(debug_assertions)]
+    pub fn contains(&self, set: SetId, seq: Seq, rob_i: usize) -> bool {
+        self.sets[set as usize].contains(self.slot_of(rob_i, seq))
+    }
+
+    /// Whether `slot` is in any parked set.
+    fn parked(&self, slot: usize) -> bool {
+        EXEC_PARKED
+            .iter()
+            .chain(&[SetId::WakeupParked])
+            .any(|&s| self.sets[s as usize].contains(slot))
+    }
+
+    // ---- parked gates -----------------------------------------------
+
+    /// Parks `seq` (at ROB index `rob_i`): moves it from its candidate
+    /// set (`IssueReady` for the execute-parked sets, `WakeupPending`
+    /// for `WakeupParked`) into `parked` until the frontier point
+    /// reaches `until`.
+    #[inline]
+    pub fn park(&mut self, parked: SetId, seq: Seq, rob_i: usize, until: Seq) {
+        let slot = self.slot_of(rob_i, seq);
+        let (from, queue) = match parked {
+            SetId::WakeupParked => (SetId::WakeupPending, &mut self.wakeup_lapses),
+            _ => {
+                debug_assert!(EXEC_PARKED.contains(&parked), "not a parked set");
+                (SetId::IssueReady, &mut self.exec_lapses)
+            }
+        };
+        debug_assert!(
+            self.sets[from as usize].contains(slot),
+            "parking a non-candidate"
+        );
+        self.sets[from as usize].remove(slot);
+        self.sets[parked as usize].insert(slot);
+        queue.push(Lapse {
+            until,
+            slot: slot as u32,
+            gen: self.slot_gen[slot],
+        });
+    }
+
+    /// Un-parks every µop of `gate`'s parked sets whose lapse point is
+    /// at or below the frontier point `fp`, back into its candidate set.
+    /// Returns how many moved. Stale queue entries (squashed, committed
+    /// or already un-parked µops) are dropped on the way.
+    #[inline]
+    pub fn unpark_due(&mut self, gate: BlockPoint, fp: Seq) -> u64 {
+        let (queue, parked, to): (_, &[SetId], _) = match gate {
+            BlockPoint::Wakeup => (
+                &mut self.wakeup_lapses,
+                &[SetId::WakeupParked],
+                SetId::WakeupPending,
+            ),
+            _ => (&mut self.exec_lapses, &EXEC_PARKED, SetId::IssueReady),
+        };
+        let mut moved = 0;
+        while let Some(Lapse { slot, gen, .. }) = queue.pop_due(fp) {
+            let slot = slot as usize;
+            if self.slot_gen[slot] != gen {
+                continue;
+            }
+            if let Some(&set) = parked
+                .iter()
+                .find(|&&s| self.sets[s as usize].contains(slot))
+            {
+                self.sets[set as usize].remove(slot);
+                self.sets[to as usize].insert(slot);
+                moved += 1;
+            }
+        }
+        moved
+    }
+
+    /// Un-parks every parked µop of both gates (a tag write may have
+    /// opened any of them) and empties the lapse queues. Returns the
+    /// execute and wakeup counts moved.
+    pub fn unpark_all(&mut self) -> [u64; 2] {
+        let mut moved = [0u64; 2];
+        for (parked, to, n) in [
+            (SetId::ExecParkedMem, SetId::IssueReady, 0),
+            (SetId::ExecParkedAlu, SetId::IssueReady, 0),
+            (SetId::ExecParkedDiv, SetId::IssueReady, 0),
+            (SetId::WakeupParked, SetId::WakeupPending, 1),
+        ] {
+            let (p, t) = (parked as usize, to as usize);
+            for w in 0..self.sets[p].words.len() {
+                let bits = std::mem::take(&mut self.sets[p].words[w]);
+                debug_assert_eq!(
+                    self.sets[t].words[w] & bits,
+                    0,
+                    "parked µop also a candidate"
+                );
+                self.sets[t].words[w] |= bits;
+            }
+            let len = std::mem::take(&mut self.sets[p].len);
+            self.sets[t].len += len;
+            moved[n] += len as u64;
+        }
+        self.exec_lapses.0.clear();
+        self.wakeup_lapses.0.clear();
+        moved
     }
 
     /// Whether `set` is empty.
@@ -573,6 +775,19 @@ impl Scheduler {
         if s.walk_asc(a0, a1, &mut f) {
             s.walk_asc(b0, b1, &mut f);
         }
+    }
+
+    /// Appends every entry of `set` at ROB indices below `rob_end` to
+    /// `out`, oldest first.
+    pub fn collect_until(&self, set: SetId, rob_end: usize, out: &mut Vec<Seq>) {
+        let ((a0, a1), (b0, b1)) = self.pieces(0, rob_end);
+        let s = &self.sets[set as usize];
+        let mut f = |slot: usize| {
+            out.push(self.slot_seq[slot]);
+            true
+        };
+        s.walk_asc(a0, a1, &mut f);
+        s.walk_asc(b0, b1, &mut f);
     }
 
     /// Visits every in-flight store older than the load `(seq, rob_i)`,
@@ -1009,6 +1224,10 @@ mod tests {
         SetId::UnresolvedBranches,
         SetId::InflightLoads,
         SetId::InflightStores,
+        SetId::ExecParkedMem,
+        SetId::ExecParkedAlu,
+        SetId::ExecParkedDiv,
+        SetId::WakeupParked,
     ];
 
     /// A small scheduler (8-slot ring, 32-bucket wheel): wrap-around is
@@ -1103,6 +1322,48 @@ mod tests {
             contents(&s, SetId::Waiting),
             vec![15, 20, 21, 22, 30, 31, 32]
         );
+    }
+
+    #[test]
+    fn parked_gates_lapse_in_frontier_order() {
+        let mut s = sched();
+        for (i, seq) in (1..=5).enumerate() {
+            s.on_dispatch(seq);
+            s.insert(SetId::IssueReady, seq, i);
+        }
+        s.park(SetId::ExecParkedMem, 2, 1, 2);
+        s.park(SetId::ExecParkedAlu, 3, 2, 9);
+        s.park(SetId::ExecParkedDiv, 5, 4, 4);
+        assert_eq!(contents(&s, SetId::IssueReady), vec![1, 4]);
+        // Rank queries count parked entries below a ROB index.
+        assert_eq!(s.count_below(SetId::ExecParkedAlu, 2), 0);
+        assert_eq!(s.count_below(SetId::ExecParkedAlu, 3), 1);
+        assert_eq!(s.count_below(SetId::ExecParkedDiv, 5), 1);
+        let mut out = Vec::new();
+        s.collect_until(SetId::ExecParkedMem, 5, &mut out);
+        assert_eq!(out, vec![2]);
+        // Nothing lapses below the earliest point; then in point order.
+        assert_eq!(s.unpark_due(BlockPoint::Execute, 1), 0);
+        assert_eq!(s.unpark_due(BlockPoint::Execute, 4), 2);
+        assert_eq!(contents(&s, SetId::IssueReady), vec![1, 2, 4, 5]);
+        assert_eq!(contents(&s, SetId::ExecParkedAlu), vec![3]);
+        // A squashed parked µop leaves a stale queue entry; the slot's
+        // next occupant is not un-parked by it.
+        s.on_squash_pop(5);
+        s.on_squash_pop(4);
+        s.on_squash_pop(3);
+        s.on_dispatch(6);
+        s.insert(SetId::IssueReady, 6, 2);
+        s.park(SetId::ExecParkedAlu, 6, 2, 20);
+        assert_eq!(s.unpark_due(BlockPoint::Execute, 10), 0);
+        assert_eq!(contents(&s, SetId::ExecParkedAlu), vec![6]);
+        // A tag write un-parks everything at once.
+        s.insert(SetId::WakeupPending, 1, 0);
+        s.park(SetId::WakeupParked, 1, 0, 3);
+        assert_eq!(s.unpark_all(), [1, 1]);
+        assert_eq!(contents(&s, SetId::IssueReady), vec![1, 2, 6]);
+        assert_eq!(contents(&s, SetId::WakeupPending), vec![1]);
+        assert_eq!(s.unpark_due(BlockPoint::Wakeup, Seq::MAX), 0);
     }
 
     #[test]

@@ -89,15 +89,15 @@ fn fetch_group_events_cover_all_fetched_uops() {
 /// `tests/trace.rs::audit_log_reconciles_with_stats_counters`).
 #[test]
 fn audit_reconciles_under_batched_fetch() {
-    use protean_sim::{BlockPoint, DefensePolicy, DynInst, RegTags, SpecFrontier};
+    use protean_sim::{BlockPoint, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier, NO_ROOT};
 
     struct DelayLoads;
     impl DefensePolicy for DelayLoads {
         fn name(&self) -> String {
             "delay-loads".into()
         }
-        fn may_execute(&self, u: &DynInst, _t: &RegTags, fr: &SpecFrontier) -> bool {
-            !u.is_load() || fr.is_non_speculative(u.seq)
+        fn may_execute(&self, u: &DynInst, _t: &RegTags, fr: &SpecFrontier) -> Gate {
+            Gate::lapses_at(if u.is_load() { u.seq } else { NO_ROOT }, fr)
         }
         fn block_rule(
             &self,

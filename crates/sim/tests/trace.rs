@@ -7,7 +7,7 @@
 use protean_arch::ArchState;
 use protean_isa::{assemble, Program};
 use protean_sim::{
-    BlockPoint, Core, CoreConfig, DefensePolicy, DynInst, RegTags, SimExit, SimResult,
+    BlockPoint, Core, CoreConfig, DefensePolicy, DynInst, Gate, RegTags, SimExit, SimResult,
     SpecFrontier, SquashKind, UnsafePolicy,
 };
 
@@ -65,12 +65,15 @@ impl DefensePolicy for BlockyPolicy {
         "blocky".into()
     }
 
-    fn may_execute(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
-        u.inst.is_branch() || !u.is_load() || fr.is_non_speculative(u.seq)
+    fn may_execute(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        if u.inst.is_branch() || !u.is_load() {
+            return Gate::Open;
+        }
+        Gate::lapses_at(u.seq, fr)
     }
 
-    fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
-        !u.is_load() || fr.is_non_speculative(u.seq)
+    fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        Gate::lapses_at(if u.is_load() { u.seq } else { 0 }, fr)
     }
 
     fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
