@@ -107,6 +107,24 @@ echo "== perfbench unit tests (release)"
 # rather than the benchmark run.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench pins (one short untraced run per workload, seed 1)"
+# Every benchmark run checks its outcomes against perfbench/pins.txt:
+# campaign reports with their rendered example traces, and each cell's
+# output and full-Stats digest. perfbench refuses to run with any
+# PROTEAN_* variable set, so the runs get an environment without them.
+unset_protean=()
+for var in $(compgen -e | grep '^PROTEAN_' || true); do
+    unset_protean+=(-u "$var")
+done
+for workload in campaign paper_cells sim_long; do
+    result="$(env "${unset_protean[@]}" bash perfbench/run.sh --workload "$workload" \
+        --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+        echo "perfbench $workload failed its pins: $result" >&2
+        exit 1
+    fi
+done
+
 echo "== validate_json (all smoke reports + committed BENCH_perf.json)"
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
     cargo run -q --release --offline -p protean-bench --bin validate_json

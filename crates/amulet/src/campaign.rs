@@ -40,17 +40,27 @@
 //!   toward undercovered templates. Updating weights only at chunk
 //!   boundaries keeps reports worker-count independent.
 //!
+//! With [`FuzzConfig::capture_traces`] on, each example violation
+//! carries rendered traces of its base and mutant runs
+//! ([`Violation::trace`]). The worker records the example and keeps its
+//! inputs; the trace is rendered at the fold, only after the report's
+//! [`Report::MAX_EXAMPLES`] cap has kept the example, with one traced
+//! replay of the program's base input shared by all of its kept
+//! examples. Snapshots store the rendered traces, so a resumed campaign
+//! replays nothing it has already folded.
+//!
 //! With coverage guidance off, the fuzzing [`Report`] does not depend on
 //! the chunk size, the snapshot, or the triage option, so a campaign
 //! with every option off reproduces [`fuzz`](crate::fuzz) exactly.
 
 use crate::fuzzer::{
-    derive_program_seed, make_input, randomize_secrets, seq_trace, traced_replay, traced_rerun,
+    derive_program_seed, make_input, randomize_secrets, render_replay, seq_trace, traced_replay,
     FuzzConfig, Report, SeqOracle, Violation,
 };
 use crate::generator::{self, GadgetTemplate, GenConfig};
 use protean_arch::{ArchState, ExecRecord};
 use protean_cc::compile_with;
+use protean_isa::Program;
 use protean_rng::Rng;
 use protean_sim::json::Json;
 use protean_sim::{Core, DefensePolicy, SimExit, SimResult};
@@ -320,7 +330,7 @@ pub fn run_campaign(
         state.programs_done = end;
         for (off, outcome) in outcomes.into_iter().enumerate() {
             let stopped = outcome.stopped;
-            fold_outcome(&mut state, outcome);
+            fold_outcome(&mut state, outcome, &cfg.fuzz, policy_factory);
             if stopped {
                 // stop_at_first: discard the speculatively fuzzed later
                 // programs of the chunk and pin the cursor to the
@@ -357,11 +367,30 @@ struct ProgramOutcome {
     coverage: Vec<String>,
     /// Triage events: `(signature, program_seed, input_index, fp)`.
     triage: Vec<(String, u64, usize, bool)>,
+    /// What the fold needs to render the traces of the examples it
+    /// keeps. `None` unless [`FuzzConfig::capture_traces`] is on and the
+    /// program recorded an example.
+    replay: Option<ReplayInputs>,
+}
+
+/// The inputs of one program's example replays: the compiled program,
+/// its base input, and one mutant input per recorded example, in
+/// `report.examples` order. Inputs are COW [`ArchState`]s, so holding
+/// them until the chunk is folded shares pages rather than copying them.
+struct ReplayInputs {
+    program: Program,
+    base: ArchState,
+    mutants: Vec<ArchState>,
 }
 
 /// Folds one program's outcome into the campaign state, in program
-/// order.
-fn fold_outcome(state: &mut CampaignReport, outcome: ProgramOutcome) {
+/// order. Only the examples the report keeps are rendered.
+fn fold_outcome(
+    state: &mut CampaignReport,
+    outcome: ProgramOutcome,
+    cfg: &FuzzConfig,
+    policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
+) {
     state.prefilter_pairs += outcome.prefilter_pairs;
     state.prefilter_rejected += outcome.prefilter_rejected;
     state.hw_pairs += outcome.hw_pairs;
@@ -389,8 +418,38 @@ fn fold_outcome(state: &mut CampaignReport, outcome: ProgramOutcome) {
     report.committed_uops += part.committed_uops;
     report.hw_truncated += part.hw_truncated;
     report.no_partner += part.no_partner;
-    let room = Report::MAX_EXAMPLES.saturating_sub(report.examples.len());
+    let first_kept = report.examples.len();
+    let room = Report::MAX_EXAMPLES.saturating_sub(first_kept);
     report.examples.extend(part.examples.into_iter().take(room));
+    if let Some(replay) = &outcome.replay {
+        render_examples(
+            &mut report.examples[first_kept..],
+            replay,
+            cfg,
+            policy_factory,
+        );
+    }
+}
+
+/// Fills in the traces of one program's kept examples: one traced
+/// replay of the base input, shared by every example, and one per
+/// mutant. A trace stays `None` when either replay yields none.
+fn render_examples(
+    kept: &mut [Violation],
+    replay: &ReplayInputs,
+    cfg: &FuzzConfig,
+    policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
+) {
+    if kept.is_empty() {
+        return;
+    }
+    let Some(base) = render_replay(&replay.program, &replay.base, cfg, policy_factory()) else {
+        return;
+    };
+    for (v, mutant) in kept.iter_mut().zip(&replay.mutants) {
+        v.trace = render_replay(&replay.program, mutant, cfg, policy_factory())
+            .map(|m| format!("=== base run ===\n{base}\n=== mutant run ===\n{m}"));
+    }
 }
 
 /// Panics if a hardware run ended on the deadlock watchdog. A core that
@@ -571,6 +630,8 @@ fn run_program(
     // positive; inputs drawn after it were never up for comparison, so
     // their stage-1 rejections do not count.
     let mut last_input = cfg.inputs_per_program;
+    // The mutant input of each recorded example, for the fold's replay.
+    let mut example_inputs: Vec<ArchState> = Vec::new();
     for (i, mutant) in admitted {
         core.reset(&program, policy_factory(), &mutant);
         core.record_traces(true);
@@ -599,16 +660,17 @@ fn run_program(
                 out.triage.push((sig, seed, i, fp));
             }
             if out.report.examples.len() < Report::MAX_EXAMPLES {
+                // The trace is rendered at the fold, and only if the
+                // report keeps the example.
                 out.report.examples.push(Violation {
                     program_seed: seed,
                     input_index: i,
                     false_positive: fp,
-                    trace: if cfg.capture_traces {
-                        traced_rerun(&program, &base, &mutant, cfg, policy_factory)
-                    } else {
-                        None
-                    },
+                    trace: None,
                 });
+                if cfg.capture_traces {
+                    example_inputs.push(mutant);
+                }
             }
             if !fp && cfg.stop_at_first {
                 out.stopped = true;
@@ -618,6 +680,13 @@ fn run_program(
         }
     }
     out.report.pairs_rejected = rejected.iter().filter(|&&i| i < last_input).count() as u64;
+    if !example_inputs.is_empty() {
+        out.replay = Some(ReplayInputs {
+            program,
+            base,
+            mutants: example_inputs,
+        });
+    }
     out
 }
 

@@ -125,10 +125,10 @@ pub struct FuzzConfig {
     /// or the `match`-based interpreter (the differential reference).
     /// Both produce identical traces and therefore identical reports.
     pub oracle: OracleMode,
-    /// Capture rendered pipeline traces for example violations (a traced
-    /// re-run per recorded example). Throughput benchmarks switch this
-    /// off; every *deterministic* report counter is unaffected either
-    /// way.
+    /// Capture rendered pipeline traces for example violations (traced
+    /// replays of each kept example's base and mutant inputs; see
+    /// [`Violation::trace`]). Throughput benchmarks switch this off;
+    /// every *deterministic* report counter is unaffected either way.
     pub capture_traces: bool,
 }
 
@@ -163,9 +163,13 @@ pub struct Violation {
     /// Whether the post-processing filter classified it as a false
     /// positive (committed fingerprints differ — sequential leakage).
     pub false_positive: bool,
-    /// Rendered pipeline trace of the leaking run (text diagram plus the
-    /// defense-decision audit log), captured by a deterministic traced
-    /// re-run of the mutant input when the example is recorded.
+    /// Rendered pipeline traces of the violating pair: a `=== base run
+    /// ===` and a `=== mutant run ===` section, each a text pipeline
+    /// diagram plus the defense-decision audit log. They come from
+    /// deterministic traced replays of the two inputs, made when the
+    /// campaign folds the program's results and only for the examples
+    /// the report keeps. `None` when [`FuzzConfig::capture_traces`] is
+    /// off or a replay yields no trace.
     pub trace: Option<String>,
 }
 
@@ -344,30 +348,19 @@ pub(crate) fn traced_replay(
     result.trace
 }
 
-/// Re-runs the violating *pair* with pipeline tracing enabled and
-/// renders both counterexample traces side by side. A violation is a
-/// difference between the base and mutant executions, so a one-sided
-/// rendering hides half the evidence; both halves carry the pipeline
-/// timeline and the defense audit log.
-pub(crate) fn traced_rerun(
+/// Replays one input with pipeline tracing on and renders the trace:
+/// the pipeline diagram, then the defense audit log. `None` when the
+/// replay yields no trace.
+pub(crate) fn render_replay(
     program: &Program,
-    base: &ArchState,
-    mutant: &ArchState,
+    input: &ArchState,
     cfg: &FuzzConfig,
-    policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
+    policy: Box<dyn DefensePolicy>,
 ) -> Option<String> {
-    let render = |trace: &Trace| {
-        format!(
-            "{}\n{}",
-            trace.render_pipeline(48, 120),
-            trace.render_audit(16)
-        )
-    };
-    let base_trace = traced_replay(program, base, cfg, policy_factory())?;
-    let mutant_trace = traced_replay(program, mutant, cfg, policy_factory())?;
+    let trace = traced_replay(program, input, cfg, policy)?;
     Some(format!(
-        "=== base run ===\n{}\n=== mutant run ===\n{}",
-        render(&base_trace),
-        render(&mutant_trace)
+        "{}\n{}",
+        trace.render_pipeline(48, 120),
+        trace.render_audit(16)
     ))
 }

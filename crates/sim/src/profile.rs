@@ -9,7 +9,10 @@
 //! (exact, deterministic); `Instant` is read only on a deterministic
 //! one-in-[`SAMPLE_EVERY`] sample of ticks chosen by a hash of the cycle
 //! number, and the reported nanoseconds are scaled by total ÷ timed
-//! ticks.
+//! ticks. Each charged interval also holds the profiler's own cost, one
+//! clock read and the switch's bookkeeping; that cost is calibrated once
+//! per process and subtracted, so the scaled nanoseconds do not
+//! extrapolate the profiler's reads to every tick.
 //!
 //! Beside the sections, the profiler counts the defense gates' work:
 //! policy evaluations, parks and un-parks per gate (see
@@ -25,6 +28,7 @@
 
 use crate::defense::BlockPoint;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The profiled pipeline phases, in tick order. `FastForward` is the
@@ -95,6 +99,30 @@ fn sampled(cycle: u64) -> bool {
     cycle.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15) <= u64::MAX / SAMPLE_EVERY
 }
 
+/// What the profiler charges an empty interval, in nanoseconds: one
+/// clock read plus the switch's own bookkeeping. Measured on the first
+/// call by timing batches of back-to-back switches on a scratch
+/// profiler, and cached for the process; the least batch mean is kept,
+/// so a batch that was preempted does not inflate it.
+fn switch_cost_nanos() -> u64 {
+    static COST: OnceLock<u64> = OnceLock::new();
+    *COST.get_or_init(|| {
+        const SWITCHES: u64 = 1_000;
+        (0..5)
+            .map(|_| {
+                let mut p = Profiler::with_switch_cost(0);
+                p.timing = true;
+                p.last = Instant::now();
+                for _ in 0..SWITCHES {
+                    std::hint::black_box(p.switch_to(Section::Wakeup));
+                }
+                p.nanos[Section::Wakeup as usize] / SWITCHES
+            })
+            .min()
+            .unwrap_or(0)
+    })
+}
+
 /// Per-core accumulator (see the module docs).
 #[derive(Clone, Debug)]
 pub(crate) struct Profiler {
@@ -104,6 +132,8 @@ pub(crate) struct Profiler {
     timing: bool,
     /// The last switch of a timed tick.
     last: Instant,
+    /// [`switch_cost_nanos`], subtracted from every charged interval.
+    switch_nanos: u64,
     ticks: u64,
     timed_ticks: u64,
     calls: [u64; N_SECTIONS],
@@ -118,10 +148,17 @@ pub(crate) struct Profiler {
 
 impl Default for Profiler {
     fn default() -> Profiler {
+        Profiler::with_switch_cost(switch_cost_nanos())
+    }
+}
+
+impl Profiler {
+    fn with_switch_cost(switch_nanos: u64) -> Profiler {
         Profiler {
             active: Section::Wakeup,
             timing: false,
             last: Instant::now(),
+            switch_nanos,
             ticks: 0,
             timed_ticks: 0,
             calls: [0; N_SECTIONS],
@@ -132,9 +169,7 @@ impl Default for Profiler {
             gate_unparks: [0; 3],
         }
     }
-}
 
-impl Profiler {
     /// Starts the tick at `cycle` in section `first`, counting one entry
     /// to it; the clock starts if the tick is sampled.
     #[inline]
@@ -202,13 +237,15 @@ impl Profiler {
         self.gate_unparks[gate as usize] += n;
     }
 
-    /// Charges the time since the last switch to the active section,
-    /// makes `s` active and returns the section left.
+    /// Charges the time since the last switch, less the calibrated
+    /// switch cost, to the active section, makes `s` active and returns
+    /// the section left.
     #[cold]
     fn switch_to(&mut self, s: Section) -> Section {
         let now = Instant::now();
         let left = std::mem::replace(&mut self.active, s);
-        self.nanos[left as usize] += (now - self.last).as_nanos() as u64;
+        let interval = (now - self.last).as_nanos() as u64;
+        self.nanos[left as usize] += interval.saturating_sub(self.switch_nanos);
         self.last = now;
         left
     }
@@ -328,6 +365,29 @@ mod tests {
             expect[s as usize] = 1;
         }
         assert_eq!((p.calls, p.timed_calls), (expect, expect));
+    }
+
+    #[test]
+    fn charged_intervals_exclude_the_switch_cost() {
+        assert!(switch_cost_nanos() < 1_000_000, "{}", switch_cost_nanos());
+        let timed = (0..).find(|&c| sampled(c)).unwrap();
+        let tick = |switch_nanos: u64| {
+            let mut p = Profiler::with_switch_cost(switch_nanos);
+            p.begin_tick(timed, Section::Issue);
+            let issue = p.enter(Section::Execute);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            p.resume(issue);
+            p.end_tick();
+            p
+        };
+        // The subtraction saturates: a switch costlier than every interval
+        // leaves nothing charged, and the counts are untouched.
+        let p = tick(u64::MAX);
+        assert_eq!(p.nanos, [0; N_SECTIONS]);
+        assert_eq!(p.calls[Section::Execute as usize], 1);
+        assert_eq!(p.calls[Section::Issue as usize], 1);
+        // A free switch charges the raw interval.
+        assert!(tick(0).nanos[Section::Execute as usize] >= 1_000_000);
     }
 
     #[test]

@@ -144,6 +144,9 @@ pub struct Tracer {
     /// Front-end fetch groups (one per productive fetch cycle), capped
     /// at the same recording limit as µops.
     fetch_groups: Vec<FetchGroupEvent>,
+    /// Disassembly per static instruction index, formatted on the
+    /// index's first rename and cloned on every later one.
+    disasm: Vec<Option<String>>,
 }
 
 impl Tracer {
@@ -156,6 +159,7 @@ impl Tracer {
             dropped: 0,
             overflow_blocked: [0; 3],
             fetch_groups: Vec::new(),
+            disasm: Vec::new(),
         }
     }
 
@@ -185,11 +189,18 @@ impl Tracer {
             return;
         }
         debug_assert_eq!(self.uops.len() as u64 + 1, u.seq, "rename out of seq order");
+        let idx = u.idx as usize;
+        if self.disasm.len() <= idx {
+            self.disasm.resize(idx + 1, None);
+        }
+        let disasm = self.disasm[idx]
+            .get_or_insert_with(|| u.inst.to_string())
+            .clone();
         self.uops.push(UopTrace {
             seq: u.seq,
             idx: u.idx,
             pc: u.pc,
-            disasm: u.inst.to_string(),
+            disasm,
             fetch_cycle: u.fetch_cycle,
             rename_cycle: cycle,
             issue_cycle: None,
