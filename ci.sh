@@ -12,6 +12,11 @@ export RUSTFLAGS="-Dwarnings"
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== cargo clippy --release --offline --workspace --all-targets"
+# Lints every crate, test, example and bin; -Dwarnings (above) makes
+# any clippy warning fail CI.
+cargo clippy --release --offline --workspace --all-targets
+
 echo "== cargo build --release --offline --workspace --all-targets"
 cargo build --release --offline --workspace --all-targets
 

@@ -425,92 +425,6 @@ fn gadget_memory_order(b: &mut ProgramBuilder, rng: &mut Rng) {
     b.add(Reg::R11, Reg::R11, 4096);
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn generated_programs_are_well_formed() {
-        for seed in 0..50 {
-            let p = generate(&GenConfig {
-                segments: 6,
-                gadget_bias: 0.5,
-                seed,
-            });
-            p.validate().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        }
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let cfg = GenConfig {
-            segments: 4,
-            gadget_bias: 0.7,
-            seed: 9,
-        };
-        assert_eq!(generate(&cfg).insts, generate(&cfg).insts);
-    }
-
-    #[test]
-    fn recorded_generation_matches_legacy_and_records_templates() {
-        for seed in 0..20 {
-            let cfg = GenConfig {
-                segments: 6,
-                gadget_bias: 0.7,
-                seed,
-            };
-            let legacy = generate(&cfg);
-            let recorded = generate_recorded(&cfg, None, None);
-            assert_eq!(
-                legacy.insts, recorded.program.insts,
-                "seed {seed}: recorded generation drifted from generate()"
-            );
-            assert!(recorded.templates.len() <= cfg.segments);
-            let only = generate_recorded(&cfg, Some(GadgetTemplate::MemOrder), None);
-            assert!(only
-                .templates
-                .iter()
-                .all(|t| *t == GadgetTemplate::MemOrder));
-        }
-    }
-
-    #[test]
-    fn weighted_generation_is_deterministic_and_biases_templates() {
-        let cfg = GenConfig {
-            segments: 8,
-            gadget_bias: 1.0,
-            seed: 13,
-        };
-        // All weight on one template: every gadget segment must use it.
-        let mut w = [0u64; GadgetTemplate::ALL.len()];
-        w[3] = 10; // MemOrder
-        let g = generate_recorded(&cfg, None, Some(&w));
-        assert!(!g.templates.is_empty());
-        assert!(g.templates.iter().all(|t| *t == GadgetTemplate::MemOrder));
-        // Deterministic: same weights, same seed, same program.
-        let h = generate_recorded(&cfg, None, Some(&w));
-        assert_eq!(g.program.insts, h.program.insts);
-        assert_eq!(g.templates, h.templates);
-    }
-
-    #[test]
-    fn generated_programs_terminate() {
-        use protean_arch::{ArchState, Emulator, ExitStatus};
-        for seed in 0..20 {
-            let p = generate(&GenConfig {
-                segments: 5,
-                gadget_bias: 0.5,
-                seed,
-            });
-            let mut state = ArchState::new();
-            init_cold_chain(&mut state.mem);
-            let mut emu = Emulator::new(&p, state);
-            let (status, _) = emu.run(200_000);
-            assert_eq!(status, ExitStatus::Halted, "seed {seed}");
-        }
-    }
-}
-
 /// Spectre-RSB template: `g` overwrites its return address (a stack
 /// switch), so the `ret` architecturally continues elsewhere while the
 /// RSB predicts the abandoned call site — whose code loads and
@@ -599,4 +513,90 @@ fn gadget_btb(b: &mut ProgramBuilder, rng: &mut Rng) {
     b.add(trip, trip, 1);
     b.cmp(trip, trips + 1);
     b.jcc(Cond::Ult, top);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn generated_programs_are_well_formed() {
+        for seed in 0..50 {
+            let p = generate(&GenConfig {
+                segments: 6,
+                gadget_bias: 0.5,
+                seed,
+            });
+            p.validate().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
+    }
+
+    #[test]
+    fn generation_is_deterministic() {
+        let cfg = GenConfig {
+            segments: 4,
+            gadget_bias: 0.7,
+            seed: 9,
+        };
+        assert_eq!(generate(&cfg).insts, generate(&cfg).insts);
+    }
+
+    #[test]
+    fn recorded_generation_matches_legacy_and_records_templates() {
+        for seed in 0..20 {
+            let cfg = GenConfig {
+                segments: 6,
+                gadget_bias: 0.7,
+                seed,
+            };
+            let legacy = generate(&cfg);
+            let recorded = generate_recorded(&cfg, None, None);
+            assert_eq!(
+                legacy.insts, recorded.program.insts,
+                "seed {seed}: recorded generation drifted from generate()"
+            );
+            assert!(recorded.templates.len() <= cfg.segments);
+            let only = generate_recorded(&cfg, Some(GadgetTemplate::MemOrder), None);
+            assert!(only
+                .templates
+                .iter()
+                .all(|t| *t == GadgetTemplate::MemOrder));
+        }
+    }
+
+    #[test]
+    fn weighted_generation_is_deterministic_and_biases_templates() {
+        let cfg = GenConfig {
+            segments: 8,
+            gadget_bias: 1.0,
+            seed: 13,
+        };
+        // All weight on one template: every gadget segment must use it.
+        let mut w = [0u64; GadgetTemplate::ALL.len()];
+        w[3] = 10; // MemOrder
+        let g = generate_recorded(&cfg, None, Some(&w));
+        assert!(!g.templates.is_empty());
+        assert!(g.templates.iter().all(|t| *t == GadgetTemplate::MemOrder));
+        // Deterministic: same weights, same seed, same program.
+        let h = generate_recorded(&cfg, None, Some(&w));
+        assert_eq!(g.program.insts, h.program.insts);
+        assert_eq!(g.templates, h.templates);
+    }
+
+    #[test]
+    fn generated_programs_terminate() {
+        use protean_arch::{ArchState, Emulator, ExitStatus};
+        for seed in 0..20 {
+            let p = generate(&GenConfig {
+                segments: 5,
+                gadget_bias: 0.5,
+                seed,
+            });
+            let mut state = ArchState::new();
+            init_cold_chain(&mut state.mem);
+            let mut emu = Emulator::new(&p, state);
+            let (status, _) = emu.run(200_000);
+            assert_eq!(status, ExitStatus::Halted, "seed {seed}");
+        }
+    }
 }

@@ -49,7 +49,7 @@ fn worst_case_uop(seq: u64) -> DynInst {
         resolved: false,
         wakeup_done: false,
         hist_snapshot: 0,
-        rsb_snapshot: [].into(),
+        rsb_checkpoint: 0,
         prot_out: true,
         src_prot: true,
         sens_prot: true,

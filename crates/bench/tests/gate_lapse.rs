@@ -91,7 +91,7 @@ fn gen_case(rng: &mut Rng) -> Case {
         resolved: false,
         wakeup_done: false,
         hist_snapshot: 0,
-        rsb_snapshot: [].into(),
+        rsb_checkpoint: 0,
         prot_out: inst.prot,
         src_prot: rng.gen_bool(0.4),
         sens_prot: rng.gen_bool(0.4),

@@ -3,15 +3,20 @@
 //! run under every shipped defense on the tiny core and the E-core; the
 //! committed instruction stream and the final architectural registers
 //! must equal the sequential emulator's on the same binary (the
-//! ProtCC-compiled one for the Protean configurations).
+//! ProtCC-compiled one for the Protean configurations). Fixed
+//! call/ret-heavy programs cover the return-stack checkpoints that
+//! squashes restore.
 //!
 //! Replay a failing case with `PROTEAN_CHECK_REPLAY=<case seed>`.
 
-use protean_amulet::{generate, init_cold_chain, GenConfig, PUBLIC_BASE, PUBLIC_SIZE};
+use protean_amulet::{
+    generate, generate_with_template, init_cold_chain, GadgetTemplate, GenConfig, PUBLIC_BASE,
+    PUBLIC_SIZE,
+};
 use protean_arch::{ArchState, Emulator, ExitStatus};
 use protean_bench::Defense;
 use protean_cc::{compile_with, Pass};
-use protean_isa::{Program, Reg};
+use protean_isa::{assemble, Program, Reg};
 use protean_sim::{Core, CoreConfig, SimExit};
 use protean_testkit::{Checker, Rng};
 
@@ -100,4 +105,56 @@ fn every_defense_commits_what_the_emulator_commits() {
                 }
             }
         });
+}
+
+/// Recursion deeper than any preset's RSB: the deep returns mispredict
+/// (RSB underflow), and the data-dependent base-case branch squashes
+/// mid-recursion, restoring the RSB checkpoint of a `call` or `ret`.
+const RECURSION: &str = r#"
+      mov rsp, 0x80000
+      and r0, r0, 31
+      add r0, r0, 20      ; depth 20..=51 > 16 RSB entries
+      call rec
+      halt
+    rec:
+      cmp r0, 0
+      jeq base
+      sub r0, r0, 1
+      call rec
+      add r1, r1, r0
+      ret
+    base:
+      ret
+"#;
+
+/// Call/ret-heavy programs under every defense on the tiny core and the
+/// E-core: the recursion above, and generated Spectre-RSB gadgets whose
+/// `ret` is architecturally redirected (a stack switch) while the RSB
+/// predicts the abandoned call site — every one a mispredicted return.
+#[test]
+fn call_ret_programs_commit_what_the_emulator_commits() {
+    let mut programs = vec![assemble(RECURSION).expect("recursion assembles")];
+    for seed in 1..=3 {
+        let gen = GenConfig {
+            segments: 6,
+            gadget_bias: 1.0,
+            seed,
+        };
+        programs.push(generate_with_template(&gen, GadgetTemplate::Rsb));
+    }
+    let cores = [CoreConfig::test_tiny(), CoreConfig::e_core()];
+    for (n, base) in programs.iter().enumerate() {
+        let protcc = compile_with(base, Pass::Arch).program;
+        let init = input(n as u64);
+        for cfg in &cores {
+            for defense in Defense::SHIPPED {
+                let program = if defense.wants_protcc() {
+                    &protcc
+                } else {
+                    base
+                };
+                check_lockstep(program, &init, cfg, defense);
+            }
+        }
+    }
 }

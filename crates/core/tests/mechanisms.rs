@@ -198,7 +198,7 @@ fn protean_policies_never_block_at_the_head() {
         resolved: false,
         wakeup_done: false,
         hist_snapshot: 0,
-        rsb_snapshot: [].into(),
+        rsb_checkpoint: 0,
         prot_out: true,
         src_prot: true,
         sens_prot: true,

@@ -2,8 +2,6 @@
 //! buffer, and a return stack buffer (paper Tab. III: 4K-entry BTB,
 //! 16-entry RSB, TAGE).
 
-use std::sync::Arc;
-
 /// A tagged geometric-history direction predictor ("TAGE-lite"): a
 /// bimodal base table plus three tagged tables with geometrically
 /// increasing history lengths (4/16/64 bits).
@@ -278,6 +276,19 @@ impl Btb {
 ///
 /// Implemented as a true ring buffer: overflow overwrites the oldest
 /// entry in O(1) (`push` sits on the fetch hot path, once per `call`).
+///
+/// Squash recovery uses **checkpoints by id**: [`Rsb::checkpoint`]
+/// returns a `u32` naming the current contents, and
+/// [`Rsb::restore`] rewinds to one. A checkpoint is taken lazily — only
+/// when the contents changed since the last one — so every µop fetched
+/// between two calls/returns shares one id. Checkpoints live in a flat
+/// ring of `capacity + 1` words each (length, then entries oldest →
+/// newest) that is reused in place: ids are handed out in fetch order,
+/// commit releases the ids older than the committing µop's
+/// ([`Rsb::release_before`]) and a restore truncates the ids newer than
+/// the restored one (they belong to squashed µops). The live ids are
+/// therefore bounded by the µops in flight, and once the ring has grown
+/// to that bound the steady state allocates nothing.
 #[derive(Clone, Debug)]
 pub struct Rsb {
     buf: Vec<u64>,
@@ -286,11 +297,16 @@ pub struct Rsb {
     /// Number of live entries (`<= capacity`).
     len: usize,
     capacity: usize,
-    /// Interned snapshot of the current contents, shared by every
-    /// in-flight µop fetched until the next push/pop/restore. Fetch
-    /// takes one snapshot per µop; straight-line code between calls
-    /// and returns reuses this `Arc` instead of cloning a `Vec`.
-    cached: Option<Arc<[u64]>>,
+    /// Checkpoint ring: checkpoint `id` occupies the `capacity + 1`
+    /// words at `(id & (slots - 1)) * (capacity + 1)`, where `slots`
+    /// (a power of two) is `ckpts.len() / (capacity + 1)`.
+    ckpts: Vec<u64>,
+    /// Live checkpoint ids: `[ckpt_lo, ckpt_hi)`, wrapping.
+    ckpt_lo: u32,
+    ckpt_hi: u32,
+    /// Whether the contents differ from checkpoint `ckpt_hi - 1` (or no
+    /// checkpoint is live).
+    dirty: bool,
 }
 
 impl Rsb {
@@ -301,7 +317,10 @@ impl Rsb {
             start: 0,
             len: 0,
             capacity,
-            cached: None,
+            ckpts: Vec::new(),
+            ckpt_lo: 0,
+            ckpt_hi: 0,
+            dirty: true,
         }
     }
 
@@ -310,7 +329,7 @@ impl Rsb {
         if self.capacity == 0 {
             return;
         }
-        self.cached = None;
+        self.dirty = true;
         if self.len == self.capacity {
             // Overwrite the oldest: the slot at `start` becomes the
             // newest and the next-oldest becomes the new start.
@@ -327,46 +346,112 @@ impl Rsb {
         if self.len == 0 {
             return None;
         }
-        self.cached = None;
+        self.dirty = true;
         self.len -= 1;
         Some(self.buf[(self.start + self.len) % self.capacity])
     }
 
-    /// Snapshot for squash recovery: live entries, oldest → newest.
+    /// The live entries, oldest → newest (diagnostics and tests).
     pub fn snapshot(&self) -> Vec<u64> {
         (0..self.len)
             .map(|i| self.buf[(self.start + i) % self.capacity])
             .collect()
     }
 
-    /// Like [`Rsb::snapshot`], but interned: the returned `Arc` is
-    /// cached and reused until the contents next change, so per-µop
-    /// snapshotting on the fetch path is a refcount bump, not an
-    /// allocation.
-    pub fn snapshot_shared(&mut self) -> Arc<[u64]> {
-        if let Some(s) = &self.cached {
-            return Arc::clone(s);
+    /// Number of live checkpoints.
+    pub fn live_checkpoints(&self) -> usize {
+        self.ckpt_hi.wrapping_sub(self.ckpt_lo) as usize
+    }
+
+    /// Whether `id` is a live checkpoint.
+    fn is_live(&self, id: u32) -> bool {
+        id.wrapping_sub(self.ckpt_lo) < self.ckpt_hi.wrapping_sub(self.ckpt_lo)
+    }
+
+    /// Word offset of checkpoint `id` in the ring.
+    #[inline]
+    fn ckpt_at(&self, id: u32) -> usize {
+        let stride = self.capacity + 1;
+        (id as usize & (self.ckpts.len() / stride - 1)) * stride
+    }
+
+    /// Names the current contents for a later [`Rsb::restore`]: the id
+    /// of the newest checkpoint if nothing changed since it was taken,
+    /// else a fresh one.
+    #[inline]
+    pub fn checkpoint(&mut self) -> u32 {
+        if !self.dirty {
+            return self.ckpt_hi.wrapping_sub(1);
         }
-        let s: Arc<[u64]> = self.snapshot().into();
-        self.cached = Some(Arc::clone(&s));
-        s
+        let stride = self.capacity + 1;
+        if self.live_checkpoints() == self.ckpts.len() / stride {
+            self.grow_ckpts();
+        }
+        let id = self.ckpt_hi;
+        let at = self.ckpt_at(id);
+        self.ckpts[at] = self.len as u64;
+        // Oldest → newest: `buf[start..]`, then the part that wrapped
+        // to the front of `buf`.
+        let (wrapped, from_start) = self.buf.split_at(self.start);
+        let first = from_start.len().min(self.len);
+        let dst = &mut self.ckpts[at + 1..at + 1 + self.len];
+        dst[..first].copy_from_slice(&from_start[..first]);
+        dst[first..].copy_from_slice(&wrapped[..self.len - first]);
+        self.ckpt_hi = id.wrapping_add(1);
+        self.dirty = false;
+        id
     }
 
-    /// Restores a snapshot (as produced by [`Rsb::snapshot`] or
-    /// [`Rsb::snapshot_shared`]).
-    pub fn restore(&mut self, snapshot: &[u64]) {
-        debug_assert!(snapshot.len() <= self.capacity);
-        self.cached = None;
-        self.len = snapshot.len().min(self.capacity);
+    /// Doubles the checkpoint ring (at least 16 entries), re-placing
+    /// the live checkpoints under the new mask.
+    #[cold]
+    fn grow_ckpts(&mut self) {
+        let stride = self.capacity + 1;
+        let slots = (self.ckpts.len() / stride * 2).max(16);
+        let old = std::mem::replace(&mut self.ckpts, vec![0; slots * stride]);
+        let old_mask = (old.len() / stride).wrapping_sub(1);
+        let mut id = self.ckpt_lo;
+        while id != self.ckpt_hi {
+            let (from, to) = ((id as usize & old_mask) * stride, self.ckpt_at(id));
+            self.ckpts[to..to + stride].copy_from_slice(&old[from..from + stride]);
+            id = id.wrapping_add(1);
+        }
+    }
+
+    /// Rewinds the contents to checkpoint `id` and drops every newer
+    /// checkpoint (the µops that held them are being squashed).
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `id` is not live.
+    pub fn restore(&mut self, id: u32) {
+        debug_assert!(self.is_live(id), "restore of a released checkpoint");
+        let at = self.ckpt_at(id);
+        self.len = self.ckpts[at] as usize;
         self.start = 0;
-        self.buf[..self.len].copy_from_slice(&snapshot[..self.len]);
+        self.buf[..self.len].copy_from_slice(&self.ckpts[at + 1..at + 1 + self.len]);
+        self.ckpt_hi = id.wrapping_add(1);
+        self.dirty = false;
     }
 
-    /// Empties the RSB in place (the `Core::reset` arena path).
+    /// Releases every checkpoint older than `id` (the committing µop's:
+    /// no in-flight µop holds an older one). A no-op for an id that is
+    /// no longer live.
+    #[inline]
+    pub fn release_before(&mut self, id: u32) {
+        if self.is_live(id) {
+            self.ckpt_lo = id;
+        }
+    }
+
+    /// Empties the RSB and its checkpoints in place (the `Core::reset`
+    /// arena path).
     pub fn reset(&mut self) {
         self.start = 0;
         self.len = 0;
-        self.cached = None;
+        self.ckpt_lo = 0;
+        self.ckpt_hi = 0;
+        self.dirty = true;
     }
 }
 
@@ -589,27 +674,34 @@ mod tests {
     fn rsb_snapshot_roundtrip() {
         let mut rsb = Rsb::new(4);
         rsb.push(7);
-        let snap = rsb.snapshot();
+        let id = rsb.checkpoint();
         rsb.pop();
-        rsb.restore(&snap);
+        rsb.restore(id);
         assert_eq!(rsb.pop(), Some(7));
     }
 
     #[test]
-    fn rsb_shared_snapshot_interns_until_mutation() {
+    fn rsb_checkpoints_are_lazy_and_released_in_order() {
         let mut rsb = Rsb::new(4);
         rsb.push(7);
-        let a = rsb.snapshot_shared();
-        let b = rsb.snapshot_shared();
-        assert!(Arc::ptr_eq(&a, &b), "unchanged RSB must reuse the Arc");
-        assert_eq!(&*a, &[7]);
+        let a = rsb.checkpoint();
+        assert_eq!(rsb.checkpoint(), a, "unchanged RSB must reuse the id");
         rsb.push(9);
-        let c = rsb.snapshot_shared();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(&*c, &[7, 9]);
-        rsb.restore(&a);
+        let c = rsb.checkpoint();
+        assert_ne!(a, c);
+        assert_eq!(rsb.live_checkpoints(), 2);
+        // Restoring `a` truncates `c`; the contents are `a`'s again, so
+        // the next checkpoint reuses `a`.
+        rsb.restore(a);
         assert_eq!(rsb.snapshot(), vec![7]);
-        assert_eq!(rsb.pop(), Some(7));
+        assert_eq!(rsb.live_checkpoints(), 1);
+        assert_eq!(rsb.checkpoint(), a);
+        rsb.pop();
+        let d = rsb.checkpoint();
+        rsb.release_before(d);
+        assert_eq!(rsb.live_checkpoints(), 1);
+        rsb.restore(d);
+        assert_eq!(rsb.pop(), None);
     }
 
     #[test]
@@ -632,11 +724,14 @@ mod tests {
         assert_eq!(rsb.pop(), Some(11));
         assert_eq!(rsb.pop(), Some(9));
         assert_eq!(rsb.pop(), None);
-        // Restore a partial snapshot into a wrapped ring.
+        // Restore a partial checkpoint into a wrapped ring.
+        rsb.push(1);
+        rsb.push(2);
+        let id = rsb.checkpoint();
         for v in 20..=25 {
             rsb.push(v);
         }
-        rsb.restore(&[1, 2]);
+        rsb.restore(id);
         assert_eq!(rsb.pop(), Some(2));
         assert_eq!(rsb.pop(), Some(1));
         assert_eq!(rsb.pop(), None);
@@ -648,7 +743,9 @@ mod tests {
         rsb.push(1);
         assert_eq!(rsb.pop(), None);
         assert_eq!(rsb.snapshot(), Vec::<u64>::new());
-        rsb.restore(&[]);
+        let id = rsb.checkpoint();
+        rsb.restore(id);
+        assert_eq!(rsb.pop(), None);
     }
 
     #[test]

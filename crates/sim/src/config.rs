@@ -44,7 +44,7 @@ impl CacheConfig {
     /// Number of `u64` words in one line's metadata bitmap
     /// (`ceil(line_bytes / 64)`): one bit per byte of the line.
     pub fn meta_words_per_line(&self) -> usize {
-        (self.line_bytes + 63) / 64
+        self.line_bytes.div_ceil(64)
     }
 }
 

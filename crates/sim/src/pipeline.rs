@@ -16,7 +16,7 @@ use crate::defense::{
     BlockPoint, DefensePolicy, Gate, RegTags, Seq, SpecFrontier, SquashKind, NO_ROOT,
 };
 use crate::profile::{Profiler, Section};
-use crate::sched::{FetchEntry, FetchQueue, Scheduler, SetId, EXEC_PARKED};
+use crate::sched::{FetchEntry, FetchQueue, Scheduler, SetId, Slot, EXEC_PARKED};
 use crate::trace::{Trace, Tracer};
 use crate::{Btb, Rsb, TagePredictor};
 use crate::{Cache, CoreConfig, MemProtTracking, Stats};
@@ -26,7 +26,6 @@ use protean_isa::{
     Reg, RegSet,
 };
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
 
 /// Per-destination rename bookkeeping.
 #[derive(Clone, Copy, Debug, Default)]
@@ -85,11 +84,17 @@ pub enum UopStatus {
 
 /// An in-flight µop: the unit all [`DefensePolicy`] hooks operate on.
 ///
+/// Plain data with no drop glue: rename writes a µop once into its ROB
+/// ring slot, every stage then reads and updates it there, and the slot
+/// is reused by a later rename without a drop (commit and squash only
+/// move the ring's head and tail).
+///
 /// `repr(C)` pins the declaration order: the load/store disambiguation
-/// scans (`execute_load` / `execute_store`) walk the whole ROB touching
-/// only `seq`, `inst`, and `mem`, so those lead the struct and the
-/// bulky inline arrays (`srcs`, `dsts`, stage timing) trail it — a scan
-/// reads the first couple of cache lines of each entry, never the tail.
+/// walks (`execute_load` / `execute_store`) visit in-flight stores and
+/// loads touching only `seq`, `inst`, and `mem`, so those lead the
+/// struct and the bulky inline arrays (`srcs`, `dsts`, stage timing)
+/// trail it — a walk reads the first couple of cache lines of each
+/// slot, never the tail.
 #[derive(Clone, Debug)]
 #[repr(C)]
 pub struct DynInst {
@@ -122,10 +127,10 @@ pub struct DynInst {
     pub wakeup_done: bool,
     /// TAGE global-history snapshot from before this µop's fetch.
     pub hist_snapshot: u64,
-    /// RSB snapshot from before this µop's fetch. Interned by the RSB
-    /// ([`Rsb::snapshot_shared`]) so every µop fetched between two RSB
-    /// mutations shares one allocation.
-    pub rsb_snapshot: Arc<[u64]>,
+    /// RSB checkpoint id from before this µop's fetch
+    /// ([`Rsb::checkpoint`]): every µop fetched between two RSB
+    /// mutations shares one id.
+    pub rsb_checkpoint: u32,
 
     // ---- Defense-generic state --------------------------------------
     /// `PROT` prefix: output registers are architecturally protected.
@@ -212,7 +217,49 @@ impl DynInst {
     pub fn is_store(&self) -> bool {
         self.inst.is_store()
     }
+
+    /// The record a ROB slot holds before its first rename.
+    fn vacant() -> DynInst {
+        DynInst {
+            seq: 0,
+            idx: 0,
+            pc: 0,
+            inst: Inst::new(Op::Nop),
+            mem: None,
+            status: UopStatus::Done,
+            pred_next: None,
+            pred_taken: false,
+            actual_next: None,
+            actual_taken: false,
+            mispredicted: false,
+            resolved: false,
+            wakeup_done: false,
+            hist_snapshot: 0,
+            rsb_checkpoint: 0,
+            prot_out: false,
+            src_prot: false,
+            sens_prot: false,
+            mem_prot: None,
+            in_taint: false,
+            in_yrot: NO_ROOT,
+            delay_wakeup_nonspec: false,
+            wakeup_hold_root: NO_ROOT,
+            pred_no_access: None,
+            div_fault: false,
+            addr_regs: RegSet::new(),
+            data_reg: None,
+            fetch_cycle: 0,
+            rename_cycle: 0,
+            issue_cycle: 0,
+            complete_cycle: 0,
+            srcs: InlineVec::new(),
+            dsts: InlineVec::new(),
+        }
+    }
 }
+
+// ROB slots are overwritten in place and reused without a drop.
+const _: () = assert!(!std::mem::needs_drop::<DynInst>());
 
 /// Why the simulation ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -297,7 +344,11 @@ pub struct Core<'a> {
     free_list: VecDeque<usize>,
 
     // Backend.
-    rob: VecDeque<DynInst>,
+    /// The reorder buffer: one record per ring slot claimed so far,
+    /// written in place at rename. The scheduler owns the ring's
+    /// geometry (head, tail and the slot of every age offset); a slot is
+    /// a µop's only address.
+    rob: Vec<DynInst>,
     prf_value: Vec<u64>,
     prf_done: Vec<bool>,
     prf_ready: Vec<bool>,
@@ -316,16 +367,16 @@ pub struct Core<'a> {
     /// Number of µops counted as denied at the execute gate this tick,
     /// so idle-cycle fast-forward can bulk-attribute the skipped cycles.
     exec_blocked_n: u64,
-    /// Those µops themselves, recorded only while tracing (fast-forward
+    /// Those µops' slots, recorded only while tracing (fast-forward
     /// attributes the skipped cycles to each of them).
-    exec_blocked: Vec<Seq>,
+    exec_blocked: Vec<Slot>,
     /// The [`RegTags::generation`] the parked sets were last valid for:
     /// when the tags move past it, every parked µop is un-parked.
     parked_tag_gen: u64,
     /// Scratch for draining the completion wheel.
-    completions: Vec<Seq>,
+    completions: Vec<Slot>,
     /// Scratch for draining dependent lists in `publish_ready`.
-    dep_scratch: Vec<Seq>,
+    dep_scratch: Vec<Slot>,
     /// Scratch for sorting each cache set's resident ways by recency in
     /// the end-of-run `tag_observation_into` calls (reused across runs;
     /// the observation itself goes straight into the `SimResult` vector).
@@ -379,6 +430,7 @@ impl<'a> Core<'a> {
             .max(cfg.mul_latency)
             .max(protean_isa::DIV_BASE_LATENCY + 32)
             .max(protean_isa::DIV_FAULT_LATENCY);
+        let sched = Scheduler::new(n_phys, cfg.rob_size, max_completion_latency);
         let mut core = Core {
             fetch_idx: None,
             fetch_queue: FetchQueue::default(),
@@ -392,7 +444,7 @@ impl<'a> Core<'a> {
             rename_map: [0usize; Reg::COUNT],
             prot_map: [true; Reg::COUNT],
             free_list: VecDeque::with_capacity(n_phys),
-            rob: VecDeque::with_capacity(cfg.rob_size),
+            rob: Vec::with_capacity(sched.cap()),
             prf_done: vec![true; n_phys],
             prf_ready: vec![true; n_phys],
             prf_value: vec![0u64; n_phys],
@@ -400,7 +452,7 @@ impl<'a> Core<'a> {
             lq_used: 0,
             sq_used: 0,
             div_busy_until: 0,
-            sched: Scheduler::new(n_phys, cfg.rob_size, max_completion_latency),
+            sched,
             cached_frontier: None,
             exec_blocked_n: 0,
             exec_blocked: Vec::new(),
@@ -489,7 +541,6 @@ impl<'a> Core<'a> {
         self.prot_map = [true; Reg::COUNT];
         self.free_list.clear();
         self.free_list.extend(Reg::COUNT..n_phys);
-        self.rob.clear();
         self.prf_value.fill(0);
         for r in Reg::all() {
             self.prf_value[r.index()] = initial.reg(r);
@@ -655,7 +706,8 @@ impl<'a> Core<'a> {
             let idxs: Vec<u32> = g.remaining().iter().map(|e| e.idx).collect();
             let _ = writeln!(out, "  head fetch group ready@{}: {idxs:?}", g.ready_cycle);
         }
-        for u in self.rob.iter().take(8) {
+        for off in 0..self.sched.rob_len().min(8) {
+            let u = &self.rob[self.sched.slot_at(off)];
             let srcs: Vec<String> = u
                 .srcs
                 .iter()
@@ -683,11 +735,15 @@ impl<'a> Core<'a> {
         if let Some(fr) = self.cached_frontier {
             return fr;
         }
-        let head_seq = self.rob.front().map(|u| u.seq).unwrap_or(Seq::MAX);
+        let head_seq = if self.sched.rob_len() == 0 {
+            Seq::MAX
+        } else {
+            self.rob[self.sched.head_slot()].seq
+        };
         let oldest_unresolved_branch = self
             .sched
             .first(SetId::UnresolvedBranches)
-            .unwrap_or(Seq::MAX);
+            .map_or(Seq::MAX, |slot| self.rob[slot].seq);
         let fr = SpecFrontier {
             head_seq,
             oldest_unresolved_branch,
@@ -706,24 +762,20 @@ impl<'a> Core<'a> {
         self.cached_frontier = None;
     }
 
-    /// Records a defense denial of the µop at ROB index `i` in the trace
+    /// Records a defense denial of the µop in `slot` in the trace
     /// (no-op when tracing is off — one branch, no allocation).
-    fn trace_block(&mut self, i: usize, point: BlockPoint, fr: &SpecFrontier) {
-        if self.tracer.is_some() {
-            let u = &self.rob[i];
+    fn trace_block(&mut self, slot: Slot, point: BlockPoint, fr: &SpecFrontier) {
+        if let Some(t) = self.tracer.as_mut() {
+            let u = &self.rob[slot];
             let rule = self.policy.block_rule(u, point, &self.tags, fr);
-            let (seq, cycle) = (u.seq, self.cycle);
-            if let Some(t) = self.tracer.as_mut() {
-                t.on_block(seq, point, cycle, rule);
-            }
+            t.on_block(u.seq, point, self.cycle, rule);
         }
     }
 
-    /// [`Core::trace_block`] for each of `seqs`.
-    fn trace_blocks(&mut self, seqs: &[Seq], point: BlockPoint, fr: &SpecFrontier) {
-        for &seq in seqs {
-            let i = self.rob_index(seq).expect("blocked µop is in the ROB");
-            self.trace_block(i, point, fr);
+    /// [`Core::trace_block`] for each of `slots`.
+    fn trace_blocks(&mut self, slots: &[Slot], point: BlockPoint, fr: &SpecFrontier) {
+        for &slot in slots {
+            self.trace_block(slot, point, fr);
         }
     }
 
@@ -850,11 +902,11 @@ impl<'a> Core<'a> {
                     }
                     BlockPoint::Execute => scratch.extend(self.exec_blocked.iter().copied()),
                 }
-                for &seq in &scratch {
-                    let i = self.rob_index(seq).expect("blocked µop is in the ROB");
-                    let rule = self.policy.block_rule(&self.rob[i], point, &self.tags, &fr);
+                for &slot in &scratch {
+                    let u = &self.rob[slot];
+                    let rule = self.policy.block_rule(u, point, &self.tags, &fr);
                     if let Some(t) = self.tracer.as_mut() {
-                        t.on_block_many(seq, point, cycle, last, delta, rule);
+                        t.on_block_many(u.seq, point, cycle, last, delta, rule);
                     }
                 }
             }
@@ -868,41 +920,17 @@ impl<'a> Core<'a> {
     // Completion & wakeup
     // ------------------------------------------------------------------
 
-    /// ROB index of the µop with sequence number `seq` (sequence numbers
-    /// are strictly increasing along the ROB, though not contiguous
-    /// after squashes).
-    ///
-    /// Strict monotonicity gives `rob[i].seq >= front.seq + i`, so the
-    /// µop can only sit at index `seq - front.seq` or below: guess there
-    /// and scan down. Without squash gaps the guess is exact, making
-    /// this O(1) on the hot path (it was the campaign profile's top
-    /// single symbol as a `VecDeque` binary search, ~11% of CPU).
-    fn rob_index(&self, seq: Seq) -> Option<usize> {
-        let front = self.rob.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        let mut i = ((seq - front) as usize).min(self.rob.len() - 1);
-        loop {
-            let s = self.rob[i].seq;
-            if s == seq {
-                return Some(i);
-            }
-            if s < seq || i == 0 {
-                return None;
-            }
-            i -= 1;
-        }
+    /// Whether source `(r, p)` of `u` lets it issue: ready, or a
+    /// store's pure data operand, which may lag (split STA/STD; captured
+    /// later by `capture_store_data`).
+    #[inline]
+    fn src_ready(&self, u: &DynInst, r: Reg, p: usize) -> bool {
+        self.prf_ready[p] || (u.is_store() && Some(r) == u.data_reg && !u.addr_regs.contains(r))
     }
 
-    /// Exact operand-readiness predicate of the issue stage: every
-    /// source ready, except that a store's pure data operand may lag
-    /// (split STA/STD; captured later by `capture_store_data`).
+    /// Exact operand-readiness predicate of the issue stage.
     fn operands_ready(&self, u: &DynInst) -> bool {
-        u.srcs.iter().all(|(r, p)| {
-            self.prf_ready[*p]
-                || (u.is_store() && Some(*r) == u.data_reg && !u.addr_regs.contains(*r))
-        })
+        u.srcs.iter().all(|&(r, p)| self.src_ready(u, r, p))
     }
 
     /// A source register that keeps [`Core::operands_ready`] false — the
@@ -910,11 +938,8 @@ impl<'a> Core<'a> {
     fn first_unready_src(&self, u: &DynInst) -> Option<usize> {
         u.srcs
             .iter()
-            .find(|(r, p)| {
-                !self.prf_ready[*p]
-                    && !(u.is_store() && Some(*r) == u.data_reg && !u.addr_regs.contains(*r))
-            })
-            .map(|(_, p)| *p)
+            .find(|&&(r, p)| !self.src_ready(u, r, p))
+            .map(|&(_, p)| p)
     }
 
     /// Marks physical register `phys` ready and drains its dependent
@@ -925,20 +950,19 @@ impl<'a> Core<'a> {
         let mut deps = std::mem::take(&mut self.dep_scratch);
         deps.clear();
         self.sched.drain_deps(phys, &mut deps);
-        for &seq in &deps {
-            let i = self
-                .rob_index(seq)
-                .expect("drained dependents are live (squash unlinks eagerly)");
-            if self.rob[i].status != UopStatus::Waiting {
+        // Drained dependents are live: squash unlinks eagerly.
+        for &slot in &deps {
+            let u = &self.rob[slot];
+            if u.status != UopStatus::Waiting {
                 continue;
             }
-            if self.operands_ready(&self.rob[i]) {
-                self.sched.insert(SetId::IssueReady, seq, i);
+            if self.operands_ready(u) {
+                self.sched.insert(SetId::IssueReady, slot);
             } else {
                 let p = self
-                    .first_unready_src(&self.rob[i])
+                    .first_unready_src(u)
                     .expect("not-ready µop has an unready source");
-                self.sched.register_dep(p, seq, i);
+                self.sched.register_dep(p, slot);
             }
         }
         self.dep_scratch = deps;
@@ -950,11 +974,9 @@ impl<'a> Core<'a> {
         // Completions due this cycle, straight off the event wheel.
         let mut completions = std::mem::take(&mut self.completions);
         self.sched.pop_completions(cycle, &mut completions);
-        for &seq in &completions {
-            let i = self
-                .rob_index(seq)
-                .expect("the wheel yields only live µops (stale events are filtered)");
-            let u = &mut self.rob[i];
+        // The wheel yields only live µops (stale events are filtered).
+        for &slot in &completions {
+            let u = &mut self.rob[slot];
             let UopStatus::Executing(done) = u.status else {
                 continue;
             };
@@ -975,10 +997,10 @@ impl<'a> Core<'a> {
                 self.prf_done[d.new_phys] = true;
             }
             if !store_needs_data && has_dsts {
-                self.sched.insert(SetId::WakeupPending, seq, i);
+                self.sched.insert(SetId::WakeupPending, slot);
             }
             if let Some(t) = self.tracer.as_mut() {
-                t.on_complete(seq, cycle);
+                t.on_complete(u.seq, cycle);
             }
             self.sched.mark_progress();
         }
@@ -996,21 +1018,20 @@ impl<'a> Core<'a> {
         if !self.sched.is_empty(SetId::WakeupPending) {
             scratch.clear();
             self.sched.collect(SetId::WakeupPending, &mut scratch);
-            for &seq in &scratch {
-                let i = self.rob_index(seq).expect("pending µop is in the ROB");
+            for &slot in &scratch {
                 self.profile.gate_eval(BlockPoint::Wakeup);
-                match self.policy.may_wakeup(&self.rob[i], &self.tags, &fr) {
+                match self.policy.may_wakeup(&self.rob[slot], &self.tags, &fr) {
                     Gate::Open => {
-                        self.rob[i].wakeup_done = true;
-                        for k in 0..self.rob[i].dsts.len() {
-                            let phys = self.rob[i].dsts[k].new_phys;
+                        self.rob[slot].wakeup_done = true;
+                        for k in 0..self.rob[slot].dsts.len() {
+                            let phys = self.rob[slot].dsts[k].new_phys;
                             self.publish_ready(phys);
                         }
-                        self.sched.remove(SetId::WakeupPending, seq, i);
+                        self.sched.remove(SetId::WakeupPending, slot);
                         self.sched.mark_progress();
                     }
                     Gate::Closed { until } => {
-                        self.sched.park(SetId::WakeupParked, seq, i, until);
+                        self.sched.park(SetId::WakeupParked, slot, until);
                         self.profile.gate_park(BlockPoint::Wakeup);
                     }
                 }
@@ -1023,14 +1044,12 @@ impl<'a> Core<'a> {
             self.sched.collect(SetId::WakeupParked, &mut scratch);
             self.trace_blocks(&scratch, BlockPoint::Wakeup, &fr);
             #[cfg(debug_assertions)]
-            for &seq in &scratch {
-                let i = self.rob_index(seq).expect("parked µop is in the ROB");
+            for &slot in &scratch {
+                let u = &self.rob[slot];
                 debug_assert!(
-                    !self
-                        .policy
-                        .may_wakeup(&self.rob[i], &self.tags, &fr)
-                        .is_open(),
-                    "wakeup-parked µop {seq} passed its lapse point unnoticed"
+                    !self.policy.may_wakeup(u, &self.tags, &fr).is_open(),
+                    "wakeup-parked µop {} passed its lapse point unnoticed",
+                    u.seq
                 );
             }
         }
@@ -1046,9 +1065,8 @@ impl<'a> Core<'a> {
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
         self.sched.collect(SetId::StoreWaiters, &mut scratch);
-        for &seq in &scratch {
-            let i = self.rob_index(seq).expect("store waiter is in the ROB");
-            let u = &self.rob[i];
+        for &slot in &scratch {
+            let u = &self.rob[slot];
             // Find the data operand.
             let (value, prot, yrot, taint, ready) = match u.inst.op {
                 Op::Store { src, .. } => match src {
@@ -1073,7 +1091,7 @@ impl<'a> Core<'a> {
                 _ => unreachable!("store waiter is a store or call"),
             };
             if ready {
-                let u = &mut self.rob[i];
+                let u = &mut self.rob[slot];
                 let m = u.mem.as_mut().expect("store has mem state");
                 m.value = value;
                 m.data_prot = prot;
@@ -1083,10 +1101,10 @@ impl<'a> Core<'a> {
                 if matches!(u.status, UopStatus::WaitingData) {
                     u.status = UopStatus::Done;
                     if !u.dsts.is_empty() {
-                        self.sched.insert(SetId::WakeupPending, seq, i);
+                        self.sched.insert(SetId::WakeupPending, slot);
                     }
                 }
-                self.sched.remove(SetId::StoreWaiters, seq, i);
+                self.sched.remove(SetId::StoreWaiters, slot);
                 self.sched.mark_progress();
             }
         }
@@ -1105,21 +1123,18 @@ impl<'a> Core<'a> {
         }
         let fr = self.frontier();
         let buggy = self.policy.pending_squash_bug();
-        let mut chosen: Option<usize> = None;
+        let mut chosen: Option<Slot> = None;
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
         self.sched.collect(SetId::ResolvePending, &mut scratch);
-        for &seq in &scratch {
-            let i = self
-                .rob_index(seq)
-                .expect("resolve candidate is in the ROB");
+        for &slot in &scratch {
             self.profile.gate_eval(BlockPoint::Resolve);
-            if self.policy.may_resolve(&self.rob[i], &self.tags, &fr) {
-                chosen = Some(i);
+            if self.policy.may_resolve(&self.rob[slot], &self.tags, &fr) {
+                chosen = Some(slot);
                 break;
             }
             self.stats.resolve_blocked_cycles += 1;
-            self.trace_block(i, BlockPoint::Resolve, &fr);
+            self.trace_block(slot, BlockPoint::Resolve, &fr);
             if buggy {
                 // Buggy arbiter (§VII-B4b): only the oldest misprediction
                 // is considered, regardless of whether the defense allows
@@ -1130,27 +1145,27 @@ impl<'a> Core<'a> {
             // Fixed arbiter: keep scanning for a younger resolvable one.
         }
         self.sched.scratch = scratch;
-        if let Some(i) = chosen {
-            self.do_branch_squash(i);
+        if let Some(slot) = chosen {
+            self.do_branch_squash(slot);
         }
     }
 
-    fn do_branch_squash(&mut self, rob_index: usize) {
-        let (seq, actual_next, hist, rsb_snap, inst, idx, actual_taken) = {
-            let u = &mut self.rob[rob_index];
+    fn do_branch_squash(&mut self, slot: Slot) {
+        let (seq, actual_next, hist, rsb_checkpoint, inst, idx, actual_taken) = {
+            let u = &mut self.rob[slot];
             u.resolved = true;
             (
                 u.seq,
                 u.actual_next.expect("branch executed"),
                 u.hist_snapshot,
-                u.rsb_snapshot.clone(),
+                u.rsb_checkpoint,
                 u.inst,
                 u.idx,
                 u.actual_taken,
             )
         };
-        self.sched.remove(SetId::ResolvePending, seq, rob_index);
-        self.sched.remove(SetId::UnresolvedBranches, seq, rob_index);
+        self.sched.remove(SetId::ResolvePending, slot);
+        self.sched.remove(SetId::UnresolvedBranches, slot);
         self.invalidate_frontier();
         self.sched.mark_progress();
         self.stats.branch_squashes += 1;
@@ -1159,7 +1174,7 @@ impl<'a> Core<'a> {
         // re-apply its *actual* effect.
         self.with_comp(Section::Bpred, |c| {
             c.tage.restore_history(hist);
-            c.rsb.restore(&rsb_snap);
+            c.rsb.restore(rsb_checkpoint);
             match inst.op {
                 Op::Jcc { .. } => c.tage.speculate(c.program.pc_of(idx), actual_taken),
                 Op::Call { .. } => c.rsb.push(c.program.pc_of(idx + 1)),
@@ -1175,15 +1190,19 @@ impl<'a> Core<'a> {
         self.fetch_stalled_until = self.cycle + self.cfg.redirect_penalty as u64;
     }
 
-    /// Squashes every µop with `seq > surviving`, restoring the rename
-    /// map and protection map. `kind` tags the squash-cause in the trace.
-    fn squash_younger_than(&mut self, surviving: Seq, kind: SquashKind) {
-        while let Some(u) = self.rob.back() {
+    /// Squashes every µop with `seq > surviving`, youngest first,
+    /// restoring the rename map and protection map. `kind` tags the
+    /// squash-cause in the trace. Returns the slot of the oldest squashed
+    /// µop, whose record stays readable until rename claims the slot
+    /// again.
+    fn squash_younger_than(&mut self, surviving: Seq, kind: SquashKind) -> Option<Slot> {
+        let mut oldest = None;
+        while let Some(slot) = self.sched.youngest() {
+            let u = &self.rob[slot];
             if u.seq <= surviving {
                 break;
             }
-            let u = self.rob.pop_back().expect("checked non-empty");
-            self.sched.on_squash_pop(u.seq);
+            self.sched.on_squash_pop();
             self.stats.squashed += 1;
             if let Some(t) = self.tracer.as_mut() {
                 t.on_squash(u.seq, self.cycle, kind);
@@ -1202,31 +1221,29 @@ impl<'a> Core<'a> {
                 self.prf_done[d.new_phys] = false;
                 self.prf_ready[d.new_phys] = false;
             }
+            oldest = Some(slot);
         }
         self.invalidate_frontier();
         self.policy.on_squash(surviving);
+        oldest
     }
 
     /// Squash used by memory-order violations and division machine
     /// clears: restores the front end from the first squashed µop's
-    /// snapshot.
+    /// snapshot (the fetch queue head's when no µop is squashed).
     fn squash_and_refetch(&mut self, surviving: Seq, refetch: Option<u32>, kind: SquashKind) {
-        // Find the first squashed entry's snapshot before popping.
-        let snap = self
-            .rob
-            .iter()
-            .find(|u| u.seq > surviving)
-            .map(|u| (u.hist_snapshot, u.rsb_snapshot.clone()))
-            .or_else(|| {
-                self.fetch_queue
-                    .head()
-                    .map(|(f, _)| (f.hist_snapshot, f.rsb_snapshot.clone()))
-            });
-        self.squash_younger_than(surviving, kind);
+        let queued = self
+            .fetch_queue
+            .head()
+            .map(|(f, _)| (f.hist_snapshot, f.rsb_checkpoint));
+        let snap = match self.squash_younger_than(surviving, kind) {
+            Some(slot) => Some((self.rob[slot].hist_snapshot, self.rob[slot].rsb_checkpoint)),
+            None => queued,
+        };
         if let Some((h, r)) = snap {
             self.with_comp(Section::Bpred, |c| {
                 c.tage.restore_history(h);
-                c.rsb.restore(&r);
+                c.rsb.restore(r);
             });
         }
         self.fetch_idx = refetch;
@@ -1245,53 +1262,48 @@ impl<'a> Core<'a> {
     // Commit
     // ------------------------------------------------------------------
 
+    /// Commits up to `commit_width` µops from the ROB head. The head's
+    /// record is read where it lies; the head advances once the record
+    /// has been read, before any machine clear.
     fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.front() else { return };
-            if head.status != UopStatus::Done {
+            if self.sched.rob_len() == 0 {
                 return;
             }
-            if head.mispredicted && !head.resolved {
+            let slot = self.sched.head_slot();
+            let u = &self.rob[slot];
+            if u.status != UopStatus::Done {
+                return;
+            }
+            if u.mispredicted && !u.resolved {
                 // The resolution pass will handle it (it is always
                 // allowed once non-speculative).
                 return;
             }
-            // Scheduler entries for the head must be cleared while it
-            // still occupies ROB index 0: the scheduler frees the
-            // head's ring slot at `on_commit_head`.
-            {
-                let head = self.rob.front().expect("checked above");
-                let seq = head.seq;
-                if !head.wakeup_done && !head.dsts.is_empty() {
-                    // The head may commit while its wakeup is still
-                    // denied — its pending (or parked) entry must not
-                    // outlive its ROB slot.
-                    self.sched.remove(SetId::WakeupPending, seq, 0);
-                    self.sched.remove(SetId::WakeupParked, seq, 0);
-                }
-                if head.is_load() {
-                    self.sched.remove(SetId::InflightLoads, seq, 0);
-                }
-                if head.is_store() {
-                    self.sched.remove(SetId::InflightStores, seq, 0);
-                }
-            }
-            let u = self.rob.pop_front().expect("head exists");
-            self.sched.on_commit_head();
-            self.no_commit_cycles = 0;
-            self.invalidate_frontier();
-            self.sched.mark_progress();
-            self.stats.committed += 1;
-            if let Some(t) = self.tracer.as_mut() {
-                t.on_commit(u.seq, self.cycle);
+            // Scheduler entries for the head must be cleared before the
+            // scheduler frees its slot at `on_commit_head`.
+            if !u.wakeup_done && !u.dsts.is_empty() {
+                // The head may commit while its wakeup is still denied —
+                // its pending (or parked) entry must not outlive its
+                // ROB slot.
+                self.sched.remove(SetId::WakeupPending, slot);
+                self.sched.remove(SetId::WakeupParked, slot);
             }
             if u.is_load() {
+                self.sched.remove(SetId::InflightLoads, slot);
                 self.lq_used -= 1;
                 self.stats.loads += 1;
             }
             if u.is_store() {
+                self.sched.remove(SetId::InflightStores, slot);
                 self.sq_used -= 1;
                 self.stats.stores += 1;
+            }
+            self.no_commit_cycles = 0;
+            self.sched.mark_progress();
+            self.stats.committed += 1;
+            if let Some(t) = self.tracer.as_mut() {
+                t.on_commit(u.seq, self.cycle);
             }
             if u.inst.is_cond_branch() || u.inst.is_indirect_branch() {
                 self.stats.branches += 1;
@@ -1299,37 +1311,44 @@ impl<'a> Core<'a> {
                     self.stats.mispredicts += 1;
                 }
             }
+            // What the rest of commit needs once `self` is borrowed
+            // mutably: scalars, not the record.
+            let (seq, idx, pc, op, actual_next, div_fault) =
+                (u.seq, u.idx, u.pc, u.inst.op, u.actual_next, u.div_fault);
+            let store = u
+                .mem
+                .as_ref()
+                .map(|m| (m.is_store, m.addr, m.size, m.value, m.data_prot));
+            let clears_load_prot = !u.prot_out;
             // Predictor training at commit (clean, non-transient state).
-            match u.inst.op {
+            match op {
                 Op::Jcc { .. } => {
-                    let (pc, pred, taken) = (u.pc, u.pred_taken, u.actual_taken);
+                    let (pred, taken) = (u.pred_taken, u.actual_taken);
                     self.with_comp(Section::Bpred, |c| c.tage.update(pc, pred, taken));
                 }
                 Op::JmpReg { .. } | Op::Ret => {
-                    if let Some(Some(t)) = u.actual_next {
-                        let (pc, target) = (u.pc, self.program.pc_of(t));
+                    if let Some(Some(t)) = actual_next {
+                        let target = self.program.pc_of(t);
                         self.with_comp(Section::Bpred, |c| c.btb.update(pc, target));
                     }
                 }
                 _ => {}
             }
             // Stores write committed state.
-            if let Some(m) = &u.mem {
-                if m.is_store {
-                    let addr = m.addr.expect("committed store has address");
-                    self.mem.write(addr, m.size, m.value);
+            if let Some((is_store, addr, size, value, data_prot)) = store {
+                if is_store {
+                    let addr = addr.expect("committed store has address");
+                    self.mem.write(addr, size, value);
                     self.mem_access_for_timing(addr);
                     if self.policy.uses_protisa() {
-                        let (size, prot) = (m.size, m.data_prot);
                         self.with_comp(Section::CacheMeta, |c| {
-                            c.update_mem_prot_on_store(addr, size, prot)
+                            c.update_mem_prot_on_store(addr, size, data_prot)
                         });
                     }
-                } else if self.policy.uses_protisa() && !u.prot_out {
+                } else if self.policy.uses_protisa() && clears_load_prot {
                     // Loads with unprotected outputs clear the protection
                     // of the accessed bytes at commit (§IV-C2b).
-                    let addr = m.addr.expect("committed load has address");
-                    let size = m.size;
+                    let addr = addr.expect("committed load has address");
                     self.with_comp(Section::CacheMeta, |c| {
                         c.update_mem_prot_on_load_commit(addr, size)
                     });
@@ -1339,14 +1358,16 @@ impl<'a> Core<'a> {
             // readable (any defense wakeup-delay ends at non-speculation,
             // and commit is past that), so publish them even if the
             // wakeup pass never ran this µop.
-            for d in &u.dsts {
+            for k in 0..self.rob[slot].dsts.len() {
+                let d = self.rob[slot].dsts[k];
                 self.committed_regs[d.arch.index()] = d.value;
                 self.prf_done[d.new_phys] = true;
                 self.publish_ready(d.new_phys);
                 // Free the previous mapping.
                 self.free_list.push_back(d.prev_phys);
             }
-            self.policy.on_commit(&u, &mut self.tags, &mut self.l1d);
+            let u = &self.rob[slot];
+            self.policy.on_commit(u, &mut self.tags, &mut self.l1d);
             if self.record_traces {
                 self.timing.push([
                     u.pc,
@@ -1358,23 +1379,28 @@ impl<'a> Core<'a> {
                 ]);
                 self.committed_idxs.push(u.idx);
             }
+            // No in-flight µop holds an RSB checkpoint older than this
+            // one's.
+            self.rsb.release_before(u.rsb_checkpoint);
+            self.sched.on_commit_head();
+            self.invalidate_frontier();
             // Machine ends / machine clears.
-            match u.inst.op {
+            match op {
                 Op::Halt => {
                     self.halted = Some(SimExit::Halted);
                     return;
                 }
-                Op::JmpReg { .. } | Op::Ret if u.actual_next == Some(None) => {
+                Op::JmpReg { .. } | Op::Ret if actual_next == Some(None) => {
                     self.halted = Some(SimExit::BadControlFlow);
                     return;
                 }
                 _ => {}
             }
-            if u.div_fault {
+            if div_fault {
                 // Division fault: machine clear (squash younger, refetch
                 // the next instruction) — the conditional flush is the
                 // divider's timing channel (§VII-B4b).
-                self.squash_and_refetch(u.seq, Some(u.idx + 1), SquashKind::DivFault);
+                self.squash_and_refetch(seq, Some(idx + 1), SquashKind::DivFault);
                 return;
             }
         }
@@ -1462,7 +1488,7 @@ impl<'a> Core<'a> {
     /// have reached it with its port class free (and, for a divide, the
     /// divider idle). Parked µops consume no resources, so those
     /// conditions change only at executed candidates; the walk records
-    /// the ROB index at which each one stopped holding and counts the
+    /// the age offset at which each one stopped holding and counts the
     /// parked µops of each class below it with a rank query.
     fn issue(&mut self) {
         self.exec_blocked_n = 0;
@@ -1479,14 +1505,17 @@ impl<'a> Core<'a> {
         }
         // The issue window admits the `iq_size` oldest *waiting* µops,
         // ready or not (parked ones included) — the old scan broke upon
-        // reaching the (iq_size+1)-th waiting entry, so that entry's
-        // sequence number is the exclusive cutoff for ready candidates.
-        let cutoff = if self.sched.len(SetId::Waiting) > self.cfg.iq_size {
-            self.sched
+        // reaching the (iq_size+1)-th waiting entry, so that entry's age
+        // offset is the exclusive cutoff for ready candidates.
+        let n = self.sched.rob_len();
+        let cutoff_end = if self.sched.len(SetId::Waiting) > self.cfg.iq_size {
+            let slot = self
+                .sched
                 .nth(SetId::Waiting, self.cfg.iq_size)
-                .expect("length checked")
+                .expect("length checked");
+            self.sched.offset(slot)
         } else {
-            Seq::MAX
+            n
         };
         let mut alu_slots = self.cfg.alu_ports;
         let mut mem_slots = self.cfg.mem_ports;
@@ -1494,10 +1523,9 @@ impl<'a> Core<'a> {
         let width = self.cfg.issue_width;
         let full =
             |issued: usize, alu: usize, mem: usize| issued >= width || (alu == 0 && mem == 0);
-        // ROB indices from which the old loop would have skipped a parked
+        // Age offsets from which the old loop would have skipped a parked
         // µop: once the loop broke, once each port class ran out, once
         // the divider was busy.
-        let n = self.rob.len();
         let mut stop_end = if full(0, alu_slots, mem_slots) { 0 } else { n };
         let (mut mem_end, mut alu_end) = (n, n);
         let div_busy_at_start = self.div_busy_until > self.cycle;
@@ -1508,17 +1536,17 @@ impl<'a> Core<'a> {
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
         self.sched
-            .collect_below(SetId::IssueReady, cutoff, &mut scratch);
+            .collect_until(SetId::IssueReady, cutoff_end, &mut scratch);
 
-        for &seq in &scratch {
+        for &slot in &scratch {
             if full(issued, alu_slots, mem_slots) {
                 break;
             }
-            let i = self.rob_index(seq).expect("issue-ready µop is in the ROB");
-            debug_assert_eq!(self.rob[i].status, UopStatus::Waiting);
-            debug_assert!(self.operands_ready(&self.rob[i]));
+            let i = self.sched.offset(slot);
+            debug_assert_eq!(self.rob[slot].status, UopStatus::Waiting);
+            debug_assert!(self.operands_ready(&self.rob[slot]));
             // Port availability.
-            let is_mem = self.rob[i].inst.is_mem();
+            let is_mem = self.rob[slot].inst.is_mem();
             if is_mem && mem_slots == 0 {
                 continue;
             }
@@ -1526,13 +1554,15 @@ impl<'a> Core<'a> {
                 continue;
             }
             // Divider occupancy.
-            let is_div = self.rob[i].inst.is_div();
+            let is_div = self.rob[slot].inst.is_div();
             if is_div && self.div_busy_until > self.cycle {
                 continue;
             }
             // Defense gate.
             self.profile.gate_eval(BlockPoint::Execute);
-            if let Gate::Closed { until } = self.policy.may_execute(&self.rob[i], &self.tags, &fr) {
+            if let Gate::Closed { until } =
+                self.policy.may_execute(&self.rob[slot], &self.tags, &fr)
+            {
                 let class = if is_mem {
                     SetId::ExecParkedMem
                 } else if is_div {
@@ -1540,14 +1570,14 @@ impl<'a> Core<'a> {
                 } else {
                     SetId::ExecParkedAlu
                 };
-                self.sched.park(class, seq, i, until);
+                self.sched.park(class, slot, until);
                 self.profile.gate_park(BlockPoint::Execute);
                 parked = true;
                 continue;
             }
             // Execute (false = blocked, e.g. a partial store overlap).
             let executed = self.with_comp(Section::Execute, |c| {
-                c.execute_uop(i, &mut pending_violation)
+                c.execute_uop(slot, &mut pending_violation)
             });
             if executed {
                 issued += 1;
@@ -1570,23 +1600,16 @@ impl<'a> Core<'a> {
                 }
                 #[cfg(debug_assertions)]
                 issued_log.push((i, is_mem, self.div_busy_until > self.cycle));
-                self.sched.remove(SetId::Waiting, seq, i);
-                self.sched.remove(SetId::IssueReady, seq, i);
+                self.sched.remove(SetId::Waiting, slot);
+                self.sched.remove(SetId::IssueReady, slot);
                 self.sched.mark_progress();
-                if self.tracer.is_some() {
-                    let cycle = self.cycle;
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.on_issue(seq, cycle);
-                    }
+                if let Some(t) = self.tracer.as_mut() {
+                    t.on_issue(self.rob[slot].seq, self.cycle);
                 }
             }
         }
 
         if parked && self.exec_parked() != 0 {
-            let cutoff_end = match cutoff {
-                Seq::MAX => n,
-                seq => self.rob_index(seq).expect("waiting µop is in the ROB"),
-            };
             let end = cutoff_end.min(stop_end);
             self.count_exec_parked(
                 [
@@ -1608,7 +1631,7 @@ impl<'a> Core<'a> {
 
     /// Counts (and traces) the execute-parked µops the old per-cycle
     /// loop would have denied this tick: those of each parked class
-    /// (`EXEC_PARKED` order) below that class's ROB-index bound. Kept
+    /// (`EXEC_PARKED` order) below that class's age-offset bound. Kept
     /// out of line: the issue loop runs on every tick, this only on
     /// ticks with parked µops.
     #[inline(never)]
@@ -1630,7 +1653,7 @@ impl<'a> Core<'a> {
 
     /// Debug check of the parked-gate counting argument: replays the
     /// old per-cycle issue loop over every execute-parked µop (using
-    /// the candidates this tick executed, as `(ROB index, is_mem,
+    /// the candidates this tick executed, as `(age offset, is_mem,
     /// divider busy after)`), asserts that each parked µop's gate is
     /// still closed, and that the loop would have denied exactly
     /// `exec_blocked_n` of them.
@@ -1645,7 +1668,9 @@ impl<'a> Core<'a> {
         let (mut issued, mut alu, mut mem) = (0, self.cfg.alu_ports, self.cfg.mem_ports);
         let mut log = issued_log.iter().peekable();
         let mut denied = 0u64;
-        for (i, u) in self.rob.iter().enumerate() {
+        for i in 0..self.sched.rob_len() {
+            let slot = self.sched.slot_at(i);
+            let u = &self.rob[slot];
             if let Some(&&(j, is_mem, busy)) = log.peek() {
                 if j == i {
                     log.next();
@@ -1659,10 +1684,7 @@ impl<'a> Core<'a> {
                     continue;
                 }
             }
-            if !EXEC_PARKED
-                .iter()
-                .any(|&s| self.sched.contains(s, u.seq, i))
-            {
+            if !EXEC_PARKED.iter().any(|&s| self.sched.contains(s, slot)) {
                 continue;
             }
             assert!(
@@ -1690,11 +1712,11 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Executes the µop at ROB index `i`. Returns `false` if it could not
-    /// issue (memory structural conflict).
-    fn execute_uop(&mut self, i: usize, pending_violation: &mut Option<(Seq, u32)>) -> bool {
+    /// Executes the µop in `slot`. Returns `false` if it could not issue
+    /// (memory structural conflict).
+    fn execute_uop(&mut self, slot: Slot, pending_violation: &mut Option<(Seq, u32)>) -> bool {
         let cycle = self.cycle;
-        let u = &self.rob[i];
+        let u = &self.rob[slot];
         let inst = u.inst;
         let mut latency = 1u32;
         let mut dst_values: InlineVec<u64, 2> = InlineVec::new();
@@ -1764,29 +1786,26 @@ impl<'a> Core<'a> {
             }
             Op::Load { addr, size, .. } => {
                 let ea = addr.effective_address(|r| self.src_val(u, r));
-                return self.execute_load(i, ea, size.bytes(), cycle);
+                return self.execute_load(slot, ea, size.bytes(), cycle);
             }
             Op::Ret => {
                 let rsp = self.src_val(u, Reg::RSP);
-                return self.execute_load(i, rsp, 8, cycle);
+                return self.execute_load(slot, rsp, 8, cycle);
             }
             Op::Store { addr, size, .. } => {
                 let ea = addr.effective_address(|r| self.src_val(u, r));
-                return self.execute_store(i, ea, size.bytes(), cycle, pending_violation);
+                return self.execute_store(slot, ea, size.bytes(), cycle, pending_violation);
             }
             Op::Call { .. } => {
                 let rsp = self.src_val(u, Reg::RSP).wrapping_sub(8);
-                let ok = self.execute_store(i, rsp, 8, cycle, pending_violation);
+                let ok = self.execute_store(slot, rsp, 8, cycle, pending_violation);
                 if ok {
-                    let seq = {
-                        let u = &mut self.rob[i];
-                        u.dsts[0].value = rsp;
-                        // A call's target is static: never mispredicted.
-                        u.actual_next = Some(u.pred_next);
-                        u.resolved = true;
-                        u.seq
-                    };
-                    self.sched.remove(SetId::UnresolvedBranches, seq, i);
+                    let u = &mut self.rob[slot];
+                    u.dsts[0].value = rsp;
+                    // A call's target is static: never mispredicted.
+                    u.actual_next = Some(u.pred_next);
+                    u.resolved = true;
+                    self.sched.remove(SetId::UnresolvedBranches, slot);
                     self.invalidate_frontier();
                 }
                 return ok;
@@ -1806,8 +1825,7 @@ impl<'a> Core<'a> {
             Op::Nop | Op::Halt => {}
         }
 
-        let u = &mut self.rob[i];
-        let seq = u.seq;
+        let u = &mut self.rob[slot];
         u.status = UopStatus::Executing(cycle + latency as u64);
         u.issue_cycle = cycle;
         u.div_fault = div_fault;
@@ -1827,14 +1845,13 @@ impl<'a> Core<'a> {
                 newly_mispredicted = true;
             }
         }
-        self.sched
-            .schedule_completion(cycle + latency as u64, seq, i);
+        self.sched.schedule_completion(cycle + latency as u64, slot);
         if newly_resolved {
-            self.sched.remove(SetId::UnresolvedBranches, seq, i);
+            self.sched.remove(SetId::UnresolvedBranches, slot);
             self.invalidate_frontier();
         }
         if newly_mispredicted {
-            self.sched.insert(SetId::ResolvePending, seq, i);
+            self.sched.insert(SetId::ResolvePending, slot);
         }
         true
     }
@@ -1842,19 +1859,15 @@ impl<'a> Core<'a> {
     /// Executes a load: store-queue search, forwarding, cache access.
     /// Returns `false` if it must retry later (partial overlap / data not
     /// ready).
-    fn execute_load(&mut self, i: usize, addr: u64, size: u64, cycle: u64) -> bool {
-        let seq = self.rob[i].seq;
+    fn execute_load(&mut self, slot: Slot, addr: u64, size: u64, cycle: u64) -> bool {
         // Search older stores, youngest first. Walking the in-flight
         // store set visits exactly the stores the old full-ROB scan
-        // found at positions `(0..i).rev()`: sequence numbers are
-        // assigned in ROB order, so set order equals position order.
+        // found at the older positions, youngest first: set order is
+        // age order.
         let mut fwd: Option<(u64, bool, Seq, bool, Seq)> = None;
         let mut blocked = false;
-        self.sched.for_each_store_older(seq, i, |s_seq| {
-            let j = self
-                .rob_index(s_seq)
-                .expect("in-flight store set entry is in the ROB");
-            let s = &self.rob[j];
+        self.sched.for_each_store_older(slot, |s_slot| {
+            let s = &self.rob[s_slot];
             let Some(m) = &s.mem else { return true };
             let Some(s_addr) = m.addr else { return true }; // unknown addr: speculate past
                                                             // Widen to u128: fuzzer-generated addresses reach u64::MAX,
@@ -1903,7 +1916,7 @@ impl<'a> Core<'a> {
         };
 
         let uses_protisa = self.policy.uses_protisa();
-        let u = &mut self.rob[i];
+        let u = &mut self.rob[slot];
         u.status = UopStatus::Executing(cycle + latency as u64);
         u.issue_cycle = cycle;
         let m = u.mem.as_mut().expect("load has mem state");
@@ -1939,41 +1952,36 @@ impl<'a> Core<'a> {
             }
             _ => unreachable!("execute_load on non-load"),
         }
-        self.sched
-            .schedule_completion(cycle + latency as u64, seq, i);
+        self.sched.schedule_completion(cycle + latency as u64, slot);
         if newly_resolved {
-            self.sched.remove(SetId::UnresolvedBranches, seq, i);
+            self.sched.remove(SetId::UnresolvedBranches, slot);
             self.invalidate_frontier();
         }
         if newly_mispredicted {
-            self.sched.insert(SetId::ResolvePending, seq, i);
+            self.sched.insert(SetId::ResolvePending, slot);
         }
         // Policy hook (access predictor resolution, taint from memory).
-        let mut u = self.rob[i].clone();
-        self.policy.on_load_data(&mut u, &mut self.tags, &self.l1d);
-        self.rob[i] = u;
+        self.policy
+            .on_load_data(&mut self.rob[slot], &mut self.tags, &self.l1d);
         true
     }
 
     /// Executes a store's address phase; detects memory-order violations.
     fn execute_store(
         &mut self,
-        i: usize,
+        slot: Slot,
         addr: u64,
         size: u64,
         cycle: u64,
         pending_violation: &mut Option<(Seq, u32)>,
     ) -> bool {
-        let seq = self.rob[i].seq;
+        let seq = self.rob[slot].seq;
         // Memory-order violation: any younger load that already executed
         // and overlaps (and did not forward from this or a younger
-        // store). The in-flight load set replaces the old scan over ROB
-        // positions `i + 1..` — same µops, same (age) order.
-        self.sched.for_each_load_younger(seq, i, |l_seq| {
-            let j = self
-                .rob_index(l_seq)
-                .expect("in-flight load set entry is in the ROB");
-            let l = &self.rob[j];
+        // store). The in-flight load set replaces the old scan over the
+        // younger ROB positions — same µops, same (age) order.
+        self.sched.for_each_load_younger(slot, |l_slot| {
+            let l = &self.rob[l_slot];
             let Some(m) = &l.mem else { return true };
             let Some(l_addr) = m.addr else { return true };
             // u128 as in `execute_load`: no overflow near u64::MAX.
@@ -1994,13 +2002,13 @@ impl<'a> Core<'a> {
             }
             false
         });
-        let u = &mut self.rob[i];
+        let u = &mut self.rob[slot];
         u.status = UopStatus::Executing(cycle + 1);
         u.issue_cycle = cycle;
         let m = u.mem.as_mut().expect("store has mem state");
         m.addr = Some(addr);
-        self.sched.schedule_completion(cycle + 1, seq, i);
-        self.sched.insert(SetId::StoreWaiters, seq, i);
+        self.sched.schedule_completion(cycle + 1, slot);
+        self.sched.insert(SetId::StoreWaiters, slot);
         true
     }
 
@@ -2009,25 +2017,21 @@ impl<'a> Core<'a> {
     // ------------------------------------------------------------------
 
     /// Consumes up to `fetch_width` µops from the fetch queue's front
-    /// group(s). The queue hands the current group over as one slice;
-    /// structural stalls (ROB/LQ/SQ/free-list) stop the whole cycle
+    /// group(s), writing each into the ROB tail slot in place.
+    /// Structural stalls (ROB/LQ/SQ/free-list) stop the whole cycle
     /// exactly as the entry-at-a-time loop did.
     fn rename(&mut self) {
         for _ in 0..self.cfg.fetch_width {
-            let Some((front, ready_cycle)) = self.fetch_queue.head() else {
+            let Some((&front, ready_cycle)) = self.fetch_queue.head() else {
                 return;
             };
             if ready_cycle > self.cycle {
                 return;
             }
-            let idx = front.idx;
-            let pred_next = front.pred_next;
-            let pred_taken = front.pred_taken;
-            let hist_snapshot = front.hist_snapshot;
-            if self.rob.len() >= self.cfg.rob_size {
+            if self.sched.rob_len() >= self.cfg.rob_size {
                 return;
             }
-            let d = *self.decoded.get(idx);
+            let d = *self.decoded.get(front.idx);
             if d.is_load && self.lq_used >= self.cfg.lq_size {
                 return;
             }
@@ -2037,37 +2041,100 @@ impl<'a> Core<'a> {
             if self.free_list.len() < d.dsts.len() {
                 return;
             }
-            let rsb_snapshot = self
-                .fetch_queue
-                .head()
-                .expect("checked above")
-                .0
-                .rsb_snapshot
-                .clone();
             self.fetch_queue.advance_head();
             let seq = self.next_seq;
             self.next_seq += 1;
-            // Register the µop's ROB position with the scheduler before
-            // any set insert refers to it (it will be pushed at index
-            // `rob_i` below).
-            let rob_i = self.rob.len();
-            self.sched.on_dispatch(seq);
+            // Claim the tail slot before any set insert refers to it.
+            let slot = self.sched.on_dispatch();
+            // Slots are claimed in ring order from 0, so the first claim
+            // of a slot is always the next record past the end: the ROB
+            // grows to the ring as the run needs it, keeping `Core::new`
+            // free of the records' page faults.
+            debug_assert!(slot <= self.rob.len(), "slot claimed out of ring order");
+            if slot == self.rob.len() {
+                self.rob.push(DynInst::vacant());
+            }
+            // Every field is written through this exhaustive pattern: a
+            // new `DynInst` field fails to compile here instead of
+            // inheriting the slot's previous occupant.
+            let DynInst {
+                seq: u_seq,
+                idx,
+                pc,
+                inst,
+                mem,
+                status,
+                pred_next,
+                pred_taken,
+                actual_next,
+                actual_taken,
+                mispredicted,
+                resolved,
+                wakeup_done,
+                hist_snapshot,
+                rsb_checkpoint,
+                prot_out,
+                src_prot,
+                sens_prot,
+                mem_prot,
+                in_taint,
+                in_yrot,
+                delay_wakeup_nonspec,
+                wakeup_hold_root,
+                pred_no_access,
+                div_fault,
+                addr_regs,
+                data_reg,
+                fetch_cycle,
+                rename_cycle,
+                issue_cycle,
+                complete_cycle,
+                srcs,
+                dsts,
+            } = &mut self.rob[slot];
+            *u_seq = seq;
+            *idx = front.idx;
+            *pc = d.pc;
+            *inst = d.inst;
+            *status = UopStatus::Waiting;
+            *pred_next = front.pred_next;
+            *pred_taken = front.pred_taken;
+            *actual_next = None;
+            *actual_taken = false;
+            *mispredicted = false;
+            *resolved = false;
+            *wakeup_done = false;
+            *hist_snapshot = front.hist_snapshot;
+            *rsb_checkpoint = front.rsb_checkpoint;
+            *prot_out = d.inst.prot;
+            *mem_prot = None;
+            *in_taint = false;
+            *in_yrot = NO_ROOT;
+            *delay_wakeup_nonspec = false;
+            *wakeup_hold_root = NO_ROOT;
+            *pred_no_access = None;
+            *div_fault = false;
+            *addr_regs = d.addr_regs;
+            *data_reg = d.store_data_reg;
+            *fetch_cycle = ready_cycle - self.cfg.frontend_depth as u64;
+            *rename_cycle = self.cycle;
+            *issue_cycle = 0;
+            *complete_cycle = 0;
 
             // Sources first (they read the pre-update rename map).
-            let srcs: InlineVec<(Reg, usize), 3> = d
-                .srcs
-                .iter()
-                .map(|r| (*r, self.rename_map[r.index()]))
-                .collect();
-            let src_prot = srcs.iter().any(|(_, p)| self.tags.prot[*p]);
-            let sens_arch = self.sens_table[idx as usize];
-            let sens_prot = srcs
+            srcs.clear();
+            for &r in d.srcs.iter() {
+                srcs.push((r, self.rename_map[r.index()]));
+            }
+            *src_prot = srcs.iter().any(|(_, p)| self.tags.prot[*p]);
+            let sens_arch = self.sens_table[front.idx as usize];
+            *sens_prot = srcs
                 .iter()
                 .any(|(r, p)| sens_arch.contains(*r) && self.tags.prot[*p]);
 
             // Destinations: allocate and update maps.
             let width = d.write_width;
-            let mut dsts: InlineVec<DstInfo, 2> = InlineVec::new();
+            dsts.clear();
             for r in d.dsts.iter().copied() {
                 let new_phys = self.free_list.pop_front().expect("checked space");
                 let prev_phys = self.rename_map[r.index()];
@@ -2098,91 +2165,50 @@ impl<'a> Core<'a> {
                 });
             }
 
+            *mem = d.is_mem.then_some(MemState {
+                addr: None,
+                size: d.mem_size,
+                is_store: d.is_store,
+                value: 0,
+                data_ready: false,
+                data_prot: false,
+                data_yrot: NO_ROOT,
+                data_taint: false,
+                fwd_from: None,
+                fwd_data_yrot: NO_ROOT,
+                fwd_data_taint: false,
+            });
+
             if d.is_load {
                 self.lq_used += 1;
-                self.sched.insert(SetId::InflightLoads, seq, rob_i);
+                self.sched.insert(SetId::InflightLoads, slot);
             }
             if d.is_store {
                 self.sq_used += 1;
-                self.sched.insert(SetId::InflightStores, seq, rob_i);
+                self.sched.insert(SetId::InflightStores, slot);
             }
-
-            let mem = if d.is_mem {
-                Some(MemState {
-                    addr: None,
-                    size: d.mem_size,
-                    is_store: d.is_store,
-                    value: 0,
-                    data_ready: false,
-                    data_prot: false,
-                    data_yrot: NO_ROOT,
-                    data_taint: false,
-                    fwd_from: None,
-                    fwd_data_yrot: NO_ROOT,
-                    fwd_data_taint: false,
-                })
-            } else {
-                None
-            };
-
-            let mut u = DynInst {
-                seq,
-                idx,
-                pc: d.pc,
-                inst: d.inst,
-                srcs,
-                dsts,
-                status: UopStatus::Waiting,
-                mem,
-                pred_next,
-                pred_taken,
-                actual_next: None,
-                actual_taken: false,
-                mispredicted: false,
-                resolved: false,
-                wakeup_done: false,
-                hist_snapshot,
-                rsb_snapshot,
-                prot_out: d.inst.prot,
-                src_prot,
-                sens_prot,
-                mem_prot: None,
-                in_taint: false,
-                in_yrot: NO_ROOT,
-                delay_wakeup_nonspec: false,
-                wakeup_hold_root: NO_ROOT,
-                pred_no_access: None,
-                div_fault: false,
-                addr_regs: d.addr_regs,
-                data_reg: d.store_data_reg,
-                fetch_cycle: ready_cycle - self.cfg.frontend_depth as u64,
-                rename_cycle: self.cycle,
-                issue_cycle: 0,
-                complete_cycle: 0,
-            };
-            self.policy.on_rename(&mut u, &mut self.tags);
+            self.policy.on_rename(&mut self.rob[slot], &mut self.tags);
+            let u = &self.rob[slot];
             if let Some(t) = self.tracer.as_mut() {
-                t.on_rename(&u, self.cycle);
+                t.on_rename(u, self.cycle);
             }
             // Dispatch into the scheduler: every µop enters the waiting
             // set; ready ones go straight to the issue-ready set, the
             // rest park on one unready source register each.
-            self.sched.insert(SetId::Waiting, seq, rob_i);
-            if self.operands_ready(&u) {
-                self.sched.insert(SetId::IssueReady, seq, rob_i);
-            } else {
-                let p = self
-                    .first_unready_src(&u)
-                    .expect("not-ready µop has an unready source");
-                self.sched.register_dep(p, seq, rob_i);
+            let unready = (!self.operands_ready(u)).then(|| {
+                self.first_unready_src(u)
+                    .expect("not-ready µop has an unready source")
+            });
+            self.sched.insert(SetId::Waiting, slot);
+            match unready {
+                None => self.sched.insert(SetId::IssueReady, slot),
+                Some(p) => self.sched.register_dep(p, slot),
             }
             if d.is_branch {
-                self.sched.insert(SetId::UnresolvedBranches, seq, rob_i);
+                self.sched.insert(SetId::UnresolvedBranches, slot);
             }
             self.invalidate_frontier();
             self.sched.mark_progress();
-            // Nop/Halt and direct jumps execute trivially.
-            self.rob.push_back(u);
             self.stats.fetched += 1;
         }
     }
@@ -2238,7 +2264,14 @@ impl<'a> Core<'a> {
                 }
             }
             let hist_snapshot = self.tage.history();
-            let rsb_snapshot = self.rsb.snapshot_shared();
+            let rsb_checkpoint = self.rsb.checkpoint();
+            // Every live checkpoint is held by an in-flight µop (the
+            // ROB, the fetch queue and this group), except possibly the
+            // last committed µop's.
+            debug_assert!(
+                self.rsb.live_checkpoints() <= self.cfg.rob_size + cap + 1,
+                "RSB checkpoints outlive their µops"
+            );
             let mut pred_taken = false;
             let pred_next: Option<u32> = match ctrl {
                 CtrlFlow::Jmp { target } => Some(target),
@@ -2273,7 +2306,7 @@ impl<'a> Core<'a> {
                 pred_next,
                 pred_taken,
                 hist_snapshot,
-                rsb_snapshot,
+                rsb_checkpoint,
             });
             self.sched.mark_progress();
             self.fetch_idx = pred_next;
@@ -2282,13 +2315,8 @@ impl<'a> Core<'a> {
                 break;
             }
         }
-        if !group.is_empty() {
-            if self.tracer.is_some() {
-                let (cycle, start, len) = (self.cycle, group[0].idx, group.len() as u32);
-                if let Some(t) = self.tracer.as_mut() {
-                    t.on_fetch_group(cycle, start, len);
-                }
-            }
+        if let (Some(t), Some(first)) = (self.tracer.as_mut(), group.first()) {
+            t.on_fetch_group(self.cycle, first.idx, group.len() as u32);
         }
         self.fetch_queue
             .push_group(group, self.cycle + self.cfg.frontend_depth as u64);

@@ -4,8 +4,8 @@
 //! — completion, store-data capture, branch resolution, and issue were
 //! each O(ROB) even on cycles where nothing could possibly happen. The
 //! [`Scheduler`] replaces those scans with explicit event sets keyed by
-//! sequence number ([`Seq`]), all maintained incrementally by the
-//! pipeline:
+//! ROB slot ([`Slot`], a µop's only address), all maintained
+//! incrementally by the pipeline:
 //!
 //! * a **completion event wheel**: a µop entering execution schedules
 //!   exactly one completion event, so the completion stage touches only
@@ -20,7 +20,7 @@
 //!   predicate holds — the only µops the issue stage examines;
 //! * a **waiting set** (all Waiting µops in age order) — needed because
 //!   the issue window counts *every* waiting µop toward `iq_size`,
-//!   ready or not, so the cutoff sequence must be derivable exactly;
+//!   ready or not, so the cutoff offset must be derivable exactly;
 //! * a **store-data waiter set**: stores (and calls) that have computed
 //!   their address but not yet captured their data operand;
 //! * a **wakeup-pending set**: completed µops whose result broadcast the
@@ -43,22 +43,27 @@
 //!
 //! Every one of those sets holds µops that live in a ROB bounded at
 //! `rob_size` entries, so the scheduler backs them with fixed-capacity
-//! **bitsets over ROB ring slots**. It mirrors the ROB ring with two
-//! monotonic counters: `head_pos` (incremented when the head commits)
-//! and `tail_pos` (incremented at dispatch, decremented per squashed
-//! µop), with `tail_pos - head_pos == rob.len()` at every pipeline step.
-//! The µop at ROB index `i` occupies slot `(head_pos + i) & (cap - 1)`
-//! where `cap = rob_size.next_power_of_two()`; the window never exceeds
-//! `cap` entries, so the mapping is collision-free *even across
-//! squashes* (naive `seq % rob_size` indexing is not: squashes leave
-//! gaps in the live sequence numbers, so the in-ROB seq spread is
-//! unbounded).
+//! **bitsets over ROB ring slots**. The scheduler *is* the ROB ring's
+//! geometry: the core's ROB is a `Vec<DynInst>` of up to
+//! `cap = rob_size.next_power_of_two()` records, and the scheduler owns
+//! the two monotonic counters that say which of them are live —
+//! `head_pos` (incremented when the head commits) and `tail_pos`
+//! (incremented at rename, decremented per squashed µop). The µop
+//! `off` places younger than the head occupies slot
+//! `(head_pos + off) & (cap - 1)` for its whole life: rename writes its
+//! record there in place, every stage and every set addresses it by
+//! that slot, and commit and squash only move the counters. The window
+//! never exceeds `rob_size <= cap` entries, so the mapping is
+//! collision-free *even across squashes* (naive `seq % rob_size`
+//! indexing is not: squashes leave gaps in the live sequence numbers,
+//! so the in-ROB seq spread is unbounded).
 //!
-//! Age order ≡ seq order ≡ ROB position order (sequence numbers are
-//! assigned at dispatch and never reused), so age-ordered iteration of a
-//! bitset is a trailing-zeros walk **anchored at the ROB head slot**:
-//! the cyclic window `[head_slot, head_slot + len)` splits into at most
-//! two linear word ranges, walked in order.
+//! Age order ≡ seq order ≡ offset from the head slot (sequence numbers
+//! are assigned at rename and never reused), so age-ordered iteration
+//! of a bitset is a trailing-zeros walk **anchored at the ROB head
+//! slot**: the cyclic window `[head_slot, head_slot + len)` splits into
+//! at most two linear word ranges, walked in order. Age bounds (the
+//! issue window's cutoff, the parked-count ranks) are offsets.
 //!
 //! The completion wheel is a **calendar queue**: a power-of-two ring of
 //! per-cycle buckets sized past the maximum in-tree completion latency
@@ -104,7 +109,9 @@
 
 use crate::defense::{BlockPoint, Seq};
 use std::collections::VecDeque;
-use std::sync::Arc;
+
+/// A ROB ring slot: the one address of an in-flight µop.
+pub(crate) type Slot = usize;
 
 /// Identifies one of the twelve status sets (see module docs). The
 /// numeric value indexes the scheduler's set array.
@@ -321,13 +328,11 @@ impl FlatSet {
 }
 
 /// One completion event: the slot and dispatch generation it was
-/// scheduled for (the O(1) staleness check) plus the sequence number
-/// it yields when live.
+/// scheduled for (the O(1) staleness check).
 #[derive(Clone, Copy, Debug)]
 struct WheelEvent {
     slot: u32,
     gen: u32,
-    seq: Seq,
 }
 
 /// Event-driven scheduling state owned by the core: the flat ROB-slot
@@ -338,12 +343,10 @@ struct WheelEvent {
 pub(crate) struct Scheduler {
     /// Ring capacity: `rob_size.next_power_of_two()`.
     cap: usize,
-    /// Monotonic position counters mirroring the ROB ring; the window
+    /// Monotonic position counters of the ROB ring; the window
     /// `[head_pos, tail_pos)` maps to slots via `pos & (cap - 1)`.
     head_pos: u64,
     tail_pos: u64,
-    /// Sequence number occupying each slot (valid within the window).
-    slot_seq: Vec<Seq>,
     /// Per-slot dispatch generation, bumped when a slot is (re)claimed:
     /// distinguishes a squashed µop's leftovers from the slot's current
     /// occupant.
@@ -402,7 +405,7 @@ pub(crate) struct Scheduler {
     progress: bool,
     /// Scratch buffer recycled by the pipeline's per-stage iteration
     /// (sets cannot be mutated while iterated).
-    pub scratch: Vec<Seq>,
+    pub scratch: Vec<Slot>,
 }
 
 impl Scheduler {
@@ -419,7 +422,6 @@ impl Scheduler {
             cap,
             head_pos: 0,
             tail_pos: 0,
-            slot_seq: vec![0; cap],
             slot_gen: vec![0; cap],
             sets: std::array::from_fn(|_| FlatSet::with_capacity(cap)),
             exec_lapses: LapseQueue::default(),
@@ -473,36 +475,54 @@ impl Scheduler {
 
     // ---- ring geometry ----------------------------------------------
 
+    /// Ring capacity: the number of slots of the ROB ring.
+    #[inline]
+    pub fn cap(&self) -> usize {
+        self.cap
+    }
+
     #[inline]
     fn mask(&self) -> u64 {
         self.cap as u64 - 1
     }
 
+    /// Number of µops in the ROB (the window `[head, tail)`).
     #[inline]
-    fn window_len(&self) -> usize {
+    pub fn rob_len(&self) -> usize {
         (self.tail_pos - self.head_pos) as usize
     }
 
+    /// The slot of the ROB head (the oldest µop, when the ROB is not
+    /// empty).
     #[inline]
-    fn head_slot(&self) -> usize {
+    pub fn head_slot(&self) -> Slot {
         (self.head_pos & self.mask()) as usize
     }
 
-    /// The slot of the µop at ROB index `rob_i`, checked (in debug
-    /// builds) against the sequence number the caller expects there.
+    /// The slot `off` places younger than the head.
     #[inline]
-    fn slot_of(&self, rob_i: usize, seq: Seq) -> usize {
-        debug_assert!(rob_i < self.window_len(), "ROB index outside the window");
-        let slot = ((self.head_pos + rob_i as u64) & self.mask()) as usize;
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
-        slot
+    pub fn slot_at(&self, off: usize) -> Slot {
+        debug_assert!(off < self.rob_len(), "offset outside the window");
+        (self.head_slot() + off) & (self.cap - 1)
+    }
+
+    /// The age of `slot`: its offset from the head slot.
+    #[inline]
+    pub fn offset(&self, slot: Slot) -> usize {
+        (slot + self.cap - self.head_slot()) & (self.cap - 1)
+    }
+
+    /// The slot of the youngest µop, if any.
+    #[inline]
+    pub fn youngest(&self) -> Option<Slot> {
+        (self.rob_len() != 0).then(|| ((self.tail_pos - 1) & self.mask()) as usize)
     }
 
     /// The cyclic offset range `[start_off, end_off)` from the head as
     /// up to two linear slot ranges, in age order.
     #[inline]
     fn pieces(&self, start_off: usize, end_off: usize) -> ((usize, usize), (usize, usize)) {
-        debug_assert!(start_off <= end_off && end_off <= self.window_len());
+        debug_assert!(start_off <= end_off && end_off <= self.rob_len());
         let n = end_off - start_off;
         let s = (self.head_slot() + start_off) & (self.cap - 1);
         if s + n <= self.cap {
@@ -514,31 +534,28 @@ impl Scheduler {
 
     // ---- ROB lifecycle ----------------------------------------------
 
-    /// Registers a freshly renamed µop (about to be pushed at the ROB
-    /// tail) with the scheduler. Must be called before any set insert
-    /// for that µop.
+    /// Claims the tail slot for a freshly renamed µop and returns it:
+    /// the caller writes the µop there. Must be called before any set
+    /// insert for that µop.
     #[inline]
-    pub fn on_dispatch(&mut self, seq: Seq) {
-        debug_assert!(
-            self.window_len() < self.cap,
-            "ROB window exceeds scheduler ring capacity"
-        );
+    pub fn on_dispatch(&mut self) -> Slot {
+        debug_assert!(self.rob_len() < self.cap, "ROB exceeds the ring capacity");
         let slot = (self.tail_pos & self.mask()) as usize;
         self.tail_pos += 1;
-        self.slot_seq[slot] = seq;
         self.slot_gen[slot] = self.slot_gen[slot].wrapping_add(1);
         self.dep_phys[slot] = NO_NODE;
         #[cfg(debug_assertions)]
         for set in &self.sets {
             debug_assert!(!set.contains(slot), "fresh slot still in a status set");
         }
+        slot
     }
 
-    /// The ROB head was just committed (popped). All set entries for the
-    /// head must have been removed beforehand.
+    /// Retires the ROB head. All set entries for the head must have been
+    /// removed beforehand.
     #[inline]
     pub fn on_commit_head(&mut self) {
-        debug_assert!(self.window_len() > 0, "commit from an empty window");
+        debug_assert!(self.rob_len() > 0, "commit from an empty ROB");
         #[cfg(debug_assertions)]
         {
             let slot = self.head_slot();
@@ -550,30 +567,31 @@ impl Scheduler {
         self.head_pos += 1;
     }
 
-    /// One µop (`seq`, the current ROB tail) was just squashed (popped
-    /// from the back). Clears its membership in every status set and
-    /// unlinks it from any dependent list; its completion events (if
-    /// any) stay in the wheel as stale entries (see module docs).
+    /// Squashes the youngest µop: retreats the tail, clears the slot's
+    /// membership in every status set and unlinks it from any dependent
+    /// list; its completion events (if any) stay in the wheel as stale
+    /// entries (see module docs). Returns the freed slot, whose record
+    /// stays readable until the slot is claimed again.
     #[inline]
-    pub fn on_squash_pop(&mut self, seq: Seq) {
-        debug_assert!(self.window_len() > 0, "squash from an empty window");
+    pub fn on_squash_pop(&mut self) -> Slot {
+        debug_assert!(self.rob_len() > 0, "squash from an empty ROB");
         self.tail_pos -= 1;
         let slot = (self.tail_pos & self.mask()) as usize;
-        debug_assert_eq!(self.slot_seq[slot], seq, "squash pops the ROB tail");
         for set in &mut self.sets {
             if set.len != 0 {
                 set.remove(slot);
             }
         }
         self.unlink_dep(slot);
+        slot
     }
 
     // ---- status sets ------------------------------------------------
 
-    /// Inserts `seq` (at ROB index `rob_i`) into `set`. Idempotent.
+    /// Inserts `slot` into `set`. Idempotent.
     #[inline]
-    pub fn insert(&mut self, set: SetId, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i, seq);
+    pub fn insert(&mut self, set: SetId, slot: Slot) {
+        debug_assert!(self.offset(slot) < self.rob_len(), "slot outside the ROB");
         debug_assert!(
             !matches!(set, SetId::IssueReady | SetId::WakeupPending) || !self.parked(slot),
             "a parked µop re-entered a candidate set"
@@ -585,10 +603,9 @@ impl Scheduler {
         }
     }
 
-    /// Removes `seq` (at ROB index `rob_i`) from `set`. Idempotent.
+    /// Removes `slot` from `set`. Idempotent.
     #[inline]
-    pub fn remove(&mut self, set: SetId, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i, seq);
+    pub fn remove(&mut self, set: SetId, slot: Slot) {
         self.sets[set as usize].remove(slot);
     }
 
@@ -598,19 +615,20 @@ impl Scheduler {
         self.sets[set as usize].len
     }
 
-    /// Number of entries of `set` at ROB indices below `rob_end` (the
-    /// popcount rank query behind the issue stage's parked counts).
+    /// Number of entries of `set` younger than the head by less than
+    /// `end_off` (the popcount rank query behind the issue stage's
+    /// parked counts).
     #[inline]
-    pub fn count_below(&self, set: SetId, rob_end: usize) -> usize {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, rob_end);
+    pub fn count_below(&self, set: SetId, end_off: usize) -> usize {
+        let ((a0, a1), (b0, b1)) = self.pieces(0, end_off);
         let s = &self.sets[set as usize];
         s.count(a0, a1) + s.count(b0, b1)
     }
 
-    /// Whether `seq` (at ROB index `rob_i`) is in `set`.
+    /// Whether `slot` is in `set`.
     #[cfg(debug_assertions)]
-    pub fn contains(&self, set: SetId, seq: Seq, rob_i: usize) -> bool {
-        self.sets[set as usize].contains(self.slot_of(rob_i, seq))
+    pub fn contains(&self, set: SetId, slot: Slot) -> bool {
+        self.sets[set as usize].contains(slot)
     }
 
     /// Whether `slot` is in any parked set.
@@ -623,13 +641,11 @@ impl Scheduler {
 
     // ---- parked gates -----------------------------------------------
 
-    /// Parks `seq` (at ROB index `rob_i`): moves it from its candidate
-    /// set (`IssueReady` for the execute-parked sets, `WakeupPending`
-    /// for `WakeupParked`) into `parked` until the frontier point
-    /// reaches `until`.
+    /// Parks `slot`: moves it from its candidate set (`IssueReady` for
+    /// the execute-parked sets, `WakeupPending` for `WakeupParked`)
+    /// into `parked` until the frontier point reaches `until`.
     #[inline]
-    pub fn park(&mut self, parked: SetId, seq: Seq, rob_i: usize, until: Seq) {
-        let slot = self.slot_of(rob_i, seq);
+    pub fn park(&mut self, parked: SetId, slot: Slot, until: Seq) {
         let (from, queue) = match parked {
             SetId::WakeupParked => (SetId::WakeupPending, &mut self.wakeup_lapses),
             _ => {
@@ -720,118 +736,72 @@ impl Scheduler {
 
     /// The oldest entry of `set`, if any.
     #[inline]
-    pub fn first(&self, set: SetId) -> Option<Seq> {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
-        let s = &self.sets[set as usize];
-        let mut found = None;
-        let mut f = |slot: usize| {
-            found = Some(self.slot_seq[slot]);
-            false
-        };
-        if s.walk_asc(a0, a1, &mut f) {
-            s.walk_asc(b0, b1, &mut f);
-        }
-        found
+    pub fn first(&self, set: SetId) -> Option<Slot> {
+        self.nth(set, 0)
     }
 
     /// The `n`-th oldest entry of `set` (0-based), if any.
-    pub fn nth(&self, set: SetId, n: usize) -> Option<Seq> {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
+    pub fn nth(&self, set: SetId, n: usize) -> Option<Slot> {
+        let ((a0, a1), (b0, b1)) = self.pieces(0, self.rob_len());
         let s = &self.sets[set as usize];
         match s.select(a0, a1, n) {
-            Ok(slot) => Some(self.slot_seq[slot]),
-            Err(rest) => s.select(b0, b1, rest).ok().map(|slot| self.slot_seq[slot]),
+            Ok(slot) => Some(slot),
+            Err(rest) => s.select(b0, b1, rest).ok(),
         }
     }
 
     /// Appends every entry of `set` to `out`, oldest first.
     #[inline]
-    pub fn collect(&self, set: SetId, out: &mut Vec<Seq>) {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
+    pub fn collect(&self, set: SetId, out: &mut Vec<Slot>) {
+        self.collect_until(set, self.rob_len(), out);
+    }
+
+    /// Appends every entry of `set` at offsets below `end_off` to `out`,
+    /// oldest first.
+    #[inline]
+    pub fn collect_until(&self, set: SetId, end_off: usize, out: &mut Vec<Slot>) {
+        let ((a0, a1), (b0, b1)) = self.pieces(0, end_off);
         let s = &self.sets[set as usize];
         let mut f = |slot: usize| {
-            out.push(self.slot_seq[slot]);
+            out.push(slot);
             true
         };
         s.walk_asc(a0, a1, &mut f);
         s.walk_asc(b0, b1, &mut f);
     }
 
-    /// Appends every entry of `set` older than `bound` (exclusive) to
-    /// `out`, oldest first.
+    /// Visits every in-flight store older than the load in `slot`,
+    /// **youngest first** (the store-queue search order of
+    /// `execute_load`). `f` returns `false` to stop the walk.
     #[inline]
-    pub fn collect_below(&self, set: SetId, bound: Seq, out: &mut Vec<Seq>) {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
-        let s = &self.sets[set as usize];
-        // Age order ≡ seq order: stop at the first entry ≥ bound.
-        let mut f = |slot: usize| {
-            let seq = self.slot_seq[slot];
-            if seq >= bound {
-                return false;
-            }
-            out.push(seq);
-            true
-        };
+    pub fn for_each_store_older(&self, slot: Slot, mut f: impl FnMut(Slot) -> bool) {
+        let ((a0, a1), (b0, b1)) = self.pieces(0, self.offset(slot));
+        let s = &self.sets[SetId::InflightStores as usize];
+        if s.walk_desc(b0, b1, &mut f) {
+            s.walk_desc(a0, a1, &mut f);
+        }
+    }
+
+    /// Visits every in-flight load younger than the store in `slot`,
+    /// **oldest first** (the violation-scan order of `execute_store`).
+    /// `f` returns `false` to stop the walk.
+    #[inline]
+    pub fn for_each_load_younger(&self, slot: Slot, mut f: impl FnMut(Slot) -> bool) {
+        let ((a0, a1), (b0, b1)) = self.pieces(self.offset(slot) + 1, self.rob_len());
+        let s = &self.sets[SetId::InflightLoads as usize];
         if s.walk_asc(a0, a1, &mut f) {
             s.walk_asc(b0, b1, &mut f);
         }
     }
 
-    /// Appends every entry of `set` at ROB indices below `rob_end` to
-    /// `out`, oldest first.
-    pub fn collect_until(&self, set: SetId, rob_end: usize, out: &mut Vec<Seq>) {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, rob_end);
-        let s = &self.sets[set as usize];
-        let mut f = |slot: usize| {
-            out.push(self.slot_seq[slot]);
-            true
-        };
-        s.walk_asc(a0, a1, &mut f);
-        s.walk_asc(b0, b1, &mut f);
-    }
-
-    /// Visits every in-flight store older than the load `(seq, rob_i)`,
-    /// **youngest first** (the store-queue search order of
-    /// `execute_load`). `f` returns `false` to stop the walk.
-    #[inline]
-    pub fn for_each_store_older(&self, seq: Seq, rob_i: usize, mut f: impl FnMut(Seq) -> bool) {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, rob_i);
-        let s = &self.sets[SetId::InflightStores as usize];
-        let mut g = |slot: usize| {
-            debug_assert!(self.slot_seq[slot] < seq, "older walk crossed the bound");
-            f(self.slot_seq[slot])
-        };
-        if s.walk_desc(b0, b1, &mut g) {
-            s.walk_desc(a0, a1, &mut g);
-        }
-    }
-
-    /// Visits every in-flight load younger than the store `(seq, rob_i)`,
-    /// **oldest first** (the violation-scan order of `execute_store`).
-    /// `f` returns `false` to stop the walk.
-    #[inline]
-    pub fn for_each_load_younger(&self, seq: Seq, rob_i: usize, mut f: impl FnMut(Seq) -> bool) {
-        let ((a0, a1), (b0, b1)) = self.pieces(rob_i + 1, self.window_len());
-        let s = &self.sets[SetId::InflightLoads as usize];
-        let mut g = |slot: usize| {
-            debug_assert!(self.slot_seq[slot] > seq, "younger walk crossed the bound");
-            f(self.slot_seq[slot])
-        };
-        if s.walk_asc(a0, a1, &mut g) {
-            s.walk_asc(b0, b1, &mut g);
-        }
-    }
-
     // ---- completion wheel -------------------------------------------
 
-    /// Schedules `seq` (at ROB index `rob_i`) to complete at `done`.
+    /// Schedules the µop in `slot` to complete at `done`.
     #[inline]
-    pub fn schedule_completion(&mut self, done: u64, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i, seq);
+    pub fn schedule_completion(&mut self, done: u64, slot: Slot) {
         let ev = WheelEvent {
             slot: slot as u32,
             gen: self.slot_gen[slot],
-            seq,
         };
         self.wheel_live += 1;
         if self.wheel_live > self.wheel_hwm {
@@ -864,17 +834,14 @@ impl Scheduler {
         if self.slot_gen[slot] != ev.gen {
             return false;
         }
-        let off = (slot + self.cap - self.head_slot()) & (self.cap - 1);
-        let live = off < self.window_len();
-        debug_assert!(!live || self.slot_seq[slot] == ev.seq);
-        live
+        self.offset(slot) < self.rob_len()
     }
 
     /// Removes every completion event due at or before `cycle` and fills
-    /// `out` with the due µops in age order. Stale (squashed) events are
-    /// dropped here in O(1) via generation stamps, so `out` holds only
-    /// live µops.
-    pub fn pop_completions(&mut self, cycle: u64, out: &mut Vec<Seq>) {
+    /// `out` with the due µops' slots in age order. Stale (squashed)
+    /// events are dropped here in O(1) via generation stamps, so `out`
+    /// holds only live µops.
+    pub fn pop_completions(&mut self, cycle: u64, out: &mut Vec<Slot>) {
         out.clear();
         debug_assert_eq!(self.bucket_min, self.recomputed_bucket_min(), "stale cache");
         let mut drained = 0u64;
@@ -893,7 +860,7 @@ impl Scheduler {
                 self.bucket_events -= bucket.len() as u64;
                 for &ev in &bucket {
                     if self.event_live(ev) {
-                        out.push(ev.seq);
+                        out.push(ev.slot as usize);
                     }
                 }
                 bucket.clear();
@@ -927,14 +894,16 @@ impl Scheduler {
             self.overflow.pop();
             drained += 1;
             if self.event_live(ev) {
-                out.push(ev.seq);
+                out.push(ev.slot as usize);
             }
         }
         // A bucket holds events in scheduling order, and a fast-forward
         // landing drains several deadlines at once; keep age order so
         // processing matches the old ROB scan.
         if out.len() > 1 {
-            out.sort_unstable();
+            let head = self.head_slot();
+            let mask = self.cap - 1;
+            out.sort_unstable_by_key(|&slot| (slot + self.cap - head) & mask);
         }
         debug_assert!(drained <= self.wheel_live);
         self.wheel_live -= drained;
@@ -978,12 +947,10 @@ impl Scheduler {
         }
     }
 
-    /// Parks `seq` (at ROB index `rob_i`) until physical register `phys`
-    /// is written back. A µop is parked on at most one register at a
-    /// time.
+    /// Parks the µop in `slot` until physical register `phys` is
+    /// written back. A µop is parked on at most one register at a time.
     #[inline]
-    pub fn register_dep(&mut self, phys: usize, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i, seq);
+    pub fn register_dep(&mut self, phys: usize, slot: Slot) {
         debug_assert_eq!(self.dep_phys[slot], NO_NODE, "µop parked twice");
         self.dep_phys[slot] = phys as u32;
         self.dep_next[slot] = NO_NODE;
@@ -1005,7 +972,7 @@ impl Scheduler {
     /// order (the caller re-registers entries that are still not ready).
     /// Yields only live µops: squash unlinks eagerly.
     #[inline]
-    pub fn drain_deps(&mut self, phys: usize, out: &mut Vec<Seq>) {
+    pub fn drain_deps(&mut self, phys: usize, out: &mut Vec<Slot>) {
         let mut node = self.dep_head_of(phys);
         if node == NO_NODE {
             return;
@@ -1013,7 +980,7 @@ impl Scheduler {
         while node != NO_NODE {
             let slot = node as usize;
             debug_assert_eq!(self.dep_phys[slot], phys as u32);
-            out.push(self.slot_seq[slot]);
+            out.push(slot);
             self.dep_phys[slot] = NO_NODE;
             node = self.dep_next[slot];
         }
@@ -1087,6 +1054,7 @@ impl Scheduler {
 /// plus the dynamic prediction state rename needs. Per-entry front-end
 /// timing lives on the owning [`FetchGroup`] — all µops fetched in one
 /// cycle become rename-ready together.
+#[derive(Clone, Copy)]
 pub(crate) struct FetchEntry {
     /// Static instruction index.
     pub idx: u32,
@@ -1096,8 +1064,9 @@ pub(crate) struct FetchEntry {
     pub pred_taken: bool,
     /// TAGE global-history snapshot from before this µop's fetch.
     pub hist_snapshot: u64,
-    /// Interned RSB snapshot from before this µop's fetch.
-    pub rsb_snapshot: Arc<[u64]>,
+    /// RSB checkpoint id from before this µop's fetch
+    /// ([`crate::Rsb::checkpoint`]).
+    pub rsb_checkpoint: u32,
 }
 
 /// A fetch group: the µops fetched in one cycle, handed to rename as a
@@ -1113,6 +1082,9 @@ pub(crate) struct FetchGroup {
     cursor: usize,
     entries: Vec<FetchEntry>,
 }
+
+// Fetch-group buffers are cleared and reused without a drop.
+const _: () = assert!(!std::mem::needs_drop::<FetchEntry>());
 
 impl FetchGroup {
     /// Entries rename has not consumed yet.
@@ -1230,169 +1202,195 @@ mod tests {
         SetId::WakeupParked,
     ];
 
-    /// A small scheduler (8-slot ring, 32-bucket wheel): wrap-around is
-    /// a handful of dispatches away.
-    fn sched() -> Scheduler {
-        Scheduler::new(8, 8, 30)
+    /// A small scheduler (8-slot ring, 32-bucket wheel) plus the
+    /// sequence number written into each slot, standing in for the
+    /// ROB records: wrap-around is a handful of dispatches away.
+    struct Ring {
+        s: Scheduler,
+        seq: [Seq; 8],
     }
 
-    fn contents(s: &Scheduler, set: SetId) -> Vec<Seq> {
-        let mut out = Vec::new();
-        s.collect(set, &mut out);
-        out
+    impl Ring {
+        fn new() -> Ring {
+            Ring {
+                s: Scheduler::new(8, 8, 30),
+                seq: [0; 8],
+            }
+        }
+
+        fn dispatch(&mut self, seq: Seq) -> Slot {
+            let slot = self.s.on_dispatch();
+            self.seq[slot] = seq;
+            slot
+        }
+
+        fn squash(&mut self, seq: Seq) {
+            let slot = self.s.on_squash_pop();
+            assert_eq!(self.seq[slot], seq, "squash pops the ROB tail");
+        }
+
+        fn seqs(&self, slots: &[Slot]) -> Vec<Seq> {
+            slots.iter().map(|&slot| self.seq[slot]).collect()
+        }
+
+        fn contents(&self, set: SetId) -> Vec<Seq> {
+            let mut out = Vec::new();
+            self.s.collect(set, &mut out);
+            self.seqs(&out)
+        }
     }
 
     #[test]
     fn wheel_pops_due_events_in_age_order() {
-        let mut s = sched();
-        for seq in [1u64, 2, 3, 7] {
-            s.on_dispatch(seq);
-        }
-        s.schedule_completion(10, 3, 2);
-        s.schedule_completion(5, 7, 3);
-        s.schedule_completion(5, 2, 1);
-        s.schedule_completion(12, 1, 0);
+        let mut r = Ring::new();
+        let [a, b, c, d] = [1u64, 2, 3, 7].map(|seq| r.dispatch(seq));
+        r.s.schedule_completion(10, c);
+        r.s.schedule_completion(5, d);
+        r.s.schedule_completion(5, b);
+        r.s.schedule_completion(12, a);
         let mut out = Vec::new();
-        s.pop_completions(4, &mut out);
+        r.s.pop_completions(4, &mut out);
         assert!(out.is_empty());
-        assert_eq!(s.next_completion_cycle(), Some(5));
-        s.pop_completions(10, &mut out);
-        assert_eq!(out, vec![2, 3, 7]);
-        assert_eq!(s.next_completion_cycle(), Some(12));
-        s.pop_completions(100, &mut out);
-        assert_eq!(out, vec![1]);
-        assert_eq!(s.next_completion_cycle(), None);
+        assert_eq!(r.s.next_completion_cycle(), Some(5));
+        r.s.pop_completions(10, &mut out);
+        assert_eq!(r.seqs(&out), vec![2, 3, 7]);
+        assert_eq!(r.s.next_completion_cycle(), Some(12));
+        r.s.pop_completions(100, &mut out);
+        assert_eq!(r.seqs(&out), vec![1]);
+        assert_eq!(r.s.next_completion_cycle(), None);
     }
 
     #[test]
     fn squash_discards_only_younger_entries() {
-        let mut s = sched();
-        for (i, seq) in [1u64, 5, 9].into_iter().enumerate() {
-            s.on_dispatch(seq);
+        let mut r = Ring::new();
+        for seq in [1u64, 5, 9] {
+            let slot = r.dispatch(seq);
             for set in ALL_SETS {
-                s.insert(set, seq, i);
+                r.s.insert(set, slot);
             }
         }
         // The pipeline squash pops younger µops, tail first.
-        s.on_squash_pop(9);
+        r.squash(9);
         for set in ALL_SETS {
-            assert_eq!(contents(&s, set), vec![1, 5]);
+            assert_eq!(r.contents(set), vec![1, 5]);
         }
     }
 
     #[test]
     fn squash_and_age_order_across_ring_wraparound() {
-        let mut s = sched();
+        let mut r = Ring::new();
         // Fill most of the 8-slot ring...
-        for (i, seq) in (10..16).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::Waiting, seq, i);
+        for seq in 10..16 {
+            let slot = r.dispatch(seq);
+            r.s.insert(SetId::Waiting, slot);
         }
         // ...commit 5 heads so later dispatches wrap slots 0..=2.
-        for seq in 10..15 {
-            s.remove(SetId::Waiting, seq, 0);
-            s.on_commit_head();
+        for _ in 10..15 {
+            r.s.remove(SetId::Waiting, r.s.head_slot());
+            r.s.on_commit_head();
         }
-        for (i, seq) in (20..26).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::Waiting, seq, 1 + i);
-            s.insert(SetId::InflightLoads, seq, 1 + i);
+        for seq in 20..26 {
+            let slot = r.dispatch(seq);
+            r.s.insert(SetId::Waiting, slot);
+            r.s.insert(SetId::InflightLoads, slot);
         }
-        // Age order across the wrap: head is µop 15 at ROB index 0.
-        assert_eq!(
-            contents(&s, SetId::Waiting),
-            vec![15, 20, 21, 22, 23, 24, 25]
-        );
-        assert_eq!(s.nth(SetId::Waiting, 3), Some(22));
+        // Age order across the wrap: head is µop 15 at offset 0.
+        assert_eq!(r.s.head_slot(), 5);
+        assert_eq!(r.s.slot_at(3), 0);
+        assert_eq!(r.s.offset(2), 5);
+        assert_eq!(r.contents(SetId::Waiting), vec![15, 20, 21, 22, 23, 24, 25]);
+        assert_eq!(r.seqs(&[r.s.nth(SetId::Waiting, 3).unwrap()]), vec![22]);
         let mut below = Vec::new();
-        s.collect_below(SetId::Waiting, 23, &mut below);
-        assert_eq!(below, vec![15, 20, 21, 22]);
+        r.s.collect_until(SetId::Waiting, 4, &mut below);
+        assert_eq!(r.seqs(&below), vec![15, 20, 21, 22]);
         // Squash the youngest three (all on wrapped slots).
         for seq in [25, 24, 23] {
-            s.on_squash_pop(seq);
+            r.squash(seq);
         }
-        assert_eq!(contents(&s, SetId::Waiting), vec![15, 20, 21, 22]);
-        assert_eq!(contents(&s, SetId::InflightLoads), vec![20, 21, 22]);
+        assert_eq!(r.contents(SetId::Waiting), vec![15, 20, 21, 22]);
+        assert_eq!(r.contents(SetId::InflightLoads), vec![20, 21, 22]);
         // Refill the squashed slots: no leakage from the dead µops.
-        for (i, seq) in (30..33).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::Waiting, seq, 4 + i);
+        for seq in 30..33 {
+            let slot = r.dispatch(seq);
+            r.s.insert(SetId::Waiting, slot);
         }
-        assert_eq!(
-            contents(&s, SetId::Waiting),
-            vec![15, 20, 21, 22, 30, 31, 32]
-        );
+        assert_eq!(r.contents(SetId::Waiting), vec![15, 20, 21, 22, 30, 31, 32]);
+        assert_eq!(r.seqs(&[r.s.youngest().unwrap()]), vec![32]);
     }
 
     #[test]
     fn parked_gates_lapse_in_frontier_order() {
-        let mut s = sched();
-        for (i, seq) in (1..=5).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::IssueReady, seq, i);
-        }
-        s.park(SetId::ExecParkedMem, 2, 1, 2);
-        s.park(SetId::ExecParkedAlu, 3, 2, 9);
-        s.park(SetId::ExecParkedDiv, 5, 4, 4);
-        assert_eq!(contents(&s, SetId::IssueReady), vec![1, 4]);
-        // Rank queries count parked entries below a ROB index.
-        assert_eq!(s.count_below(SetId::ExecParkedAlu, 2), 0);
-        assert_eq!(s.count_below(SetId::ExecParkedAlu, 3), 1);
-        assert_eq!(s.count_below(SetId::ExecParkedDiv, 5), 1);
+        let mut r = Ring::new();
+        let slots: Vec<Slot> = (1..=5)
+            .map(|seq| {
+                let slot = r.dispatch(seq);
+                r.s.insert(SetId::IssueReady, slot);
+                slot
+            })
+            .collect();
+        r.s.park(SetId::ExecParkedMem, slots[1], 2);
+        r.s.park(SetId::ExecParkedAlu, slots[2], 9);
+        r.s.park(SetId::ExecParkedDiv, slots[4], 4);
+        assert_eq!(r.contents(SetId::IssueReady), vec![1, 4]);
+        // Rank queries count parked entries below an offset.
+        assert_eq!(r.s.count_below(SetId::ExecParkedAlu, 2), 0);
+        assert_eq!(r.s.count_below(SetId::ExecParkedAlu, 3), 1);
+        assert_eq!(r.s.count_below(SetId::ExecParkedDiv, 5), 1);
         let mut out = Vec::new();
-        s.collect_until(SetId::ExecParkedMem, 5, &mut out);
-        assert_eq!(out, vec![2]);
+        r.s.collect_until(SetId::ExecParkedMem, 5, &mut out);
+        assert_eq!(r.seqs(&out), vec![2]);
         // Nothing lapses below the earliest point; then in point order.
-        assert_eq!(s.unpark_due(BlockPoint::Execute, 1), 0);
-        assert_eq!(s.unpark_due(BlockPoint::Execute, 4), 2);
-        assert_eq!(contents(&s, SetId::IssueReady), vec![1, 2, 4, 5]);
-        assert_eq!(contents(&s, SetId::ExecParkedAlu), vec![3]);
+        assert_eq!(r.s.unpark_due(BlockPoint::Execute, 1), 0);
+        assert_eq!(r.s.unpark_due(BlockPoint::Execute, 4), 2);
+        assert_eq!(r.contents(SetId::IssueReady), vec![1, 2, 4, 5]);
+        assert_eq!(r.contents(SetId::ExecParkedAlu), vec![3]);
         // A squashed parked µop leaves a stale queue entry; the slot's
         // next occupant is not un-parked by it.
-        s.on_squash_pop(5);
-        s.on_squash_pop(4);
-        s.on_squash_pop(3);
-        s.on_dispatch(6);
-        s.insert(SetId::IssueReady, 6, 2);
-        s.park(SetId::ExecParkedAlu, 6, 2, 20);
-        assert_eq!(s.unpark_due(BlockPoint::Execute, 10), 0);
-        assert_eq!(contents(&s, SetId::ExecParkedAlu), vec![6]);
+        r.squash(5);
+        r.squash(4);
+        r.squash(3);
+        let six = r.dispatch(6);
+        r.s.insert(SetId::IssueReady, six);
+        r.s.park(SetId::ExecParkedAlu, six, 20);
+        assert_eq!(r.s.unpark_due(BlockPoint::Execute, 10), 0);
+        assert_eq!(r.contents(SetId::ExecParkedAlu), vec![6]);
         // A tag write un-parks everything at once.
-        s.insert(SetId::WakeupPending, 1, 0);
-        s.park(SetId::WakeupParked, 1, 0, 3);
-        assert_eq!(s.unpark_all(), [1, 1]);
-        assert_eq!(contents(&s, SetId::IssueReady), vec![1, 2, 6]);
-        assert_eq!(contents(&s, SetId::WakeupPending), vec![1]);
-        assert_eq!(s.unpark_due(BlockPoint::Wakeup, Seq::MAX), 0);
+        r.s.insert(SetId::WakeupPending, slots[0]);
+        r.s.park(SetId::WakeupParked, slots[0], 3);
+        assert_eq!(r.s.unpark_all(), [1, 1]);
+        assert_eq!(r.contents(SetId::IssueReady), vec![1, 2, 6]);
+        assert_eq!(r.contents(SetId::WakeupPending), vec![1]);
+        assert_eq!(r.s.unpark_due(BlockPoint::Wakeup, Seq::MAX), 0);
     }
 
     #[test]
     fn generation_stamps_skip_stale_wheel_events() {
-        let mut s = sched();
-        s.on_dispatch(1);
-        s.on_dispatch(2);
-        s.schedule_completion(50, 2, 1);
-        s.on_squash_pop(2);
+        let mut r = Ring::new();
+        r.dispatch(1);
+        let two = r.dispatch(2);
+        r.s.schedule_completion(50, two);
+        r.squash(2);
         // The stale event stays in the wheel and keeps feeding the
         // cached minimum (fast-forward jump-target parity)...
-        assert_eq!(s.next_completion_cycle(), Some(50));
+        assert_eq!(r.s.next_completion_cycle(), Some(50));
         // ...and the reused slot's new occupant shares its bucket.
-        s.on_dispatch(3);
-        s.schedule_completion(50, 3, 1);
+        let three = r.dispatch(3);
+        assert_eq!(three, two);
+        r.s.schedule_completion(50, three);
         let mut out = Vec::new();
-        s.pop_completions(50, &mut out);
+        r.s.pop_completions(50, &mut out);
         assert_eq!(
-            out,
+            r.seqs(&out),
             vec![3],
             "stale event for squashed seq 2 must be skipped"
         );
-        assert_eq!(s.next_completion_cycle(), None);
+        assert_eq!(r.s.next_completion_cycle(), None);
         // Stale event whose slot was *not* reused: window check.
-        s.on_dispatch(4);
-        s.schedule_completion(60, 4, 2);
-        s.on_squash_pop(4);
+        let four = r.dispatch(4);
+        r.s.schedule_completion(60, four);
+        r.squash(4);
         out.clear();
-        s.pop_completions(60, &mut out);
+        r.s.pop_completions(60, &mut out);
         assert!(out.is_empty());
     }
 
@@ -1400,125 +1398,128 @@ mod tests {
     fn wheel_overflow_beyond_horizon() {
         // max_latency 30 → 32-bucket ring: deadlines 32 cycles apart
         // collide and the younger goes to the sorted overflow list.
-        let mut s = sched();
-        s.on_dispatch(1);
-        s.on_dispatch(2);
-        s.schedule_completion(5, 1, 0);
-        s.schedule_completion(5 + 32, 2, 1);
-        assert_eq!(s.next_completion_cycle(), Some(5));
+        let mut r = Ring::new();
+        let one = r.dispatch(1);
+        let two = r.dispatch(2);
+        r.s.schedule_completion(5, one);
+        r.s.schedule_completion(5 + 32, two);
+        assert_eq!(r.s.next_completion_cycle(), Some(5));
         let mut out = Vec::new();
-        s.pop_completions(5, &mut out);
-        assert_eq!(out, vec![1]);
-        assert_eq!(s.next_completion_cycle(), Some(37));
-        s.pop_completions(37, &mut out);
-        assert_eq!(out, vec![2]);
-        assert_eq!(s.next_completion_cycle(), None);
+        r.s.pop_completions(5, &mut out);
+        assert_eq!(r.seqs(&out), vec![1]);
+        assert_eq!(r.s.next_completion_cycle(), Some(37));
+        r.s.pop_completions(37, &mut out);
+        assert_eq!(r.seqs(&out), vec![2]);
+        assert_eq!(r.s.next_completion_cycle(), None);
     }
 
     #[test]
     fn dep_lists_roundtrip_in_registration_order() {
-        let mut s = sched();
-        s.on_dispatch(4);
-        s.on_dispatch(8);
-        s.register_dep(1, 4, 0);
-        s.register_dep(1, 8, 1);
+        let mut r = Ring::new();
+        let four = r.dispatch(4);
+        let eight = r.dispatch(8);
+        r.s.register_dep(1, four);
+        r.s.register_dep(1, eight);
         let mut out = Vec::new();
-        s.drain_deps(1, &mut out);
-        assert_eq!(out, vec![4, 8]);
+        r.s.drain_deps(1, &mut out);
+        assert_eq!(r.seqs(&out), vec![4, 8]);
         out.clear();
-        s.drain_deps(1, &mut out);
-        s.drain_deps(0, &mut out);
+        r.s.drain_deps(1, &mut out);
+        r.s.drain_deps(0, &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn dep_lists_unlink_on_squash_and_reset_by_epoch() {
-        let mut s = sched();
-        s.on_dispatch(1);
-        s.on_dispatch(2);
-        s.on_dispatch(3);
-        s.register_dep(5, 1, 0);
-        s.register_dep(5, 2, 1);
-        s.register_dep(5, 3, 2);
+        let mut r = Ring::new();
+        for seq in 1..=3 {
+            let slot = r.dispatch(seq);
+            r.s.register_dep(5, slot);
+        }
         // Squash the middle registrant's younger sibling and the middle
         // one itself: both unlink in O(1), the head survives.
-        s.on_squash_pop(3);
-        s.on_squash_pop(2);
+        r.squash(3);
+        r.squash(2);
         let mut out = Vec::new();
-        s.drain_deps(5, &mut out);
-        assert_eq!(out, vec![1]);
+        r.s.drain_deps(5, &mut out);
+        assert_eq!(r.seqs(&out), vec![1]);
         // Epoch reset: parked µops from before reset() read as empty.
-        s.on_dispatch(9);
-        s.register_dep(5, 9, 1);
-        s.reset();
+        let nine = r.dispatch(9);
+        r.s.register_dep(5, nine);
+        r.s.reset();
         out.clear();
-        s.drain_deps(5, &mut out);
+        r.s.drain_deps(5, &mut out);
         assert!(out.is_empty());
         // The arena is fully usable after the O(1) reset.
-        s.on_dispatch(11);
-        s.register_dep(5, 11, 0);
+        let eleven = r.dispatch(11);
+        r.s.register_dep(5, eleven);
         out.clear();
-        s.drain_deps(5, &mut out);
-        assert_eq!(out, vec![11]);
+        r.s.drain_deps(5, &mut out);
+        assert_eq!(r.seqs(&out), vec![11]);
     }
 
     #[test]
     fn disambiguation_walks_visit_in_search_order() {
-        let mut s = sched();
-        for (i, seq) in (1..=6).enumerate() {
-            s.on_dispatch(seq);
-            if seq % 2 == 1 {
-                s.insert(SetId::InflightStores, seq, i);
-            } else {
-                s.insert(SetId::InflightLoads, seq, i);
-            }
-        }
+        let mut r = Ring::new();
+        let slots: Vec<Slot> = (1..=6)
+            .map(|seq| {
+                let slot = r.dispatch(seq);
+                if seq % 2 == 1 {
+                    r.s.insert(SetId::InflightStores, slot);
+                } else {
+                    r.s.insert(SetId::InflightLoads, slot);
+                }
+                slot
+            })
+            .collect();
         let mut stores = Vec::new();
-        // Stores older than the load seq 6 (ROB index 5), youngest
-        // first.
-        s.for_each_store_older(6, 5, |q| {
+        // Stores older than the load seq 6, youngest first.
+        r.s.for_each_store_older(slots[5], |q| {
             stores.push(q);
             true
         });
-        assert_eq!(stores, vec![5, 3, 1]);
+        assert_eq!(r.seqs(&stores), vec![5, 3, 1]);
         let mut loads = Vec::new();
-        // Loads younger than the store seq 1 (ROB index 0), oldest
-        // first, with an early stop.
-        s.for_each_load_younger(1, 0, |q| {
+        // Loads younger than the store seq 1, oldest first, with an
+        // early stop.
+        r.s.for_each_load_younger(slots[0], |q| {
             loads.push(q);
-            q != 4
+            r.seq[q] != 4
         });
-        assert_eq!(loads, vec![2, 4]);
+        assert_eq!(r.seqs(&loads), vec![2, 4]);
     }
 
     #[test]
     fn occupancy_high_water_marks() {
-        let mut s = sched();
-        for (i, seq) in (1..=3).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::Waiting, seq, i);
-        }
-        s.remove(SetId::Waiting, 3, 2);
-        s.insert(SetId::Waiting, 3, 2);
-        assert_eq!(s.iq_hwm(), 3);
-        s.schedule_completion(4, 1, 0);
-        s.schedule_completion(4, 2, 1);
+        let mut r = Ring::new();
+        let slots: Vec<Slot> = (1..=3)
+            .map(|seq| {
+                let slot = r.dispatch(seq);
+                r.s.insert(SetId::Waiting, slot);
+                slot
+            })
+            .collect();
+        r.s.remove(SetId::Waiting, slots[2]);
+        r.s.insert(SetId::Waiting, slots[2]);
+        assert_eq!(r.s.iq_hwm(), 3);
+        r.s.schedule_completion(4, slots[0]);
+        r.s.schedule_completion(4, slots[1]);
         let mut out = Vec::new();
-        s.pop_completions(4, &mut out);
-        s.schedule_completion(9, 3, 2);
-        assert_eq!(s.wheel_hwm(), 2);
-        s.reset();
-        assert_eq!((s.iq_hwm(), s.wheel_hwm()), (0, 0));
+        r.s.pop_completions(4, &mut out);
+        r.s.schedule_completion(9, slots[2]);
+        assert_eq!(r.s.wheel_hwm(), 2);
+        r.s.reset();
+        assert_eq!((r.s.iq_hwm(), r.s.wheel_hwm()), (0, 0));
     }
 
     #[test]
     fn progress_flag_lifecycle() {
-        let mut s = sched();
-        assert!(!s.progress());
-        s.mark_progress();
-        assert!(s.progress());
-        s.clear_progress();
-        assert!(!s.progress());
+        let mut r = Ring::new();
+        assert!(!r.s.progress());
+        r.s.mark_progress();
+        assert!(r.s.progress());
+        r.s.clear_progress();
+        assert!(!r.s.progress());
     }
 
     fn entry(idx: u32) -> FetchEntry {
@@ -1527,7 +1528,7 @@ mod tests {
             pred_next: Some(idx + 1),
             pred_taken: false,
             hist_snapshot: 0,
-            rsb_snapshot: Arc::from(&[][..]),
+            rsb_checkpoint: 0,
         }
     }
 

@@ -145,6 +145,104 @@ fn rsb_is_a_bounded_stack() {
     );
 }
 
+/// One operation of [`rsb_checkpoints_match_a_snapshot_model`].
+#[derive(Clone, Copy, Debug)]
+enum RsbOp {
+    Push(u64),
+    Pop,
+    Checkpoint,
+    /// Restore the live checkpoint at this index (mod the live count).
+    Restore(usize),
+    /// Release the live checkpoints older than the one at this index.
+    Release(usize),
+}
+
+/// RSB checkpoints by id: random push/pop/checkpoint/restore/release
+/// sequences against a model that keeps a `Vec` copy of every live
+/// checkpoint. Restoring any live id reproduces its contents exactly and
+/// drops every newer id; a checkpoint reuses the newest id while the
+/// contents are unchanged; the live count is exactly the model's.
+/// Capacities 0–4 with long sequences drive both the RSB ring and the
+/// checkpoint ring through wrap-around (and the latter through growth).
+#[test]
+fn rsb_checkpoints_match_a_snapshot_model() {
+    Checker::new("rsb_checkpoints_match_a_snapshot_model").run(
+        |rng| {
+            let cap = rng.gen_range(0..5usize);
+            let ops = vec_of(rng, 1..400, |r| match r.gen_range(0..5u32) {
+                0 => RsbOp::Push(r.gen()),
+                1 => RsbOp::Pop,
+                2 => RsbOp::Checkpoint,
+                3 => RsbOp::Restore(r.gen_range(0..64)),
+                _ => RsbOp::Release(r.gen_range(0..64)),
+            });
+            (cap, ops)
+        },
+        |(cap, ops)| {
+            let cap = *cap;
+            let mut rsb = Rsb::new(cap);
+            // Model: contents oldest → newest, the live checkpoints
+            // oldest first, and whether the contents changed since the
+            // newest checkpoint.
+            let mut stack: Vec<u64> = Vec::new();
+            let mut live: Vec<(u32, Vec<u64>)> = Vec::new();
+            let mut dirty = true;
+            for &op in ops {
+                match op {
+                    RsbOp::Push(v) => {
+                        rsb.push(v);
+                        if cap > 0 {
+                            if stack.len() == cap {
+                                stack.remove(0);
+                            }
+                            stack.push(v);
+                            dirty = true;
+                        }
+                    }
+                    RsbOp::Pop => {
+                        let want = stack.pop();
+                        dirty |= want.is_some();
+                        assert_eq!(rsb.pop(), want);
+                    }
+                    RsbOp::Checkpoint => {
+                        let id = rsb.checkpoint();
+                        match live.last() {
+                            Some((last, snap)) if !dirty => {
+                                assert_eq!(id, *last, "unchanged contents reuse the newest id");
+                                assert_eq!(snap, &stack);
+                            }
+                            _ => {
+                                assert!(
+                                    live.iter().all(|(l, _)| *l != id),
+                                    "a fresh id must not alias a live one"
+                                );
+                                live.push((id, stack.clone()));
+                            }
+                        }
+                        dirty = false;
+                    }
+                    RsbOp::Restore(k) if !live.is_empty() => {
+                        let k = k % live.len();
+                        rsb.restore(live[k].0);
+                        live.truncate(k + 1);
+                        stack.clone_from(&live[k].1);
+                        dirty = false;
+                        assert_eq!(rsb.snapshot(), stack, "restore reproduces the checkpoint");
+                    }
+                    RsbOp::Release(k) if !live.is_empty() => {
+                        let k = k % live.len();
+                        rsb.release_before(live[k].0);
+                        live.drain(..k);
+                    }
+                    RsbOp::Restore(_) | RsbOp::Release(_) => {}
+                }
+                assert_eq!(rsb.snapshot(), stack);
+                assert_eq!(rsb.live_checkpoints(), live.len(), "live-checkpoint count");
+            }
+        },
+    );
+}
+
 /// TAGE history snapshot/restore is exact, and predictions are
 /// deterministic functions of (state, pc).
 #[test]

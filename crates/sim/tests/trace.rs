@@ -176,7 +176,7 @@ fn branch_squashes_are_cause_tagged() {
         .filter_map(|u| u.squash.map(|s| s.cause))
         .collect();
     assert!(
-        squashed.iter().any(|&c| c == SquashKind::Branch),
+        squashed.contains(&SquashKind::Branch),
         "at least one µop must be tagged as branch-squashed"
     );
     // A squashed µop never commits.

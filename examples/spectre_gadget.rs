@@ -61,8 +61,11 @@ fn run(policy: Box<dyn DefensePolicy>, secret: u64) -> SimResult {
     core.run(100_000, 5_000_000)
 }
 
+/// Builds a fresh policy instance for one run.
+type MakePolicy = fn() -> Box<dyn DefensePolicy>;
+
 fn main() {
-    let defenses: Vec<(&str, fn() -> Box<dyn DefensePolicy>)> = vec![
+    let defenses: Vec<(&str, MakePolicy)> = vec![
         ("unsafe baseline", || Box::new(UnsafePolicy)),
         ("STT", || Box::new(SttPolicy::fixed())),
         ("SPT", || Box::new(SptPolicy::fixed())),

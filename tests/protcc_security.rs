@@ -98,7 +98,7 @@ fn ct_pass_protset_covers_secrets() {
         while let Some(record) = emu.step() {
             // Propagate the oracle.
             let srcs_secret = record.inst.src_regs().iter().any(|r| reg_secret[r.index()]);
-            let loaded_secret = record.mem.map_or(false, |m| {
+            let loaded_secret = record.mem.is_some_and(|m| {
                 !m.is_store && (0..m.size).any(|i| mem_secret.contains(&(m.addr + i)))
             });
             let secret_out = srcs_secret || loaded_secret;
