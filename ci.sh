@@ -41,21 +41,21 @@ echo "== cargo test -q --offline --workspace (debug profile)"
 # per-cycle loop's (see DESIGN.md, "Parked gates").
 cargo test -q --offline --workspace
 
-echo "== --quick report golden set (11 table/figure/ablation binaries vs bench_results/quick)"
-# Every paper-table, figure and ablation binary, end to end: each
-# --quick JSON report must be byte-identical to the committed golden
-# set, and is schema-checked with every other report by validate_json
-# below. After an intentional change of results, re-pin by copying the
-# output over the set:
-#   for b in <the binaries below>; do PROTEAN_BENCH_DIR=bench_results/quick \
-#       cargo run --release -p protean-bench --bin $b -- --quick; done
+echo "== --quick report golden set (reproduce --quick vs bench_results/quick)"
+# Every paper table, figure and ablation, end to end: `reproduce --quick`
+# writes all 11 JSON reports, each must be byte-identical to the
+# committed golden set, and each is schema-checked with every other
+# report by validate_json below. After an intentional change of results,
+# re-pin by writing the output over the set:
+#   PROTEAN_BENCH_DIR=bench_results/quick \
+#       cargo run --release -p protean-bench --bin reproduce -- --quick
 BENCH_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$BENCH_SMOKE_DIR"' EXIT
-for bin in table_i table_ii table_iv table_v figure_5 figure_6 \
+PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
+    cargo run -q --release --offline -p protean-bench --bin reproduce -- --quick >/dev/null
+for report in table_i table_ii table_iv table_v figure_5 figure_6 \
     ablation_protcc ablation_l1d ablation_access ablation_control ablation_fixes; do
-    PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
-        cargo run -q --release --offline -p protean-bench --bin "$bin" -- --quick >/dev/null
-    cmp "bench_results/quick/$bin.json" "$BENCH_SMOKE_DIR/$bin.json"
+    cmp "bench_results/quick/$report.json" "$BENCH_SMOKE_DIR/$report.json"
 done
 
 echo "== campaign_perf determinism (--quick, PROTEAN_JOBS=1 vs 4)"

@@ -15,7 +15,7 @@
 //! artifacts as false positives (§VII-B1e).
 //!
 //! The paper's Tab. II campaigns are reproduced by
-//! `cargo run -p protean-bench --bin table_ii`.
+//! `cargo run -p protean-bench --bin reproduce` (its `table_ii` report).
 //!
 //! # Example
 //!

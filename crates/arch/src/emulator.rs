@@ -8,7 +8,7 @@ use protean_isa::{
 };
 
 /// Architectural machine state: registers plus memory.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct ArchState {
     /// Register file, indexed by [`Reg::index`].
     pub regs: [u64; Reg::COUNT],

@@ -207,6 +207,22 @@ impl Clone for Memory {
     }
 }
 
+impl PartialEq for Memory {
+    /// Content equality: every address reads the same byte in both, so
+    /// an unmapped page equals an all-zero one.
+    fn eq(&self, other: &Memory) -> bool {
+        const ZERO: Page = [0; PAGE_SIZE];
+        let keys = |m: &Memory| {
+            let open = m.open.as_ref().map(|(k, _)| *k);
+            m.pages.keys().copied().chain(open).collect::<Vec<_>>()
+        };
+        keys(self)
+            .into_iter()
+            .chain(keys(other))
+            .all(|k| self.page(k).unwrap_or(&ZERO) == other.page(k).unwrap_or(&ZERO))
+    }
+}
+
 impl std::fmt::Debug for Memory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memory")
@@ -226,6 +242,21 @@ mod tests {
         assert_eq!(m.read_u8(0x100), 0x01);
         assert_eq!(m.read_u8(0x107), 0x08);
         assert_eq!(m.read(0x102, 2), 0x0403);
+    }
+
+    #[test]
+    fn equality_is_by_content() {
+        let mut a = Memory::new();
+        a.write(0x1000, 8, 7);
+        let mut b = a.clone();
+        assert_eq!(a, b);
+        b.write(0x1004, 1, 1);
+        assert_ne!(a, b);
+        b.write(0x1004, 1, 0);
+        assert_eq!(a, b, "same bytes, different write history");
+        b.write(0x9000, 1, 0);
+        assert_eq!(a, b, "a mapped zero page equals an unmapped one");
+        assert_ne!(b, Memory::new());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ```
 
 use protean_amulet::{fuzz, Adversary, ContractKind, FuzzConfig, Report};
-use protean_bench::report::BenchReport;
+use protean_bench::report::{results_dir, write_profile_report, BenchReport};
 use protean_cc::Pass;
 use protean_core::{ProtDelayPolicy, ProtTrackPolicy};
 use protean_sim::json::Json;
@@ -94,6 +94,7 @@ fn main() {
         ]);
     }
 
-    rep.write_and_announce();
-    protean_bench::report::write_profile_report();
+    let dir = results_dir();
+    rep.write_or_exit(&dir);
+    write_profile_report(&dir);
 }

@@ -168,7 +168,7 @@ fn main() {
     }
 
     if all_complete {
-        rep.write_and_announce();
+        rep.write_or_exit(&results_dir());
     } else {
         println!("\nkilled before completion; snapshots saved — rerun to resume");
     }

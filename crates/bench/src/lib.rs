@@ -1,11 +1,12 @@
 //! # protean-bench
 //!
 //! The benchmark harness that regenerates every results table and figure
-//! of *"Protean: A Programmable Spectre Defense"* (HPCA 2026). Each
-//! binary corresponds to one table/figure (see `DESIGN.md` §5 and
-//! `EXPERIMENTS.md`):
+//! of *"Protean: A Programmable Spectre Defense"* (HPCA 2026). The
+//! `reproduce` binary renders all of them from one shared cell table
+//! (see [`reproduce`], `DESIGN.md` §5 and `EXPERIMENTS.md`), one report
+//! each:
 //!
-//! | Binary | Reproduces |
+//! | Report | Reproduces |
 //! |--------|------------|
 //! | `table_i` | Tab. I — targeting matrix with headline overheads |
 //! | `table_ii` | Tab. II — AMuLeT\* contract-violation campaigns |
@@ -15,14 +16,15 @@
 //! | `figure_6` | Fig. 6 — per-benchmark normalized runtimes |
 //! | `ablation_*` | §IX-A2…A7 studies |
 //!
-//! All binaries accept `--quick` (smaller rosters) and print normalized
-//! runtimes (defense cycles / unsafe-baseline cycles on the same
-//! workload and core).
+//! `reproduce` accepts `--quick` (smaller rosters) and `--scale N`, and
+//! prints normalized runtimes (defense cycles / unsafe-baseline cycles
+//! on the same workload and core).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod report;
+pub mod reproduce;
 
 use protean_baselines::{AccessDelayPolicy, SptPolicy, SptSbPolicy, SttPolicy};
 use protean_cc::{compile, compile_with, Pass};
@@ -150,7 +152,7 @@ pub fn pass_for(class: SecurityClass) -> Pass {
 }
 
 /// Result of one measured run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RunResult {
     /// Execution time: cycles for single-thread, makespan for
     /// multi-thread.
@@ -246,43 +248,6 @@ fn mispred_of(policy_stats: &[(String, f64)]) -> Option<f64> {
         .map(|(_, v)| *v)
 }
 
-/// One measured table cell: the defense run, its unsafe baseline on the
-/// same core, and the normalized runtime relating them.
-#[derive(Clone, Copy, Debug)]
-pub struct Measured {
-    /// The defense run.
-    pub run: RunResult,
-    /// The unsafe-baseline run on the same workload and core.
-    pub base: RunResult,
-    /// `run.cycles / base.cycles`.
-    pub norm: f64,
-}
-
-/// Runs `defense` and the unsafe baseline on `workload`, returning both
-/// results plus the normalized runtime. The JSON-emitting bench binaries
-/// use this instead of [`normalized`] so a single cell job yields every
-/// reported counter.
-pub fn measure(
-    workload: &Workload,
-    core: &CoreConfig,
-    defense: Defense,
-    binary: Binary,
-) -> Measured {
-    let base = run_workload(workload, core, Defense::Unsafe, Binary::Base);
-    let run = run_workload(workload, core, defense, binary);
-    Measured {
-        run,
-        base,
-        norm: run.cycles as f64 / base.cycles as f64,
-    }
-}
-
-/// Normalized runtime of `defense` on `workload`: defense cycles divided
-/// by the unsafe baseline's cycles (both on `core`).
-pub fn normalized(workload: &Workload, core: &CoreConfig, defense: Defense, binary: Binary) -> f64 {
-    measure(workload, core, defense, binary).norm
-}
-
 /// The binary a defense should run for a single-class workload.
 pub fn binary_for(defense: Defense, class: SecurityClass) -> Binary {
     if defense.wants_protcc() {
@@ -300,9 +265,10 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// Simple aligned table printer.
+/// Simple aligned table printer that collects a report's text.
 pub struct TablePrinter {
     widths: Vec<usize>,
+    text: String,
 }
 
 impl TablePrinter {
@@ -310,23 +276,35 @@ impl TablePrinter {
     pub fn new(widths: &[usize]) -> TablePrinter {
         TablePrinter {
             widths: widths.to_vec(),
+            text: String::new(),
         }
     }
 
-    /// Prints one row.
-    pub fn row(&self, cells: &[String]) {
+    /// Appends one free-form line.
+    pub fn line(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.text.push('\n');
+    }
+
+    /// Appends one row.
+    pub fn row(&mut self, cells: &[String]) {
         let mut line = String::new();
         for (i, cell) in cells.iter().enumerate() {
             let w = self.widths.get(i).copied().unwrap_or(12);
             line.push_str(&format!("{cell:<w$} "));
         }
-        println!("{}", line.trim_end());
+        self.line(line.trim_end());
     }
 
-    /// Prints a separator.
-    pub fn sep(&self) {
+    /// Appends a separator.
+    pub fn sep(&mut self) {
         let total: usize = self.widths.iter().sum::<usize>() + self.widths.len();
-        println!("{}", "-".repeat(total));
+        self.line(&"-".repeat(total));
+    }
+
+    /// The text so far, one `\n`-terminated line per call.
+    pub fn finish(self) -> String {
+        self.text
     }
 }
 
@@ -414,10 +392,17 @@ mod tests {
         }
     }
 
+    /// `defense` cycles over the unsafe baseline's, both on the tiny core.
+    fn normalized(w: &Workload, defense: Defense, binary: Binary) -> f64 {
+        let core = CoreConfig::test_tiny();
+        let base = run_workload(w, &core, Defense::Unsafe, Binary::Base);
+        run_workload(w, &core, defense, binary).cycles as f64 / base.cycles as f64
+    }
+
     #[test]
     fn normalized_is_one_for_unsafe() {
         let w = &cts_crypto(Scale(1))[1]; // a small kernel
-        let n = normalized(w, &CoreConfig::test_tiny(), Defense::Unsafe, Binary::Base);
+        let n = normalized(w, Defense::Unsafe, Binary::Base);
         assert!((n - 1.0).abs() < 1e-9);
     }
 
@@ -426,7 +411,6 @@ mod tests {
         let w = &cts_crypto(Scale(1))[1];
         let n = normalized(
             w,
-            &CoreConfig::test_tiny(),
             Defense::ProtTrack,
             binary_for(Defense::ProtTrack, w.class),
         );

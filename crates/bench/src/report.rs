@@ -1,9 +1,10 @@
 //! Machine-readable bench output: schema-stable JSON rows written next
 //! to the text tables.
 //!
-//! Every table/figure/ablation binary assembles a [`BenchReport`] — a
-//! named list of flat JSON row objects — and writes it to
-//! `bench_results/<name>.json` (directory overridable via
+//! Every table/figure/ablation report of `reproduce`, and each campaign
+//! binary, assembles a [`BenchReport`] — a named list of flat JSON row
+//! objects — and writes it to `<dir>/<name>.json`, where the binaries
+//! pass [`results_dir`] (`bench_results/`, overridable via
 //! `PROTEAN_BENCH_DIR`). The format is deliberately rigid so downstream
 //! tooling can diff perf trajectories across commits:
 //!
@@ -31,7 +32,7 @@
 //! any `PROTEAN_JOBS` setting**.
 
 use protean_sim::json::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Version of the row schema. Bump when a field is renamed/removed (new
 /// trailing fields are compatible: consumers match by key).
@@ -46,7 +47,8 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("bench_results"))
 }
 
-/// An accumulating JSON report for one bench binary.
+/// An accumulating JSON report: one table, figure, ablation or campaign
+/// summary.
 #[derive(Clone, Debug)]
 pub struct BenchReport {
     bench: String,
@@ -54,8 +56,8 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Creates an empty report for the bench binary `bench` (the output
-    /// file is `bench_results/<bench>.json`).
+    /// Creates an empty report named `bench` (the output file is
+    /// `<dir>/<bench>.json`).
     pub fn new(bench: &str) -> BenchReport {
         BenchReport {
             bench: bench.to_string(),
@@ -140,38 +142,36 @@ impl BenchReport {
         Ok(())
     }
 
-    /// The output path: `<bench>.json` under [`results_dir`].
-    pub fn path(&self) -> PathBuf {
-        results_dir().join(format!("{}.json", self.bench))
-    }
-
-    /// Validates and writes the report to [`BenchReport::path`]
-    /// (creating the directory), returning the path written.
+    /// Validates and writes the report to `<dir>/<bench>.json`
+    /// (creating `dir`), returning the path written. The error names
+    /// that path.
     ///
     /// # Panics
     ///
     /// Panics if the report violates its own schema — a bug in the bench
     /// binary, not an I/O condition.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
+    pub fn write(&self, dir: &Path) -> Result<PathBuf, String> {
         let json = self.to_json();
         if let Err(why) = Self::validate(&json) {
             panic!("bench {} produced an invalid report: {why}", self.bench);
         }
-        let path = self.path();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(&path, self.render())?;
+        let path = dir.join(format!("{}.json", self.bench));
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, self.render()))
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
         Ok(path)
     }
 
-    /// Writes the report and prints a one-line confirmation (or the
-    /// error, without failing the bench) — the common tail call of every
-    /// bench binary.
-    pub fn write_and_announce(&self) {
-        match self.write() {
+    /// Writes the report under `dir` and prints a one-line
+    /// confirmation — the common tail call of every bench binary. On a
+    /// write error it prints the error and exits with status 1.
+    pub fn write_or_exit(&self, dir: &Path) {
+        match self.write(dir) {
             Ok(path) => println!("\nwrote {} rows to {}", self.len(), path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", self.path().display()),
+            Err(why) => {
+                eprintln!("{why}");
+                std::process::exit(1);
+            }
         }
     }
 }
@@ -201,8 +201,8 @@ pub fn measure_fields(r: &crate::RunResult, norm: f64) -> Vec<(&'static str, Jso
 /// (scaled) `nanos`; `gate_evals`/`gate_parks`/`gate_unparks` are the
 /// exact defense-gate counts of the gate a section runs (zero
 /// elsewhere). Call at the tail of a bench main, after the bench's
-/// own report.
-pub fn write_profile_report() {
+/// own report, with the same `dir`.
+pub fn write_profile_report(dir: &Path) {
     let totals = protean_sim::profile::totals();
     let all: u64 = totals.iter().map(|t| t.nanos).sum();
     let mut rep = BenchReport::new("profile");
@@ -223,7 +223,7 @@ pub fn write_profile_report() {
             ("gate_unparks", Json::U64(t.gate_unparks)),
         ]);
     }
-    rep.write_and_announce();
+    rep.write_or_exit(dir);
 }
 
 #[cfg(test)]
@@ -285,6 +285,29 @@ mod tests {
             ("rows", Json::Arr(Vec::new())),
         ]);
         assert!(BenchReport::validate(&bad).is_err());
+    }
+
+    #[test]
+    fn write_error_names_the_path() {
+        // A directory "under" a regular file cannot be created.
+        let file = std::env::temp_dir().join(format!("protean-report-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").expect("temp file");
+        let dir = file.join("reports");
+        let err = sample().write(&dir).unwrap_err();
+        std::fs::remove_file(&file).expect("remove temp file");
+        let path = dir.join("unit_test.json");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+    }
+
+    #[test]
+    fn write_creates_the_directory() {
+        let root = std::env::temp_dir().join(format!("protean-report-ok-{}", std::process::id()));
+        let path = sample().write(&root.join("nested")).expect("writes");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("reads"),
+            sample().render()
+        );
+        std::fs::remove_dir_all(&root).expect("remove temp dir");
     }
 
     #[test]

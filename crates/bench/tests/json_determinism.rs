@@ -1,51 +1,32 @@
 //! The JSON bench reports are part of the regression workflow: a report
 //! produced by a parallel sweep must be byte-identical to one produced
 //! serially, or diffing two `bench_results/` directories becomes
-//! meaningless. This test rebuilds the same report at 1 and 4 workers
-//! through the same `protean_jobs` fan-out the bench binaries use and
-//! compares the rendered bytes.
+//! meaningless. This test renders one real report of the reproduction
+//! from its cell table at 1 and 4 workers and compares the bytes.
 
-use protean_bench::report::{measure_fields, BenchReport};
-use protean_bench::{measure, Binary, Defense, Measured};
+use protean_bench::report::BenchReport;
+use protean_bench::reproduce::{self, Roster};
 use protean_sim::json::Json;
-use protean_sim::CoreConfig;
-use protean_workloads::{cts_crypto, Scale};
+use protean_workloads::Scale;
 
-/// Builds the same report the bench binaries would: one parallel job per
-/// (defense × workload) cell, rows pushed in cell order afterwards.
-fn build_report(workers: usize) -> String {
-    let mut ws = cts_crypto(Scale(1));
-    ws.truncate(2);
-    let core = CoreConfig::e_core();
-    let defenses = [("STT", Defense::Stt), ("NDA", Defense::Nda)];
-    let cells: Vec<(usize, usize)> = (0..defenses.len())
-        .flat_map(|d| (0..ws.len()).map(move |w| (d, w)))
-        .collect();
-    let measured: Vec<Measured> = protean_jobs::map_indexed_with(workers, cells.len(), |i| {
-        let (d, w) = cells[i];
-        measure(&ws[w], &core, defenses[d].1, Binary::Base)
-    });
-    let mut rep = BenchReport::new("determinism_probe");
-    for (&(d, w), m) in cells.iter().zip(&measured) {
-        let mut fields = vec![
-            ("defense", Json::str(defenses[d].0)),
-            ("workload", Json::str(ws[w].name.clone())),
-        ];
-        fields.extend(measure_fields(&m.run, m.norm));
-        rep.row(fields);
-    }
-    rep.render()
+/// The `--quick` §IX-A2 report (12 distinct cells), text and JSON.
+fn render(roster: &Roster, workers: usize) -> (String, String) {
+    let (rendered, counts) = reproduce::render(roster, &[reproduce::ablation_protcc], workers);
+    assert_eq!((counts.requested, counts.simulated), (18, 12));
+    let r = rendered.into_iter().next().expect("one report");
+    (r.text, r.report.render())
 }
 
 #[test]
 fn report_bytes_identical_across_worker_counts() {
-    let serial = build_report(1);
-    let parallel = build_report(4);
+    let roster = Roster::new(true, Scale(1));
+    let serial = render(&roster, 1);
+    let parallel = render(&roster, 4);
     assert_eq!(serial, parallel, "worker count leaked into the report");
 
     // And the report both parses and satisfies its own schema.
-    let json = Json::parse(&serial).expect("report parses as JSON");
+    let json = Json::parse(&serial.1).expect("report parses as JSON");
     BenchReport::validate(&json).expect("report satisfies the schema");
     let rows = json.get("rows").and_then(|r| r.as_arr()).expect("rows");
-    assert_eq!(rows.len(), 4, "one row per (defense × workload) cell");
+    assert_eq!(rows.len(), 9, "one row per (pass × workload) cell");
 }

@@ -3,7 +3,8 @@
 //! A 1-bit, untagged, PC-indexed table predicting whether a load will
 //! read *protected* memory (i.e. be an access instruction). The paper
 //! chooses 1024 entries (128 bytes total) from the Fig. 5 sensitivity
-//! study, which `protean-bench --bin figure_5` regenerates.
+//! study, which the `figure_5` report of `protean-bench --bin reproduce`
+//! regenerates.
 
 /// The access predictor.
 ///

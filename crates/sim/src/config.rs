@@ -63,7 +63,7 @@ pub enum MemProtTracking {
 }
 
 /// Full configuration of one simulated core.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CoreConfig {
     /// Human-readable name (`P-core`, `E-core`).
     pub name: &'static str,

@@ -149,7 +149,7 @@ pub(crate) fn measure_thread(
 
 pub use crypto::{ct_crypto, cts_crypto, unr_crypto};
 pub use parsec::{parsec, THREADS};
-pub use spec::{spec2017, spec2017_int};
+pub use spec::{is_spec2017_int, spec2017, spec2017_int};
 pub use wasm::arch_wasm;
 
 /// Scale factor for workload sizes: 1 = the default (~100 K committed

@@ -44,8 +44,13 @@ pub fn spec2017(scale: Scale) -> Vec<Workload> {
 pub fn spec2017_int(scale: Scale) -> Vec<Workload> {
     spec2017(scale)
         .into_iter()
-        .filter(|w| w.name != "lbm.s" && w.name != "nab.s")
+        .filter(is_spec2017_int)
         .collect()
+}
+
+/// Whether a [`spec2017`] kernel belongs to the integer subset.
+pub fn is_spec2017_int(w: &Workload) -> bool {
+    w.name != "lbm.s" && w.name != "nab.s"
 }
 
 fn workload(name: &str, b: ProgramBuilder, init: ArchState, max_insts: u64) -> Workload {
