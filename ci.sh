@@ -58,44 +58,32 @@ for report in table_i table_ii table_iv table_v figure_5 figure_6 \
     cmp "bench_results/quick/$report.json" "$BENCH_SMOKE_DIR/$report.json"
 done
 
-echo "== campaign_perf determinism (--quick, PROTEAN_JOBS=1 vs 4)"
-# campaign_perf_report.json holds only deterministic campaign counters.
-# It must be byte-identical at any job-pool width — the determinism
-# contract the reusable Core arena and COW memory are held to — so run
-# it serially, stash the report, rerun at width 4, and byte-compare.
-# (The .bak suffix keeps the stash out of validate_json's *.json glob
-# below.)
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=1 \
-    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-# The always-on section profiler writes its breakdown of the same runs
-# (schema-checked by the validate_json pass below).
-if [ ! -f "$BENCH_SMOKE_DIR/profile.json" ]; then
-    echo "campaign_perf did not write profile.json" >&2
-    exit 1
-fi
-# The profiler's event counts (section calls and the defense-gate
-# evaluation/park/un-park counters) are exact too; only the sampled wall
-# time (nanos, share_pct) may differ between the two runs.
-profile_counts() { sed -E 's/"nanos":[0-9]+,//; s/"share_pct":[^,]*,//' "$1"; }
-cp "$BENCH_SMOKE_DIR/campaign_perf_report.json" "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak"
-profile_counts "$BENCH_SMOKE_DIR/profile.json" >"$BENCH_SMOKE_DIR/profile_counts.jobs1.bak"
-PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=4 \
-    cargo run -q --release --offline -p protean-bench --bin campaign_perf -- --quick >/dev/null
-cmp "$BENCH_SMOKE_DIR/campaign_perf_report.jobs1.bak" "$BENCH_SMOKE_DIR/campaign_perf_report.json"
-profile_counts "$BENCH_SMOKE_DIR/profile.json" | cmp "$BENCH_SMOKE_DIR/profile_counts.jobs1.bak" -
-
-echo "== campaign_service kill/resume byte-compare (uninterrupted JOBS=1 vs killed+resumed JOBS=4/2)"
+echo "== campaign_service determinism (uninterrupted JOBS=1 vs 4, killed+resumed JOBS=4/2)"
 # The resumable-campaign contract, end to end through the service
-# binary: an uninterrupted run and a run killed after one chunk per
-# campaign then resumed — at different worker counts — must write
-# byte-identical campaign_service.json reports, and the engine must
-# refuse to write a report while any campaign is incomplete. The
-# versioned snapshots land in the smoke dir, so the validate_json pass
-# below also checks them against the shared row schema.
+# binary. Its report holds only deterministic campaign counters, and
+# the profile.json it writes next to it covers the same process's
+# simulations. An uninterrupted run must write both byte-identically at
+# job-pool widths 1 and 4 (for the profile: every column but the sampled
+# wall time, nanos and share_pct) — the determinism contract the
+# reusable Core arena and COW memory are held to. A run killed after one
+# chunk per campaign and resumed at another width must write the same
+# report, and no report while any campaign is incomplete. The versioned
+# snapshots land in the smoke dir, so the validate_json pass below also
+# checks them against the shared row schema.
 CAMPAIGN_A_DIR="$(mktemp -d)"
-trap 'rm -rf "$BENCH_SMOKE_DIR" "$CAMPAIGN_A_DIR"' EXIT
+CAMPAIGN_B_DIR="$(mktemp -d)"
+trap 'rm -rf "$BENCH_SMOKE_DIR" "$CAMPAIGN_A_DIR" "$CAMPAIGN_B_DIR"' EXIT
+profile_counts() { sed -E 's/"nanos":[0-9]+,//; s/"share_pct":[^,]*,//' "$1"; }
 PROTEAN_BENCH_DIR="$CAMPAIGN_A_DIR" PROTEAN_JOBS=1 \
     cargo run -q --release --offline -p protean-bench --bin campaign_service >/dev/null
+if [ ! -f "$CAMPAIGN_A_DIR/profile.json" ]; then
+    echo "campaign_service did not write profile.json" >&2
+    exit 1
+fi
+PROTEAN_BENCH_DIR="$CAMPAIGN_B_DIR" PROTEAN_JOBS=4 \
+    cargo run -q --release --offline -p protean-bench --bin campaign_service >/dev/null
+cmp "$CAMPAIGN_A_DIR/campaign_service.json" "$CAMPAIGN_B_DIR/campaign_service.json"
+cmp <(profile_counts "$CAMPAIGN_A_DIR/profile.json") <(profile_counts "$CAMPAIGN_B_DIR/profile.json")
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=4 \
     cargo run -q --release --offline -p protean-bench --bin campaign_service -- --kill-after 1 >/dev/null
 if [ -f "$BENCH_SMOKE_DIR/campaign_service.json" ]; then

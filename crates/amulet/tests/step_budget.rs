@@ -97,7 +97,10 @@ impl protean_sim::DefensePolicy for StallForeverPolicy {
         _fr: &protean_sim::SpecFrontier,
     ) -> protean_sim::Gate {
         // Never lapses while the frontier is finite.
-        protean_sim::Gate::Closed { until: u64::MAX }
+        protean_sim::Gate::Closed {
+            until: u64::MAX,
+            rule: "stall-forever",
+        }
     }
 }
 

@@ -9,9 +9,7 @@
 //!   reference model against which the hardware's conservative tagging is
 //!   validated);
 //! * [`ObserverMode`] — the ARCH / CT / CTS / UNPROT observer modes,
-//!   projecting executions onto contract traces ([`Obs`] sequences);
-//! * [`commit_fingerprint`] — the committed-PC/address fingerprint used
-//!   by the AMuLeT\* false-positive filter (§VII-B1e).
+//!   projecting executions onto contract traces ([`Obs`] sequences).
 //!
 //! # Example
 //!
@@ -44,6 +42,6 @@ mod threaded;
 
 pub use emulator::{ArchState, BranchInfo, Emulator, ExecRecord, ExitStatus, MemAccess};
 pub use mem::Memory;
-pub use observer::{commit_fingerprint, Obs, ObserverMode, PublicTyping};
+pub use observer::{Obs, ObserverMode, PublicTyping};
 pub use prot::ProtState;
 pub use threaded::{Ctrl, OracleMode, ThreadedOp, ThreadedProgram};

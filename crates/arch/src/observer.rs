@@ -157,22 +157,6 @@ impl ObserverMode {
     }
 }
 
-/// The committed-execution fingerprint used by AMuLeT\*'s false-positive
-/// filter (paper §VII-B1e): the sequence of committed PCs and accessed
-/// addresses. If two executions differ here, any adversary-visible
-/// difference is *sequential* (architectural) leakage, not transient —
-/// a false positive for the contract under test.
-pub fn commit_fingerprint(records: &[ExecRecord]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(records.len());
-    for r in records {
-        out.push(r.pc);
-        if let Some(mem) = r.mem {
-            out.push(mem.addr);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,18 +244,5 @@ mod tests {
         typing.per_inst[0].insert(Reg::R1);
         let public = ObserverMode::Cts(typing);
         assert_ne!(public.trace(&recs_a), public.trace(&recs_b));
-    }
-
-    #[test]
-    fn fingerprint_tracks_pcs_and_addrs() {
-        let src = "cmp r0, 5\njlt skip\nnop\nskip:\nhalt\n";
-        let a = commit_fingerprint(&records_for(src, 1));
-        let b = commit_fingerprint(&records_for(src, 9));
-        assert_ne!(a, b); // different paths -> different fingerprints
-
-        let src2 = "add r1, r0, 1\nhalt\n";
-        let c = commit_fingerprint(&records_for(src2, 1));
-        let d = commit_fingerprint(&records_for(src2, 9));
-        assert_eq!(c, d); // same path, no memory -> same fingerprint
     }
 }

@@ -8,7 +8,7 @@
 //! NDA/SpecShield's target.
 
 use protean_isa::TransmitterSet;
-use protean_sim::{BlockPoint, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
+use protean_sim::{DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The AccessDelay policy (NDA \[138\] / SpecShield \[13\]).
 ///
@@ -23,23 +23,13 @@ use protean_sim::{BlockPoint, DefensePolicy, DynInst, Gate, RegTags, SpecFrontie
 /// ```
 #[derive(Clone, Debug)]
 pub struct AccessDelayPolicy {
-    label: &'static str,
     xmit: TransmitterSet,
 }
 
 impl AccessDelayPolicy {
-    /// NDA's configuration.
+    /// NDA's configuration (SpecShield's is identical).
     pub fn nda() -> AccessDelayPolicy {
         AccessDelayPolicy {
-            label: "NDA",
-            xmit: TransmitterSet::paper(),
-        }
-    }
-
-    /// SpecShield's configuration (identical mechanism).
-    pub fn spec_shield() -> AccessDelayPolicy {
-        AccessDelayPolicy {
-            label: "SpecShield",
             xmit: TransmitterSet::paper(),
         }
     }
@@ -47,7 +37,7 @@ impl AccessDelayPolicy {
 
 impl DefensePolicy for AccessDelayPolicy {
     fn name(&self) -> String {
-        self.label.into()
+        "NDA".into()
     }
 
     fn transmitters(&self) -> TransmitterSet {
@@ -67,26 +57,20 @@ impl DefensePolicy for AccessDelayPolicy {
         if !u.delay_wakeup_nonspec {
             return Gate::Open;
         }
-        Gate::lapses_at(u.seq, fr)
+        Gate::lapses_at(u.seq, fr, "spec-load-wakeup")
     }
 
-    fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
+    fn may_resolve(
+        &self,
+        u: &DynInst,
+        _tags: &RegTags,
+        fr: &SpecFrontier,
+    ) -> Result<(), &'static str> {
         // A `ret`'s squash decision transmits its (speculatively loaded)
         // target: the load may not "wake" the squash logic either.
-        !(u.is_load() && u.delay_wakeup_nonspec) || fr.is_non_speculative(u.seq)
-    }
-
-    fn block_rule(
-        &self,
-        _u: &DynInst,
-        point: BlockPoint,
-        _tags: &RegTags,
-        _fr: &SpecFrontier,
-    ) -> &'static str {
-        match point {
-            BlockPoint::Execute => "blocked",
-            BlockPoint::Wakeup => "spec-load-wakeup",
-            BlockPoint::Resolve => "spec-ret-target-resolve",
+        if u.is_load() && u.delay_wakeup_nonspec && !fr.is_non_speculative(u.seq) {
+            return Err("spec-ret-target-resolve");
         }
+        Ok(())
     }
 }

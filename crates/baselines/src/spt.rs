@@ -24,8 +24,8 @@
 
 use protean_isa::{Op, TransmitterSet, Width};
 use protean_sim::{
-    sensitive_phys, sensitive_value_tainted, BlockPoint, Cache, DefensePolicy, DynInst, Gate,
-    RegTags, SpecFrontier,
+    sensitive_phys, sensitive_value_tainted, Cache, DefensePolicy, DynInst, Gate, RegTags,
+    SpecFrontier,
 };
 
 /// The SPT policy. See the module docs for the modelled semantics.
@@ -152,38 +152,26 @@ impl DefensePolicy for SptPolicy {
         // Value taint does not lapse with the frontier; only the µop
         // turning non-speculative (or a commit-time untaint, which bumps
         // the tag generation) opens the gate.
-        Gate::lapses_at(u.seq, fr)
+        Gate::lapses_at(u.seq, fr, "private-transmitter-delay")
     }
 
-    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
-        if fr.is_non_speculative(u.seq) {
-            return true;
-        }
-        if sensitive_value_tainted(u, &self.xmit, tags) {
-            return false;
-        }
-        // `ret`: the loaded target itself must be public.
-        u.mem_prot != Some(true)
-    }
-
-    fn block_rule(
+    fn may_resolve(
         &self,
         u: &DynInst,
-        point: BlockPoint,
         tags: &RegTags,
-        _fr: &SpecFrontier,
-    ) -> &'static str {
-        match point {
-            BlockPoint::Execute => "private-transmitter-delay",
-            BlockPoint::Wakeup => "blocked",
-            BlockPoint::Resolve => {
-                if sensitive_value_tainted(u, &self.xmit, tags) {
-                    "private-branch-resolve"
-                } else {
-                    "private-ret-target-resolve"
-                }
-            }
+        fr: &SpecFrontier,
+    ) -> Result<(), &'static str> {
+        if fr.is_non_speculative(u.seq) {
+            return Ok(());
         }
+        if sensitive_value_tainted(u, &self.xmit, tags) {
+            return Err("private-branch-resolve");
+        }
+        // `ret`: the loaded target itself must be public.
+        if u.mem_prot == Some(true) {
+            return Err("private-ret-target-resolve");
+        }
+        Ok(())
     }
 
     fn on_commit(&mut self, u: &DynInst, tags: &mut RegTags, l1d: &mut Cache) {

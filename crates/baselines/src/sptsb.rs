@@ -9,7 +9,7 @@
 //! in the paper's evaluation (≈2.9× on SPEC, Tab. IV).
 
 use protean_isa::TransmitterSet;
-use protean_sim::{BlockPoint, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
+use protean_sim::{DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The SPT-SB policy.
 ///
@@ -67,25 +67,19 @@ impl DefensePolicy for SptSbPolicy {
         if u.inst.is_branch() || !self.xmit.is_transmitter(&u.inst) {
             return Gate::Open;
         }
-        Gate::lapses_at(u.seq, fr)
+        Gate::lapses_at(u.seq, fr, "spec-transmitter-delay")
     }
 
-    fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
-        // Every squash signal transmits protected state.
-        !self.xmit.branches || fr.is_non_speculative(u.seq)
-    }
-
-    fn block_rule(
+    fn may_resolve(
         &self,
-        _u: &DynInst,
-        point: BlockPoint,
+        u: &DynInst,
         _tags: &RegTags,
-        _fr: &SpecFrontier,
-    ) -> &'static str {
-        match point {
-            BlockPoint::Execute => "spec-transmitter-delay",
-            BlockPoint::Wakeup => "blocked",
-            BlockPoint::Resolve => "spec-squash-delay",
+        fr: &SpecFrontier,
+    ) -> Result<(), &'static str> {
+        // Every squash signal transmits protected state.
+        if self.xmit.branches && !fr.is_non_speculative(u.seq) {
+            return Err("spec-squash-delay");
         }
+        Ok(())
     }
 }

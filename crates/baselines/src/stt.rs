@@ -10,8 +10,7 @@
 
 use protean_isa::TransmitterSet;
 use protean_sim::{
-    sensitive_max_yrot, sensitive_root_tainted, BlockPoint, DefensePolicy, DynInst, Gate, RegTags,
-    SpecFrontier,
+    sensitive_max_yrot, sensitive_root_tainted, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier,
 };
 
 /// The STT policy.
@@ -105,39 +104,31 @@ impl DefensePolicy for SttPolicy {
         }
         // Held until the µop or its youngest sensitive taint root is
         // non-speculative, whichever comes first.
-        Gate::lapses_at(u.seq.min(sensitive_max_yrot(u, &self.xmit, tags)), fr)
+        Gate::lapses_at(
+            u.seq.min(sensitive_max_yrot(u, &self.xmit, tags)),
+            fr,
+            "tainted-transmitter-delay",
+        )
     }
 
-    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
+    fn may_resolve(
+        &self,
+        u: &DynInst,
+        tags: &RegTags,
+        fr: &SpecFrontier,
+    ) -> Result<(), &'static str> {
         if fr.is_non_speculative(u.seq) {
-            return true;
+            return Ok(());
         }
         // A squash transmits the branch predicate / target.
         if sensitive_root_tainted(u, &self.xmit, tags, fr) {
-            return false;
+            return Err("tainted-branch-resolve");
         }
         // `ret` transmits its speculatively *loaded* target, which is
         // tainted by the ret's own load (rooted at itself).
-        !u.is_load()
-    }
-
-    fn block_rule(
-        &self,
-        u: &DynInst,
-        point: BlockPoint,
-        tags: &RegTags,
-        fr: &SpecFrontier,
-    ) -> &'static str {
-        match point {
-            BlockPoint::Execute => "tainted-transmitter-delay",
-            BlockPoint::Wakeup => "blocked",
-            BlockPoint::Resolve => {
-                if sensitive_root_tainted(u, &self.xmit, tags, fr) {
-                    "tainted-branch-resolve"
-                } else {
-                    "tainted-ret-target-resolve"
-                }
-            }
+        if u.is_load() {
+            return Err("tainted-ret-target-resolve");
         }
+        Ok(())
     }
 }

@@ -1,10 +1,11 @@
 //! `campaign_service`: the resumable campaign engine as a service-style
 //! driver over the quick fuzzing roster.
 //!
-//! Runs the same three campaigns as `campaign_perf` — unsafe baseline,
-//! ProtDelay, and ProtTrack — through `amulet::run_campaign` with every
-//! engine feature on (two-stage SEQ prefilter, coverage-guided
-//! generation, audit-signature triage) and a per-case snapshot under
+//! Runs three fixed campaigns — the unsafe baseline, ProtDelay, and
+//! ProtTrack, six programs of three inputs each from seed `0xbead` —
+//! through `amulet::run_campaign` with every engine feature on
+//! (two-stage SEQ prefilter, coverage-guided generation,
+//! audit-signature triage) and a per-case snapshot under
 //! `$PROTEAN_BENCH_DIR`. The snapshots use the BenchReport row schema,
 //! so the `validate_json` CI gate covers them automatically.
 //!
@@ -18,6 +19,15 @@
 //! `campaign_service.json` (written only once every campaign completes)
 //! is **byte-identical** whether or not the service was killed along the
 //! way, at any `PROTEAN_JOBS` worker count; `ci.sh` diffs exactly that.
+//! Any other argument, or a missing or non-integer `N`, exits with
+//! status 2 and a usage line.
+//!
+//! Whenever it writes the report, the service also writes the section
+//! profiler's `profile.json` next to it. The profile covers only the
+//! simulations this process ran: after a resume, the chunks run before
+//! the kill are in the report but not in the profile. Its event counts
+//! are exact, so an uninterrupted run's counts are identical at any
+//! `PROTEAN_JOBS`; `ci.sh` diffs those too.
 //!
 //! Reported per case: the deterministic campaign counters plus the two
 //! engine-quality headline numbers — the stage-1 **prefilter hit rate**
@@ -26,7 +36,7 @@
 //! violations per root-cause bucket).
 
 use protean_amulet::{run_campaign, Adversary, CampaignConfig, ContractKind, FuzzConfig};
-use protean_bench::report::{results_dir, BenchReport};
+use protean_bench::report::{results_dir, write_profile_report, BenchReport};
 use protean_cc::Pass;
 use protean_core::{ProtDelayPolicy, ProtTrackPolicy};
 use protean_sim::json::Json;
@@ -95,15 +105,32 @@ fn snapshot_path(case: &str) -> PathBuf {
     results_dir().join(format!("campaign_snapshot_{}.json", case.replace('/', "_")))
 }
 
+/// Parses the arguments (without the program name): `--kill-after N`
+/// with `N` a non-negative integer, or nothing.
+fn parse_args(args: &[String]) -> Result<Option<usize>, String> {
+    let mut kill_after = None;
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--kill-after" => {
+                let v = args.next().ok_or("--kill-after requires a value")?;
+                let n = v
+                    .parse()
+                    .map_err(|_| format!("--kill-after must be an integer, got {v:?}"))?;
+                kill_after = Some(n);
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(kill_after)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let kill_after: Option<usize> = args.iter().position(|a| a == "--kill-after").map(|i| {
-        args.get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--kill-after requires an integer");
-                std::process::exit(2);
-            })
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let kill_after = parse_args(&args.collect::<Vec<_>>()).unwrap_or_else(|why| {
+        eprintln!("{why}\nusage: {bin} [--kill-after N]");
+        std::process::exit(2);
     });
 
     println!("campaign_service: resumable coverage-guided campaigns");
@@ -168,8 +195,44 @@ fn main() {
     }
 
     if all_complete {
-        rep.write_or_exit(&results_dir());
+        let dir = results_dir();
+        rep.write_or_exit(&dir);
+        write_profile_report(&dir);
     } else {
         println!("\nkilled before completion; snapshots saved — rerun to resume");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<Option<usize>, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_accepts_kill_after() {
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--kill-after", "1"]), Ok(Some(1)));
+        assert_eq!(parse(&["--kill-after", "0"]), Ok(Some(0)));
+    }
+
+    #[test]
+    fn parse_args_refuses_a_missing_or_non_integer_count() {
+        for bad in [
+            &["--kill-after"][..],
+            &["--kill-after", "one"],
+            &["--kill-after", "-1"],
+        ] {
+            assert!(parse(bad).unwrap_err().contains("--kill-after"), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_args_refuses_unknown_arguments() {
+        for bad in [&["--kil-after", "1"][..], &["--quick"], &["1"]] {
+            assert!(parse(bad).unwrap_err().contains("unknown"), "{bad:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Lapse-point soundness of every shipped defense's gates.
 //!
 //! The pipeline parks a µop whose `may_execute`/`may_wakeup` verdict is
-//! `Gate::Closed { until }` and does not ask the policy again until the
+//! `Gate::Closed { until, .. }` and does not ask the policy again until the
 //! speculation frontier's point reaches `until`. That is only sound if
 //! the gate really stays closed on `[point, until)`. This property test
 //! draws random µop shapes (instructions from generated programs),
@@ -154,8 +154,12 @@ fn check_gate(
         assert_eq!(fr.point(), p);
         match at(p) {
             Gate::Open => {}
-            Gate::Closed { until } => {
+            Gate::Closed { until, rule } => {
                 closed += 1;
+                assert!(
+                    !rule.is_empty(),
+                    "{name} {point:?}: closed under an unnamed rule"
+                );
                 assert!(
                     until > p,
                     "{name} {point:?}: closed at {p} with a lapse point {until} already reached"

@@ -17,10 +17,11 @@
 //! PROTEAN_GOLDEN_REGEN=1 cargo test -p protean-bench --test golden_scheduler
 //! ```
 
-use protean_amulet::{generate, init_cold_chain, GenConfig, PUBLIC_BASE, PUBLIC_SIZE};
-use protean_arch::ArchState;
+mod common;
+
+use common::{corpus, corpus_input, corpus_seed};
 use protean_bench::Defense;
-use protean_isa::{Program, Reg};
+use protean_isa::Program;
 use protean_sim::{Core, CoreConfig, MemProtTracking, SpeculationModel};
 
 /// Committed-instruction budget per run; corpus programs halt long
@@ -28,46 +29,6 @@ use protean_sim::{Core, CoreConfig, MemProtTracking, SpeculationModel};
 const MAX_INSTS: u64 = 50_000;
 /// Cycle budget per run.
 const MAX_CYCLES: u64 = 5_000_000;
-
-/// The deterministic program corpus: seeds chosen to cover plain code,
-/// gadget-heavy code, and longer multi-segment programs.
-fn corpus() -> Vec<(String, Program)> {
-    let shapes = [
-        (1u64, 4usize, 0.5f64),
-        (2, 6, 0.8),
-        (3, 8, 0.3),
-        (4, 10, 0.6),
-    ];
-    shapes
-        .iter()
-        .map(|&(seed, segments, gadget_bias)| {
-            let cfg = GenConfig {
-                segments,
-                gadget_bias,
-                seed,
-            };
-            (format!("g{seed}s{segments}"), generate(&cfg))
-        })
-        .collect()
-}
-
-/// Deterministic initial state, mirroring the fuzzer's input shape:
-/// cold pointer chain, small public indices, small GPR values.
-fn corpus_input(seed: u64) -> ArchState {
-    let mut state = ArchState::new();
-    init_cold_chain(&mut state.mem);
-    for i in 0u64..PUBLIC_SIZE / 8 {
-        let v = seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(i.wrapping_mul(7))
-            % 64;
-        state.mem.write(PUBLIC_BASE + i * 8, 8, v);
-    }
-    for i in 0..6 {
-        state.set_reg(Reg::gpr(i), (seed.wrapping_mul(31) + i as u64 * 13) % 1024);
-    }
-    state
-}
 
 /// The core configurations under test: the tiny config (high squash
 /// pressure, traced), both speculation models, and the memory
@@ -136,7 +97,7 @@ fn scheduler_is_cycle_exact_against_golden_fixture() {
     let mut got = String::new();
     for (prog_name, program) in corpus() {
         for (cfg_name, config, traced) in configs() {
-            let seed = prog_name.as_bytes().iter().map(|&b| b as u64).sum::<u64>();
+            let seed = corpus_seed(&prog_name);
             got.push_str(&snapshot(
                 &format!("{prog_name}/{cfg_name}"),
                 &program,

@@ -19,7 +19,7 @@
 
 use crate::support::is_access_transmitter;
 use protean_isa::TransmitterSet;
-use protean_sim::{BlockPoint, Cache, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
+use protean_sim::{Cache, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The ProtDelay policy.
 ///
@@ -108,53 +108,40 @@ impl DefensePolicy for ProtDelayPolicy {
             return Gate::Open;
         }
         // Access transmitters may not transmit speculatively.
-        Gate::lapses_at(u.seq, fr)
+        Gate::lapses_at(u.seq, fr, "access-transmitter-delay")
     }
 
     fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
         if !u.delay_wakeup_nonspec {
             return Gate::Open;
         }
-        Gate::lapses_at(u.seq, fr)
+        let rule = if u.mem_prot == Some(true) {
+            "protected-mem-access-wakeup"
+        } else {
+            "protected-reg-access-wakeup"
+        };
+        Gate::lapses_at(u.seq, fr, rule)
     }
 
-    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
+    fn may_resolve(
+        &self,
+        u: &DynInst,
+        tags: &RegTags,
+        fr: &SpecFrontier,
+    ) -> Result<(), &'static str> {
         if fr.is_non_speculative(u.seq) {
-            return true;
+            return Ok(());
         }
         // A branch whose predicate/target is protected is an access
         // transmitter: its squash signal may not fire speculatively.
         if is_access_transmitter(u, &self.xmit, tags) {
-            return false;
+            return Err("protected-branch-resolve");
         }
         // `ret` transmits its loaded target: protected bytes must not
         // resolve it.
-        u.mem_prot != Some(true)
-    }
-
-    fn block_rule(
-        &self,
-        u: &DynInst,
-        point: BlockPoint,
-        tags: &RegTags,
-        _fr: &SpecFrontier,
-    ) -> &'static str {
-        match point {
-            BlockPoint::Execute => "access-transmitter-delay",
-            BlockPoint::Wakeup => {
-                if u.mem_prot == Some(true) {
-                    "protected-mem-access-wakeup"
-                } else {
-                    "protected-reg-access-wakeup"
-                }
-            }
-            BlockPoint::Resolve => {
-                if is_access_transmitter(u, &self.xmit, tags) {
-                    "protected-branch-resolve"
-                } else {
-                    "protected-ret-target-resolve"
-                }
-            }
+        if u.mem_prot == Some(true) {
+            return Err("protected-ret-target-resolve");
         }
+        Ok(())
     }
 }

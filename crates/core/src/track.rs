@@ -24,8 +24,8 @@ use crate::predictor::AccessPredictor;
 use crate::support::is_access_transmitter;
 use protean_isa::TransmitterSet;
 use protean_sim::{
-    sensitive_max_yrot, sensitive_root_tainted, BlockPoint, Cache, DefensePolicy, DynInst, Gate,
-    RegTags, SpecFrontier, NO_ROOT,
+    sensitive_max_yrot, sensitive_root_tainted, Cache, DefensePolicy, DynInst, Gate, RegTags,
+    SpecFrontier, NO_ROOT,
 };
 
 /// The ProtTrack policy.
@@ -75,14 +75,6 @@ impl ProtTrackPolicy {
             xmit: TransmitterSet::paper(),
             predictor: None,
         }
-    }
-
-    /// The access predictor's misprediction rate so far (Fig. 5 metric).
-    pub fn predictor_misprediction_rate(&self) -> f64 {
-        self.predictor
-            .as_ref()
-            .map(AccessPredictor::misprediction_rate)
-            .unwrap_or(0.0)
     }
 }
 
@@ -175,7 +167,17 @@ impl DefensePolicy for ProtTrackPolicy {
         } else {
             u.seq.min(sensitive_max_yrot(u, &self.xmit, tags))
         };
-        Gate::lapses_at(until, fr)
+        if until <= fr.point() {
+            return Gate::Open;
+        }
+        // The rule names the taint whenever a sensitive root is still
+        // speculative, even when the access-transmitter test set `until`.
+        let rule = if sensitive_root_tainted(u, &self.xmit, tags, fr) {
+            "tainted-transmitter-delay"
+        } else {
+            "access-transmitter-delay"
+        };
+        Gate::Closed { until, rule }
     }
 
     fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
@@ -186,69 +188,41 @@ impl DefensePolicy for ProtTrackPolicy {
         } else {
             NO_ROOT
         };
-        Gate::lapses_at(delay.max(u.wakeup_hold_root), fr)
+        let rule = if delay > fr.point() {
+            "protdelay-fallback-wakeup"
+        } else {
+            "tainted-forward-wakeup"
+        };
+        Gate::lapses_at(delay.max(u.wakeup_hold_root), fr, rule)
     }
 
-    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
-        if fr.is_non_speculative(u.seq) {
-            return true;
-        }
-        if sensitive_root_tainted(u, &self.xmit, tags, fr) {
-            return false;
-        }
-        if is_access_transmitter(u, &self.xmit, tags) {
-            return false;
-        }
-        // `ret`: loaded target must be neither protected nor tainted.
-        if u.is_load() {
-            if u.mem_prot == Some(true) {
-                return false;
-            }
-            if u.pred_no_access != Some(true) {
-                // Tainted loaded value (rooted at the ret itself).
-                return false;
-            }
-            if let Some(m) = &u.mem {
-                if fr.root_speculative(m.fwd_data_yrot) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn block_rule(
+    fn may_resolve(
         &self,
         u: &DynInst,
-        point: BlockPoint,
         tags: &RegTags,
         fr: &SpecFrontier,
-    ) -> &'static str {
-        match point {
-            BlockPoint::Execute => {
-                if sensitive_root_tainted(u, &self.xmit, tags, fr) {
-                    "tainted-transmitter-delay"
-                } else {
-                    "access-transmitter-delay"
-                }
-            }
-            BlockPoint::Wakeup => {
-                if u.delay_wakeup_nonspec && !fr.is_non_speculative(u.seq) {
-                    "protdelay-fallback-wakeup"
-                } else {
-                    "tainted-forward-wakeup"
-                }
-            }
-            BlockPoint::Resolve => {
-                if sensitive_root_tainted(u, &self.xmit, tags, fr) {
-                    "tainted-branch-resolve"
-                } else if is_access_transmitter(u, &self.xmit, tags) {
-                    "protected-branch-resolve"
-                } else {
-                    "ret-target-resolve"
-                }
-            }
+    ) -> Result<(), &'static str> {
+        if fr.is_non_speculative(u.seq) {
+            return Ok(());
         }
+        if sensitive_root_tainted(u, &self.xmit, tags, fr) {
+            return Err("tainted-branch-resolve");
+        }
+        if is_access_transmitter(u, &self.xmit, tags) {
+            return Err("protected-branch-resolve");
+        }
+        // `ret`: loaded target must be neither protected nor tainted
+        // (a predicted access taints it, rooted at the ret itself).
+        if u.is_load()
+            && (u.mem_prot == Some(true)
+                || u.pred_no_access != Some(true)
+                || u.mem
+                    .as_ref()
+                    .is_some_and(|m| fr.root_speculative(m.fwd_data_yrot)))
+        {
+            return Err("ret-target-resolve");
+        }
+        Ok(())
     }
 
     fn on_commit(&mut self, u: &DynInst, _tags: &mut RegTags, _l1d: &mut Cache) {

@@ -242,7 +242,11 @@ fn protean_policies_never_block_at_the_head() {
                 policy.may_wakeup(&u, &tags, &fr).is_open(),
                 "{name} ({model:?})"
             );
-            assert!(policy.may_resolve(&u, &tags, &fr), "{name} ({model:?})");
+            assert_eq!(
+                policy.may_resolve(&u, &tags, &fr),
+                Ok(()),
+                "{name} ({model:?})"
+            );
         }
     }
 }

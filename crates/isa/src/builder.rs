@@ -284,15 +284,6 @@ impl ProgramBuilder {
         })
     }
 
-    /// Sized store.
-    pub fn store_sized(&mut self, addr: Mem, src: impl Into<Operand>, size: Width) -> &mut Self {
-        self.emit(Op::Store {
-            src: src.into(),
-            addr,
-            size,
-        })
-    }
-
     /// `jmp label`
     pub fn jmp(&mut self, label: Label) -> &mut Self {
         self.fixups.push((self.insts.len(), label));

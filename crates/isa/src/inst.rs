@@ -197,12 +197,6 @@ impl Flags {
         }
     }
 
-    /// Flags produced by a logical/arithmetic result (carry/overflow
-    /// cleared, as for x86 logical ops).
-    pub fn from_result(res: u64) -> Flags {
-        Flags::from_result_width(res, Width::W64)
-    }
-
     /// Flags produced by a logical/arithmetic result computed at `width`:
     /// ZF/SF are taken from the width-truncated lane (x86 `add r32, r32`
     /// reports ZF for a zero 32-bit result even if upstream math carried
@@ -326,11 +320,6 @@ impl Operand {
             Operand::Reg(r) => Some(r),
             Operand::Imm(_) => None,
         }
-    }
-
-    /// Returns `true` for immediate operands.
-    pub fn is_imm(self) -> bool {
-        matches!(self, Operand::Imm(_))
     }
 }
 
@@ -752,18 +741,6 @@ impl Inst {
     /// Returns `true` for the division µop.
     pub fn is_div(&self) -> bool {
         matches!(self.op, Op::Div { .. })
-    }
-
-    /// The memory operand, if the instruction has an explicit one.
-    ///
-    /// `call`/`ret` access memory implicitly through `RSP` and return
-    /// `None` here; use [`Inst::address_regs`] for the sensitive address
-    /// registers of *all* memory µops.
-    pub fn mem_operand(&self) -> Option<Mem> {
-        match self.op {
-            Op::Load { addr, .. } | Op::Store { addr, .. } => Some(addr),
-            _ => None,
-        }
     }
 
     /// Registers that form the memory address, for memory µops

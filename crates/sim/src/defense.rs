@@ -146,11 +146,12 @@ impl SpecFrontier {
 ///
 /// Every in-tree defense holds a µop until the speculation frontier
 /// passes a known point — the µop itself ("until non-speculative") or a
-/// taint root it depends on — so a denial names that point. The
-/// pipeline parks a closed µop and does not ask the policy again until
-/// [`SpecFrontier::point`] reaches `until` (or a tag write bumps
-/// [`RegTags::generation`]); the parked µop still counts as blocked on
-/// every cycle it would have been asked.
+/// taint root it depends on — so a denial names that point, and the
+/// policy rule that denied. The pipeline parks a closed µop and does
+/// not ask the policy again until [`SpecFrontier::point`] reaches
+/// `until` (or a tag write bumps [`RegTags::generation`]); the parked
+/// µop still counts as blocked on every cycle it would have been asked,
+/// and the trace audit log charges those cycles to `rule`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Gate {
     /// The µop may pass this cycle.
@@ -160,25 +161,36 @@ pub enum Gate {
     Closed {
         /// The frontier point at which the gate lapses.
         until: Seq,
+        /// The policy rule that holds the µop (a stable audit-log name).
+        rule: &'static str,
     },
 }
 
 impl Gate {
-    /// The gate that lapses once the frontier point reaches `until`:
-    /// open now if it already has. [`NO_ROOT`] is always open.
+    /// The gate that `rule` holds until the frontier point reaches
+    /// `until`: open now if it already has. [`NO_ROOT`] is always open.
     #[inline]
-    pub fn lapses_at(until: Seq, fr: &SpecFrontier) -> Gate {
+    pub fn lapses_at(until: Seq, fr: &SpecFrontier, rule: &'static str) -> Gate {
         if until <= fr.point() {
             Gate::Open
         } else {
-            Gate::Closed { until }
+            Gate::Closed { until, rule }
         }
     }
 
     /// Whether the verdict lets the µop pass.
     #[inline]
     pub fn is_open(self) -> bool {
-        self == Gate::Open
+        matches!(self, Gate::Open)
+    }
+
+    /// The rule that holds the µop, if the gate is closed.
+    #[inline]
+    pub fn rule(self) -> Option<&'static str> {
+        match self {
+            Gate::Open => None,
+            Gate::Closed { rule, .. } => Some(rule),
+        }
     }
 }
 
@@ -192,7 +204,7 @@ pub enum BlockPoint {
     Execute = 0,
     /// [`DefensePolicy::may_wakeup`] returned [`Gate::Closed`].
     Wakeup = 1,
-    /// [`DefensePolicy::may_resolve`] returned `false`.
+    /// [`DefensePolicy::may_resolve`] returned `Err`.
     Resolve = 2,
 }
 
@@ -272,6 +284,9 @@ pub trait DefensePolicy {
     /// the µop and asks again only then (or after a
     /// [`RegTags::generation`] bump), so `until` must be sound: the gate
     /// must stay closed at every frontier point in `[fr.point(), until)`.
+    /// While the µop is parked the pipeline may ask again, uncounted:
+    /// for the `rule` the trace audit log records, and in debug builds
+    /// to check that the gate is still closed.
     fn may_execute(&self, _u: &DynInst, _tags: &RegTags, _fr: &SpecFrontier) -> Gate {
         Gate::Open
     }
@@ -285,25 +300,16 @@ pub trait DefensePolicy {
 
     /// May this executed, mispredicted branch initiate its squash this
     /// cycle? (Delayed branch resolution; the squash signal itself is a
-    /// transmitter of the predicate.)
-    fn may_resolve(&self, _u: &DynInst, _tags: &RegTags, _fr: &SpecFrontier) -> bool {
-        true
-    }
-
-    /// Names the rule under which this policy just denied `u` at
-    /// `point` — called by the tracer (only when tracing is enabled)
-    /// for every µop counted as denied at `point` this cycle (including
-    /// parked ones), so the audit log can attribute blocked cycles to a
-    /// policy-specific rule. Must not allocate (return a `&'static
-    /// str`). The default is a generic label.
-    fn block_rule(
+    /// transmitter of the predicate.) `Err(rule)` holds the squash this
+    /// cycle under the named rule; unlike the other two gates it is
+    /// asked again every cycle.
+    fn may_resolve(
         &self,
         _u: &DynInst,
-        _point: BlockPoint,
         _tags: &RegTags,
         _fr: &SpecFrontier,
-    ) -> &'static str {
-        "blocked"
+    ) -> Result<(), &'static str> {
+        Ok(())
     }
 
     /// A load (or `ret`) received its data. `u.mem` carries the address,
@@ -409,9 +415,18 @@ mod tests {
         assert!(fr.is_non_speculative(5)); // older than head (committed)
         assert!(!fr.is_non_speculative(11));
         assert_eq!(fr.point(), 10);
-        assert_eq!(Gate::lapses_at(10, &fr), Gate::Open);
-        assert_eq!(Gate::lapses_at(11, &fr), Gate::Closed { until: 11 });
-        assert!(Gate::lapses_at(NO_ROOT, &fr).is_open());
+        assert_eq!(Gate::lapses_at(10, &fr, "r"), Gate::Open);
+        let closed = Gate::lapses_at(11, &fr, "r");
+        assert_eq!(
+            closed,
+            Gate::Closed {
+                until: 11,
+                rule: "r"
+            }
+        );
+        assert_eq!(closed.rule(), Some("r"));
+        assert!(Gate::lapses_at(NO_ROOT, &fr, "r").is_open());
+        assert_eq!(Gate::Open.rule(), None);
         assert!(!fr.root_speculative(NO_ROOT));
         assert!(fr.root_speculative(12));
         assert!(!fr.root_speculative(9));

@@ -762,20 +762,22 @@ impl<'a> Core<'a> {
         self.cached_frontier = None;
     }
 
-    /// Records a defense denial of the µop in `slot` in the trace
-    /// (no-op when tracing is off — one branch, no allocation).
-    fn trace_block(&mut self, slot: Slot, point: BlockPoint, fr: &SpecFrontier) {
-        if let Some(t) = self.tracer.as_mut() {
-            let u = &self.rob[slot];
-            let rule = self.policy.block_rule(u, point, &self.tags, fr);
-            t.on_block(u.seq, point, self.cycle, rule);
-        }
-    }
-
-    /// [`Core::trace_block`] for each of `slots`.
-    fn trace_blocks(&mut self, slots: &[Slot], point: BlockPoint, fr: &SpecFrontier) {
+    /// Traces the denial of each parked µop in `slots` at `point`
+    /// under the rule its gate names (see [`denial_rule`]), asked only
+    /// for the rules the trace keeps. Debug builds ask every µop's gate,
+    /// traced or not: the check that none passed its lapse point.
+    fn trace_parked(&mut self, slots: &[Slot], point: BlockPoint, fr: &SpecFrontier) {
+        let (policy, tags) = (&*self.policy, &self.tags);
         for &slot in slots {
-            self.trace_block(slot, point, fr);
+            let u = &self.rob[slot];
+            if cfg!(debug_assertions) {
+                denial_rule(policy, u, tags, point, fr);
+            }
+            if let Some(t) = self.tracer.as_mut() {
+                t.on_block(u.seq, point, self.cycle, || {
+                    denial_rule(policy, u, tags, point, fr)
+                });
+            }
         }
     }
 
@@ -902,11 +904,13 @@ impl<'a> Core<'a> {
                     }
                     BlockPoint::Execute => scratch.extend(self.exec_blocked.iter().copied()),
                 }
+                let (policy, tags) = (&*self.policy, &self.tags);
                 for &slot in &scratch {
                     let u = &self.rob[slot];
-                    let rule = self.policy.block_rule(u, point, &self.tags, &fr);
                     if let Some(t) = self.tracer.as_mut() {
-                        t.on_block_many(u.seq, point, cycle, last, delta, rule);
+                        t.on_block_many(u.seq, point, cycle, last, delta, || {
+                            denial_rule(policy, u, tags, point, &fr)
+                        });
                     }
                 }
             }
@@ -1030,7 +1034,7 @@ impl<'a> Core<'a> {
                         self.sched.remove(SetId::WakeupPending, slot);
                         self.sched.mark_progress();
                     }
-                    Gate::Closed { until } => {
+                    Gate::Closed { until, .. } => {
                         self.sched.park(SetId::WakeupParked, slot, until);
                         self.profile.gate_park(BlockPoint::Wakeup);
                     }
@@ -1042,16 +1046,7 @@ impl<'a> Core<'a> {
         if parked != 0 && (self.tracer.is_some() || cfg!(debug_assertions)) {
             scratch.clear();
             self.sched.collect(SetId::WakeupParked, &mut scratch);
-            self.trace_blocks(&scratch, BlockPoint::Wakeup, &fr);
-            #[cfg(debug_assertions)]
-            for &slot in &scratch {
-                let u = &self.rob[slot];
-                debug_assert!(
-                    !self.policy.may_wakeup(u, &self.tags, &fr).is_open(),
-                    "wakeup-parked µop {} passed its lapse point unnoticed",
-                    u.seq
-                );
-            }
+            self.trace_parked(&scratch, BlockPoint::Wakeup, &fr);
         }
         self.sched.scratch = scratch;
     }
@@ -1129,12 +1124,14 @@ impl<'a> Core<'a> {
         self.sched.collect(SetId::ResolvePending, &mut scratch);
         for &slot in &scratch {
             self.profile.gate_eval(BlockPoint::Resolve);
-            if self.policy.may_resolve(&self.rob[slot], &self.tags, &fr) {
+            let Err(rule) = self.policy.may_resolve(&self.rob[slot], &self.tags, &fr) else {
                 chosen = Some(slot);
                 break;
-            }
+            };
             self.stats.resolve_blocked_cycles += 1;
-            self.trace_block(slot, BlockPoint::Resolve, &fr);
+            if let Some(t) = self.tracer.as_mut() {
+                t.on_block(self.rob[slot].seq, BlockPoint::Resolve, self.cycle, || rule);
+            }
             if buggy {
                 // Buggy arbiter (§VII-B4b): only the oldest misprediction
                 // is considered, regardless of whether the defense allows
@@ -1560,7 +1557,7 @@ impl<'a> Core<'a> {
             }
             // Defense gate.
             self.profile.gate_eval(BlockPoint::Execute);
-            if let Gate::Closed { until } =
+            if let Gate::Closed { until, .. } =
                 self.policy.may_execute(&self.rob[slot], &self.tags, &fr)
             {
                 let class = if is_mem {
@@ -1647,7 +1644,7 @@ impl<'a> Core<'a> {
         }
         self.stats.exec_blocked_cycles += self.exec_blocked_n;
         let blocked = std::mem::take(&mut self.exec_blocked);
-        self.trace_blocks(&blocked, BlockPoint::Execute, fr);
+        self.trace_parked(&blocked, BlockPoint::Execute, fr);
         self.exec_blocked = blocked;
     }
 
@@ -2321,4 +2318,32 @@ impl<'a> Core<'a> {
         self.fetch_queue
             .push_group(group, self.cycle + self.cfg.frontend_depth as u64);
     }
+}
+
+/// The rule under which `policy` denies `u` at `point` this cycle,
+/// asked of its gate again for the trace. Not counted as a gate
+/// evaluation: the pipeline already counted `u` as denied.
+///
+/// # Panics
+///
+/// If the gate is open: a parked µop passed its lapse point unnoticed.
+fn denial_rule(
+    policy: &dyn DefensePolicy,
+    u: &DynInst,
+    tags: &RegTags,
+    point: BlockPoint,
+    fr: &SpecFrontier,
+) -> &'static str {
+    let rule = match point {
+        BlockPoint::Execute => policy.may_execute(u, tags, fr).rule(),
+        BlockPoint::Wakeup => policy.may_wakeup(u, tags, fr).rule(),
+        BlockPoint::Resolve => policy.may_resolve(u, tags, fr).err(),
+    };
+    rule.unwrap_or_else(|| {
+        panic!(
+            "µop {} counted as denied at the {} gate, which is open",
+            u.seq,
+            point.name()
+        )
+    })
 }

@@ -26,7 +26,7 @@
 //! * a **wakeup-pending set**: completed µops whose result broadcast the
 //!   defense has not yet granted (`may_wakeup`) and that are not parked;
 //! * **parked sets** for the two defense gates: µops whose
-//!   `may_execute`/`may_wakeup` verdict was `Gate::Closed { until }`
+//!   `may_execute`/`may_wakeup` verdict was `Gate::Closed { until, .. }`
 //!   wait here, out of the candidate sets, until the frontier point
 //!   reaches `until` (a min-queue of lapse points per gate) or a tag
 //!   write bumps `RegTags::generation`. The execute-parked set is split

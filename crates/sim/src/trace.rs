@@ -49,8 +49,9 @@ pub struct BlockedAt {
     pub first_cycle: u64,
     /// Last cycle a denial was observed.
     pub last_cycle: u64,
-    /// The policy rule that denied (from
-    /// [`crate::DefensePolicy::block_rule`]); `""` if never blocked.
+    /// The policy rule that denied, as named by the gate's verdict
+    /// ([`crate::Gate::Closed`]'s `rule`, or `may_resolve`'s `Err`) on
+    /// the first denied cycle; `""` if never blocked.
     pub rule: &'static str,
 }
 
@@ -79,13 +80,6 @@ pub struct UopTrace {
     pub squash: Option<SquashEvent>,
     /// Defense blocking per gate, indexed by [`BlockPoint`].
     pub blocked: [BlockedAt; 3],
-}
-
-impl UopTrace {
-    /// Total cycles the defense held this µop across all gates.
-    pub fn blocked_cycles(&self) -> u64 {
-        self.blocked.iter().map(|b| b.cycles).sum()
-    }
 }
 
 /// One row of the defense-decision audit log: a µop that a policy rule
@@ -239,14 +233,22 @@ impl Tracer {
         }
     }
 
-    /// The defense denied a µop at `point` this cycle under `rule`.
-    pub fn on_block(&mut self, seq: Seq, point: BlockPoint, cycle: u64, rule: &'static str) {
+    /// The defense denied a µop at `point` this cycle. `rule` names the
+    /// policy rule that denied; it is called only for the µop's first
+    /// recorded denial at the gate, whose rule the trace keeps.
+    pub fn on_block(
+        &mut self,
+        seq: Seq,
+        point: BlockPoint,
+        cycle: u64,
+        rule: impl FnOnce() -> &'static str,
+    ) {
         match self.slot(seq) {
             Some(t) => {
                 let b = &mut t.blocked[point as usize];
                 if b.cycles == 0 {
                     b.first_cycle = cycle;
-                    b.rule = rule;
+                    b.rule = rule();
                 }
                 b.cycles += 1;
                 b.last_cycle = cycle;
@@ -270,7 +272,7 @@ impl Tracer {
         first_cycle: u64,
         last_cycle: u64,
         delta: u64,
-        rule: &'static str,
+        rule: impl FnOnce() -> &'static str,
     ) {
         if delta == 0 {
             return;
@@ -280,7 +282,7 @@ impl Tracer {
                 let b = &mut t.blocked[point as usize];
                 if b.cycles == 0 {
                     b.first_cycle = first_cycle;
-                    b.rule = rule;
+                    b.rule = rule();
                 }
                 b.cycles += delta;
                 b.last_cycle = last_cycle;

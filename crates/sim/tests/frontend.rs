@@ -89,7 +89,7 @@ fn fetch_group_events_cover_all_fetched_uops() {
 /// `tests/trace.rs::audit_log_reconciles_with_stats_counters`).
 #[test]
 fn audit_reconciles_under_batched_fetch() {
-    use protean_sim::{BlockPoint, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier, NO_ROOT};
+    use protean_sim::{DefensePolicy, DynInst, Gate, RegTags, SpecFrontier, NO_ROOT};
 
     struct DelayLoads;
     impl DefensePolicy for DelayLoads {
@@ -97,16 +97,7 @@ fn audit_reconciles_under_batched_fetch() {
             "delay-loads".into()
         }
         fn may_execute(&self, u: &DynInst, _t: &RegTags, fr: &SpecFrontier) -> Gate {
-            Gate::lapses_at(if u.is_load() { u.seq } else { NO_ROOT }, fr)
-        }
-        fn block_rule(
-            &self,
-            _u: &DynInst,
-            _p: BlockPoint,
-            _t: &RegTags,
-            _fr: &SpecFrontier,
-        ) -> &'static str {
-            "delay-loads"
+            Gate::lapses_at(if u.is_load() { u.seq } else { NO_ROOT }, fr, "delay-loads")
         }
     }
 

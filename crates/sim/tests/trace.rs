@@ -69,28 +69,24 @@ impl DefensePolicy for BlockyPolicy {
         if u.inst.is_branch() || !u.is_load() {
             return Gate::Open;
         }
-        Gate::lapses_at(u.seq, fr)
+        Gate::lapses_at(u.seq, fr, "test-exec-rule")
     }
 
     fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
-        Gate::lapses_at(if u.is_load() { u.seq } else { 0 }, fr)
+        let until = if u.is_load() { u.seq } else { 0 };
+        Gate::lapses_at(until, fr, "test-wakeup-rule")
     }
 
-    fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
-        fr.is_non_speculative(u.seq)
-    }
-
-    fn block_rule(
+    fn may_resolve(
         &self,
-        _u: &DynInst,
-        point: BlockPoint,
+        u: &DynInst,
         _tags: &RegTags,
-        _fr: &SpecFrontier,
-    ) -> &'static str {
-        match point {
-            BlockPoint::Execute => "test-exec-rule",
-            BlockPoint::Wakeup => "test-wakeup-rule",
-            BlockPoint::Resolve => "test-resolve-rule",
+        fr: &SpecFrontier,
+    ) -> Result<(), &'static str> {
+        if fr.is_non_speculative(u.seq) {
+            Ok(())
+        } else {
+            Err("test-resolve-rule")
         }
     }
 }

@@ -122,13 +122,6 @@ impl Checker {
         self.run_inner(&gen, |value, _| prop(value));
     }
 
-    /// Like [`Checker::run`], but `prop` also receives a fresh [`Rng`]
-    /// (derived from the same case seed) for properties that need
-    /// randomness beyond input generation.
-    pub fn run_with_rng<T: Debug>(&self, gen: impl Fn(&mut Rng) -> T, prop: impl Fn(&T, &mut Rng)) {
-        self.run_inner(&gen, prop);
-    }
-
     fn run_inner<T: Debug>(&self, gen: &impl Fn(&mut Rng) -> T, prop: impl Fn(&T, &mut Rng)) {
         if let Some(seed) = env_u64("PROTEAN_CHECK_REPLAY") {
             self.run_case(seed, gen, &prop, CaseKind::Replay);
