@@ -36,12 +36,13 @@ echo "== cargo test -q --offline --workspace (debug profile)"
 # cache metadata folds) only surface in this configuration. The release
 # and debug passes both run the equivalence suites (golden_scheduler,
 # threaded_oracle_equiv, cache_flat_equiv, core_reset, tage_fold_equiv).
-# In this pass every tick also asserts that each parked defense-gate
-# µop is still closed and that the parked counts equal the old
-# per-cycle loop's (see DESIGN.md, "Parked gates").
+# In this pass every tick also asserts that each µop parked at any of
+# the three defense gates (execute, wakeup, resolve) is still closed,
+# and that the issue stage's parked count equals the old per-cycle
+# loop's (see DESIGN.md, "Parked gates").
 cargo test -q --offline --workspace
 
-echo "== --quick report golden set (reproduce --quick vs bench_results/quick)"
+echo "== --quick report golden set (reproduce --quick vs bench_results/quick, JOBS=default vs 1)"
 # Every paper table, figure and ablation, end to end: `reproduce --quick`
 # writes all 11 JSON reports, each must be byte-identical to the
 # committed golden set, and each is schema-checked with every other
@@ -49,14 +50,25 @@ echo "== --quick report golden set (reproduce --quick vs bench_results/quick)"
 # re-pin by writing the output over the set:
 #   PROTEAN_BENCH_DIR=bench_results/quick \
 #       cargo run --release -p protean-bench --bin reproduce -- --quick
+# A second run at PROTEAN_JOBS=1 must write the same 11 reports, and
+# the same profile.json apart from its sampled wall time (nanos,
+# share_pct): the job pool's determinism contract, through the whole
+# reproduction.
 BENCH_SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$BENCH_SMOKE_DIR"' EXIT
+REPRODUCE_SERIAL_DIR="$(mktemp -d)"
+trap 'rm -rf "$BENCH_SMOKE_DIR" "$REPRODUCE_SERIAL_DIR"' EXIT
+profile_counts() { sed -E 's/"nanos":[0-9]+,//; s/"share_pct":[^,]*,//' "$1"; }
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
+    cargo run -q --release --offline -p protean-bench --bin reproduce -- --quick >/dev/null
+PROTEAN_BENCH_DIR="$REPRODUCE_SERIAL_DIR" PROTEAN_JOBS=1 \
     cargo run -q --release --offline -p protean-bench --bin reproduce -- --quick >/dev/null
 for report in table_i table_ii table_iv table_v figure_5 figure_6 \
     ablation_protcc ablation_l1d ablation_access ablation_control ablation_fixes; do
     cmp "bench_results/quick/$report.json" "$BENCH_SMOKE_DIR/$report.json"
+    cmp "$BENCH_SMOKE_DIR/$report.json" "$REPRODUCE_SERIAL_DIR/$report.json"
 done
+cmp <(profile_counts "$BENCH_SMOKE_DIR/profile.json") \
+    <(profile_counts "$REPRODUCE_SERIAL_DIR/profile.json")
 
 echo "== campaign_service determinism (uninterrupted JOBS=1 vs 4, killed+resumed JOBS=4/2)"
 # The resumable-campaign contract, end to end through the service
@@ -72,8 +84,7 @@ echo "== campaign_service determinism (uninterrupted JOBS=1 vs 4, killed+resumed
 # checks them against the shared row schema.
 CAMPAIGN_A_DIR="$(mktemp -d)"
 CAMPAIGN_B_DIR="$(mktemp -d)"
-trap 'rm -rf "$BENCH_SMOKE_DIR" "$CAMPAIGN_A_DIR" "$CAMPAIGN_B_DIR"' EXIT
-profile_counts() { sed -E 's/"nanos":[0-9]+,//; s/"share_pct":[^,]*,//' "$1"; }
+trap 'rm -rf "$BENCH_SMOKE_DIR" "$REPRODUCE_SERIAL_DIR" "$CAMPAIGN_A_DIR" "$CAMPAIGN_B_DIR"' EXIT
 PROTEAN_BENCH_DIR="$CAMPAIGN_A_DIR" PROTEAN_JOBS=1 \
     cargo run -q --release --offline -p protean-bench --bin campaign_service >/dev/null
 if [ ! -f "$CAMPAIGN_A_DIR/profile.json" ]; then

@@ -635,7 +635,7 @@ fn run_program(
     for (i, mutant) in admitted {
         core.reset(&program, policy_factory(), &mutant);
         core.record_traces(true);
-        let mutant_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
+        let mut mutant_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
         assert_no_deadlock(&mutant_hw, seed, Some(i));
         out.report.committed_uops += mutant_hw.stats.committed;
         if mutant_hw.exit != SimExit::Halted {
@@ -654,7 +654,11 @@ fn run_program(
                 out.report.violations += 1;
             }
             if cc.triage {
-                let sig = traced_replay(&program, &mutant, cfg, policy_factory())
+                // Coverage mode already traced this run.
+                let sig = mutant_hw
+                    .trace
+                    .take()
+                    .or_else(|| traced_replay(&program, &mutant, cfg, policy_factory()))
                     .map(|t| t.audit_signature())
                     .unwrap_or_else(|| "no-trace".to_string());
                 out.triage.push((sig, seed, i, fp));

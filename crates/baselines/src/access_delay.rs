@@ -60,17 +60,12 @@ impl DefensePolicy for AccessDelayPolicy {
         Gate::lapses_at(u.seq, fr, "spec-load-wakeup")
     }
 
-    fn may_resolve(
-        &self,
-        u: &DynInst,
-        _tags: &RegTags,
-        fr: &SpecFrontier,
-    ) -> Result<(), &'static str> {
+    fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
         // A `ret`'s squash decision transmits its (speculatively loaded)
         // target: the load may not "wake" the squash logic either.
-        if u.is_load() && u.delay_wakeup_nonspec && !fr.is_non_speculative(u.seq) {
-            return Err("spec-ret-target-resolve");
+        if !(u.is_load() && u.delay_wakeup_nonspec) {
+            return Gate::Open;
         }
-        Ok(())
+        Gate::lapses_at(u.seq, fr, "spec-ret-target-resolve")
     }
 }

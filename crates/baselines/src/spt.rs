@@ -155,23 +155,15 @@ impl DefensePolicy for SptPolicy {
         Gate::lapses_at(u.seq, fr, "private-transmitter-delay")
     }
 
-    fn may_resolve(
-        &self,
-        u: &DynInst,
-        tags: &RegTags,
-        fr: &SpecFrontier,
-    ) -> Result<(), &'static str> {
-        if fr.is_non_speculative(u.seq) {
-            return Ok(());
-        }
+    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
         if sensitive_value_tainted(u, &self.xmit, tags) {
-            return Err("private-branch-resolve");
+            return Gate::lapses_at(u.seq, fr, "private-branch-resolve");
         }
         // `ret`: the loaded target itself must be public.
         if u.mem_prot == Some(true) {
-            return Err("private-ret-target-resolve");
+            return Gate::lapses_at(u.seq, fr, "private-ret-target-resolve");
         }
-        Ok(())
+        Gate::Open
     }
 
     fn on_commit(&mut self, u: &DynInst, tags: &mut RegTags, l1d: &mut Cache) {

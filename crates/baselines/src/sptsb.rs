@@ -70,16 +70,11 @@ impl DefensePolicy for SptSbPolicy {
         Gate::lapses_at(u.seq, fr, "spec-transmitter-delay")
     }
 
-    fn may_resolve(
-        &self,
-        u: &DynInst,
-        _tags: &RegTags,
-        fr: &SpecFrontier,
-    ) -> Result<(), &'static str> {
+    fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
         // Every squash signal transmits protected state.
-        if self.xmit.branches && !fr.is_non_speculative(u.seq) {
-            return Err("spec-squash-delay");
+        if !self.xmit.branches {
+            return Gate::Open;
         }
-        Ok(())
+        Gate::lapses_at(u.seq, fr, "spec-squash-delay")
     }
 }

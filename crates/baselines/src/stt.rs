@@ -9,9 +9,7 @@
 //! and — under STT's ARCH-SEQ contract — fair game.
 
 use protean_isa::TransmitterSet;
-use protean_sim::{
-    sensitive_max_yrot, sensitive_root_tainted, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier,
-};
+use protean_sim::{sensitive_max_yrot, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The STT policy.
 ///
@@ -111,24 +109,20 @@ impl DefensePolicy for SttPolicy {
         )
     }
 
-    fn may_resolve(
-        &self,
-        u: &DynInst,
-        tags: &RegTags,
-        fr: &SpecFrontier,
-    ) -> Result<(), &'static str> {
-        if fr.is_non_speculative(u.seq) {
-            return Ok(());
-        }
-        // A squash transmits the branch predicate / target.
-        if sensitive_root_tainted(u, &self.xmit, tags, fr) {
-            return Err("tainted-branch-resolve");
-        }
+    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        // A squash transmits the branch predicate / target: held until
+        // the branch or its youngest sensitive taint root is
+        // non-speculative, whichever comes first.
+        let root = sensitive_max_yrot(u, &self.xmit, tags);
         // `ret` transmits its speculatively *loaded* target, which is
-        // tainted by the ret's own load (rooted at itself).
-        if u.is_load() {
-            return Err("tainted-ret-target-resolve");
-        }
-        Ok(())
+        // tainted by the ret's own load (rooted at itself): held until
+        // the ret is non-speculative.
+        let until = if u.is_load() { u.seq } else { u.seq.min(root) };
+        let rule = if fr.root_speculative(root) {
+            "tainted-branch-resolve"
+        } else {
+            "tainted-ret-target-resolve"
+        };
+        Gate::lapses_at(until, fr, rule)
     }
 }

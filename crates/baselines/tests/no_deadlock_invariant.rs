@@ -114,7 +114,7 @@ fn non_speculative_uops_are_never_blocked() {
                 "{name} blocks execution at the head ({model:?})"
             );
             assert!(
-                policy.may_resolve(&u, &tags, &fr).is_ok(),
+                policy.may_resolve(&u, &tags, &fr).is_open(),
                 "{name} blocks resolution at the head ({model:?})"
             );
             // Wakeup may additionally be held by a forwarded root; that

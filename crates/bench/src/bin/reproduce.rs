@@ -2,8 +2,10 @@
 //! Tab. I, II, IV, V, Fig. 5, 6 and §IX-A2…A7 — simulating each
 //! distinct cell once (see `protean_bench::reproduce`). Prints each
 //! report's text table, writes its JSON to
-//! `$PROTEAN_BENCH_DIR/<report>.json` (default `bench_results/`), and
-//! ends with the simulated and requested cell counts.
+//! `$PROTEAN_BENCH_DIR/<report>.json` (default `bench_results/`) with
+//! the whole reproduction's section profile next to them in
+//! `profile.json`, and ends with the simulated and requested cell
+//! counts.
 //!
 //! Exits with status 1 if a report cannot be written.
 //!
@@ -11,7 +13,7 @@
 //! cargo run --release -p protean-bench --bin reproduce [--quick] [--scale N]
 //! ```
 
-use protean_bench::report::results_dir;
+use protean_bench::report::{results_dir, write_profile_report};
 use protean_bench::reproduce::{self, Roster};
 use protean_workloads::Scale;
 
@@ -24,6 +26,7 @@ fn main() {
         print!("{}", r.text);
         r.report.write_or_exit(&dir);
     }
+    write_profile_report(&dir);
     println!(
         "\nsimulated {} distinct cells for {} requested",
         counts.simulated, counts.requested

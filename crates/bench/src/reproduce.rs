@@ -435,6 +435,8 @@ fn campaign(
         cfg.programs = programs;
         cfg.inputs_per_program = 3;
         cfg.gen.seed = 0xc0ffee;
+        // Tab. II prints counts only: no example traces to render.
+        cfg.capture_traces = false;
         let r = fuzz(&cfg, factory);
         total.tests += r.tests;
         total.violations += r.violations;

@@ -1,12 +1,13 @@
 //! Lapse-point soundness of every shipped defense's gates.
 //!
-//! The pipeline parks a µop whose `may_execute`/`may_wakeup` verdict is
-//! `Gate::Closed { until, .. }` and does not ask the policy again until the
-//! speculation frontier's point reaches `until`. That is only sound if
-//! the gate really stays closed on `[point, until)`. This property test
-//! draws random µop shapes (instructions from generated programs),
+//! The pipeline parks a µop whose `may_execute`/`may_wakeup`/`may_resolve`
+//! verdict is `Gate::Closed { until, .. }` and does not ask the policy
+//! again until the speculation frontier's point reaches `until`. That is
+//! only sound if the gate really stays closed on `[point, until)`. This
+//! property test draws random µop shapes (instructions from generated
+//! programs; for the resolve gate, mispredicted branches and `ret`s),
 //! defense state, register tags and frontiers, and checks for every
-//! shipped policy, at both gates and under both speculation models:
+//! shipped policy, at all three gates and under both speculation models:
 //!
 //! * a closed verdict names a lapse point ahead of the frontier, the
 //!   gate stays closed at every point before it and opens exactly at it;
@@ -14,7 +15,7 @@
 
 use protean_amulet::{generate, GenConfig};
 use protean_bench::Defense;
-use protean_isa::{InlineVec, Inst, Reg};
+use protean_isa::{Cond, InlineVec, Inst, Op, Program, Reg};
 use protean_sim::{
     BlockPoint, DefensePolicy, DynInst, Gate, MemState, RegTags, Seq, SpecFrontier,
     SpeculationModel, UopStatus, NO_ROOT,
@@ -27,7 +28,11 @@ const N_PHYS: usize = 24;
 
 #[derive(Debug)]
 struct Case {
+    /// Any instruction of a generated program (execute and wakeup).
     uop: DynInst,
+    /// A mispredicted branch or `ret` with the same sequence number
+    /// (resolve).
+    branch: DynInst,
     tags: RegTags,
     model: SpeculationModel,
     /// Frontier points the verdicts are taken at (`0..=2·seq`).
@@ -43,26 +48,15 @@ fn root(rng: &mut Rng, seq: Seq) -> Seq {
     }
 }
 
-fn gen_case(rng: &mut Rng) -> Case {
-    let program = generate(&GenConfig {
-        segments: 3,
-        gadget_bias: 0.7,
-        seed: rng.gen(),
-    });
-    let idx = rng.gen_range(0..program.len());
-    let inst: Inst = program.insts[idx];
-    let seq: Seq = rng.gen_range(2..64);
+/// A µop of `inst` (static index `idx` of `program`) with sequence
+/// number `seq`, random defense state and sources among the
+/// [`N_PHYS`] registers.
+fn gen_uop(rng: &mut Rng, program: &Program, idx: usize, inst: Inst, seq: Seq) -> DynInst {
     let srcs: InlineVec<(Reg, usize), 3> = inst
         .src_regs()
         .iter()
         .map(|r| (r, rng.gen_range(0..N_PHYS)))
         .collect();
-    let mut tags = RegTags::new(N_PHYS, 0);
-    for p in 0..N_PHYS {
-        tags.prot[p] = rng.gen_bool(0.3);
-        tags.taint[p] = rng.gen_bool(0.4);
-        tags.yrot[p] = root(rng, seq);
-    }
     let mem = inst.is_mem().then(|| MemState {
         addr: Some(0x1000),
         size: 8,
@@ -76,7 +70,7 @@ fn gen_case(rng: &mut Rng) -> Case {
         fwd_data_yrot: root(rng, seq),
         fwd_data_taint: rng.gen_bool(0.4),
     });
-    let uop = DynInst {
+    DynInst {
         seq,
         idx: idx as u32,
         pc: program.pc_of(idx as u32),
@@ -110,7 +104,46 @@ fn gen_case(rng: &mut Rng) -> Case {
         complete_cycle: 0,
         srcs,
         dsts: Default::default(),
+    }
+}
+
+fn gen_case(rng: &mut Rng) -> Case {
+    let program = generate(&GenConfig {
+        segments: 3,
+        gadget_bias: 0.7,
+        seed: rng.gen(),
+    });
+    let seq: Seq = rng.gen_range(2..64);
+    let mut tags = RegTags::new(N_PHYS, 0);
+    for p in 0..N_PHYS {
+        tags.prot[p] = rng.gen_bool(0.3);
+        tags.taint[p] = rng.gen_bool(0.4);
+        tags.yrot[p] = root(rng, seq);
+    }
+    let idx = rng.gen_range(0..program.len());
+    let uop = gen_uop(rng, &program, idx, program.insts[idx], seq);
+    // The resolve candidate: one of the program's conditional or
+    // indirect branches, or else a `ret` or a conditional branch.
+    let branches: Vec<usize> = (0..program.len())
+        .filter(|&i| program.insts[i].is_cond_branch() || program.insts[i].is_indirect_branch())
+        .collect();
+    let (bidx, binst) = match rng.gen_range(0..3) {
+        0 if !branches.is_empty() => {
+            let i = branches[rng.gen_range(0..branches.len())];
+            (i, program.insts[i])
+        }
+        1 => (
+            idx,
+            Inst::new(Op::Jcc {
+                cond: Cond::Eq,
+                target: 0,
+            }),
+        ),
+        _ => (idx, Inst::new(Op::Ret)),
     };
+    let mut branch = gen_uop(rng, &program, bidx, binst, seq);
+    branch.status = UopStatus::Done;
+    branch.mispredicted = true;
     let model = if rng.gen_bool(0.5) {
         SpeculationModel::AtCommit
     } else {
@@ -118,6 +151,7 @@ fn gen_case(rng: &mut Rng) -> Case {
     };
     Case {
         uop,
+        branch,
         tags,
         model,
         points: (0..=2 * seq).collect(),
@@ -138,16 +172,16 @@ fn frontier_at(model: SpeculationModel, p: Seq) -> SpecFrontier {
     }
 }
 
-/// Checks one gate of one policy on one case; returns how many of the
-/// case's frontier points it was closed at.
+/// Checks one gate of one policy on µop `u` of one case; returns how
+/// many of the case's frontier points it was closed at.
 fn check_gate(
     name: &str,
     point: BlockPoint,
     case: &Case,
+    u: &DynInst,
     gate: impl Fn(&SpecFrontier) -> Gate,
 ) -> u64 {
     let mut closed = 0;
-    let u = &case.uop;
     let at = |p: Seq| gate(&frontier_at(case.model, p));
     for &p in &case.points {
         let fr = frontier_at(case.model, p);
@@ -200,23 +234,30 @@ fn closed_gates_lapse_exactly_at_their_named_point() {
         .collect();
     // Closed verdicts seen per policy and gate: the property must not
     // hold vacuously.
-    let closed: Vec<[Cell<u64>; 2]> = policies.iter().map(|_| Default::default()).collect();
+    let closed: Vec<[Cell<u64>; 3]> = policies.iter().map(|_| Default::default()).collect();
     Checker::new("closed_gates_lapse_exactly_at_their_named_point")
         .cases(512)
         .run(gen_case, |case| {
             for ((name, policy), seen) in policies.iter().zip(&closed) {
-                let exec = check_gate(name, BlockPoint::Execute, case, |fr| {
-                    policy.may_execute(&case.uop, &case.tags, fr)
-                });
-                let wakeup = check_gate(name, BlockPoint::Wakeup, case, |fr| {
-                    policy.may_wakeup(&case.uop, &case.tags, fr)
-                });
-                seen[0].set(seen[0].get() + exec);
-                seen[1].set(seen[1].get() + wakeup);
+                let (u, b, tags) = (&case.uop, &case.branch, &case.tags);
+                let counts = [
+                    check_gate(name, BlockPoint::Execute, case, u, |fr| {
+                        policy.may_execute(u, tags, fr)
+                    }),
+                    check_gate(name, BlockPoint::Wakeup, case, u, |fr| {
+                        policy.may_wakeup(u, tags, fr)
+                    }),
+                    check_gate(name, BlockPoint::Resolve, case, b, |fr| {
+                        policy.may_resolve(b, tags, fr)
+                    }),
+                ];
+                for (cell, n) in seen.iter().zip(counts) {
+                    cell.set(cell.get() + n);
+                }
             }
         });
     for ((name, policy), seen) in policies.iter().zip(&closed) {
-        let (exec, wakeup) = (seen[0].get(), seen[1].get());
+        let [exec, wakeup, resolve] = seen.each_ref().map(Cell::get);
         // Which gates each policy closes: every baseline but the unsafe
         // one and NDA gates execution; the AccessDelay family and
         // ProtTrack gate wakeup.
@@ -238,6 +279,12 @@ fn closed_gates_lapse_exactly_at_their_named_point() {
             wakeup > 0,
             gates_wakeup,
             "{name}: {wakeup} closed wakeup verdicts"
+        );
+        // Every defense but the unsafe baseline delays some squash.
+        assert_eq!(
+            resolve > 0,
+            policy.name() != "unsafe",
+            "{name}: {resolve} closed resolve verdicts"
         );
     }
 }

@@ -123,25 +123,17 @@ impl DefensePolicy for ProtDelayPolicy {
         Gate::lapses_at(u.seq, fr, rule)
     }
 
-    fn may_resolve(
-        &self,
-        u: &DynInst,
-        tags: &RegTags,
-        fr: &SpecFrontier,
-    ) -> Result<(), &'static str> {
-        if fr.is_non_speculative(u.seq) {
-            return Ok(());
-        }
+    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
         // A branch whose predicate/target is protected is an access
         // transmitter: its squash signal may not fire speculatively.
         if is_access_transmitter(u, &self.xmit, tags) {
-            return Err("protected-branch-resolve");
+            return Gate::lapses_at(u.seq, fr, "protected-branch-resolve");
         }
         // `ret` transmits its loaded target: protected bytes must not
         // resolve it.
         if u.mem_prot == Some(true) {
-            return Err("protected-ret-target-resolve");
+            return Gate::lapses_at(u.seq, fr, "protected-ret-target-resolve");
         }
-        Ok(())
+        Gate::Open
     }
 }

@@ -196,33 +196,34 @@ impl DefensePolicy for ProtTrackPolicy {
         Gate::lapses_at(delay.max(u.wakeup_hold_root), fr, rule)
     }
 
-    fn may_resolve(
-        &self,
-        u: &DynInst,
-        tags: &RegTags,
-        fr: &SpecFrontier,
-    ) -> Result<(), &'static str> {
-        if fr.is_non_speculative(u.seq) {
-            return Ok(());
-        }
-        if sensitive_root_tainted(u, &self.xmit, tags, fr) {
-            return Err("tainted-branch-resolve");
-        }
-        if is_access_transmitter(u, &self.xmit, tags) {
-            return Err("protected-branch-resolve");
-        }
+    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        // Each rule holds the squash until the frontier passes a point:
+        // a tainted predicate/target until its youngest sensitive root,
+        // a protected one (access transmitter) until the branch itself.
+        let root = sensitive_max_yrot(u, &self.xmit, tags);
+        let protected = if is_access_transmitter(u, &self.xmit, tags) {
+            u.seq
+        } else {
+            NO_ROOT
+        };
         // `ret`: loaded target must be neither protected nor tainted
-        // (a predicted access taints it, rooted at the ret itself).
-        if u.is_load()
-            && (u.mem_prot == Some(true)
-                || u.pred_no_access != Some(true)
-                || u.mem
-                    .as_ref()
-                    .is_some_and(|m| fr.root_speculative(m.fwd_data_yrot)))
-        {
-            return Err("ret-target-resolve");
-        }
-        Ok(())
+        // (a predicted access taints it, rooted at the ret itself; a
+        // forwarded one until the store data's root).
+        let ret_target = if !u.is_load() {
+            NO_ROOT
+        } else if u.mem_prot == Some(true) || u.pred_no_access != Some(true) {
+            u.seq
+        } else {
+            u.mem.as_ref().map_or(NO_ROOT, |m| m.fwd_data_yrot)
+        };
+        let rule = if fr.root_speculative(root) {
+            "tainted-branch-resolve"
+        } else if protected > fr.point() {
+            "protected-branch-resolve"
+        } else {
+            "ret-target-resolve"
+        };
+        Gate::lapses_at(u.seq.min(root.max(protected).max(ret_target)), fr, rule)
     }
 
     fn on_commit(&mut self, u: &DynInst, _tags: &mut RegTags, _l1d: &mut Cache) {

@@ -163,7 +163,7 @@ fn mechanisms_agree_architecturally() {
 #[test]
 fn protean_policies_never_block_at_the_head() {
     use protean_isa::{Inst, Mem, Op, Reg, Width};
-    use protean_sim::{MemState, RegTags, SpecFrontier, SpeculationModel, UopStatus};
+    use protean_sim::{Gate, MemState, RegTags, SpecFrontier, SpeculationModel, UopStatus};
     let seq = 10;
     let u = protean_sim::DynInst {
         seq,
@@ -244,7 +244,7 @@ fn protean_policies_never_block_at_the_head() {
             );
             assert_eq!(
                 policy.may_resolve(&u, &tags, &fr),
-                Ok(()),
+                Gate::Open,
                 "{name} ({model:?})"
             );
         }

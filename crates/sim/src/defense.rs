@@ -141,8 +141,8 @@ impl SpecFrontier {
     }
 }
 
-/// A defense gate's verdict on one µop ([`DefensePolicy::may_execute`]
-/// and [`DefensePolicy::may_wakeup`]).
+/// A defense gate's verdict on one µop ([`DefensePolicy::may_execute`],
+/// [`DefensePolicy::may_wakeup`] and [`DefensePolicy::may_resolve`]).
 ///
 /// Every in-tree defense holds a µop until the speculation frontier
 /// passes a known point — the µop itself ("until non-speculative") or a
@@ -204,11 +204,14 @@ pub enum BlockPoint {
     Execute = 0,
     /// [`DefensePolicy::may_wakeup`] returned [`Gate::Closed`].
     Wakeup = 1,
-    /// [`DefensePolicy::may_resolve`] returned `Err`.
+    /// [`DefensePolicy::may_resolve`] returned [`Gate::Closed`].
     Resolve = 2,
 }
 
 impl BlockPoint {
+    /// The three gates, in index order.
+    pub const ALL: [BlockPoint; 3] = [BlockPoint::Execute, BlockPoint::Wakeup, BlockPoint::Resolve];
+
     /// Stable lowercase name (used in audit logs and JSON).
     pub fn name(self) -> &'static str {
         match self {
@@ -234,6 +237,11 @@ pub enum SquashKind {
 /// A hardware protection mechanism (paper §III-B): decides which µops may
 /// transmit, wake dependents, or resolve, and maintains its taint/shadow
 /// state at the pipeline's hook points.
+///
+/// The three gates (`may_execute`, `may_wakeup`, `may_resolve`) share
+/// one protocol: a [`Gate`] verdict that names the rule and the
+/// frontier point where a denial lapses, so a new rule is one function
+/// per gate it holds.
 ///
 /// The default implementations are the **unsafe baseline**: never block
 /// anything, track nothing.
@@ -300,16 +308,10 @@ pub trait DefensePolicy {
 
     /// May this executed, mispredicted branch initiate its squash this
     /// cycle? (Delayed branch resolution; the squash signal itself is a
-    /// transmitter of the predicate.) `Err(rule)` holds the squash this
-    /// cycle under the named rule; unlike the other two gates it is
-    /// asked again every cycle.
-    fn may_resolve(
-        &self,
-        _u: &DynInst,
-        _tags: &RegTags,
-        _fr: &SpecFrontier,
-    ) -> Result<(), &'static str> {
-        Ok(())
+    /// transmitter of the predicate.) Parked on a closed verdict exactly
+    /// like [`DefensePolicy::may_execute`].
+    fn may_resolve(&self, _u: &DynInst, _tags: &RegTags, _fr: &SpecFrontier) -> Gate {
+        Gate::Open
     }
 
     /// A load (or `ret`) received its data. `u.mem` carries the address,

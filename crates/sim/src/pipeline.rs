@@ -364,12 +364,8 @@ pub struct Core<'a> {
     /// Each pipeline stage still takes one snapshot at stage start, as
     /// the per-stage scans always did.
     cached_frontier: Option<SpecFrontier>,
-    /// Number of µops counted as denied at the execute gate this tick,
-    /// so idle-cycle fast-forward can bulk-attribute the skipped cycles.
-    exec_blocked_n: u64,
-    /// Those µops' slots, recorded only while tracing (fast-forward
-    /// attributes the skipped cycles to each of them).
-    exec_blocked: Vec<Slot>,
+    /// This tick's gate denials, replayed by idle-cycle fast-forward.
+    denials: Denials,
     /// The [`RegTags::generation`] the parked sets were last valid for:
     /// when the tags move past it, every parked µop is un-parked.
     parked_tag_gen: u64,
@@ -406,6 +402,24 @@ pub struct Core<'a> {
 }
 
 const WATCHDOG_CYCLES: u64 = 100_000;
+
+/// One tick's gate denials: what each gate's stage counted as denied
+/// this cycle. A tick without progress repeats exactly, so idle-cycle
+/// fast-forward charges the ledger once per skipped cycle.
+#[derive(Default)]
+struct Denials {
+    /// Per gate ([`BlockPoint`] order), the number of µops denied.
+    count: [u64; 3],
+    /// Per gate, their slots, recorded only while tracing.
+    slots: [Vec<Slot>; 3],
+}
+
+impl Denials {
+    fn clear(&mut self) {
+        self.count = [0; 3];
+        self.slots.iter_mut().for_each(Vec::clear);
+    }
+}
 
 impl<'a> Core<'a> {
     /// Creates a core running `program` from `initial` architectural
@@ -454,8 +468,7 @@ impl<'a> Core<'a> {
             div_busy_until: 0,
             sched,
             cached_frontier: None,
-            exec_blocked_n: 0,
-            exec_blocked: Vec::new(),
+            denials: Denials::default(),
             parked_tag_gen: 0,
             completions: Vec::new(),
             dep_scratch: Vec::new(),
@@ -553,8 +566,7 @@ impl<'a> Core<'a> {
         self.div_busy_until = 0;
         self.sched.reset();
         self.cached_frontier = None;
-        self.exec_blocked_n = 0;
-        self.exec_blocked.clear();
+        self.denials.clear();
         self.parked_tag_gen = self.tags.generation();
         self.completions.clear();
         self.dep_scratch.clear();
@@ -762,35 +774,70 @@ impl<'a> Core<'a> {
         self.cached_frontier = None;
     }
 
-    /// Traces the denial of each parked µop in `slots` at `point`
-    /// under the rule its gate names (see [`denial_rule`]), asked only
-    /// for the rules the trace keeps. Debug builds ask every µop's gate,
-    /// traced or not: the check that none passed its lapse point.
-    fn trace_parked(&mut self, slots: &[Slot], point: BlockPoint, fr: &SpecFrontier) {
+    /// Records this tick's denials at `gate`: the µops of each parked
+    /// set below its age-offset bound, at most `limit` of them, each
+    /// denied for this cycle. While tracing, the µops' slots join the
+    /// ledger and each denial is traced under the rule its gate names
+    /// (see [`denial_rule`]), asked only for the rules the trace keeps.
+    /// Debug builds first ask every parked µop's gate: the check that
+    /// none passed its lapse point.
+    fn record_denials(
+        &mut self,
+        gate: BlockPoint,
+        bounds: &[(SetId, usize)],
+        limit: usize,
+        fr: &SpecFrontier,
+    ) {
+        #[cfg(debug_assertions)]
+        self.check_parked(gate, fr);
+        let n = bounds
+            .iter()
+            .map(|&(set, end)| self.sched.count_below(set, end))
+            .sum::<usize>()
+            .min(limit);
+        self.denials.count[gate as usize] = n as u64;
+        *self.stats.blocked_cycles_mut(gate) += n as u64;
+        let Some(t) = self.tracer.as_mut() else {
+            return;
+        };
+        let slots = &mut self.denials.slots[gate as usize];
+        for &(set, end) in bounds {
+            self.sched.collect_until(set, end, slots);
+        }
+        slots.truncate(n);
         let (policy, tags) = (&*self.policy, &self.tags);
-        for &slot in slots {
+        for &slot in slots.iter() {
             let u = &self.rob[slot];
-            if cfg!(debug_assertions) {
-                denial_rule(policy, u, tags, point, fr);
-            }
-            if let Some(t) = self.tracer.as_mut() {
-                t.on_block(u.seq, point, self.cycle, || {
-                    denial_rule(policy, u, tags, point, fr)
-                });
-            }
+            t.on_block(u.seq, gate, self.cycle, 1, || {
+                denial_rule(policy, u, tags, gate, fr)
+            });
         }
     }
 
-    /// Un-parks every parked µop of both gates if a policy wrote tags
+    /// Debug check that every µop parked at `gate` is still denied
+    /// there (see [`denial_rule`]).
+    #[cfg(debug_assertions)]
+    fn check_parked(&self, gate: BlockPoint, fr: &SpecFrontier) {
+        let mut slots = Vec::new();
+        for &set in crate::sched::GATES[gate as usize].1 {
+            self.sched.collect(set, &mut slots);
+        }
+        for slot in slots {
+            denial_rule(&*self.policy, &self.rob[slot], &self.tags, gate, fr);
+        }
+    }
+
+    /// Un-parks every parked µop of every gate if a policy wrote tags
     /// that in-flight µops read since the parks were made (see
     /// [`RegTags::generation`]).
     fn unpark_on_tag_write(&mut self) {
         let gen = self.tags.generation();
         if gen != self.parked_tag_gen {
             self.parked_tag_gen = gen;
-            let [exec, wakeup] = self.sched.unpark_all();
-            self.profile.gate_unparks(BlockPoint::Execute, exec);
-            self.profile.gate_unparks(BlockPoint::Wakeup, wakeup);
+            let moved = self.sched.unpark_all();
+            for gate in BlockPoint::ALL {
+                self.profile.gate_unparks(gate, moved[gate as usize]);
+            }
         }
     }
 
@@ -811,6 +858,7 @@ impl<'a> Core<'a> {
     fn tick(&mut self) {
         self.profile.begin_tick(self.cycle, Section::Wakeup);
         self.sched.clear_progress();
+        self.denials.clear();
         self.complete_and_wakeup();
         self.profile.enter(Section::StoreData);
         self.capture_store_data();
@@ -835,8 +883,9 @@ impl<'a> Core<'a> {
     /// the one just simulated. Jump straight to that event — the
     /// earliest completion on the wheel, the divider or front-end stall
     /// deadline, or the fetch queue's next ready entry — and
-    /// bulk-attribute the skipped cycles' blocked-cycle and no-commit
-    /// accounting, so `Stats` and the trace stay byte-identical with
+    /// bulk-attribute the skipped cycles' no-commit accounting and
+    /// blocked cycles (the just-simulated tick's denial ledger, once per
+    /// skipped cycle), so `Stats` and the trace stay byte-identical with
     /// per-cycle simulation. The jump is capped so the max-cycles and
     /// watchdog exits still fire at exactly the cycle they always did.
     /// Stale wheel entries from squashed µops can only make the jump
@@ -871,50 +920,23 @@ impl<'a> Core<'a> {
             return;
         }
         let delta = target - cycle;
-        // Each skipped tick would have counted exactly the candidates the
-        // just-simulated tick counted: every wakeup-parked µop (a tick
-        // without progress granted no wakeup, so it parked every
-        // pending one), every resolve candidate (only the oldest under
-        // the buggy arbiter), and every denied issue candidate.
-        debug_assert!(self.sched.is_empty(SetId::WakeupPending));
-        let buggy = self.policy.pending_squash_bug();
-        let resolve_candidates = if buggy {
-            self.sched.len(SetId::ResolvePending).min(1)
-        } else {
-            self.sched.len(SetId::ResolvePending)
-        };
-        self.stats.wakeup_blocked_cycles += delta * self.sched.len(SetId::WakeupParked) as u64;
-        self.stats.resolve_blocked_cycles += delta * resolve_candidates as u64;
-        self.stats.exec_blocked_cycles += delta * self.exec_blocked_n;
+        // Each skipped tick would deny exactly what the just-simulated
+        // tick denied.
+        for gate in BlockPoint::ALL {
+            *self.stats.blocked_cycles_mut(gate) += delta * self.denials.count[gate as usize];
+        }
         if self.tracer.is_some() {
             let fr = self.frontier();
-            let last = target - 1;
-            let mut scratch = std::mem::take(&mut self.sched.scratch);
-            for point in [BlockPoint::Wakeup, BlockPoint::Resolve, BlockPoint::Execute] {
-                scratch.clear();
-                match point {
-                    BlockPoint::Wakeup => {
-                        self.sched.collect(SetId::WakeupParked, &mut scratch);
-                    }
-                    BlockPoint::Resolve if buggy => {
-                        scratch.extend(self.sched.first(SetId::ResolvePending));
-                    }
-                    BlockPoint::Resolve => {
-                        self.sched.collect(SetId::ResolvePending, &mut scratch);
-                    }
-                    BlockPoint::Execute => scratch.extend(self.exec_blocked.iter().copied()),
-                }
-                let (policy, tags) = (&*self.policy, &self.tags);
-                for &slot in &scratch {
+            let (policy, tags) = (&*self.policy, &self.tags);
+            let t = self.tracer.as_mut().expect("tracing");
+            for gate in BlockPoint::ALL {
+                for &slot in &self.denials.slots[gate as usize] {
                     let u = &self.rob[slot];
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.on_block_many(u.seq, point, cycle, last, delta, || {
-                            denial_rule(policy, u, tags, point, &fr)
-                        });
-                    }
+                    t.on_block(u.seq, gate, cycle, delta, || {
+                        denial_rule(policy, u, tags, gate, &fr)
+                    });
                 }
             }
-            self.sched.scratch = scratch;
         }
         self.no_commit_cycles += delta;
         self.cycle = target;
@@ -1035,20 +1057,23 @@ impl<'a> Core<'a> {
                         self.sched.mark_progress();
                     }
                     Gate::Closed { until, .. } => {
-                        self.sched.park(SetId::WakeupParked, slot, until);
+                        self.sched
+                            .park(BlockPoint::Wakeup, SetId::WakeupParked, slot, until);
                         self.profile.gate_park(BlockPoint::Wakeup);
                     }
                 }
             }
         }
-        let parked = self.sched.len(SetId::WakeupParked);
-        self.stats.wakeup_blocked_cycles += parked as u64;
-        if parked != 0 && (self.tracer.is_some() || cfg!(debug_assertions)) {
-            scratch.clear();
-            self.sched.collect(SetId::WakeupParked, &mut scratch);
-            self.trace_parked(&scratch, BlockPoint::Wakeup, &fr);
-        }
         self.sched.scratch = scratch;
+        if !self.sched.is_empty(SetId::WakeupParked) {
+            let end = self.sched.rob_len();
+            self.record_denials(
+                BlockPoint::Wakeup,
+                &[(SetId::WakeupParked, end)],
+                usize::MAX,
+                &fr,
+            );
+        }
     }
 
     fn capture_store_data(&mut self) {
@@ -1110,38 +1135,62 @@ impl<'a> Core<'a> {
     // Branch resolution & squash
     // ------------------------------------------------------------------
 
+    /// The resolve stage: squashes on the oldest resolve candidate
+    /// (executed, unresolved, mispredicted branch) whose gate is open. A
+    /// closed verdict parks the candidate until the frontier reaches its
+    /// lapse point; every parked candidate older than the chosen branch
+    /// counts as denied this cycle — exactly the candidates the old
+    /// per-cycle walk asked about and denied before it found one.
     fn resolve_branches(&mut self) {
-        // Candidates: executed, unresolved, mispredicted branches —
-        // exactly the resolve-pending set, in age order.
-        if self.sched.is_empty(SetId::ResolvePending) {
+        if self.sched.is_empty(SetId::ResolvePending) && self.sched.is_empty(SetId::ResolveParked) {
             return;
         }
+        self.unpark_on_tag_write();
         let fr = self.frontier();
-        let buggy = self.policy.pending_squash_bug();
+        if !self.sched.is_empty(SetId::ResolveParked) {
+            let n = self.sched.unpark_due(BlockPoint::Resolve, fr.point());
+            self.profile.gate_unparks(BlockPoint::Resolve, n);
+        }
+        // The buggy arbiter (§VII-B4b) considers only the oldest
+        // candidate, pending or parked, regardless of whether the
+        // defense allows it to resolve — an older protected branch
+        // blocks all younger squashes, leaking its predicate via timing.
+        let n = self.sched.rob_len();
+        let (end, limit) = if self.policy.pending_squash_bug() {
+            let oldest_parked = self.sched.first(SetId::ResolveParked);
+            (oldest_parked.map_or(n, |slot| self.sched.offset(slot)), 1)
+        } else {
+            (n, usize::MAX)
+        };
         let mut chosen: Option<Slot> = None;
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
-        self.sched.collect(SetId::ResolvePending, &mut scratch);
-        for &slot in &scratch {
+        self.sched
+            .collect_until(SetId::ResolvePending, end, &mut scratch);
+        for &slot in scratch.iter().take(limit) {
             self.profile.gate_eval(BlockPoint::Resolve);
-            let Err(rule) = self.policy.may_resolve(&self.rob[slot], &self.tags, &fr) else {
-                chosen = Some(slot);
-                break;
-            };
-            self.stats.resolve_blocked_cycles += 1;
-            if let Some(t) = self.tracer.as_mut() {
-                t.on_block(self.rob[slot].seq, BlockPoint::Resolve, self.cycle, || rule);
+            match self.policy.may_resolve(&self.rob[slot], &self.tags, &fr) {
+                Gate::Open => {
+                    chosen = Some(slot);
+                    break;
+                }
+                Gate::Closed { until, .. } => {
+                    self.sched
+                        .park(BlockPoint::Resolve, SetId::ResolveParked, slot, until);
+                    self.profile.gate_park(BlockPoint::Resolve);
+                }
             }
-            if buggy {
-                // Buggy arbiter (§VII-B4b): only the oldest misprediction
-                // is considered, regardless of whether the defense allows
-                // it to resolve — an older protected branch blocks all
-                // younger squashes, leaking its predicate via timing.
-                break;
-            }
-            // Fixed arbiter: keep scanning for a younger resolvable one.
         }
         self.sched.scratch = scratch;
+        if !self.sched.is_empty(SetId::ResolveParked) {
+            let end = chosen.map_or(n, |slot| self.sched.offset(slot));
+            self.record_denials(
+                BlockPoint::Resolve,
+                &[(SetId::ResolveParked, end)],
+                limit,
+                &fr,
+            );
+        }
         if let Some(slot) = chosen {
             self.do_branch_squash(slot);
         }
@@ -1488,8 +1537,6 @@ impl<'a> Core<'a> {
     /// the age offset at which each one stopped holding and counts the
     /// parked µops of each class below it with a rank query.
     fn issue(&mut self) {
-        self.exec_blocked_n = 0;
-        self.exec_blocked.clear();
         self.unpark_on_tag_write();
         let mut parked = self.exec_parked() != 0;
         if !parked && self.sched.is_empty(SetId::IssueReady) {
@@ -1567,7 +1614,7 @@ impl<'a> Core<'a> {
                 } else {
                     SetId::ExecParkedAlu
                 };
-                self.sched.park(class, slot, until);
+                self.sched.park(BlockPoint::Execute, class, slot, until);
                 self.profile.gate_park(BlockPoint::Execute);
                 parked = true;
                 continue;
@@ -1606,58 +1653,32 @@ impl<'a> Core<'a> {
             }
         }
 
+        self.sched.scratch = scratch;
         if parked && self.exec_parked() != 0 {
             let end = cutoff_end.min(stop_end);
-            self.count_exec_parked(
-                [
-                    end.min(mem_end),
-                    end.min(alu_end),
-                    end.min(alu_end).min(div_end),
-                ],
-                &fr,
-            );
+            let bounds = [
+                (SetId::ExecParkedMem, end.min(mem_end)),
+                (SetId::ExecParkedAlu, end.min(alu_end)),
+                (SetId::ExecParkedDiv, end.min(alu_end).min(div_end)),
+            ];
+            self.record_denials(BlockPoint::Execute, &bounds, usize::MAX, &fr);
             #[cfg(debug_assertions)]
-            self.check_exec_parking(&fr, cutoff_end, div_busy_at_start, &issued_log);
+            self.check_exec_parking(cutoff_end, div_busy_at_start, &issued_log);
         }
-        self.sched.scratch = scratch;
 
         if let Some((surviving, refetch_idx)) = pending_violation {
             self.squash_and_refetch(surviving, Some(refetch_idx), SquashKind::MemOrder);
         }
     }
 
-    /// Counts (and traces) the execute-parked µops the old per-cycle
-    /// loop would have denied this tick: those of each parked class
-    /// (`EXEC_PARKED` order) below that class's age-offset bound. Kept
-    /// out of line: the issue loop runs on every tick, this only on
-    /// ticks with parked µops.
-    #[inline(never)]
-    fn count_exec_parked(&mut self, ends: [usize; 3], fr: &SpecFrontier) {
-        for (set, end) in EXEC_PARKED.into_iter().zip(ends) {
-            if self.sched.is_empty(set) {
-                continue;
-            }
-            self.exec_blocked_n += self.sched.count_below(set, end) as u64;
-            if self.tracer.is_some() {
-                self.sched.collect_until(set, end, &mut self.exec_blocked);
-            }
-        }
-        self.stats.exec_blocked_cycles += self.exec_blocked_n;
-        let blocked = std::mem::take(&mut self.exec_blocked);
-        self.trace_parked(&blocked, BlockPoint::Execute, fr);
-        self.exec_blocked = blocked;
-    }
-
     /// Debug check of the parked-gate counting argument: replays the
     /// old per-cycle issue loop over every execute-parked µop (using
     /// the candidates this tick executed, as `(age offset, is_mem,
-    /// divider busy after)`), asserts that each parked µop's gate is
-    /// still closed, and that the loop would have denied exactly
-    /// `exec_blocked_n` of them.
+    /// divider busy after)`) and asserts that it would have denied
+    /// exactly the ledger's count of them.
     #[cfg(debug_assertions)]
     fn check_exec_parking(
         &self,
-        fr: &SpecFrontier,
         cutoff_end: usize,
         mut div_busy: bool,
         issued_log: &[(usize, bool, bool)],
@@ -1684,18 +1705,17 @@ impl<'a> Core<'a> {
             if !EXEC_PARKED.iter().any(|&s| self.sched.contains(s, slot)) {
                 continue;
             }
-            assert!(
-                !self.policy.may_execute(u, &self.tags, fr).is_open(),
-                "execute-parked µop {} passed its lapse point unnoticed",
-                u.seq
-            );
             let broke = issued >= self.cfg.issue_width || (alu == 0 && mem == 0);
             let port = if u.inst.is_mem() { mem } else { alu };
             if i < cutoff_end && !broke && port > 0 && !(u.inst.is_div() && div_busy) {
                 denied += 1;
             }
         }
-        assert_eq!(denied, self.exec_blocked_n, "parked execute-gate count");
+        assert_eq!(
+            denied,
+            self.denials.count[BlockPoint::Execute as usize],
+            "parked execute-gate count"
+        );
     }
 
     fn src_val(&self, u: &DynInst, reg: Reg) -> u64 {
@@ -2334,12 +2354,12 @@ fn denial_rule(
     point: BlockPoint,
     fr: &SpecFrontier,
 ) -> &'static str {
-    let rule = match point {
-        BlockPoint::Execute => policy.may_execute(u, tags, fr).rule(),
-        BlockPoint::Wakeup => policy.may_wakeup(u, tags, fr).rule(),
-        BlockPoint::Resolve => policy.may_resolve(u, tags, fr).err(),
+    let gate = match point {
+        BlockPoint::Execute => policy.may_execute(u, tags, fr),
+        BlockPoint::Wakeup => policy.may_wakeup(u, tags, fr),
+        BlockPoint::Resolve => policy.may_resolve(u, tags, fr),
     };
-    rule.unwrap_or_else(|| {
+    gate.rule().unwrap_or_else(|| {
         panic!(
             "µop {} counted as denied at the {} gate, which is open",
             u.seq,

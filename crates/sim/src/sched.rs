@@ -25,16 +25,19 @@
 //!   their address but not yet captured their data operand;
 //! * a **wakeup-pending set**: completed µops whose result broadcast the
 //!   defense has not yet granted (`may_wakeup`) and that are not parked;
-//! * **parked sets** for the two defense gates: µops whose
-//!   `may_execute`/`may_wakeup` verdict was `Gate::Closed { until, .. }`
-//!   wait here, out of the candidate sets, until the frontier point
-//!   reaches `until` (a min-queue of lapse points per gate) or a tag
-//!   write bumps `RegTags::generation`. The execute-parked set is split
-//!   by port class (memory, ALU, divider) so the issue stage counts the
-//!   parked µops the old loop would have denied with one popcount rank
-//!   query per class instead of re-asking the policy;
 //! * a **resolve-pending set**: executed, unresolved, mispredicted
-//!   branches — the exact candidate set of `resolve_branches`;
+//!   branches — the resolve candidates `resolve_branches` asks about;
+//! * **parked sets** for the three defense gates: µops whose
+//!   `may_execute`/`may_wakeup`/`may_resolve` verdict was
+//!   `Gate::Closed { until, .. }` wait here, out of their gate's
+//!   candidate set, until the frontier point reaches `until` (a
+//!   min-queue of lapse points per gate) or a tag write bumps
+//!   `RegTags::generation`. One table ([`GATES`]) names each gate's
+//!   candidate and parked sets, so parking and un-parking are one code
+//!   path for all three. The execute-parked set is split by port class
+//!   (memory, ALU, divider) so the issue stage counts the parked µops
+//!   the old loop would have denied with one popcount rank query per
+//!   class instead of re-asking the policy;
 //! * an **unresolved-branch set** (every in-flight branch that has not
 //!   resolved): its minimum is the speculative frontier's
 //!   `oldest_unresolved_branch`, making the frontier O(1) to snapshot.
@@ -113,7 +116,7 @@ use std::collections::VecDeque;
 /// A ROB ring slot: the one address of an in-flight µop.
 pub(crate) type Slot = usize;
 
-/// Identifies one of the twelve status sets (see module docs). The
+/// Identifies one of the thirteen status sets (see module docs). The
 /// numeric value indexes the scheduler's set array.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum SetId {
@@ -145,15 +148,25 @@ pub(crate) enum SetId {
     ExecParkedDiv = 10,
     /// Completed µops whose wakeup gate is closed.
     WakeupParked = 11,
+    /// Resolve candidates whose resolve gate is closed.
+    ResolveParked = 12,
 }
 
-const N_SETS: usize = 12;
+const N_SETS: usize = 13;
 
 /// The execute-parked sets, one per port class.
 pub(crate) const EXEC_PARKED: [SetId; 3] = [
     SetId::ExecParkedMem,
     SetId::ExecParkedAlu,
     SetId::ExecParkedDiv,
+];
+
+/// Per gate ([`BlockPoint`] order): the candidate set its verdict is
+/// asked of, and the parked sets a closed verdict moves candidates to.
+pub(crate) const GATES: [(SetId, &[SetId]); 3] = [
+    (SetId::IssueReady, &EXEC_PARKED),
+    (SetId::WakeupPending, &[SetId::WakeupParked]),
+    (SetId::ResolvePending, &[SetId::ResolveParked]),
 ];
 
 /// A parked µop's lapse point, slot and dispatch generation (the lazy
@@ -353,10 +366,9 @@ pub(crate) struct Scheduler {
     slot_gen: Vec<u32>,
     /// The status sets as slot bitsets.
     sets: [FlatSet; N_SETS],
-    /// Lapse points of the execute- and wakeup-parked µops (min-queues
-    /// with lazy deletion, see module docs).
-    exec_lapses: LapseQueue,
-    wakeup_lapses: LapseQueue,
+    /// Lapse points of each gate's parked µops, indexed by
+    /// [`BlockPoint`] (min-queues with lazy deletion, see module docs).
+    lapses: [LapseQueue; 3],
 
     // ---- dependent-list arena ---------------------------------------
     /// Intrusive doubly-linked node per slot (`NO_NODE` = nil). A µop is
@@ -424,8 +436,7 @@ impl Scheduler {
             tail_pos: 0,
             slot_gen: vec![0; cap],
             sets: std::array::from_fn(|_| FlatSet::with_capacity(cap)),
-            exec_lapses: LapseQueue::default(),
-            wakeup_lapses: LapseQueue::default(),
+            lapses: Default::default(),
             dep_next: vec![NO_NODE; cap],
             dep_prev: vec![NO_NODE; cap],
             dep_phys: vec![NO_NODE; cap],
@@ -457,8 +468,9 @@ impl Scheduler {
         for set in &mut self.sets {
             set.clear();
         }
-        self.exec_lapses.0.clear();
-        self.wakeup_lapses.0.clear();
+        for q in &mut self.lapses {
+            q.0.clear();
+        }
         self.dep_epoch_cur += 1; // O(1) dependent-list invalidation
         for b in &mut self.buckets {
             b.clear();
@@ -593,8 +605,11 @@ impl Scheduler {
     pub fn insert(&mut self, set: SetId, slot: Slot) {
         debug_assert!(self.offset(slot) < self.rob_len(), "slot outside the ROB");
         debug_assert!(
-            !matches!(set, SetId::IssueReady | SetId::WakeupPending) || !self.parked(slot),
-            "a parked µop re-entered a candidate set"
+            GATES.iter().all(|&(candidates, parked)| candidates != set
+                || parked
+                    .iter()
+                    .all(|&p| !self.sets[p as usize].contains(slot))),
+            "a parked µop re-entered its gate's candidate set"
         );
         let s = &mut self.sets[set as usize];
         s.insert(slot);
@@ -616,8 +631,8 @@ impl Scheduler {
     }
 
     /// Number of entries of `set` younger than the head by less than
-    /// `end_off` (the popcount rank query behind the issue stage's
-    /// parked counts).
+    /// `end_off` (the popcount rank query behind the gates' parked
+    /// counts).
     #[inline]
     pub fn count_below(&self, set: SetId, end_off: usize) -> usize {
         let ((a0, a1), (b0, b1)) = self.pieces(0, end_off);
@@ -631,35 +646,26 @@ impl Scheduler {
         self.sets[set as usize].contains(slot)
     }
 
-    /// Whether `slot` is in any parked set.
-    fn parked(&self, slot: usize) -> bool {
-        EXEC_PARKED
-            .iter()
-            .chain(&[SetId::WakeupParked])
-            .any(|&s| self.sets[s as usize].contains(slot))
-    }
-
     // ---- parked gates -----------------------------------------------
 
-    /// Parks `slot`: moves it from its candidate set (`IssueReady` for
-    /// the execute-parked sets, `WakeupPending` for `WakeupParked`)
-    /// into `parked` until the frontier point reaches `until`.
+    /// Parks `slot`: moves it from `gate`'s candidate set into
+    /// `parked`, one of the gate's parked sets, until the frontier
+    /// point reaches `until`.
     #[inline]
-    pub fn park(&mut self, parked: SetId, slot: Slot, until: Seq) {
-        let (from, queue) = match parked {
-            SetId::WakeupParked => (SetId::WakeupPending, &mut self.wakeup_lapses),
-            _ => {
-                debug_assert!(EXEC_PARKED.contains(&parked), "not a parked set");
-                (SetId::IssueReady, &mut self.exec_lapses)
-            }
-        };
+    pub fn park(&mut self, gate: BlockPoint, parked: SetId, slot: Slot, until: Seq) {
+        let (from, gate_parked) = GATES[gate as usize];
+        debug_assert!(
+            gate_parked.contains(&parked),
+            "not a {} parked set",
+            gate.name()
+        );
         debug_assert!(
             self.sets[from as usize].contains(slot),
             "parking a non-candidate"
         );
         self.sets[from as usize].remove(slot);
         self.sets[parked as usize].insert(slot);
-        queue.push(Lapse {
+        self.lapses[gate as usize].push(Lapse {
             until,
             slot: slot as u32,
             gen: self.slot_gen[slot],
@@ -672,16 +678,9 @@ impl Scheduler {
     /// or already un-parked µops) are dropped on the way.
     #[inline]
     pub fn unpark_due(&mut self, gate: BlockPoint, fp: Seq) -> u64 {
-        let (queue, parked, to): (_, &[SetId], _) = match gate {
-            BlockPoint::Wakeup => (
-                &mut self.wakeup_lapses,
-                &[SetId::WakeupParked],
-                SetId::WakeupPending,
-            ),
-            _ => (&mut self.exec_lapses, &EXEC_PARKED, SetId::IssueReady),
-        };
+        let (candidates, parked) = GATES[gate as usize];
         let mut moved = 0;
-        while let Some(Lapse { slot, gen, .. }) = queue.pop_due(fp) {
+        while let Some(Lapse { slot, gen, .. }) = self.lapses[gate as usize].pop_due(fp) {
             let slot = slot as usize;
             if self.slot_gen[slot] != gen {
                 continue;
@@ -691,40 +690,37 @@ impl Scheduler {
                 .find(|&&s| self.sets[s as usize].contains(slot))
             {
                 self.sets[set as usize].remove(slot);
-                self.sets[to as usize].insert(slot);
+                self.sets[candidates as usize].insert(slot);
                 moved += 1;
             }
         }
         moved
     }
 
-    /// Un-parks every parked µop of both gates (a tag write may have
+    /// Un-parks every parked µop of every gate (a tag write may have
     /// opened any of them) and empties the lapse queues. Returns the
-    /// execute and wakeup counts moved.
-    pub fn unpark_all(&mut self) -> [u64; 2] {
-        let mut moved = [0u64; 2];
-        for (parked, to, n) in [
-            (SetId::ExecParkedMem, SetId::IssueReady, 0),
-            (SetId::ExecParkedAlu, SetId::IssueReady, 0),
-            (SetId::ExecParkedDiv, SetId::IssueReady, 0),
-            (SetId::WakeupParked, SetId::WakeupPending, 1),
-        ] {
-            let (p, t) = (parked as usize, to as usize);
-            for w in 0..self.sets[p].words.len() {
-                let bits = std::mem::take(&mut self.sets[p].words[w]);
-                debug_assert_eq!(
-                    self.sets[t].words[w] & bits,
-                    0,
-                    "parked µop also a candidate"
-                );
-                self.sets[t].words[w] |= bits;
+    /// counts moved, indexed by [`BlockPoint`].
+    pub fn unpark_all(&mut self) -> [u64; 3] {
+        let mut moved = [0u64; 3];
+        for (g, (candidates, parked)) in GATES.into_iter().enumerate() {
+            let t = candidates as usize;
+            for &parked in parked {
+                let p = parked as usize;
+                for w in 0..self.sets[p].words.len() {
+                    let bits = std::mem::take(&mut self.sets[p].words[w]);
+                    debug_assert_eq!(
+                        self.sets[t].words[w] & bits,
+                        0,
+                        "parked µop also a candidate"
+                    );
+                    self.sets[t].words[w] |= bits;
+                }
+                let len = std::mem::take(&mut self.sets[p].len);
+                self.sets[t].len += len;
+                moved[g] += len as u64;
             }
-            let len = std::mem::take(&mut self.sets[p].len);
-            self.sets[t].len += len;
-            moved[n] += len as u64;
+            self.lapses[g].0.clear();
         }
-        self.exec_lapses.0.clear();
-        self.wakeup_lapses.0.clear();
         moved
     }
 
@@ -1200,6 +1196,7 @@ mod tests {
         SetId::ExecParkedAlu,
         SetId::ExecParkedDiv,
         SetId::WakeupParked,
+        SetId::ResolveParked,
     ];
 
     /// A small scheduler (8-slot ring, 32-bucket wheel) plus the
@@ -1328,9 +1325,9 @@ mod tests {
                 slot
             })
             .collect();
-        r.s.park(SetId::ExecParkedMem, slots[1], 2);
-        r.s.park(SetId::ExecParkedAlu, slots[2], 9);
-        r.s.park(SetId::ExecParkedDiv, slots[4], 4);
+        r.s.park(BlockPoint::Execute, SetId::ExecParkedMem, slots[1], 2);
+        r.s.park(BlockPoint::Execute, SetId::ExecParkedAlu, slots[2], 9);
+        r.s.park(BlockPoint::Execute, SetId::ExecParkedDiv, slots[4], 4);
         assert_eq!(r.contents(SetId::IssueReady), vec![1, 4]);
         // Rank queries count parked entries below an offset.
         assert_eq!(r.s.count_below(SetId::ExecParkedAlu, 2), 0);
@@ -1351,16 +1348,32 @@ mod tests {
         r.squash(3);
         let six = r.dispatch(6);
         r.s.insert(SetId::IssueReady, six);
-        r.s.park(SetId::ExecParkedAlu, six, 20);
+        r.s.park(BlockPoint::Execute, SetId::ExecParkedAlu, six, 20);
         assert_eq!(r.s.unpark_due(BlockPoint::Execute, 10), 0);
         assert_eq!(r.contents(SetId::ExecParkedAlu), vec![6]);
-        // A tag write un-parks everything at once.
+        // The resolve gate parks through the same table, with its own
+        // lapse queue: the execute gate's due points do not move it.
+        r.s.insert(SetId::ResolvePending, slots[0]);
+        r.s.insert(SetId::ResolvePending, six);
+        r.s.park(BlockPoint::Resolve, SetId::ResolveParked, six, 5);
+        r.s.park(BlockPoint::Resolve, SetId::ResolveParked, slots[0], 1);
+        assert_eq!(r.contents(SetId::ResolveParked), vec![1, 6]);
+        assert_eq!(r.s.count_below(SetId::ResolveParked, 1), 1);
+        assert_eq!(r.s.unpark_due(BlockPoint::Execute, 5), 0);
+        assert_eq!(r.s.unpark_due(BlockPoint::Resolve, 4), 1);
+        assert_eq!(r.contents(SetId::ResolvePending), vec![1]);
+        assert_eq!(r.contents(SetId::ResolveParked), vec![6]);
+        // A tag write un-parks every gate at once.
         r.s.insert(SetId::WakeupPending, slots[0]);
-        r.s.park(SetId::WakeupParked, slots[0], 3);
-        assert_eq!(r.s.unpark_all(), [1, 1]);
+        r.s.park(BlockPoint::Wakeup, SetId::WakeupParked, slots[0], 3);
+        assert_eq!(r.s.unpark_all(), [1, 1, 1]);
         assert_eq!(r.contents(SetId::IssueReady), vec![1, 2, 6]);
         assert_eq!(r.contents(SetId::WakeupPending), vec![1]);
-        assert_eq!(r.s.unpark_due(BlockPoint::Wakeup, Seq::MAX), 0);
+        assert_eq!(r.contents(SetId::ResolvePending), vec![1, 6]);
+        // ...and empties every lapse queue.
+        for gate in BlockPoint::ALL {
+            assert_eq!(r.s.unpark_due(gate, Seq::MAX), 0);
+        }
     }
 
     #[test]

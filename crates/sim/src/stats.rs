@@ -1,5 +1,7 @@
 //! Simulation statistics.
 
+use crate::defense::BlockPoint;
+
 /// Counters collected during a simulation run.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
@@ -64,6 +66,15 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// The blocked-cycle counter of `gate`.
+    pub(crate) fn blocked_cycles_mut(&mut self, gate: BlockPoint) -> &mut u64 {
+        match gate {
+            BlockPoint::Execute => &mut self.exec_blocked_cycles,
+            BlockPoint::Wakeup => &mut self.wakeup_blocked_cycles,
+            BlockPoint::Resolve => &mut self.resolve_blocked_cycles,
+        }
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

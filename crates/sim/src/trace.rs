@@ -50,8 +50,8 @@ pub struct BlockedAt {
     /// Last cycle a denial was observed.
     pub last_cycle: u64,
     /// The policy rule that denied, as named by the gate's verdict
-    /// ([`crate::Gate::Closed`]'s `rule`, or `may_resolve`'s `Err`) on
-    /// the first denied cycle; `""` if never blocked.
+    /// ([`crate::Gate::Closed`]'s `rule`) on the first denied cycle;
+    /// `""` if never blocked.
     pub rule: &'static str,
 }
 
@@ -233,48 +233,22 @@ impl Tracer {
         }
     }
 
-    /// The defense denied a µop at `point` this cycle. `rule` names the
-    /// policy rule that denied; it is called only for the µop's first
-    /// recorded denial at the gate, whose rule the trace keeps.
+    /// The defense denied a µop at `point` for `cycles` consecutive
+    /// cycles from `first_cycle` on (one per tick, or a fast-forwarded
+    /// span). `rule` names the policy rule that denied; it is called
+    /// only for the µop's first recorded denial at the gate, whose rule
+    /// the trace keeps. Past-cap µops accumulate into the overflow
+    /// counters, so [`Trace::blocked_totals`] reconciliation stays
+    /// exact.
     pub fn on_block(
         &mut self,
         seq: Seq,
         point: BlockPoint,
-        cycle: u64,
-        rule: impl FnOnce() -> &'static str,
-    ) {
-        match self.slot(seq) {
-            Some(t) => {
-                let b = &mut t.blocked[point as usize];
-                if b.cycles == 0 {
-                    b.first_cycle = cycle;
-                    b.rule = rule();
-                }
-                b.cycles += 1;
-                b.last_cycle = cycle;
-            }
-            None => self.overflow_blocked[point as usize] += 1,
-        }
-    }
-
-    /// Bulk form of [`Tracer::on_block`]: the defense denied a µop at
-    /// `point` for `delta` consecutive cycles ending at `last_cycle`,
-    /// all under the same `rule` (idle-cycle fast-forward attributes the
-    /// skipped cycles in one call). Equivalent to `delta` single-cycle
-    /// `on_block` calls: `first_cycle`/`rule` are only recorded if this
-    /// is the µop's first denial at the gate, and past-cap µops
-    /// accumulate into the overflow counters so
-    /// [`Trace::blocked_totals`] reconciliation stays exact.
-    pub fn on_block_many(
-        &mut self,
-        seq: Seq,
-        point: BlockPoint,
         first_cycle: u64,
-        last_cycle: u64,
-        delta: u64,
+        cycles: u64,
         rule: impl FnOnce() -> &'static str,
     ) {
-        if delta == 0 {
+        if cycles == 0 {
             return;
         }
         match self.slot(seq) {
@@ -284,10 +258,10 @@ impl Tracer {
                     b.first_cycle = first_cycle;
                     b.rule = rule();
                 }
-                b.cycles += delta;
-                b.last_cycle = last_cycle;
+                b.cycles += cycles;
+                b.last_cycle = first_cycle + cycles - 1;
             }
-            None => self.overflow_blocked[point as usize] += delta,
+            None => self.overflow_blocked[point as usize] += cycles,
         }
     }
 
@@ -343,7 +317,7 @@ impl Trace {
     pub fn audit(&self) -> Vec<AuditRecord> {
         let mut out = Vec::new();
         for u in &self.uops {
-            for point in [BlockPoint::Execute, BlockPoint::Wakeup, BlockPoint::Resolve] {
+            for point in BlockPoint::ALL {
                 let b = &u.blocked[point as usize];
                 if b.cycles == 0 {
                     continue;
@@ -370,7 +344,7 @@ impl Trace {
     pub fn blocked_by_rule(&self) -> Vec<(BlockPoint, &'static str, u64)> {
         let mut out: Vec<(BlockPoint, &'static str, u64)> = Vec::new();
         for u in &self.uops {
-            for point in [BlockPoint::Execute, BlockPoint::Wakeup, BlockPoint::Resolve] {
+            for point in BlockPoint::ALL {
                 let b = &u.blocked[point as usize];
                 if b.cycles == 0 {
                     continue;
@@ -526,7 +500,7 @@ impl Trace {
                 lane.push('+');
             }
             let mut note = String::new();
-            for point in [BlockPoint::Execute, BlockPoint::Wakeup, BlockPoint::Resolve] {
+            for point in BlockPoint::ALL {
                 let b = &u.blocked[point as usize];
                 if b.cycles > 0 {
                     let _ = write!(note, " [{}:{} x{}]", point.name(), b.rule, b.cycles);

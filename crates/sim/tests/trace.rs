@@ -77,17 +77,8 @@ impl DefensePolicy for BlockyPolicy {
         Gate::lapses_at(until, fr, "test-wakeup-rule")
     }
 
-    fn may_resolve(
-        &self,
-        u: &DynInst,
-        _tags: &RegTags,
-        fr: &SpecFrontier,
-    ) -> Result<(), &'static str> {
-        if fr.is_non_speculative(u.seq) {
-            Ok(())
-        } else {
-            Err("test-resolve-rule")
-        }
+    fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
+        Gate::lapses_at(u.seq, fr, "test-resolve-rule")
     }
 }
 
