@@ -9,28 +9,43 @@ cd "$(dirname "$0")"
 
 export RUSTFLAGS="-Dwarnings"
 
-echo "== cargo fmt --check"
+# `step TITLE` starts a CI step: it prints the wall time of the step
+# before it (bash SECONDS, whole seconds), then TITLE's header. An
+# empty TITLE closes the last step.
+step_title=""
+step() {
+    if [ -n "$step_title" ]; then
+        echo "-- $((SECONDS - step_start)) s: $step_title"
+    fi
+    step_title="$1"
+    step_start=$SECONDS
+    if [ -n "$1" ]; then
+        echo "== $1"
+    fi
+}
+
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --release --offline --workspace --all-targets"
+step "cargo clippy --release --offline --workspace --all-targets"
 # Lints every crate, test, example and bin; -Dwarnings (above) makes
 # any clippy warning fail CI.
 cargo clippy --release --offline --workspace --all-targets
 
-echo "== cargo build --release --offline --workspace --all-targets"
+step "cargo build --release --offline --workspace --all-targets"
 cargo build --release --offline --workspace --all-targets
 
-echo "== cargo test -q --release --offline --workspace (PROTEAN_JOBS=1, serial job pool)"
+step "cargo test -q --release --offline --workspace (PROTEAN_JOBS=1, serial job pool)"
 PROTEAN_JOBS=1 cargo test -q --release --offline --workspace
 
-echo "== cargo test -q --release --offline --workspace (PROTEAN_JOBS unset, all cores)"
+step "cargo test -q --release --offline --workspace (PROTEAN_JOBS unset, all cores)"
 # Second pass with the job pool at its default width: campaign/bench
 # fan-out must be byte-identical to the serial pass (the protean-jobs
 # determinism contract), and the pool's panic propagation and ordered
 # collection get exercised under real parallelism.
 env -u PROTEAN_JOBS cargo test -q --release --offline --workspace
 
-echo "== cargo test -q --offline --workspace (debug profile)"
+step "cargo test -q --offline --workspace (debug profile)"
 # Debug-profile pass: overflow checks and debug assertions are on here
 # and off in release, so arithmetic-edge bugs (e.g. u64 wrap in the
 # cache metadata folds) only surface in this configuration. The release
@@ -42,7 +57,7 @@ echo "== cargo test -q --offline --workspace (debug profile)"
 # loop's (see DESIGN.md, "Parked gates").
 cargo test -q --offline --workspace
 
-echo "== --quick report golden set (reproduce --quick vs bench_results/quick, JOBS=default vs 1)"
+step "--quick report golden set (reproduce --quick vs bench_results/quick, JOBS=default vs 1)"
 # Every paper table, figure and ablation, end to end: `reproduce --quick`
 # writes all 11 JSON reports, each must be byte-identical to the
 # committed golden set, and each is schema-checked with every other
@@ -70,7 +85,7 @@ done
 cmp <(profile_counts "$BENCH_SMOKE_DIR/profile.json") \
     <(profile_counts "$REPRODUCE_SERIAL_DIR/profile.json")
 
-echo "== campaign_service determinism (uninterrupted JOBS=1 vs 4, killed+resumed JOBS=4/2)"
+step "campaign_service determinism (uninterrupted JOBS=1 vs 4, killed+resumed JOBS=4/2)"
 # The resumable-campaign contract, end to end through the service
 # binary. Its report holds only deterministic campaign counters, and
 # the profile.json it writes next to it covers the same process's
@@ -105,13 +120,13 @@ PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" PROTEAN_JOBS=2 \
     cargo run -q --release --offline -p protean-bench --bin campaign_service >/dev/null
 cmp "$CAMPAIGN_A_DIR/campaign_service.json" "$BENCH_SMOKE_DIR/campaign_service.json"
 
-echo "== perfbench unit tests (release)"
+step "perfbench unit tests (release)"
 # The benchmark is a separate workspace built against these crates by
 # path: test it here so a change to the public API it uses fails CI
 # rather than the benchmark run.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== perfbench pins (one short untraced run per workload, seed 1)"
+step "perfbench pins (one short untraced run per workload, seed 1)"
 # Every benchmark run checks its outcomes against perfbench/pins.txt:
 # campaign reports with their rendered example traces, and each cell's
 # output and full-Stats digest. perfbench refuses to run with any
@@ -129,10 +144,11 @@ for workload in campaign paper_cells sim_long; do
     fi
 done
 
-echo "== validate_json (all smoke reports + committed BENCH_perf.json)"
+step "validate_json (all smoke reports + committed BENCH_perf.json)"
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
     cargo run -q --release --offline -p protean-bench --bin validate_json
 # The committed perf trajectory must stay parseable and in schema.
 cargo run -q --release --offline -p protean-bench --bin validate_json -- BENCH_perf.json
 
-echo "CI OK"
+step ""
+echo "CI OK ($SECONDS s)"

@@ -124,24 +124,7 @@ pub struct GeneratedProgram {
 /// Generates a test program whose gadget segments all use `template`
 /// (for targeted validation of one speculation primitive).
 pub fn generate_with_template(cfg: &GenConfig, template: GadgetTemplate) -> Program {
-    generate_inner(cfg, Some(template))
-}
-
-/// Generates a test program, recording which gadget templates its
-/// segments used, optionally biasing template selection by `weights`
-/// (indexed like [`GadgetTemplate::ALL`]; larger = more likely).
-///
-/// With `weights == None` and `only == None` this draws the *same*
-/// program as [`generate`] for the same config (identical RNG call
-/// sequence); a `Some(weights)` draw uses weighted sampling and
-/// therefore generates a different (but equally deterministic) stream —
-/// the campaign engine's coverage feedback path.
-pub fn generate_recorded(
-    cfg: &GenConfig,
-    only: Option<GadgetTemplate>,
-    weights: Option<&[u64; GadgetTemplate::ALL.len()]>,
-) -> GeneratedProgram {
-    generate_full(cfg, only, weights)
+    generate_recorded(cfg, Some(template), None).program
 }
 
 /// Generates a test program.
@@ -156,11 +139,7 @@ pub fn generate_recorded(
 /// assert!(prog.len() > 10);
 /// ```
 pub fn generate(cfg: &GenConfig) -> Program {
-    generate_inner(cfg, None)
-}
-
-fn generate_inner(cfg: &GenConfig, only: Option<GadgetTemplate>) -> Program {
-    generate_full(cfg, only, None).program
+    generate_recorded(cfg, None, None).program
 }
 
 /// Draws one template index from integer `weights` (all ≥ 1 by
@@ -177,7 +156,15 @@ fn weighted_template(rng: &mut Rng, weights: &[u64; GadgetTemplate::ALL.len()]) 
     GadgetTemplate::ALL[GadgetTemplate::ALL.len() - 1]
 }
 
-fn generate_full(
+/// Generates a test program, recording which gadget templates its
+/// segments used, optionally biasing template selection by `weights`
+/// (indexed like [`GadgetTemplate::ALL`]; larger = more likely).
+///
+/// [`generate`] and [`generate_with_template`] are this draw without
+/// weights. A `Some(weights)` draw uses weighted sampling and therefore
+/// generates a different (but equally deterministic) stream — the
+/// campaign engine's coverage feedback path.
+pub fn generate_recorded(
     cfg: &GenConfig,
     only: Option<GadgetTemplate>,
     weights: Option<&[u64; GadgetTemplate::ALL.len()]>,

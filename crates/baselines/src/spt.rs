@@ -168,10 +168,9 @@ impl DefensePolicy for SptPolicy {
 
     fn on_commit(&mut self, u: &DynInst, tags: &mut RegTags, l1d: &mut Cache) {
         // Stores publish their data's taint state to the shadow bits.
-        if let Some(m) = &u.mem {
-            if m.is_store {
-                l1d.meta_set(m.addr.expect("committed store"), m.size, !m.data_taint);
-            }
+        if u.is_store() {
+            let m = u.mem.as_ref().expect("store has mem state");
+            l1d.meta_set(m.addr.expect("committed store"), m.size, !m.data_taint);
         }
         // A retired transmitter makes its sensitive operands public —
         // the transmitted *register value* only. SPT cannot declassify

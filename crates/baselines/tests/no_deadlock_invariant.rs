@@ -31,7 +31,6 @@ fn worst_case_uop(seq: u64) -> DynInst {
         mem: Some(MemState {
             addr: Some(0x1000),
             size: 8,
-            is_store: false,
             value: 0,
             data_ready: true,
             data_prot: true,
@@ -47,10 +46,8 @@ fn worst_case_uop(seq: u64) -> DynInst {
         actual_taken: true,
         mispredicted: true,
         resolved: false,
-        wakeup_done: false,
         hist_snapshot: 0,
         rsb_checkpoint: 0,
-        prot_out: true,
         src_prot: true,
         sens_prot: true,
         mem_prot: Some(true),
@@ -60,8 +57,6 @@ fn worst_case_uop(seq: u64) -> DynInst {
         wakeup_hold_root: seq.saturating_sub(1).max(1),
         pred_no_access: Some(true),
         div_fault: false,
-        addr_regs: protean_isa::RegSet::from_regs([Reg::R0]),
-        data_reg: None,
         fetch_cycle: 0,
         rename_cycle: 0,
         issue_cycle: 0,

@@ -12,10 +12,15 @@
 //! * a closed verdict names a lapse point ahead of the frontier, the
 //!   gate stays closed at every point before it and opens exactly at it;
 //! * once the frontier reaches the µop itself, the gate is open.
+//!
+//! A second property compares every verdict with a reference written
+//! from the paper's per-gate rules (§III-C, §VI-A/B) over the per-µop
+//! bits rename sets, independently of the policy code: which gate a
+//! mechanism closes, for which µops, and the point where it lapses.
 
 use protean_amulet::{generate, GenConfig};
 use protean_bench::Defense;
-use protean_isa::{Cond, InlineVec, Inst, Op, Program, Reg};
+use protean_isa::{Cond, InlineVec, Inst, Op, Program, Reg, RegSet, TransmitterSet};
 use protean_sim::{
     BlockPoint, DefensePolicy, DynInst, Gate, MemState, RegTags, Seq, SpecFrontier,
     SpeculationModel, UopStatus, NO_ROOT,
@@ -60,7 +65,6 @@ fn gen_uop(rng: &mut Rng, program: &Program, idx: usize, inst: Inst, seq: Seq) -
     let mem = inst.is_mem().then(|| MemState {
         addr: Some(0x1000),
         size: 8,
-        is_store: inst.is_store(),
         value: 0,
         data_ready: true,
         data_prot: rng.gen_bool(0.3),
@@ -83,10 +87,8 @@ fn gen_uop(rng: &mut Rng, program: &Program, idx: usize, inst: Inst, seq: Seq) -
         actual_taken: false,
         mispredicted: false,
         resolved: false,
-        wakeup_done: false,
         hist_snapshot: 0,
         rsb_checkpoint: 0,
-        prot_out: inst.prot,
         src_prot: rng.gen_bool(0.4),
         sens_prot: rng.gen_bool(0.4),
         mem_prot: inst.is_load().then(|| rng.gen_bool(0.4)),
@@ -96,8 +98,6 @@ fn gen_uop(rng: &mut Rng, program: &Program, idx: usize, inst: Inst, seq: Seq) -
         wakeup_hold_root: root(rng, seq),
         pred_no_access: inst.is_load().then(|| rng.gen_bool(0.5)),
         div_fault: false,
-        addr_regs: inst.address_regs(),
-        data_reg: None,
         fetch_cycle: 0,
         rename_cycle: 0,
         issue_cycle: 0,
@@ -287,4 +287,223 @@ fn closed_gates_lapse_exactly_at_their_named_point() {
             "{name}: {resolve} closed resolve verdicts"
         );
     }
+}
+
+/// A defense's protection mechanism, as the paper describes it.
+#[derive(Clone, Copy, Debug)]
+enum Mechanism {
+    /// The unmodified core: no gate ever closes.
+    None,
+    /// NDA/SpecShield (§VI-A1): speculative access instructions (every
+    /// load) may not wake their dependents.
+    AccessDelay,
+    /// STT (§VI-A2): a transmitter whose sensitive operand is tainted
+    /// waits until its youngest root of taint is non-speculative.
+    AccessTrack,
+    /// SPT (§III-C): value taint of untransmitted data; a transmitter of
+    /// a private value waits until it is non-speculative.
+    Spt,
+    /// SPT-SB (§III-C): every speculative transmitter waits.
+    XmitDelay,
+    /// ProtDelay (§VI-B1): AccessDelay over ProtISA, plus delayed access
+    /// transmitters.
+    ProtDelay,
+    /// ProtTrack (§VI-B2): AccessTrack over ProtISA with the access
+    /// predictor, plus delayed access transmitters.
+    ProtTrack,
+}
+
+/// The mechanism and the transmitter kinds (§II-B1) of `defense`.
+fn mechanism(defense: Defense) -> (Mechanism, TransmitterSet) {
+    let all = TransmitterSet {
+        loads: true,
+        stores: true,
+        branches: true,
+        divs: true,
+    };
+    // The originally released baselines predate the divider channel.
+    let no_divs = TransmitterSet { divs: false, ..all };
+    // STT assumes loads and branches transmit, not stores.
+    let stt = TransmitterSet {
+        stores: false,
+        ..all
+    };
+    match defense {
+        Defense::Unsafe => (Mechanism::None, all),
+        Defense::Nda => (Mechanism::AccessDelay, all),
+        Defense::Stt => (Mechanism::AccessTrack, stt),
+        Defense::SttOriginal => (
+            Mechanism::AccessTrack,
+            TransmitterSet { divs: false, ..stt },
+        ),
+        Defense::Spt | Defense::SptNoPerfFix => (Mechanism::Spt, all),
+        Defense::SptOriginal => (Mechanism::Spt, no_divs),
+        Defense::SptSb => (Mechanism::XmitDelay, all),
+        Defense::SptSbOriginal => (Mechanism::XmitDelay, no_divs),
+        Defense::ProtDelay | Defense::RawAccessDelay => (Mechanism::ProtDelay, all),
+        Defense::ProtTrack
+        | Defense::ProtTrackEntries(_)
+        | Defense::ProtTrackUnbounded
+        | Defense::RawAccessTrack => (Mechanism::ProtTrack, all),
+    }
+}
+
+/// The registers `inst` transmits under `x` (§II-B1): a load's or
+/// store's address registers (`ret` and `call` access the stack through
+/// `RSP`), a conditional branch's flags, an indirect jump's target, and
+/// both divider operands.
+fn transmitted(inst: &Inst, x: TransmitterSet) -> RegSet {
+    match inst.op {
+        Op::Load { addr, .. } if x.loads => addr.regs(),
+        Op::Store { addr, .. } if x.stores => addr.regs(),
+        Op::Ret if x.loads => RegSet::from_regs([Reg::RSP]),
+        Op::Call { .. } if x.stores => RegSet::from_regs([Reg::RSP]),
+        Op::Jcc { .. } if x.branches => RegSet::from_regs([Reg::RFLAGS]),
+        Op::JmpReg { src } if x.branches => RegSet::from_regs([src]),
+        Op::Div { src1, src2, .. } if x.divs => RegSet::from_regs([src1, src2]),
+        _ => RegSet::new(),
+    }
+}
+
+/// The paper's rule for `u` at `gate` under `defense`: the frontier
+/// point from which the gate is open. The gate is closed at every
+/// frontier point below it, so [`NO_ROOT`] means never closed and
+/// `u.seq` means "until the µop is non-speculative".
+///
+/// It reads the µop through the bits rename and execute set (`sens_prot`:
+/// a sensitive source is protected; `mem_prot`: a load read protected,
+/// or for SPT private, bytes; `delay_wakeup_nonspec`, `wakeup_hold_root`,
+/// `pred_no_access`) and the register tags, as the paper's hardware
+/// does.
+fn paper_lapse(defense: Defense, gate: BlockPoint, u: &DynInst, tags: &RegTags) -> Seq {
+    let (mechanism, x) = mechanism(defense);
+    let sensitive = transmitted(&u.inst, x);
+    let sens_phys = || {
+        u.srcs
+            .iter()
+            .filter(move |(r, _)| sensitive.contains(*r))
+            .map(|&(_, p)| p)
+    };
+    // A transmitter has an operand to transmit.
+    let transmitter = !sensitive.is_empty();
+    // Control flow transmits when it resolves, never at execute.
+    let xmits_at_execute = transmitter && !u.inst.is_branch();
+    // Youngest taint root of the sensitive operands (STT's YRoT).
+    let yrot = sens_phys().map(|p| tags.yrot[p]).max().unwrap_or(NO_ROOT);
+    // A sensitive operand holds private (untransmitted) data (SPT).
+    let private = sens_phys().any(|p| tags.taint[p]);
+    // ProtISA Definition 1: a transmitter with a protected sensitive
+    // operand is an access transmitter.
+    let access_xmit = transmitter && u.sens_prot;
+    let ret = matches!(u.inst.op, Op::Ret);
+    let read_protected = u.mem_prot == Some(true);
+    let nonspec = u.seq;
+    let when = |cond: bool| if cond { nonspec } else { NO_ROOT };
+    match (mechanism, gate) {
+        (Mechanism::None, _) => NO_ROOT,
+
+        // A speculative load's dependents wait for it; so does the squash
+        // a `ret` decides from its loaded target.
+        (Mechanism::AccessDelay, BlockPoint::Execute) => NO_ROOT,
+        (Mechanism::AccessDelay, BlockPoint::Wakeup) => when(u.delay_wakeup_nonspec),
+        (Mechanism::AccessDelay, BlockPoint::Resolve) => when(ret && u.delay_wakeup_nonspec),
+
+        // Tainted operands are released when their root retires (or the
+        // µop itself turns non-speculative first); a `ret`'s target is
+        // tainted by its own load.
+        (Mechanism::AccessTrack, BlockPoint::Execute) if xmits_at_execute => nonspec.min(yrot),
+        (Mechanism::AccessTrack, BlockPoint::Resolve) if ret => nonspec,
+        (Mechanism::AccessTrack, BlockPoint::Resolve) => nonspec.min(yrot),
+        (Mechanism::AccessTrack, _) => NO_ROOT,
+
+        // Private data is never released by time, only by the µop
+        // turning non-speculative; a `ret` that read private bytes holds
+        // its squash.
+        (Mechanism::Spt, BlockPoint::Execute) => when(xmits_at_execute && private),
+        (Mechanism::Spt, BlockPoint::Wakeup) => NO_ROOT,
+        (Mechanism::Spt, BlockPoint::Resolve) => when(private || (ret && read_protected)),
+
+        // Everything is protected: every speculative transmission waits.
+        (Mechanism::XmitDelay, BlockPoint::Execute) => when(xmits_at_execute),
+        (Mechanism::XmitDelay, BlockPoint::Wakeup) => NO_ROOT,
+        (Mechanism::XmitDelay, BlockPoint::Resolve) => when(x.branches),
+
+        // Access transmitters wait; marked accesses delay their
+        // dependents; a `ret` with a protected target holds its squash.
+        (Mechanism::ProtDelay, BlockPoint::Execute) => when(xmits_at_execute && access_xmit),
+        (Mechanism::ProtDelay, BlockPoint::Wakeup) => when(u.delay_wakeup_nonspec),
+        (Mechanism::ProtDelay, BlockPoint::Resolve) => when(access_xmit || (ret && read_protected)),
+
+        // Access transmitters wait until non-speculative, tainted ones
+        // until their root; the ProtDelay fallback and the tainted
+        // store-forwarding rule hold wakeup; a `ret`'s target is tainted
+        // at the `ret` itself unless it was predicted no-access and read
+        // unprotected bytes, when only forwarded store data's root holds.
+        (Mechanism::ProtTrack, BlockPoint::Execute) if xmits_at_execute => {
+            if access_xmit {
+                nonspec
+            } else {
+                nonspec.min(yrot)
+            }
+        }
+        (Mechanism::ProtTrack, BlockPoint::Execute) => NO_ROOT,
+        (Mechanism::ProtTrack, BlockPoint::Wakeup) => {
+            when(u.delay_wakeup_nonspec).max(u.wakeup_hold_root)
+        }
+        (Mechanism::ProtTrack, BlockPoint::Resolve) => {
+            let ret_target = if !ret {
+                NO_ROOT
+            } else if read_protected || u.pred_no_access != Some(true) {
+                nonspec
+            } else {
+                u.mem.as_ref().map_or(NO_ROOT, |m| m.fwd_data_yrot)
+            };
+            nonspec.min(yrot.max(when(access_xmit)).max(ret_target))
+        }
+    }
+}
+
+/// A verdict's lapse point if it is closed (`None`: open).
+fn verdict(gate: Gate) -> Option<Seq> {
+    match gate {
+        Gate::Open => None,
+        Gate::Closed { until, .. } => Some(until),
+    }
+}
+
+#[test]
+fn every_policy_follows_the_papers_gate_rules() {
+    let policies: Vec<(Defense, Box<dyn DefensePolicy>)> =
+        Defense::SHIPPED.iter().map(|&d| (d, d.make())).collect();
+    Checker::new("every_policy_follows_the_papers_gate_rules")
+        .cases(512)
+        .run(gen_case, |case| {
+            let tags = &case.tags;
+            for (defense, policy) in &policies {
+                for (point, u) in [
+                    (BlockPoint::Execute, &case.uop),
+                    (BlockPoint::Wakeup, &case.uop),
+                    (BlockPoint::Resolve, &case.branch),
+                ] {
+                    let lapse = paper_lapse(*defense, point, u, tags);
+                    for &p in &case.points {
+                        let fr = frontier_at(case.model, p);
+                        let gate = match point {
+                            BlockPoint::Execute => policy.may_execute(u, tags, &fr),
+                            BlockPoint::Wakeup => policy.may_wakeup(u, tags, &fr),
+                            BlockPoint::Resolve => policy.may_resolve(u, tags, &fr),
+                        };
+                        let expected = (lapse > p).then_some(lapse);
+                        assert_eq!(
+                            verdict(gate),
+                            expected,
+                            "{defense:?} {point:?} at frontier point {p}: {gate:?}, the paper's \
+                             rule lapses at {lapse} ({} seq {})",
+                            u.inst,
+                            u.seq
+                        );
+                    }
+                }
+            }
+        });
 }

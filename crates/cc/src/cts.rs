@@ -15,7 +15,7 @@
 
 use crate::analysis::pinned_public;
 use crate::cfg::FunctionCfg;
-use protean_isa::{Op, Program, Reg, RegSet};
+use protean_isa::{Op, Program, Reg, RegSet, TransmitterSet};
 
 /// The inferred typing of one function.
 #[derive(Clone, Debug)]
@@ -26,23 +26,6 @@ pub struct CtsTyping {
     /// Registers publicly typed at function entry (arguments to
     /// unprotect with identity moves).
     pub public_entry: RegSet,
-}
-
-/// Sensitive operands under CTS typing: fully transmitted registers plus
-/// partially transmitted ones (branch predicates, divider operands).
-pub fn cts_sensitive(inst: &protean_isa::Inst) -> RegSet {
-    let mut set = crate::analysis::fully_transmitted(inst);
-    match inst.op {
-        Op::Jcc { .. } => {
-            set.insert(Reg::RFLAGS);
-        }
-        Op::Div { src1, src2, .. } => {
-            set.insert(src1);
-            set.insert(src2);
-        }
-        _ => {}
-    }
-    set
 }
 
 /// Infers a conservative secrecy typing for `program[cfg.start..cfg.end]`.
@@ -141,7 +124,10 @@ pub fn infer_typing(program: &Program, cfg: &FunctionCfg) -> CtsTyping {
             mark(&mut public, &mut work, id);
         }
     }
-    // Demand: sensitive operands must be public.
+    // Demand: sensitive operands must be public — every operand the
+    // paper's transmitters send, fully (addresses, indirect targets) or
+    // partially (branch predicates, divider operands).
+    let transmitters = TransmitterSet::paper();
     let reaching = |local: usize, r: Reg| -> Vec<usize> {
         (0..n_defs)
             .filter(|id| defs[*id].1 == r && get_bit(&r_in[local], *id))
@@ -149,7 +135,7 @@ pub fn infer_typing(program: &Program, cfg: &FunctionCfg) -> CtsTyping {
     };
     for local in 0..n {
         let inst = &program.insts[(cfg.start + local as u32) as usize];
-        for r in cts_sensitive(inst).iter() {
+        for r in transmitters.sensitive_regs(inst).iter() {
             for id in reaching(local, r) {
                 mark(&mut public, &mut work, id);
             }

@@ -90,7 +90,7 @@ impl DefensePolicy for ProtDelayPolicy {
         // Register-side access detection at rename: an instruction with a
         // protected register input is an access. Unprefixed (or, in the
         // raw ablation, any) accesses delay their dependents.
-        if u.src_prot && (!u.prot_out || !self.selective_wakeup) {
+        if u.src_prot && (!u.inst.prot || !self.selective_wakeup) {
             u.delay_wakeup_nonspec = true;
         }
     }
@@ -98,7 +98,7 @@ impl DefensePolicy for ProtDelayPolicy {
     fn on_load_data(&mut self, u: &mut DynInst, _tags: &mut RegTags, _l1d: &Cache) {
         // Memory-side access detection at execute: the load read
         // protected bytes (L1D prot bits / LSQ prot bit on forward).
-        if u.mem_prot == Some(true) && (!u.prot_out || !self.selective_wakeup) {
+        if u.mem_prot == Some(true) && (!u.inst.prot || !self.selective_wakeup) {
             u.delay_wakeup_nonspec = true;
         }
     }

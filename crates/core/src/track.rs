@@ -113,7 +113,7 @@ impl DefensePolicy for ProtTrackPolicy {
                 Some(p) => p.predict_access(u.pc),
                 None => true, // raw AccessTrack: all loads taint
             };
-            let predict_no_access = !pred_access && !u.prot_out;
+            let predict_no_access = !pred_access && !u.inst.prot;
             u.pred_no_access = Some(predict_no_access);
             if !predict_no_access {
                 yrot = yrot.max(u.seq);
@@ -231,7 +231,7 @@ impl DefensePolicy for ProtTrackPolicy {
         if u.is_load() {
             if let Some(p) = &mut self.predictor {
                 let actual = u.mem_prot.unwrap_or(true);
-                if !u.prot_out {
+                if !u.inst.prot {
                     let predicted_access = u.pred_no_access != Some(true);
                     p.record_eligible(predicted_access != actual);
                 }

@@ -180,7 +180,6 @@ fn protean_policies_never_block_at_the_head() {
         mem: Some(MemState {
             addr: Some(0x1000),
             size: 8,
-            is_store: false,
             value: 0,
             data_ready: true,
             data_prot: true,
@@ -196,10 +195,8 @@ fn protean_policies_never_block_at_the_head() {
         actual_taken: true,
         mispredicted: true,
         resolved: false,
-        wakeup_done: false,
         hist_snapshot: 0,
         rsb_checkpoint: 0,
-        prot_out: true,
         src_prot: true,
         sens_prot: true,
         mem_prot: Some(true),
@@ -209,8 +206,6 @@ fn protean_policies_never_block_at_the_head() {
         wakeup_hold_root: seq - 1,
         pred_no_access: Some(true),
         div_fault: false,
-        addr_regs: protean_isa::RegSet::from_regs([Reg::R0]),
-        data_reg: None,
         fetch_cycle: 0,
         rename_cycle: 0,
         issue_cycle: 0,

@@ -20,12 +20,12 @@ use crate::sched::{FetchEntry, FetchQueue, Scheduler, SetId, Slot, EXEC_PARKED};
 use crate::trace::{Trace, Tracer};
 use crate::{Btb, Rsb, TagePredictor};
 use crate::{Cache, CoreConfig, MemProtTracking, Stats};
-use protean_arch::{ArchState, Memory};
+use protean_arch::{ArchState, Memory, ProtState};
 use protean_isa::{
     alu_eval, div_eval, CtrlFlow, DecodedProgram, Flags, InlineVec, Inst, Op, Operand, Program,
     Reg, RegSet,
 };
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-destination rename bookkeeping.
 #[derive(Clone, Copy, Debug, Default)]
@@ -49,8 +49,6 @@ pub struct MemState {
     pub addr: Option<u64>,
     /// Access size in bytes.
     pub size: u64,
-    /// `true` for stores (including `call`).
-    pub is_store: bool,
     /// Load: value read. Store: data value (once captured).
     pub value: u64,
     /// Store: data operand captured.
@@ -123,8 +121,6 @@ pub struct DynInst {
     pub mispredicted: bool,
     /// Whether this branch has resolved (squash initiated if needed).
     pub resolved: bool,
-    /// Wakeup already granted to dependents.
-    pub wakeup_done: bool,
     /// TAGE global-history snapshot from before this µop's fetch.
     pub hist_snapshot: u64,
     /// RSB checkpoint id from before this µop's fetch
@@ -133,8 +129,6 @@ pub struct DynInst {
     pub rsb_checkpoint: u32,
 
     // ---- Defense-generic state --------------------------------------
-    /// `PROT` prefix: output registers are architecturally protected.
-    pub prot_out: bool,
     /// Any input register protected at rename (ProtISA Def. 1 reg part).
     pub src_prot: bool,
     /// Any *sensitive* input register protected at rename (access
@@ -159,13 +153,6 @@ pub struct DynInst {
     /// Division µop faulted (zero divisor) — triggers a machine clear at
     /// commit.
     pub div_fault: bool,
-    /// Registers feeding the effective-address computation (pre-decoded;
-    /// empty for non-memory µops). Drives the store-data/address split in
-    /// the operand-readiness checks without re-walking the instruction.
-    pub addr_regs: RegSet,
-    /// Store-data register, when the store's data operand is a register
-    /// (`None` for immediate stores and `call`).
-    pub data_reg: Option<Reg>,
 
     // ---- Timing (the AMuLeT* stage-timing adversary observes these) --
     /// Cycle fetched.
@@ -233,10 +220,8 @@ impl DynInst {
             actual_taken: false,
             mispredicted: false,
             resolved: false,
-            wakeup_done: false,
             hist_snapshot: 0,
             rsb_checkpoint: 0,
-            prot_out: false,
             src_prot: false,
             sens_prot: false,
             mem_prot: None,
@@ -246,8 +231,6 @@ impl DynInst {
             wakeup_hold_root: NO_ROOT,
             pred_no_access: None,
             div_fault: false,
-            addr_regs: RegSet::new(),
-            data_reg: None,
             fetch_cycle: 0,
             rename_cycle: 0,
             issue_cycle: 0,
@@ -350,11 +333,8 @@ pub struct Core<'a> {
     /// a µop's only address.
     rob: Vec<DynInst>,
     prf_value: Vec<u64>,
-    prf_done: Vec<bool>,
     prf_ready: Vec<bool>,
     tags: RegTags,
-    lq_used: usize,
-    sq_used: usize,
     div_busy_until: u64,
     /// Event-driven scheduling state (see [`crate::sched`]): completion
     /// wheel, ready/waiting/waiter sets, per-register dependent lists.
@@ -384,7 +364,9 @@ pub struct Core<'a> {
     l1i: Cache,
     l2: Cache,
     l3: Cache,
-    shadow_unprot: BTreeSet<u64>,
+    /// The byte-granular memory ProtSet of
+    /// [`MemProtTracking::PerfectShadow`] (its register bits are unused).
+    shadow_prot: ProtState,
 
     // Results.
     stats: Stats,
@@ -459,12 +441,9 @@ impl<'a> Core<'a> {
             prot_map: [true; Reg::COUNT],
             free_list: VecDeque::with_capacity(n_phys),
             rob: Vec::with_capacity(sched.cap()),
-            prf_done: vec![true; n_phys],
             prf_ready: vec![true; n_phys],
             prf_value: vec![0u64; n_phys],
             tags: RegTags::new(n_phys, Reg::COUNT),
-            lq_used: 0,
-            sq_used: 0,
             div_busy_until: 0,
             sched,
             cached_frontier: None,
@@ -478,7 +457,7 @@ impl<'a> Core<'a> {
             l1i: Cache::new(cfg.l1i, true),
             l2: Cache::new(cfg.l2, true),
             l3: Cache::new(cfg.l3, true),
-            shadow_unprot: BTreeSet::new(),
+            shadow_prot: ProtState::new(),
             stats: Stats::default(),
             committed_regs: [0u64; Reg::COUNT],
             timing: Vec::new(),
@@ -558,11 +537,8 @@ impl<'a> Core<'a> {
         for r in Reg::all() {
             self.prf_value[r.index()] = initial.reg(r);
         }
-        self.prf_done.fill(true);
         self.prf_ready.fill(true);
         self.tags.reset(Reg::COUNT);
-        self.lq_used = 0;
-        self.sq_used = 0;
         self.div_busy_until = 0;
         self.sched.reset();
         self.cached_frontier = None;
@@ -576,7 +552,7 @@ impl<'a> Core<'a> {
         self.l1i.reset(true);
         self.l2.reset(true);
         self.l3.reset(true);
-        self.shadow_unprot.clear();
+        self.shadow_prot = ProtState::new();
         self.stats = Stats::default();
         self.committed_regs = initial.regs;
         self.timing.clear();
@@ -711,8 +687,8 @@ impl<'a> Core<'a> {
             self.fetch_idx,
             self.fetch_queue.pending(),
             self.free_list.len(),
-            self.lq_used,
-            self.sq_used
+            self.sched.len(SetId::InflightLoads),
+            self.sched.len(SetId::InflightStores)
         );
         if let Some(g) = self.fetch_queue.front_group() {
             let idxs: Vec<u32> = g.remaining().iter().map(|e| e.idx).collect();
@@ -774,19 +750,39 @@ impl<'a> Core<'a> {
         self.cached_frontier = None;
     }
 
+    /// Parks the µop in `slot` at `gate` in `parked`, one of the gate's
+    /// parked sets, until the frontier point reaches `until`. While
+    /// tracing, `rule` (the closed verdict's) is handed to the tracer,
+    /// which keeps the first rule it gets per gate: the rule of the
+    /// µop's first denial, since a park is always counted as a denial
+    /// in the tick that made it (see [`Tracer::on_park`]).
+    fn park(
+        &mut self,
+        gate: BlockPoint,
+        parked: SetId,
+        slot: Slot,
+        until: Seq,
+        rule: &'static str,
+    ) {
+        self.sched.park(gate, parked, slot, until);
+        self.profile.gate_park(gate);
+        if let Some(t) = self.tracer.as_mut() {
+            t.on_park(self.rob[slot].seq, gate, self.cycle, rule);
+        }
+    }
+
     /// Records this tick's denials at `gate`: the µops of each parked
     /// set below its age-offset bound, at most `limit` of them, each
     /// denied for this cycle. While tracing, the µops' slots join the
-    /// ledger and each denial is traced under the rule its gate names
-    /// (see [`denial_rule`]), asked only for the rules the trace keeps.
-    /// Debug builds first ask every parked µop's gate: the check that
-    /// none passed its lapse point.
+    /// ledger and each denial is traced (under the rule its park handed
+    /// the tracer). Debug builds first ask every parked µop's gate: the
+    /// check that none passed its lapse point.
     fn record_denials(
         &mut self,
         gate: BlockPoint,
         bounds: &[(SetId, usize)],
         limit: usize,
-        fr: &SpecFrontier,
+        #[cfg_attr(not(debug_assertions), allow(unused_variables))] fr: &SpecFrontier,
     ) {
         #[cfg(debug_assertions)]
         self.check_parked(gate, fr);
@@ -805,12 +801,8 @@ impl<'a> Core<'a> {
             self.sched.collect_until(set, end, slots);
         }
         slots.truncate(n);
-        let (policy, tags) = (&*self.policy, &self.tags);
         for &slot in slots.iter() {
-            let u = &self.rob[slot];
-            t.on_block(u.seq, gate, self.cycle, 1, || {
-                denial_rule(policy, u, tags, gate, fr)
-            });
+            t.on_block(self.rob[slot].seq, gate, self.cycle, 1);
         }
     }
 
@@ -925,16 +917,10 @@ impl<'a> Core<'a> {
         for gate in BlockPoint::ALL {
             *self.stats.blocked_cycles_mut(gate) += delta * self.denials.count[gate as usize];
         }
-        if self.tracer.is_some() {
-            let fr = self.frontier();
-            let (policy, tags) = (&*self.policy, &self.tags);
-            let t = self.tracer.as_mut().expect("tracing");
+        if let Some(t) = self.tracer.as_mut() {
             for gate in BlockPoint::ALL {
                 for &slot in &self.denials.slots[gate as usize] {
-                    let u = &self.rob[slot];
-                    t.on_block(u.seq, gate, cycle, delta, || {
-                        denial_rule(policy, u, tags, gate, &fr)
-                    });
+                    t.on_block(self.rob[slot].seq, gate, cycle, delta);
                 }
             }
         }
@@ -951,7 +937,11 @@ impl<'a> Core<'a> {
     /// later by `capture_store_data`).
     #[inline]
     fn src_ready(&self, u: &DynInst, r: Reg, p: usize) -> bool {
-        self.prf_ready[p] || (u.is_store() && Some(r) == u.data_reg && !u.addr_regs.contains(r))
+        self.prf_ready[p]
+            || (u.is_store() && {
+                let d = self.decoded.get(u.idx);
+                d.store_data_reg == Some(r) && !d.addr_regs.contains(r)
+            })
     }
 
     /// Exact operand-readiness predicate of the issue stage.
@@ -1010,7 +1000,7 @@ impl<'a> Core<'a> {
             u.complete_cycle = cycle;
             // Stores without data keep waiting for their data operand;
             // everything else is done.
-            let store_needs_data = u.mem.as_ref().is_some_and(|m| m.is_store && !m.data_ready);
+            let store_needs_data = u.is_store() && u.mem.as_ref().is_some_and(|m| !m.data_ready);
             u.status = if store_needs_data {
                 UopStatus::WaitingData
             } else {
@@ -1020,7 +1010,6 @@ impl<'a> Core<'a> {
             // Write results to the PRF.
             for d in &u.dsts {
                 self.prf_value[d.new_phys] = d.value;
-                self.prf_done[d.new_phys] = true;
             }
             if !store_needs_data && has_dsts {
                 self.sched.insert(SetId::WakeupPending, slot);
@@ -1048,7 +1037,6 @@ impl<'a> Core<'a> {
                 self.profile.gate_eval(BlockPoint::Wakeup);
                 match self.policy.may_wakeup(&self.rob[slot], &self.tags, &fr) {
                     Gate::Open => {
-                        self.rob[slot].wakeup_done = true;
                         for k in 0..self.rob[slot].dsts.len() {
                             let phys = self.rob[slot].dsts[k].new_phys;
                             self.publish_ready(phys);
@@ -1056,10 +1044,8 @@ impl<'a> Core<'a> {
                         self.sched.remove(SetId::WakeupPending, slot);
                         self.sched.mark_progress();
                     }
-                    Gate::Closed { until, .. } => {
-                        self.sched
-                            .park(BlockPoint::Wakeup, SetId::WakeupParked, slot, until);
-                        self.profile.gate_park(BlockPoint::Wakeup);
+                    Gate::Closed { until, rule } => {
+                        self.park(BlockPoint::Wakeup, SetId::WakeupParked, slot, until, rule);
                     }
                 }
             }
@@ -1174,10 +1160,8 @@ impl<'a> Core<'a> {
                     chosen = Some(slot);
                     break;
                 }
-                Gate::Closed { until, .. } => {
-                    self.sched
-                        .park(BlockPoint::Resolve, SetId::ResolveParked, slot, until);
-                    self.profile.gate_park(BlockPoint::Resolve);
+                Gate::Closed { until, rule } => {
+                    self.park(BlockPoint::Resolve, SetId::ResolveParked, slot, until, rule);
                 }
             }
         }
@@ -1253,18 +1237,11 @@ impl<'a> Core<'a> {
             if let Some(t) = self.tracer.as_mut() {
                 t.on_squash(u.seq, self.cycle, kind);
             }
-            if u.is_load() {
-                self.lq_used -= 1;
-            }
-            if u.is_store() {
-                self.sq_used -= 1;
-            }
             // Undo renames in reverse order.
             for d in u.dsts.iter().rev() {
                 self.rename_map[d.arch.index()] = d.prev_phys;
                 self.prot_map[d.arch.index()] = d.prev_prot;
                 self.free_list.push_front(d.new_phys);
-                self.prf_done[d.new_phys] = false;
                 self.prf_ready[d.new_phys] = false;
             }
             oldest = Some(slot);
@@ -1327,22 +1304,17 @@ impl<'a> Core<'a> {
                 return;
             }
             // Scheduler entries for the head must be cleared before the
-            // scheduler frees its slot at `on_commit_head`.
-            if !u.wakeup_done && !u.dsts.is_empty() {
-                // The head may commit while its wakeup is still denied —
-                // its pending (or parked) entry must not outlive its
-                // ROB slot.
-                self.sched.remove(SetId::WakeupPending, slot);
-                self.sched.remove(SetId::WakeupParked, slot);
-            }
+            // scheduler frees its slot at `on_commit_head`. The head may
+            // commit while its wakeup is still denied, so its pending or
+            // parked entry (if any) goes too.
+            self.sched.remove(SetId::WakeupPending, slot);
+            self.sched.remove(SetId::WakeupParked, slot);
             if u.is_load() {
                 self.sched.remove(SetId::InflightLoads, slot);
-                self.lq_used -= 1;
                 self.stats.loads += 1;
             }
             if u.is_store() {
                 self.sched.remove(SetId::InflightStores, slot);
-                self.sq_used -= 1;
                 self.stats.stores += 1;
             }
             self.no_commit_cycles = 0;
@@ -1361,11 +1333,12 @@ impl<'a> Core<'a> {
             // mutably: scalars, not the record.
             let (seq, idx, pc, op, actual_next, div_fault) =
                 (u.seq, u.idx, u.pc, u.inst.op, u.actual_next, u.div_fault);
+            let is_store = u.is_store();
             let store = u
                 .mem
                 .as_ref()
-                .map(|m| (m.is_store, m.addr, m.size, m.value, m.data_prot));
-            let clears_load_prot = !u.prot_out;
+                .map(|m| (m.addr, m.size, m.value, m.data_prot));
+            let clears_load_prot = !u.inst.prot;
             // Predictor training at commit (clean, non-transient state).
             match op {
                 Op::Jcc { .. } => {
@@ -1381,7 +1354,7 @@ impl<'a> Core<'a> {
                 _ => {}
             }
             // Stores write committed state.
-            if let Some((is_store, addr, size, value, data_prot)) = store {
+            if let Some((addr, size, value, data_prot)) = store {
                 if is_store {
                     let addr = addr.expect("committed store has address");
                     self.mem.write(addr, size, value);
@@ -1407,7 +1380,6 @@ impl<'a> Core<'a> {
             for k in 0..self.rob[slot].dsts.len() {
                 let d = self.rob[slot].dsts[k];
                 self.committed_regs[d.arch.index()] = d.value;
-                self.prf_done[d.new_phys] = true;
                 self.publish_ready(d.new_phys);
                 // Free the previous mapping.
                 self.free_list.push_back(d.prev_phys);
@@ -1456,16 +1428,7 @@ impl<'a> Core<'a> {
         match self.cfg.mem_prot {
             MemProtTracking::None => {}
             MemProtTracking::TaggedL1d => self.l1d.meta_set(addr, size, prot),
-            MemProtTracking::PerfectShadow => {
-                for i in 0..size {
-                    let a = addr.wrapping_add(i);
-                    if prot {
-                        self.shadow_unprot.remove(&a);
-                    } else {
-                        self.shadow_unprot.insert(a);
-                    }
-                }
-            }
+            MemProtTracking::PerfectShadow => self.shadow_prot.set_mem(addr, size, prot),
         }
     }
 
@@ -1473,11 +1436,7 @@ impl<'a> Core<'a> {
         match self.cfg.mem_prot {
             MemProtTracking::None => {}
             MemProtTracking::TaggedL1d => self.l1d.meta_set(addr, size, false),
-            MemProtTracking::PerfectShadow => {
-                for i in 0..size {
-                    self.shadow_unprot.insert(addr.wrapping_add(i));
-                }
-            }
+            MemProtTracking::PerfectShadow => self.shadow_prot.unprotect_mem(addr, size),
         }
     }
 
@@ -1485,9 +1444,7 @@ impl<'a> Core<'a> {
         match self.cfg.mem_prot {
             MemProtTracking::None => true,
             MemProtTracking::TaggedL1d => self.l1d.meta_any(addr, size),
-            MemProtTracking::PerfectShadow => {
-                (0..size).any(|i| !self.shadow_unprot.contains(&addr.wrapping_add(i)))
-            }
+            MemProtTracking::PerfectShadow => self.shadow_prot.mem_protected(addr, size),
         }
     }
 
@@ -1604,7 +1561,7 @@ impl<'a> Core<'a> {
             }
             // Defense gate.
             self.profile.gate_eval(BlockPoint::Execute);
-            if let Gate::Closed { until, .. } =
+            if let Gate::Closed { until, rule } =
                 self.policy.may_execute(&self.rob[slot], &self.tags, &fr)
             {
                 let class = if is_mem {
@@ -1614,8 +1571,7 @@ impl<'a> Core<'a> {
                 } else {
                     SetId::ExecParkedAlu
                 };
-                self.sched.park(BlockPoint::Execute, class, slot, until);
-                self.profile.gate_park(BlockPoint::Execute);
+                self.park(BlockPoint::Execute, class, slot, until, rule);
                 parked = true;
                 continue;
             }
@@ -2049,10 +2005,10 @@ impl<'a> Core<'a> {
                 return;
             }
             let d = *self.decoded.get(front.idx);
-            if d.is_load && self.lq_used >= self.cfg.lq_size {
+            if d.is_load && self.sched.len(SetId::InflightLoads) >= self.cfg.lq_size {
                 return;
             }
-            if d.is_store && self.sq_used >= self.cfg.sq_size {
+            if d.is_store && self.sched.len(SetId::InflightStores) >= self.cfg.sq_size {
                 return;
             }
             if self.free_list.len() < d.dsts.len() {
@@ -2087,10 +2043,8 @@ impl<'a> Core<'a> {
                 actual_taken,
                 mispredicted,
                 resolved,
-                wakeup_done,
                 hist_snapshot,
                 rsb_checkpoint,
-                prot_out,
                 src_prot,
                 sens_prot,
                 mem_prot,
@@ -2100,8 +2054,6 @@ impl<'a> Core<'a> {
                 wakeup_hold_root,
                 pred_no_access,
                 div_fault,
-                addr_regs,
-                data_reg,
                 fetch_cycle,
                 rename_cycle,
                 issue_cycle,
@@ -2120,10 +2072,8 @@ impl<'a> Core<'a> {
             *actual_taken = false;
             *mispredicted = false;
             *resolved = false;
-            *wakeup_done = false;
             *hist_snapshot = front.hist_snapshot;
             *rsb_checkpoint = front.rsb_checkpoint;
-            *prot_out = d.inst.prot;
             *mem_prot = None;
             *in_taint = false;
             *in_yrot = NO_ROOT;
@@ -2131,8 +2081,6 @@ impl<'a> Core<'a> {
             *wakeup_hold_root = NO_ROOT;
             *pred_no_access = None;
             *div_fault = false;
-            *addr_regs = d.addr_regs;
-            *data_reg = d.store_data_reg;
             *fetch_cycle = ready_cycle - self.cfg.frontend_depth as u64;
             *rename_cycle = self.cycle;
             *issue_cycle = 0;
@@ -2171,7 +2119,6 @@ impl<'a> Core<'a> {
                 self.tags.prot[new_phys] = new_prot;
                 self.tags.taint[new_phys] = false;
                 self.tags.yrot[new_phys] = NO_ROOT;
-                self.prf_done[new_phys] = false;
                 self.prf_ready[new_phys] = false;
                 dsts.push(DstInfo {
                     arch: r,
@@ -2185,7 +2132,6 @@ impl<'a> Core<'a> {
             *mem = d.is_mem.then_some(MemState {
                 addr: None,
                 size: d.mem_size,
-                is_store: d.is_store,
                 value: 0,
                 data_ready: false,
                 data_prot: false,
@@ -2197,11 +2143,9 @@ impl<'a> Core<'a> {
             });
 
             if d.is_load {
-                self.lq_used += 1;
                 self.sched.insert(SetId::InflightLoads, slot);
             }
             if d.is_store {
-                self.sq_used += 1;
                 self.sched.insert(SetId::InflightStores, slot);
             }
             self.policy.on_rename(&mut self.rob[slot], &mut self.tags);
@@ -2341,12 +2285,13 @@ impl<'a> Core<'a> {
 }
 
 /// The rule under which `policy` denies `u` at `point` this cycle,
-/// asked of its gate again for the trace. Not counted as a gate
-/// evaluation: the pipeline already counted `u` as denied.
+/// asked of its gate again by the debug check that a parked µop is
+/// still denied. Not counted as a gate evaluation.
 ///
 /// # Panics
 ///
 /// If the gate is open: a parked µop passed its lapse point unnoticed.
+#[cfg(debug_assertions)]
 fn denial_rule(
     policy: &dyn DefensePolicy,
     u: &DynInst,

@@ -49,9 +49,9 @@ pub struct BlockedAt {
     pub first_cycle: u64,
     /// Last cycle a denial was observed.
     pub last_cycle: u64,
-    /// The policy rule that denied, as named by the gate's verdict
-    /// ([`crate::Gate::Closed`]'s `rule`) on the first denied cycle;
-    /// `""` if never blocked.
+    /// The policy rule that denied, as named by the verdict that first
+    /// parked the µop at this gate ([`crate::Gate::Closed`]'s `rule`,
+    /// the rule of its first denied cycle); `""` if never blocked.
     pub rule: &'static str,
 }
 
@@ -233,31 +233,41 @@ impl Tracer {
         }
     }
 
+    /// The pipeline parked a µop at `point` in `cycle` because a gate
+    /// verdict closed under `rule`. The trace keeps the first rule it
+    /// gets per gate. Every park is counted as a denial in the tick that
+    /// made it, so that rule is the rule of the µop's first denial
+    /// ([`Tracer::on_block`] checks this in debug builds).
+    pub fn on_park(&mut self, seq: Seq, point: BlockPoint, cycle: u64, rule: &'static str) {
+        if let Some(t) = self.slot(seq) {
+            let b = &mut t.blocked[point as usize];
+            if b.rule.is_empty() {
+                b.rule = rule;
+                b.first_cycle = cycle;
+            }
+        }
+    }
+
     /// The defense denied a µop at `point` for `cycles` consecutive
     /// cycles from `first_cycle` on (one per tick, or a fast-forwarded
-    /// span). `rule` names the policy rule that denied; it is called
-    /// only for the µop's first recorded denial at the gate, whose rule
-    /// the trace keeps. Past-cap µops accumulate into the overflow
-    /// counters, so [`Trace::blocked_totals`] reconciliation stays
-    /// exact.
-    pub fn on_block(
-        &mut self,
-        seq: Seq,
-        point: BlockPoint,
-        first_cycle: u64,
-        cycles: u64,
-        rule: impl FnOnce() -> &'static str,
-    ) {
+    /// span), under the rule its park handed [`Tracer::on_park`].
+    /// Past-cap µops accumulate into the overflow counters, so
+    /// [`Trace::blocked_totals`] reconciliation stays exact.
+    pub fn on_block(&mut self, seq: Seq, point: BlockPoint, first_cycle: u64, cycles: u64) {
         if cycles == 0 {
             return;
         }
         match self.slot(seq) {
             Some(t) => {
                 let b = &mut t.blocked[point as usize];
-                if b.cycles == 0 {
-                    b.first_cycle = first_cycle;
-                    b.rule = rule();
-                }
+                debug_assert!(
+                    b.cycles != 0 || (!b.rule.is_empty() && b.first_cycle == first_cycle),
+                    "µop {seq}'s first {} denial (cycle {first_cycle}) is not in the tick of its \
+                     first park (cycle {}, rule {:?})",
+                    point.name(),
+                    b.first_cycle,
+                    b.rule
+                );
                 b.cycles += cycles;
                 b.last_cycle = first_cycle + cycles - 1;
             }
