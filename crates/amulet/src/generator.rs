@@ -220,9 +220,11 @@ pub fn generate_recorded(
 /// cells deliberately sit on 2×[`COLD_CELLS`] distinct 4 KiB pages (cold
 /// = always miss), so writing them materialises ~1024 pages — by far the
 /// most expensive part of building a fuzzer input. The pages are built
-/// once into a process-wide template and shared copy-on-write into
-/// `mem`, which **replaces** any previous contents (every caller starts
-/// from a fresh memory).
+/// once into a process-wide template and frozen into its shared base
+/// layer ([`protean_arch::Memory::freeze`]), so `mem` — and every later
+/// clone of it — inherits them in O(1) and holds only the pages it
+/// writes itself. `mem`'s previous contents are **replaced** (every
+/// caller starts from a fresh memory).
 pub fn init_cold_chain(mem: &mut protean_arch::Memory) {
     static TEMPLATE: std::sync::OnceLock<protean_arch::Memory> = std::sync::OnceLock::new();
     let template = TEMPLATE.get_or_init(|| {
@@ -233,6 +235,7 @@ pub fn init_cold_chain(mem: &mut protean_arch::Memory) {
             mem.write(cell, 8, indirect);
             mem.write(indirect, 8, 16);
         }
+        mem.freeze();
         mem
     });
     mem.clone_from(template);

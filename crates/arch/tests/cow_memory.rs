@@ -3,13 +3,16 @@
 //!
 //! The COW implementation shares page allocations between clones and
 //! un-shares lazily on write, with an "open page" write handle cached
-//! outside the page map. None of that machinery may be visible through
+//! outside the page map and a frozen base layer shared under every
+//! clone's private pages. None of that machinery may be visible through
 //! the API: any interleaving of reads, multi-byte writes, clones,
-//! `clone_from` overwrites, and drops must produce exactly the bytes a
-//! naive per-instance byte map would. Each generated case drives a small
-//! population of (memory, model) pairs through a random op sequence and
-//! checks every read against the model, including reads that straddle
-//! page boundaries.
+//! `clone_from` overwrites, freezes, equality tests and drops must
+//! produce exactly the bytes a naive per-instance byte map would. Each
+//! generated case drives a small population of (memory, model) pairs
+//! through a random op sequence and checks every read against the
+//! model, including reads that straddle page boundaries. A frozen
+//! template, written before the case and cloned into the population,
+//! must never see a write made through any of its clones.
 
 use protean_arch::Memory;
 use protean_testkit::{Checker, Rng};
@@ -36,6 +39,15 @@ impl Model {
                 .insert(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
+
+    /// Content equality: a stored zero equals an absent byte.
+    fn same_bytes(&self, other: &Model) -> bool {
+        let covers = |a: &Model, b: &Model| {
+            a.0.iter()
+                .all(|(addr, v)| b.0.get(addr).copied().unwrap_or(0) == *v)
+        };
+        covers(self, other) && covers(other, self)
+    }
 }
 
 /// Addresses concentrate on three pages and their boundaries so page
@@ -58,6 +70,9 @@ enum OpKind {
     Read,
     Clone,
     CloneFrom,
+    CloneTemplate,
+    Freeze,
+    Eq,
     Drop,
 }
 
@@ -67,13 +82,19 @@ fn cow_memory_matches_deep_copy_model() {
         .cases(96)
         .run(
             |rng| {
+                let template: Vec<(u64, u64, u64)> = (0..rng.gen_range(0..40))
+                    .map(|_| (gen_addr(rng), rng.gen_range(1..9), rng.gen::<u64>()))
+                    .collect();
                 let ops: Vec<(OpKind, u64, u64, u64, usize, usize)> = (0..250)
                     .map(|_| {
-                        let kind = match rng.gen_range(0..10) {
-                            0..=3 => OpKind::Write,
-                            4..=6 => OpKind::Read,
-                            7 => OpKind::Clone,
-                            8 => OpKind::CloneFrom,
+                        let kind = match rng.gen_range(0..14) {
+                            0..=4 => OpKind::Write,
+                            5..=7 => OpKind::Read,
+                            8 => OpKind::Clone,
+                            9 => OpKind::CloneFrom,
+                            10 => OpKind::CloneTemplate,
+                            11 => OpKind::Freeze,
+                            12 => OpKind::Eq,
                             _ => OpKind::Drop,
                         };
                         (
@@ -86,9 +107,15 @@ fn cow_memory_matches_deep_copy_model() {
                         )
                     })
                     .collect();
-                ops
+                (template, ops)
             },
-            |ops| {
+            |(template, ops)| {
+                let mut frozen = (Memory::new(), Model::default());
+                for &(addr, size, value) in template {
+                    frozen.0.write(addr, size, value);
+                    frozen.1.write(addr, size, value);
+                }
+                frozen.0.freeze();
                 let mut pairs: Vec<(Memory, Model)> = vec![(Memory::new(), Model::default())];
                 for &(kind, addr, size, value, a, b) in ops {
                     let a = a % pairs.len();
@@ -126,6 +153,19 @@ fn cow_memory_matches_deep_copy_model() {
                                 pairs[a].1 = model;
                             }
                         }
+                        OpKind::CloneTemplate => {
+                            pairs[a].0.clone_from(&frozen.0);
+                            pairs[a].1 = frozen.1.clone();
+                        }
+                        OpKind::Freeze => pairs[a].0.freeze(),
+                        OpKind::Eq => {
+                            let b = b % pairs.len();
+                            assert_eq!(
+                                pairs[a].0 == pairs[b].0,
+                                pairs[a].1.same_bytes(&pairs[b].1),
+                                "memory equality diverged from model"
+                            );
+                        }
                         OpKind::Drop => {
                             if pairs.len() > 1 {
                                 pairs.remove(a);
@@ -133,9 +173,10 @@ fn cow_memory_matches_deep_copy_model() {
                         }
                     }
                 }
-                // Final sweep: every surviving instance still agrees with
-                // its model, bytewise and through multi-byte reads.
-                for (mem, model) in &pairs {
+                // Final sweep: every surviving instance and the frozen
+                // template still agree with their models, bytewise and
+                // through multi-byte reads.
+                for (mem, model) in pairs.iter().chain([&frozen]) {
                     for page in 0..3u64 {
                         for offset in (0..0x1000).step_by(8) {
                             let addr = 0x1000 * page + offset;

@@ -135,21 +135,13 @@ impl DefensePolicy for ProtTrackPolicy {
                 u.delay_wakeup_nonspec = true;
             }
             // Tainted store forwarding (§VI-B2c): an untainted load
-            // forwarding tainted/protected store data stalls its wakeup
-            // until the store's data operand untaints.
+            // forwarding tainted store data stalls its wakeup until the
+            // store's data operand untaints. Forwarded *protected* data
+            // took the full ProtDelay fallback above: a forward copies
+            // the store's LSQ prot bit into `mem_prot`.
             if let Some(m) = &u.mem {
-                if m.fwd_from.is_some() {
-                    if m.fwd_data_yrot != NO_ROOT {
-                        u.wakeup_hold_root = m.fwd_data_yrot;
-                    }
-                    if m.data_prot {
-                        // Forwarded *protected* data: full ProtDelay
-                        // fallback (already triggered above via
-                        // `mem_prot`, which forwards copy from the
-                        // store's LSQ prot bit — kept explicit for
-                        // clarity).
-                        u.delay_wakeup_nonspec = true;
-                    }
+                if m.fwd_from.is_some() && m.fwd_data_yrot != NO_ROOT {
+                    u.wakeup_hold_root = m.fwd_data_yrot;
                 }
             }
         }

@@ -73,7 +73,9 @@
 //! (a DRAM-missing load, the worst-case divider, the multiplier), plus a
 //! small sorted overflow list as a safety net for events beyond the
 //! horizon. Bucket `Vec`s are pooled (cleared, never dropped), so the
-//! steady state allocates nothing. Each event carries its slot and a
+//! steady state allocates nothing. A one-bit-per-bucket occupancy
+//! bitmap finds the next deadline after a drain by a cyclic
+//! trailing-zeros search. Each event carries its slot and a
 //! **per-slot generation stamp** (bumped at dispatch), so a stale event
 //! from a squashed µop is recognised in O(1) — generation mismatch, or
 //! slot outside the live window — and never reaches the pipeline.
@@ -391,6 +393,10 @@ pub(crate) struct Scheduler {
     wmask: u64,
     buckets: Vec<Vec<WheelEvent>>,
     stamp: Vec<u64>,
+    /// One bit per bucket, set while the bucket is non-empty: the next
+    /// deadline after a drain is a cyclic trailing-zeros search, not a
+    /// walk over up to a ring's worth of buckets.
+    occupied: Vec<u64>,
     /// Events beyond the ring horizon (or colliding with an occupied
     /// bucket of a different deadline): kept sorted by deadline,
     /// descending, so the nearest pops from the back. A safety net —
@@ -447,6 +453,7 @@ impl Scheduler {
             wmask: wsize as u64 - 1,
             buckets: (0..wsize).map(|_| Vec::new()).collect(),
             stamp: vec![0; wsize],
+            occupied: vec![0; wsize.div_ceil(64)],
             overflow: Vec::new(),
             bucket_min: u64::MAX,
             bucket_events: 0,
@@ -475,6 +482,7 @@ impl Scheduler {
         for b in &mut self.buckets {
             b.clear();
         }
+        self.occupied.fill(0);
         self.overflow.clear();
         self.bucket_min = u64::MAX;
         self.bucket_events = 0;
@@ -806,6 +814,7 @@ impl Scheduler {
         let b = (done & self.wmask) as usize;
         if self.buckets[b].is_empty() {
             self.stamp[b] = done;
+            self.occupied[b / 64] |= 1 << (b % 64);
         } else if self.stamp[b] != done {
             // Beyond the ring horizon: sorted overflow (descending, so
             // the nearest deadline pops from the back).
@@ -861,6 +870,7 @@ impl Scheduler {
                 }
                 bucket.clear();
                 self.buckets[b] = bucket; // pooled
+                self.occupied[b / 64] &= !(1 << (b % 64));
                 if self.bucket_events == 0 {
                     break;
                 }
@@ -869,17 +879,17 @@ impl Scheduler {
                 u64::MAX
             } else {
                 // All remaining bucketed deadlines lie in
-                // (cycle, cycle + ring), because every push happened at
-                // a cycle ≤ `cycle` with latency < ring size.
-                let mut min = u64::MAX;
-                for c in cycle + 1..=cycle + self.wmask + 1 {
-                    let b = (c & self.wmask) as usize;
-                    if !self.buckets[b].is_empty() && self.stamp[b] == c {
-                        min = c;
-                        break;
-                    }
-                }
-                debug_assert_ne!(min, u64::MAX, "bucketed event outside the ring horizon");
+                // (cycle, cycle + ring], because every push happened at
+                // a cycle ≤ `cycle` with latency < ring size, so the
+                // first occupied bucket cyclically after `cycle` holds
+                // the nearest one.
+                let from = ((cycle + 1) & self.wmask) as usize;
+                let b = self.next_occupied(from).expect("bucketed events remain");
+                let min = self.stamp[b];
+                debug_assert!(
+                    min > cycle && min <= cycle + self.wmask + 1,
+                    "bucketed event outside the ring horizon"
+                );
                 min
             };
         }
@@ -919,8 +929,32 @@ impl Scheduler {
         (min != u64::MAX).then_some(min)
     }
 
-    /// Debug-only ground truth for the cached bucket minimum.
+    /// The first occupied bucket at or cyclically after bucket `from`.
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let words = self.occupied.len();
+        let (w0, bit) = (from / 64, from % 64);
+        let high = !0u64 << bit;
+        // The starting word's bits from `from` up, every other word in
+        // ring order, then the starting word's bits below `from`.
+        (0..=words).find_map(|i| {
+            let w = (w0 + i) % words;
+            let bits = match i {
+                0 => self.occupied[w] & high,
+                _ if i == words => self.occupied[w] & !high,
+                _ => self.occupied[w],
+            };
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })
+    }
+
+    /// Debug-only ground truth for the cached bucket minimum (and for
+    /// the occupancy bitmap it is found through).
     fn recomputed_bucket_min(&self) -> u64 {
+        debug_assert!(
+            (0..self.buckets.len())
+                .all(|i| self.buckets[i].is_empty() == (self.occupied[i / 64] >> (i % 64) & 1 == 0)),
+            "stale occupancy bitmap"
+        );
         self.buckets
             .iter()
             .enumerate()
@@ -1255,6 +1289,26 @@ mod tests {
         r.s.pop_completions(100, &mut out);
         assert_eq!(r.seqs(&out), vec![1]);
         assert_eq!(r.s.next_completion_cycle(), None);
+    }
+
+    #[test]
+    fn wheel_minimum_found_across_words_and_the_ring_wrap() {
+        // A DRAM-sized ring: 256 buckets, four bitmap words.
+        let mut s = Scheduler::new(8, 8, 200);
+        let [a, b, c] = [0; 3].map(|_| s.on_dispatch());
+        s.schedule_completion(100, a);
+        s.schedule_completion(250, b); // last word
+        s.schedule_completion(300, c); // bucket 44, past the wrap
+        let mut out = Vec::new();
+        s.pop_completions(100, &mut out);
+        assert_eq!(out, vec![a]);
+        assert_eq!(s.next_completion_cycle(), Some(250));
+        s.pop_completions(250, &mut out);
+        assert_eq!(out, vec![b]);
+        assert_eq!(s.next_completion_cycle(), Some(300));
+        s.pop_completions(300, &mut out);
+        assert_eq!(out, vec![c]);
+        assert_eq!(s.next_completion_cycle(), None);
     }
 
     #[test]
