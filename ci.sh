@@ -32,6 +32,11 @@ step "cargo clippy --release --offline --workspace --all-targets"
 # any clippy warning fail CI.
 cargo clippy --release --offline --workspace --all-targets
 
+step "cargo doc --workspace --no-deps --offline (RUSTDOCFLAGS=-Dwarnings)"
+# Broken or private intra-doc links fail CI: a doc comment that links
+# to a deleted item fails here instead of rotting.
+RUSTDOCFLAGS="-Dwarnings" cargo doc --workspace --no-deps --offline
+
 step "cargo build --release --offline --workspace --all-targets"
 cargo build --release --offline --workspace --all-targets
 

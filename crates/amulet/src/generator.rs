@@ -217,7 +217,7 @@ pub fn generate_recorded(
 /// bound, 16). Secrets and public data are installed by the fuzzer.
 ///
 /// The contents are a pure function of the layout constants, but the
-/// cells deliberately sit on 2×[`COLD_CELLS`] distinct 4 KiB pages (cold
+/// cells deliberately sit on 2×`COLD_CELLS` distinct 4 KiB pages (cold
 /// = always miss), so writing them materialises ~1024 pages — by far the
 /// most expensive part of building a fuzzer input. The pages are built
 /// once into a process-wide template and frozen into its shared base

@@ -73,10 +73,12 @@ fn full_budget_reports_match_across_oracles() {
     }
 }
 
-/// A defense that never lets any µop begin execution: the pipeline
-/// commits nothing. Under [`STALL_STEPS`] every *base* hardware run
-/// ends `MaxCycles`; under the normal budget the deadlock watchdog
-/// fires first.
+/// A defense that never lets any transmitter begin execution. The
+/// pipeline asks the execute gate of transmitters only, so a run
+/// commits the µops before its first transmitter and then stalls for
+/// good. Under [`STALL_STEPS`] every *base* hardware run ends
+/// `MaxCycles`; under the normal budget the deadlock watchdog fires
+/// first.
 struct StallForeverPolicy;
 
 /// A step budget whose hardware cycle budget (`60 ×` steps = 96 000
@@ -130,7 +132,24 @@ fn truncated_base_run_skips_mutants_as_no_partner() {
     assert_eq!(r.tests, 0, "nothing may be compared");
     assert_eq!(r.violations, 0);
     assert_eq!(r.false_positives, 0);
-    assert_eq!(r.committed_uops, 0, "a fully stalled core commits nothing");
+    // The base input is drawn before any mutant, so the same campaign
+    // without mutants runs the same base runs.
+    let base_only = fuzz(
+        &FuzzConfig {
+            inputs_per_program: 0,
+            ..cfg.clone()
+        },
+        &|| Box::new(StallForeverPolicy),
+    );
+    assert_eq!(base_only.hw_truncated, cfg.programs as u64);
+    assert!(
+        base_only.committed_uops > 0,
+        "the base runs commit the µops before their first transmitter"
+    );
+    assert_eq!(
+        r.committed_uops, base_only.committed_uops,
+        "only the stalled base runs may reach the core: no mutant is replayed"
+    );
 }
 
 /// With the normal budget the stalled core trips the deadlock watchdog

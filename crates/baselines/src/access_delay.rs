@@ -7,7 +7,6 @@
 //! sufficient to secure non-secret-accessing (ARCH) code, which is
 //! NDA/SpecShield's target.
 
-use protean_isa::TransmitterSet;
 use protean_sim::{DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The AccessDelay policy (NDA \[138\] / SpecShield \[13\]).
@@ -22,26 +21,18 @@ use protean_sim::{DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 /// assert_eq!(nda.name(), "NDA");
 /// ```
 #[derive(Clone, Debug)]
-pub struct AccessDelayPolicy {
-    xmit: TransmitterSet,
-}
+pub struct AccessDelayPolicy;
 
 impl AccessDelayPolicy {
     /// NDA's configuration (SpecShield's is identical).
     pub fn nda() -> AccessDelayPolicy {
-        AccessDelayPolicy {
-            xmit: TransmitterSet::paper(),
-        }
+        AccessDelayPolicy
     }
 }
 
 impl DefensePolicy for AccessDelayPolicy {
     fn name(&self) -> String {
         "NDA".into()
-    }
-
-    fn transmitters(&self) -> TransmitterSet {
-        self.xmit
     }
 
     fn on_rename(&mut self, u: &mut DynInst, tags: &mut RegTags) {

@@ -41,19 +41,19 @@ use protean_sim::{
 /// ```
 #[derive(Clone, Debug)]
 pub struct SptPolicy {
-    xmit: TransmitterSet,
     /// Apply the 32-bit zero-extension untaint performance fix.
     fix_upper32: bool,
-    buggy_squash: bool,
+    /// The original artifact: no division transmitters, pending-squash
+    /// bug.
+    original: bool,
 }
 
 impl SptPolicy {
     /// The fully patched SPT evaluated in the paper's Tab. IV/V.
     pub fn fixed() -> SptPolicy {
         SptPolicy {
-            xmit: TransmitterSet::paper(),
             fix_upper32: true,
-            buggy_squash: false,
+            original: false,
         }
     }
 
@@ -70,16 +70,15 @@ impl SptPolicy {
     /// bug present.
     pub fn original() -> SptPolicy {
         SptPolicy {
-            xmit: TransmitterSet::legacy(),
             fix_upper32: false,
-            buggy_squash: true,
+            original: true,
         }
     }
 }
 
 impl DefensePolicy for SptPolicy {
     fn name(&self) -> String {
-        if self.buggy_squash {
+        if self.original {
             "SPT (original)".into()
         } else if !self.fix_upper32 {
             "SPT (no 32-bit fix)".into()
@@ -89,11 +88,15 @@ impl DefensePolicy for SptPolicy {
     }
 
     fn transmitters(&self) -> TransmitterSet {
-        self.xmit
+        if self.original {
+            TransmitterSet::legacy()
+        } else {
+            TransmitterSet::paper()
+        }
     }
 
     fn pending_squash_bug(&self) -> bool {
-        self.buggy_squash
+        self.original
     }
 
     /// Shadow bits: `true` = public; cold lines are private.
@@ -143,10 +146,7 @@ impl DefensePolicy for SptPolicy {
     }
 
     fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
-        if u.inst.is_branch()
-            || !self.xmit.is_transmitter(&u.inst)
-            || !sensitive_value_tainted(u, &self.xmit, tags)
-        {
+        if !sensitive_value_tainted(u, tags) {
             return Gate::Open;
         }
         // Value taint does not lapse with the frontier; only the µop
@@ -156,7 +156,7 @@ impl DefensePolicy for SptPolicy {
     }
 
     fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
-        if sensitive_value_tainted(u, &self.xmit, tags) {
+        if sensitive_value_tainted(u, tags) {
             return Gate::lapses_at(u.seq, fr, "private-branch-resolve");
         }
         // `ret`: the loaded target itself must be public.
@@ -179,10 +179,8 @@ impl DefensePolicy for SptPolicy {
         // exact copies could establish); this inability to "publish
         // backwards" is why SPT keeps stalling on pointer-shaped data
         // that ProtCC unprotects statically (§IX-B2, §IX-B3).
-        if self.xmit.is_transmitter(&u.inst) {
-            for &p in sensitive_phys(u, &self.xmit).iter() {
-                tags.untaint(p);
-            }
+        for p in sensitive_phys(u) {
+            tags.untaint(p);
         }
     }
 }

@@ -23,32 +23,27 @@ use protean_sim::{DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 /// ```
 #[derive(Clone, Debug)]
 pub struct SptSbPolicy {
-    xmit: TransmitterSet,
-    buggy_squash: bool,
+    /// The original artifact: no division transmitters, pending-squash
+    /// bug.
+    original: bool,
 }
 
 impl SptSbPolicy {
     /// The fully patched SPT-SB evaluated in the paper.
     pub fn fixed() -> SptSbPolicy {
-        SptSbPolicy {
-            xmit: TransmitterSet::paper(),
-            buggy_squash: false,
-        }
+        SptSbPolicy { original: false }
     }
 
     /// The original artifact (no division transmitters, pending-squash
     /// bug).
     pub fn original() -> SptSbPolicy {
-        SptSbPolicy {
-            xmit: TransmitterSet::legacy(),
-            buggy_squash: true,
-        }
+        SptSbPolicy { original: true }
     }
 }
 
 impl DefensePolicy for SptSbPolicy {
     fn name(&self) -> String {
-        if self.buggy_squash {
+        if self.original {
             "SPT-SB (original)".into()
         } else {
             "SPT-SB".into()
@@ -56,25 +51,23 @@ impl DefensePolicy for SptSbPolicy {
     }
 
     fn transmitters(&self) -> TransmitterSet {
-        self.xmit
+        if self.original {
+            TransmitterSet::legacy()
+        } else {
+            TransmitterSet::paper()
+        }
     }
 
     fn pending_squash_bug(&self) -> bool {
-        self.buggy_squash
+        self.original
     }
 
     fn may_execute(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
-        if u.inst.is_branch() || !self.xmit.is_transmitter(&u.inst) {
-            return Gate::Open;
-        }
         Gate::lapses_at(u.seq, fr, "spec-transmitter-delay")
     }
 
     fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
         // Every squash signal transmits protected state.
-        if !self.xmit.branches {
-            return Gate::Open;
-        }
         Gate::lapses_at(u.seq, fr, "spec-squash-delay")
     }
 }

@@ -13,10 +13,9 @@ use protean_sim::{sensitive_max_yrot, DefensePolicy, DynInst, Gate, RegTags, Spe
 
 /// The STT policy.
 ///
-/// `buggy_squash` reproduces the pending-squash bug the paper found in
-/// STT's gem5 implementation and fixed upstream (§VII-B4b);
-/// `TransmitterSet::legacy()` reproduces the pre-fix defense that did not
-/// treat division µops as transmitters.
+/// [`SttPolicy::original`] reproduces the pending-squash bug the paper
+/// found in STT's gem5 implementation and fixed upstream (§VII-B4b), and
+/// the pre-fix defense that did not treat division µops as transmitters.
 ///
 /// # Examples
 ///
@@ -30,45 +29,28 @@ use protean_sim::{sensitive_max_yrot, DefensePolicy, DynInst, Gate, RegTags, Spe
 /// ```
 #[derive(Clone, Debug)]
 pub struct SttPolicy {
-    xmit: TransmitterSet,
-    buggy_squash: bool,
+    /// The original artifact: no division transmitters, pending-squash
+    /// bug.
+    original: bool,
 }
 
 impl SttPolicy {
     /// The fully fixed STT evaluated in the paper's Tab. IV/V: division
     /// transmitters handled, pending-squash bug patched.
     pub fn fixed() -> SttPolicy {
-        SttPolicy {
-            // STT assumes loads and branches transmit; the fixed version
-            // adds division µops (§VII-B3). It does not stall stores.
-            xmit: TransmitterSet {
-                loads: true,
-                stores: false,
-                branches: true,
-                divs: true,
-            },
-            buggy_squash: false,
-        }
+        SttPolicy { original: false }
     }
 
     /// The original artifact: no division transmitters, pending-squash
     /// bug present — the configuration AMuLeT\* finds 9 violations in.
     pub fn original() -> SttPolicy {
-        SttPolicy {
-            xmit: TransmitterSet {
-                loads: true,
-                stores: false,
-                branches: true,
-                divs: false,
-            },
-            buggy_squash: true,
-        }
+        SttPolicy { original: true }
     }
 }
 
 impl DefensePolicy for SttPolicy {
     fn name(&self) -> String {
-        if self.buggy_squash {
+        if self.original {
             "STT (original)".into()
         } else {
             "STT".into()
@@ -76,11 +58,17 @@ impl DefensePolicy for SttPolicy {
     }
 
     fn transmitters(&self) -> TransmitterSet {
-        self.xmit
+        // STT assumes loads and branches transmit; the fixed version
+        // adds division µops (§VII-B3). It does not stall stores.
+        TransmitterSet {
+            stores: false,
+            divs: !self.original,
+            ..TransmitterSet::paper()
+        }
     }
 
     fn pending_squash_bug(&self) -> bool {
-        self.buggy_squash
+        self.original
     }
 
     fn on_rename(&mut self, u: &mut DynInst, tags: &mut RegTags) {
@@ -96,14 +84,10 @@ impl DefensePolicy for SttPolicy {
     }
 
     fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
-        if u.inst.is_branch() || !self.xmit.is_transmitter(&u.inst) {
-            // Branches execute; their *resolution* is gated.
-            return Gate::Open;
-        }
         // Held until the µop or its youngest sensitive taint root is
         // non-speculative, whichever comes first.
         Gate::lapses_at(
-            u.seq.min(sensitive_max_yrot(u, &self.xmit, tags)),
+            u.seq.min(sensitive_max_yrot(u, tags)),
             fr,
             "tainted-transmitter-delay",
         )
@@ -113,7 +97,7 @@ impl DefensePolicy for SttPolicy {
         // A squash transmits the branch predicate / target: held until
         // the branch or its youngest sensitive taint root is
         // non-speculative, whichever comes first.
-        let root = sensitive_max_yrot(u, &self.xmit, tags);
+        let root = sensitive_max_yrot(u, tags);
         // `ret` transmits its speculatively *loaded* target, which is
         // tainted by the ret's own load (rooted at itself): held until
         // the ret is non-speculative.

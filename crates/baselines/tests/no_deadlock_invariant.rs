@@ -49,7 +49,7 @@ fn worst_case_uop(seq: u64) -> DynInst {
         hist_snapshot: 0,
         rsb_checkpoint: 0,
         src_prot: true,
-        sens_prot: true,
+        sens_mask: 0b1,
         mem_prot: Some(true),
         in_taint: true,
         in_yrot: seq.saturating_sub(1).max(1),

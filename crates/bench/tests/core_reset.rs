@@ -70,7 +70,7 @@ fn corpus_input(seed: u64) -> ArchState {
 }
 
 /// Configs covering the traced tiny core, the shadow memory-protection
-/// ablation (exercises `shadow_unprot` reset), and both realistic cores:
+/// ablation (exercises `shadow_prot` reset), and both realistic cores:
 /// the P-core's 12-way 30 MiB L3 and 10-way 1.25 MiB L2 are the geometry
 /// every Tab. IV/V P-core cell runs on.
 fn configs() -> Vec<(&'static str, CoreConfig, bool)> {

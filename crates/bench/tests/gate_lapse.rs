@@ -13,6 +13,11 @@
 //!   gate stays closed at every point before it and opens exactly at it;
 //! * once the frontier reaches the µop itself, the gate is open.
 //!
+//! Each policy sees the µop as rename hands it over, with its sensitive
+//! sources marked under that policy's transmitter set, and the execute
+//! gate is asked only of non-branch transmitters, as the issue stage
+//! asks it.
+//!
 //! A second property compares every verdict with a reference written
 //! from the paper's per-gate rules (§III-C, §VI-A/B) over the per-µop
 //! bits rename sets, independently of the policy code: which gate a
@@ -55,7 +60,8 @@ fn root(rng: &mut Rng, seq: Seq) -> Seq {
 
 /// A µop of `inst` (static index `idx` of `program`) with sequence
 /// number `seq`, random defense state and sources among the
-/// [`N_PHYS`] registers.
+/// [`N_PHYS`] registers. No source is marked sensitive yet: that
+/// depends on the policy ([`renamed_for`]).
 fn gen_uop(rng: &mut Rng, program: &Program, idx: usize, inst: Inst, seq: Seq) -> DynInst {
     let srcs: InlineVec<(Reg, usize), 3> = inst
         .src_regs()
@@ -90,7 +96,7 @@ fn gen_uop(rng: &mut Rng, program: &Program, idx: usize, inst: Inst, seq: Seq) -
         hist_snapshot: 0,
         rsb_checkpoint: 0,
         src_prot: rng.gen_bool(0.4),
-        sens_prot: rng.gen_bool(0.4),
+        sens_mask: 0,
         mem_prot: inst.is_load().then(|| rng.gen_bool(0.4)),
         in_taint: rng.gen_bool(0.4),
         in_yrot: root(rng, seq),
@@ -155,6 +161,35 @@ fn gen_case(rng: &mut Rng) -> Case {
         tags,
         model,
         points: (0..=2 * seq).collect(),
+    }
+}
+
+/// `u` as rename hands it to `policy`: the sources the policy's
+/// transmitter set makes sensitive are marked in `sens_mask`.
+fn renamed_for(u: &DynInst, policy: &dyn DefensePolicy) -> DynInst {
+    let sensitive = policy.transmitters().sensitive_regs(&u.inst);
+    let mut u = u.clone();
+    u.sens_mask = u
+        .srcs
+        .iter()
+        .enumerate()
+        .filter(|(_, (r, _))| sensitive.contains(*r))
+        .fold(0, |mask, (i, _)| mask | 1 << i);
+    u
+}
+
+/// The execute gate as the issue stage asks it: only of non-branch µops
+/// with a sensitive source. Every other µop executes unasked.
+fn execute_gate(
+    policy: &dyn DefensePolicy,
+    u: &DynInst,
+    tags: &RegTags,
+    fr: &SpecFrontier,
+) -> Gate {
+    if u.sens_mask != 0 && !u.inst.is_branch() {
+        policy.may_execute(u, tags, fr)
+    } else {
+        Gate::Open
     }
 }
 
@@ -239,10 +274,13 @@ fn closed_gates_lapse_exactly_at_their_named_point() {
         .cases(512)
         .run(gen_case, |case| {
             for ((name, policy), seen) in policies.iter().zip(&closed) {
-                let (u, b, tags) = (&case.uop, &case.branch, &case.tags);
+                let policy = policy.as_ref();
+                let u = &renamed_for(&case.uop, policy);
+                let b = &renamed_for(&case.branch, policy);
+                let tags = &case.tags;
                 let counts = [
                     check_gate(name, BlockPoint::Execute, case, u, |fr| {
-                        policy.may_execute(u, tags, fr)
+                        execute_gate(policy, u, tags, fr)
                     }),
                     check_gate(name, BlockPoint::Wakeup, case, u, |fr| {
                         policy.may_wakeup(u, tags, fr)
@@ -370,11 +408,10 @@ fn transmitted(inst: &Inst, x: TransmitterSet) -> RegSet {
 /// frontier point below it, so [`NO_ROOT`] means never closed and
 /// `u.seq` means "until the µop is non-speculative".
 ///
-/// It reads the µop through the bits rename and execute set (`sens_prot`:
-/// a sensitive source is protected; `mem_prot`: a load read protected,
-/// or for SPT private, bytes; `delay_wakeup_nonspec`, `wakeup_hold_root`,
-/// `pred_no_access`) and the register tags, as the paper's hardware
-/// does.
+/// It reads the µop through the bits rename and execute set (`mem_prot`:
+/// a load read protected, or for SPT private, bytes;
+/// `delay_wakeup_nonspec`, `wakeup_hold_root`, `pred_no_access`) and the
+/// register tags, as the paper's hardware does.
 fn paper_lapse(defense: Defense, gate: BlockPoint, u: &DynInst, tags: &RegTags) -> Seq {
     let (mechanism, x) = mechanism(defense);
     let sensitive = transmitted(&u.inst, x);
@@ -394,7 +431,7 @@ fn paper_lapse(defense: Defense, gate: BlockPoint, u: &DynInst, tags: &RegTags) 
     let private = sens_phys().any(|p| tags.taint[p]);
     // ProtISA Definition 1: a transmitter with a protected sensitive
     // operand is an access transmitter.
-    let access_xmit = transmitter && u.sens_prot;
+    let access_xmit = transmitter && sens_phys().any(|p| tags.prot[p]);
     let ret = matches!(u.inst.op, Op::Ret);
     let read_protected = u.mem_prot == Some(true);
     let nonspec = u.seq;
@@ -480,16 +517,21 @@ fn every_policy_follows_the_papers_gate_rules() {
         .run(gen_case, |case| {
             let tags = &case.tags;
             for (defense, policy) in &policies {
+                let policy = policy.as_ref();
+                let (uop, branch) = (
+                    renamed_for(&case.uop, policy),
+                    renamed_for(&case.branch, policy),
+                );
                 for (point, u) in [
-                    (BlockPoint::Execute, &case.uop),
-                    (BlockPoint::Wakeup, &case.uop),
-                    (BlockPoint::Resolve, &case.branch),
+                    (BlockPoint::Execute, &uop),
+                    (BlockPoint::Wakeup, &uop),
+                    (BlockPoint::Resolve, &branch),
                 ] {
                     let lapse = paper_lapse(*defense, point, u, tags);
                     for &p in &case.points {
                         let fr = frontier_at(case.model, p);
                         let gate = match point {
-                            BlockPoint::Execute => policy.may_execute(u, tags, &fr),
+                            BlockPoint::Execute => execute_gate(policy, u, tags, &fr),
                             BlockPoint::Wakeup => policy.may_wakeup(u, tags, &fr),
                             BlockPoint::Resolve => policy.may_resolve(u, tags, &fr),
                         };

@@ -17,9 +17,7 @@
 //! protected register inputs are known at rename; protected *memory*
 //! inputs only at execute, from the L1D/LSQ protection bits.
 
-use crate::support::is_access_transmitter;
-use protean_isa::TransmitterSet;
-use protean_sim::{Cache, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
+use protean_sim::{sensitive_prot, Cache, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 
 /// The ProtDelay policy.
 ///
@@ -39,7 +37,6 @@ use protean_sim::{Cache, DefensePolicy, DynInst, Gate, RegTags, SpecFrontier};
 /// ```
 #[derive(Clone, Debug)]
 pub struct ProtDelayPolicy {
-    xmit: TransmitterSet,
     selective_wakeup: bool,
 }
 
@@ -47,7 +44,6 @@ impl ProtDelayPolicy {
     /// The paper's ProtDelay.
     pub fn new() -> ProtDelayPolicy {
         ProtDelayPolicy {
-            xmit: TransmitterSet::paper(),
             selective_wakeup: true,
         }
     }
@@ -56,7 +52,6 @@ impl ProtDelayPolicy {
     /// §IX-A4 ablation.
     pub fn raw_access_delay() -> ProtDelayPolicy {
         ProtDelayPolicy {
-            xmit: TransmitterSet::paper(),
             selective_wakeup: false,
         }
     }
@@ -75,10 +70,6 @@ impl DefensePolicy for ProtDelayPolicy {
         } else {
             "AccessDelay/ProtISA".into()
         }
-    }
-
-    fn transmitters(&self) -> TransmitterSet {
-        self.xmit
     }
 
     fn uses_protisa(&self) -> bool {
@@ -104,10 +95,10 @@ impl DefensePolicy for ProtDelayPolicy {
     }
 
     fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
-        if u.inst.is_branch() || !is_access_transmitter(u, &self.xmit, tags) {
+        // Access transmitters may not transmit speculatively.
+        if !sensitive_prot(u, tags) {
             return Gate::Open;
         }
-        // Access transmitters may not transmit speculatively.
         Gate::lapses_at(u.seq, fr, "access-transmitter-delay")
     }
 
@@ -126,7 +117,7 @@ impl DefensePolicy for ProtDelayPolicy {
     fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
         // A branch whose predicate/target is protected is an access
         // transmitter: its squash signal may not fire speculatively.
-        if is_access_transmitter(u, &self.xmit, tags) {
+        if sensitive_prot(u, tags) {
             return Gate::lapses_at(u.seq, fr, "protected-branch-resolve");
         }
         // `ret` transmits its loaded target: protected bytes must not

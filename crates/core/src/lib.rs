@@ -49,10 +49,8 @@
 pub mod area;
 mod delay;
 mod predictor;
-mod support;
 mod track;
 
 pub use delay::ProtDelayPolicy;
 pub use predictor::AccessPredictor;
-pub use support::is_access_transmitter;
 pub use track::ProtTrackPolicy;

@@ -21,11 +21,9 @@
 //!     the store's data becomes untainted (not until commit).
 
 use crate::predictor::AccessPredictor;
-use crate::support::is_access_transmitter;
-use protean_isa::TransmitterSet;
 use protean_sim::{
-    sensitive_max_yrot, sensitive_root_tainted, Cache, DefensePolicy, DynInst, Gate, RegTags,
-    SpecFrontier, NO_ROOT,
+    sensitive_max_yrot, sensitive_prot, sensitive_root_tainted, Cache, DefensePolicy, DynInst,
+    Gate, RegTags, SpecFrontier, NO_ROOT,
 };
 
 /// The ProtTrack policy.
@@ -42,7 +40,6 @@ use protean_sim::{
 /// ```
 #[derive(Clone, Debug)]
 pub struct ProtTrackPolicy {
-    xmit: TransmitterSet,
     predictor: Option<AccessPredictor>,
 }
 
@@ -55,7 +52,6 @@ impl ProtTrackPolicy {
     /// ProtTrack with a custom predictor size (the Fig. 5 sweep).
     pub fn with_predictor_entries(entries: usize) -> ProtTrackPolicy {
         ProtTrackPolicy {
-            xmit: TransmitterSet::paper(),
             predictor: Some(AccessPredictor::new(entries)),
         }
     }
@@ -63,7 +59,6 @@ impl ProtTrackPolicy {
     /// ProtTrack with an unbounded predictor (the Fig. 5 asymptote).
     pub fn unbounded_predictor() -> ProtTrackPolicy {
         ProtTrackPolicy {
-            xmit: TransmitterSet::paper(),
             predictor: Some(AccessPredictor::unbounded()),
         }
     }
@@ -71,10 +66,7 @@ impl ProtTrackPolicy {
     /// Raw AccessTrack under ProtISA (predictor disabled: every load
     /// taints) — the §IX-A4 ablation.
     pub fn raw_access_track() -> ProtTrackPolicy {
-        ProtTrackPolicy {
-            xmit: TransmitterSet::paper(),
-            predictor: None,
-        }
+        ProtTrackPolicy { predictor: None }
     }
 }
 
@@ -91,10 +83,6 @@ impl DefensePolicy for ProtTrackPolicy {
         } else {
             "AccessTrack/ProtISA".into()
         }
-    }
-
-    fn transmitters(&self) -> TransmitterSet {
-        self.xmit
     }
 
     fn uses_protisa(&self) -> bool {
@@ -148,23 +136,20 @@ impl DefensePolicy for ProtTrackPolicy {
     }
 
     fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> Gate {
-        if u.inst.is_branch() || !self.xmit.is_transmitter(&u.inst) {
-            return Gate::Open;
-        }
         // A protected sensitive operand (access transmitter) stalls until
         // the µop is non-speculative; a tainted one (AccessTrack) until
         // the µop or its youngest root is, whichever comes first.
-        let until = if is_access_transmitter(u, &self.xmit, tags) {
+        let until = if sensitive_prot(u, tags) {
             u.seq
         } else {
-            u.seq.min(sensitive_max_yrot(u, &self.xmit, tags))
+            u.seq.min(sensitive_max_yrot(u, tags))
         };
         if until <= fr.point() {
             return Gate::Open;
         }
         // The rule names the taint whenever a sensitive root is still
         // speculative, even when the access-transmitter test set `until`.
-        let rule = if sensitive_root_tainted(u, &self.xmit, tags, fr) {
+        let rule = if sensitive_root_tainted(u, tags, fr) {
             "tainted-transmitter-delay"
         } else {
             "access-transmitter-delay"
@@ -192,8 +177,8 @@ impl DefensePolicy for ProtTrackPolicy {
         // Each rule holds the squash until the frontier passes a point:
         // a tainted predicate/target until its youngest sensitive root,
         // a protected one (access transmitter) until the branch itself.
-        let root = sensitive_max_yrot(u, &self.xmit, tags);
-        let protected = if is_access_transmitter(u, &self.xmit, tags) {
+        let root = sensitive_max_yrot(u, tags);
+        let protected = if sensitive_prot(u, tags) {
             u.seq
         } else {
             NO_ROOT

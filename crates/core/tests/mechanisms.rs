@@ -198,7 +198,7 @@ fn protean_policies_never_block_at_the_head() {
         hist_snapshot: 0,
         rsb_checkpoint: 0,
         src_prot: true,
-        sens_prot: true,
+        sens_mask: 0b1,
         mem_prot: Some(true),
         in_taint: true,
         in_yrot: seq - 1,

@@ -4,8 +4,8 @@
 //! baseline, NDA/SpecShield's AccessDelay, STT's AccessTrack, SPT,
 //! SPT-SB's XmitDelay, and Protean's ProtDelay/ProtTrack — is a
 //! [`DefensePolicy`]: a set of hooks the out-of-order pipeline calls at
-//! rename, issue, wakeup, branch resolution, load data return, commit,
-//! and squash. One pipeline implementation serves all defense
+//! rename, issue, wakeup, branch resolution, load data return and
+//! commit. One pipeline implementation serves all defense
 //! configurations, exactly as one gem5 tree hosted all of them in the
 //! paper (§VII-B3).
 
@@ -243,6 +243,12 @@ pub enum SquashKind {
 /// frontier point where a denial lapses, so a new rule is one function
 /// per gate it holds.
 ///
+/// Which µops transmit is the pipeline's fact, not the policy's: rename
+/// marks each µop's sensitive sources under
+/// [`DefensePolicy::transmitters`] ([`DynInst::sens_mask`]), the issue
+/// stage asks `may_execute` only of transmitters, and the `sensitive_*`
+/// helpers read that mask. A gate body holds only the policy's own rule.
+///
 /// The default implementations are the **unsafe baseline**: never block
 /// anything, track nothing.
 pub trait DefensePolicy {
@@ -252,7 +258,8 @@ pub trait DefensePolicy {
     /// The transmitter kinds this defense assumes (paper §II-B1). The
     /// final, fixed versions of all defenses treat division µops as
     /// transmitters; the pre-fix versions (`TransmitterSet::legacy`) are
-    /// kept for the §VII-B4b reproduction.
+    /// kept for the §VII-B4b reproduction. The pipeline reads it once
+    /// per run, at reset, to mark every µop's sensitive sources.
     fn transmitters(&self) -> TransmitterSet {
         TransmitterSet::paper()
     }
@@ -286,7 +293,11 @@ pub trait DefensePolicy {
         propagate_tags(u, tags);
     }
 
-    /// May this ready µop begin execution this cycle? A
+    /// May this ready transmitter begin execution this cycle? The
+    /// pipeline asks only of non-branch µops with a sensitive source
+    /// under [`DefensePolicy::transmitters`] (a non-zero
+    /// [`DynInst::sens_mask`]); every other µop executes unasked, and
+    /// branches transmit at [`DefensePolicy::may_resolve`]. A
     /// [`Gate::Closed`] verdict delays transmission (XmitDelay-style)
     /// until the frontier point reaches its `until`; the pipeline parks
     /// the µop and asks again only then (or after a
@@ -323,9 +334,6 @@ pub trait DefensePolicy {
     /// marks transmitted bytes public here).
     fn on_commit(&mut self, _u: &DynInst, _tags: &mut RegTags, _l1d: &mut Cache) {}
 
-    /// Everything younger than `surviving_seq` was squashed.
-    fn on_squash(&mut self, _surviving_seq: Seq) {}
-
     /// Policy-specific statistics (name, value).
     fn stats(&self) -> Vec<(String, f64)> {
         Vec::new()
@@ -350,46 +358,46 @@ pub fn propagate_tags(u: &mut DynInst, tags: &mut RegTags) {
     }
 }
 
-/// Physical registers of `u`'s *sensitive* operands under transmitter set
-/// `t` (the registers whose values the µop transmits). Allocation-free:
-/// a µop has at most a handful of sources, so the result is inline.
-pub fn sensitive_phys(u: &DynInst, t: &TransmitterSet) -> protean_isa::InlineVec<usize, 4> {
-    let sens = t.sensitive_regs(&u.inst);
+/// Physical registers of `u`'s *sensitive* operands: the sources that
+/// [`DynInst::sens_mask`] marks, i.e. the registers whose values the µop
+/// transmits under the policy's transmitter set. Empty for a
+/// non-transmitter.
+pub fn sensitive_phys(u: &DynInst) -> impl Iterator<Item = usize> + '_ {
     u.srcs
         .iter()
-        .filter(|(r, _)| sens.contains(*r))
-        .map(|(_, p)| *p)
-        .collect()
+        .enumerate()
+        .filter(|&(i, _)| u.sens_mask >> i & 1 != 0)
+        .map(|(_, &(_, p))| p)
 }
 
-/// The youngest taint root among `u`'s sensitive operands under
-/// transmitter set `t` ([`NO_ROOT`] if none is rooted): the frontier
-/// point at which all of them are untainted.
-pub fn sensitive_max_yrot(u: &DynInst, t: &TransmitterSet, tags: &RegTags) -> Seq {
-    sensitive_phys(u, t)
-        .iter()
-        .map(|&p| tags.yrot[p])
+/// Whether a sensitive operand of `u` is protected (ProtISA Definition
+/// 1: `u` is an *access transmitter*). A physical register's prot tag is
+/// written when it is allocated and not again while a reader is in
+/// flight, so this is the rename-time fact.
+pub fn sensitive_prot(u: &DynInst, tags: &RegTags) -> bool {
+    sensitive_phys(u).any(|p| tags.prot[p])
+}
+
+/// The youngest taint root among `u`'s sensitive operands ([`NO_ROOT`]
+/// if none is rooted): the frontier point at which all of them are
+/// untainted.
+pub fn sensitive_max_yrot(u: &DynInst, tags: &RegTags) -> Seq {
+    sensitive_phys(u)
+        .map(|p| tags.yrot[p])
         .max()
         .unwrap_or(NO_ROOT)
 }
 
 /// Whether any sensitive operand of `u` is tainted under STT-style
 /// root-based taint.
-pub fn sensitive_root_tainted(
-    u: &DynInst,
-    t: &TransmitterSet,
-    tags: &RegTags,
-    fr: &SpecFrontier,
-) -> bool {
-    sensitive_phys(u, t)
-        .iter()
-        .any(|&p| fr.root_speculative(tags.yrot[p]))
+pub fn sensitive_root_tainted(u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
+    sensitive_phys(u).any(|p| fr.root_speculative(tags.yrot[p]))
 }
 
 /// Whether any sensitive operand of `u` is tainted under SPT-style value
 /// taint.
-pub fn sensitive_value_tainted(u: &DynInst, t: &TransmitterSet, tags: &RegTags) -> bool {
-    sensitive_phys(u, t).iter().any(|&p| tags.taint[p])
+pub fn sensitive_value_tainted(u: &DynInst, tags: &RegTags) -> bool {
+    sensitive_phys(u).any(|p| tags.taint[p])
 }
 
 /// The unsafe baseline: the unmodified out-of-order core.

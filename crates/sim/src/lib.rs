@@ -54,7 +54,7 @@ pub use bpred::{Btb, Rsb, TagePredictor, HIST_LENGTHS};
 pub use cache::{AccessResult, Cache};
 pub use config::{CacheConfig, CoreConfig, MemProtTracking, SpeculationModel};
 pub use defense::{
-    propagate_tags, sensitive_max_yrot, sensitive_phys, sensitive_root_tainted,
+    propagate_tags, sensitive_max_yrot, sensitive_phys, sensitive_prot, sensitive_root_tainted,
     sensitive_value_tainted, BlockPoint, DefensePolicy, Gate, RegTags, Seq, SpecFrontier,
     SquashKind, UnsafePolicy, NO_ROOT,
 };

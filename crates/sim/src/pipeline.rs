@@ -131,9 +131,11 @@ pub struct DynInst {
     // ---- Defense-generic state --------------------------------------
     /// Any input register protected at rename (ProtISA Def. 1 reg part).
     pub src_prot: bool,
-    /// Any *sensitive* input register protected at rename (access
-    /// transmitter, under the policy's transmitter set).
-    pub sens_prot: bool,
+    /// Which renamed sources are *sensitive* (transmitted) under the
+    /// policy's transmitter set: bit `i` marks `srcs[i]`. Set at rename;
+    /// non-zero exactly for transmitters. The `sensitive_*` helpers
+    /// ([`crate::sensitive_phys`] and the rest) read it.
+    pub sens_mask: u8,
     /// Load: read protected memory (set at execute; ProtISA Def. 1
     /// memory part).
     pub mem_prot: Option<bool>,
@@ -223,7 +225,7 @@ impl DynInst {
             hist_snapshot: 0,
             rsb_checkpoint: 0,
             src_prot: false,
-            sens_prot: false,
+            sens_mask: 0,
             mem_prot: None,
             in_taint: false,
             in_yrot: NO_ROOT,
@@ -311,7 +313,8 @@ pub struct Core<'a> {
     decoded: DecodedProgram,
     /// Per-static-instruction sensitive-register sets under the active
     /// policy's transmitter set, precomputed at reset alongside the
-    /// decoded table.
+    /// decoded table; rename turns each into the µop's
+    /// [`DynInst::sens_mask`].
     sens_table: Vec<RegSet>,
     /// Static index whose L1I miss has already been booked and filled:
     /// the post-stall re-fetch must not access the cache again (it would
@@ -1214,7 +1217,13 @@ impl<'a> Core<'a> {
                 _ => {}
             }
         });
-        self.fetch_idx = actual_next;
+        self.redirect_fetch(actual_next);
+    }
+
+    /// Points the front end at `next` after a squash: the fetch queue
+    /// empties, and fetch restarts after the redirect penalty.
+    fn redirect_fetch(&mut self, next: Option<u32>) {
+        self.fetch_idx = next;
         self.fetch_queue.clear();
         self.l1i_paid = None;
         self.fetch_stalled_until = self.cycle + self.cfg.redirect_penalty as u64;
@@ -1247,7 +1256,6 @@ impl<'a> Core<'a> {
             oldest = Some(slot);
         }
         self.invalidate_frontier();
-        self.policy.on_squash(surviving);
         oldest
     }
 
@@ -1269,10 +1277,7 @@ impl<'a> Core<'a> {
                 c.rsb.restore(r);
             });
         }
-        self.fetch_idx = refetch;
-        self.fetch_queue.clear();
-        self.l1i_paid = None;
-        self.fetch_stalled_until = self.cycle + self.cfg.redirect_penalty as u64;
+        self.redirect_fetch(refetch);
         self.sched.mark_progress();
         match kind {
             SquashKind::MemOrder => self.stats.memorder_squashes += 1,
@@ -1559,21 +1564,24 @@ impl<'a> Core<'a> {
             if is_div && self.div_busy_until > self.cycle {
                 continue;
             }
-            // Defense gate.
-            self.profile.gate_eval(BlockPoint::Execute);
-            if let Gate::Closed { until, rule } =
-                self.policy.may_execute(&self.rob[slot], &self.tags, &fr)
-            {
-                let class = if is_mem {
-                    SetId::ExecParkedMem
-                } else if is_div {
-                    SetId::ExecParkedDiv
-                } else {
-                    SetId::ExecParkedAlu
-                };
-                self.park(BlockPoint::Execute, class, slot, until, rule);
-                parked = true;
-                continue;
+            // Defense gate, asked only of transmitters: a branch
+            // transmits when it resolves, and a µop without a sensitive
+            // source transmits nothing.
+            let u = &self.rob[slot];
+            if u.sens_mask != 0 && !u.inst.is_branch() {
+                self.profile.gate_eval(BlockPoint::Execute);
+                if let Gate::Closed { until, rule } = self.policy.may_execute(u, &self.tags, &fr) {
+                    let class = if is_mem {
+                        SetId::ExecParkedMem
+                    } else if is_div {
+                        SetId::ExecParkedDiv
+                    } else {
+                        SetId::ExecParkedAlu
+                    };
+                    self.park(BlockPoint::Execute, class, slot, until, rule);
+                    parked = true;
+                    continue;
+                }
             }
             // Execute (false = blocked, e.g. a partial store overlap).
             let executed = self.with_comp(Section::Execute, |c| {
@@ -1773,13 +1781,9 @@ impl<'a> Core<'a> {
                 let rsp = self.src_val(u, Reg::RSP).wrapping_sub(8);
                 let ok = self.execute_store(slot, rsp, 8, cycle, pending_violation);
                 if ok {
-                    let u = &mut self.rob[slot];
-                    u.dsts[0].value = rsp;
+                    self.rob[slot].dsts[0].value = rsp;
                     // A call's target is static: never mispredicted.
-                    u.actual_next = Some(u.pred_next);
-                    u.resolved = true;
-                    self.sched.remove(SetId::UnresolvedBranches, slot);
-                    self.invalidate_frontier();
+                    self.record_branch_outcome(slot, self.rob[slot].pred_next);
                 }
                 return ok;
             }
@@ -1805,28 +1809,29 @@ impl<'a> Core<'a> {
         for (d, v) in u.dsts.iter_mut().zip(dst_values.iter().copied()) {
             d.value = v;
         }
-        let mut newly_resolved = false;
-        let mut newly_mispredicted = false;
         if let Some(an) = actual_next {
             u.actual_taken = actual_taken;
-            u.actual_next = Some(an);
-            u.mispredicted = an != u.pred_next;
-            if !u.mispredicted {
-                u.resolved = true;
-                newly_resolved = true;
-            } else {
-                newly_mispredicted = true;
-            }
+            self.record_branch_outcome(slot, an);
         }
         self.sched.schedule_completion(cycle + latency as u64, slot);
-        if newly_resolved {
+        true
+    }
+
+    /// Records an executed branch's actual next index against its
+    /// prediction. A correct prediction resolves the branch now, which
+    /// can move the frontier; a misprediction waits in the resolve stage
+    /// for its squash.
+    fn record_branch_outcome(&mut self, slot: Slot, actual_next: Option<u32>) {
+        let u = &mut self.rob[slot];
+        u.actual_next = Some(actual_next);
+        u.mispredicted = actual_next != u.pred_next;
+        if u.mispredicted {
+            self.sched.insert(SetId::ResolvePending, slot);
+        } else {
+            u.resolved = true;
             self.sched.remove(SetId::UnresolvedBranches, slot);
             self.invalidate_frontier();
         }
-        if newly_mispredicted {
-            self.sched.insert(SetId::ResolvePending, slot);
-        }
-        true
     }
 
     /// Executes a load: store-queue search, forwarding, cache access.
@@ -1904,8 +1909,6 @@ impl<'a> Core<'a> {
             u.mem_prot = Some(mem_prot);
         }
         // Destination values: Load writes dst; Ret writes RSP.
-        let mut newly_resolved = false;
-        let mut newly_mispredicted = false;
         match u.inst.op {
             Op::Load { .. } => {
                 u.dsts[0].value = value; // zero-extended
@@ -1914,25 +1917,11 @@ impl<'a> Core<'a> {
                 u.dsts[0].value = addr.wrapping_add(8);
                 // Resolve the indirect target against the prediction.
                 let target = self.program.index_of_pc(value);
-                u.actual_next = Some(target);
-                u.mispredicted = target != u.pred_next;
-                if !u.mispredicted {
-                    u.resolved = true;
-                    newly_resolved = true;
-                } else {
-                    newly_mispredicted = true;
-                }
+                self.record_branch_outcome(slot, target);
             }
             _ => unreachable!("execute_load on non-load"),
         }
         self.sched.schedule_completion(cycle + latency as u64, slot);
-        if newly_resolved {
-            self.sched.remove(SetId::UnresolvedBranches, slot);
-            self.invalidate_frontier();
-        }
-        if newly_mispredicted {
-            self.sched.insert(SetId::ResolvePending, slot);
-        }
         // Policy hook (access predictor resolution, taint from memory).
         self.policy
             .on_load_data(&mut self.rob[slot], &mut self.tags, &self.l1d);
@@ -2046,7 +2035,7 @@ impl<'a> Core<'a> {
                 hist_snapshot,
                 rsb_checkpoint,
                 src_prot,
-                sens_prot,
+                sens_mask,
                 mem_prot,
                 in_taint,
                 in_yrot,
@@ -2093,9 +2082,11 @@ impl<'a> Core<'a> {
             }
             *src_prot = srcs.iter().any(|(_, p)| self.tags.prot[*p]);
             let sens_arch = self.sens_table[front.idx as usize];
-            *sens_prot = srcs
+            *sens_mask = srcs
                 .iter()
-                .any(|(r, p)| sens_arch.contains(*r) && self.tags.prot[*p]);
+                .enumerate()
+                .filter(|(_, (r, _))| sens_arch.contains(*r))
+                .fold(0, |m, (i, _)| m | 1 << i);
 
             // Destinations: allocate and update maps.
             let width = d.write_width;

@@ -1,9 +1,9 @@
 //! Always-on wall-time section profiler for the pipeline's phases.
 //!
-//! Each [`crate::pipeline::Core`] owns a [`Profiler`] with one *active
+//! Each [`crate::pipeline::Core`] owns a `Profiler` with one *active
 //! section*. The tick enters a section at every stage boundary, and
 //! execution and the component models run inside an
-//! enter/[`Profiler::resume`] pair. Each switch charges the time since
+//! enter/`Profiler::resume` pair. Each switch charges the time since
 //! the previous one to the section being left, so nested sections
 //! partition the tick by construction. Calls are counted on every tick
 //! (exact, deterministic); `Instant` is read only on a deterministic

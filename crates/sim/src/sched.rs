@@ -70,10 +70,11 @@
 //!
 //! The completion wheel is a **calendar queue**: a power-of-two ring of
 //! per-cycle buckets sized past the maximum in-tree completion latency
-//! (a DRAM-missing load, the worst-case divider, the multiplier), plus a
-//! small sorted overflow list as a safety net for events beyond the
-//! horizon. Bucket `Vec`s are pooled (cleared, never dropped), so the
-//! steady state allocates nothing. A one-bit-per-bucket occupancy
+//! (a DRAM-missing load, the worst-case divider, the multiplier), so
+//! every deadline lies within one ring of the last drained cycle and no
+//! two outstanding deadlines share a bucket; scheduling past that
+//! horizon panics. Bucket `Vec`s are pooled (cleared, never dropped), so
+//! the steady state allocates nothing. A one-bit-per-bucket occupancy
 //! bitmap finds the next deadline after a drain by a cyclic
 //! trailing-zeros search. Each event carries its slot and a
 //! **per-slot generation stamp** (bumped at dispatch), so a stale event
@@ -397,15 +398,11 @@ pub(crate) struct Scheduler {
     /// deadline after a drain is a cyclic trailing-zeros search, not a
     /// walk over up to a ring's worth of buckets.
     occupied: Vec<u64>,
-    /// Events beyond the ring horizon (or colliding with an occupied
-    /// bucket of a different deadline): kept sorted by deadline,
-    /// descending, so the nearest pops from the back. A safety net —
-    /// empty whenever every scheduled latency fits the ring, which the
-    /// ring sizing guarantees for all in-tree latencies.
-    overflow: Vec<(u64, WheelEvent)>,
+    /// The cycle of the last drain ([`Scheduler::pop_completions`]):
+    /// every outstanding deadline lies in `(drained, drained + ring)`.
+    drained: u64,
     /// Cached minimum deadline across the buckets (`u64::MAX` when none)
-    /// and the bucketed-event count. The overall wheel minimum is
-    /// `min(bucket_min, overflow.last())` — O(1) for the idle-cycle
+    /// and the bucketed-event count — O(1) for the idle-cycle
     /// fast-forward query asked on every no-progress tick.
     bucket_min: u64,
     bucket_events: u64,
@@ -454,7 +451,7 @@ impl Scheduler {
             buckets: (0..wsize).map(|_| Vec::new()).collect(),
             stamp: vec![0; wsize],
             occupied: vec![0; wsize.div_ceil(64)],
-            overflow: Vec::new(),
+            drained: 0,
             bucket_min: u64::MAX,
             bucket_events: 0,
             iq_hwm: 0,
@@ -483,7 +480,7 @@ impl Scheduler {
             b.clear();
         }
         self.occupied.fill(0);
-        self.overflow.clear();
+        self.drained = 0;
         self.bucket_min = u64::MAX;
         self.bucket_events = 0;
         self.iq_hwm = 0;
@@ -801,8 +798,20 @@ impl Scheduler {
     // ---- completion wheel -------------------------------------------
 
     /// Schedules the µop in `slot` to complete at `done`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `done` is not within one ring of the last drained
+    /// cycle: the ring is sized from the largest completion latency the
+    /// core can schedule, so such a deadline is a sizing bug.
     #[inline]
     pub fn schedule_completion(&mut self, done: u64, slot: Slot) {
+        assert!(
+            done > self.drained && done - self.drained <= self.wmask,
+            "completion at cycle {done} beyond the wheel horizon (drained to {}, ring {})",
+            self.drained,
+            self.wmask + 1
+        );
         let ev = WheelEvent {
             slot: slot as u32,
             gen: self.slot_gen[slot],
@@ -815,13 +824,8 @@ impl Scheduler {
         if self.buckets[b].is_empty() {
             self.stamp[b] = done;
             self.occupied[b / 64] |= 1 << (b % 64);
-        } else if self.stamp[b] != done {
-            // Beyond the ring horizon: sorted overflow (descending, so
-            // the nearest deadline pops from the back).
-            let pos = self.overflow.partition_point(|(d, _)| *d > done);
-            self.overflow.insert(pos, (done, ev));
-            return;
         }
+        debug_assert_eq!(self.stamp[b], done, "two deadlines in one bucket");
         self.buckets[b].push(ev);
         self.bucket_events += 1;
         if done < self.bucket_min {
@@ -849,6 +853,7 @@ impl Scheduler {
     pub fn pop_completions(&mut self, cycle: u64, out: &mut Vec<Slot>) {
         out.clear();
         debug_assert_eq!(self.bucket_min, self.recomputed_bucket_min(), "stale cache");
+        self.drained = cycle;
         let mut drained = 0u64;
         if self.bucket_min <= cycle {
             // Deadlines at or before `cycle`: every such bucket has its
@@ -893,16 +898,6 @@ impl Scheduler {
                 min
             };
         }
-        while let Some(&(done, ev)) = self.overflow.last() {
-            if done > cycle {
-                break;
-            }
-            self.overflow.pop();
-            drained += 1;
-            if self.event_live(ev) {
-                out.push(ev.slot as usize);
-            }
-        }
         // A bucket holds events in scheduling order, and a fast-forward
         // landing drains several deadlines at once; keep age order so
         // processing matches the old ROB scan.
@@ -922,11 +917,7 @@ impl Scheduler {
     #[inline]
     pub fn next_completion_cycle(&self) -> Option<u64> {
         debug_assert_eq!(self.bucket_min, self.recomputed_bucket_min(), "stale cache");
-        let min = match self.overflow.last() {
-            Some(&(done, _)) => self.bucket_min.min(done),
-            None => self.bucket_min,
-        };
-        (min != u64::MAX).then_some(min)
+        (self.bucket_min != u64::MAX).then_some(self.bucket_min)
     }
 
     /// The first occupied bucket at or cyclically after bucket `from`.
@@ -1298,10 +1289,10 @@ mod tests {
         let [a, b, c] = [0; 3].map(|_| s.on_dispatch());
         s.schedule_completion(100, a);
         s.schedule_completion(250, b); // last word
-        s.schedule_completion(300, c); // bucket 44, past the wrap
         let mut out = Vec::new();
         s.pop_completions(100, &mut out);
         assert_eq!(out, vec![a]);
+        s.schedule_completion(300, c); // bucket 44, past the wrap
         assert_eq!(s.next_completion_cycle(), Some(250));
         s.pop_completions(250, &mut out);
         assert_eq!(out, vec![b]);
@@ -1435,17 +1426,17 @@ mod tests {
         let mut r = Ring::new();
         r.dispatch(1);
         let two = r.dispatch(2);
-        r.s.schedule_completion(50, two);
+        r.s.schedule_completion(20, two);
         r.squash(2);
         // The stale event stays in the wheel and keeps feeding the
         // cached minimum (fast-forward jump-target parity)...
-        assert_eq!(r.s.next_completion_cycle(), Some(50));
+        assert_eq!(r.s.next_completion_cycle(), Some(20));
         // ...and the reused slot's new occupant shares its bucket.
         let three = r.dispatch(3);
         assert_eq!(three, two);
-        r.s.schedule_completion(50, three);
+        r.s.schedule_completion(20, three);
         let mut out = Vec::new();
-        r.s.pop_completions(50, &mut out);
+        r.s.pop_completions(20, &mut out);
         assert_eq!(
             r.seqs(&out),
             vec![3],
@@ -1454,30 +1445,44 @@ mod tests {
         assert_eq!(r.s.next_completion_cycle(), None);
         // Stale event whose slot was *not* reused: window check.
         let four = r.dispatch(4);
-        r.s.schedule_completion(60, four);
+        r.s.schedule_completion(40, four);
         r.squash(4);
         out.clear();
-        r.s.pop_completions(60, &mut out);
+        r.s.pop_completions(40, &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
-    fn wheel_overflow_beyond_horizon() {
-        // max_latency 30 → 32-bucket ring: deadlines 32 cycles apart
-        // collide and the younger goes to the sorted overflow list.
+    fn wheel_deadlines_reach_one_ring_past_the_last_drain() {
+        // max_latency 30 → 32-bucket ring: from a drain at cycle 5, the
+        // deadlines 6..=36 fit, the farthest in the bucket just behind
+        // the drained one.
         let mut r = Ring::new();
-        let one = r.dispatch(1);
-        let two = r.dispatch(2);
-        r.s.schedule_completion(5, one);
-        r.s.schedule_completion(5 + 32, two);
-        assert_eq!(r.s.next_completion_cycle(), Some(5));
         let mut out = Vec::new();
         r.s.pop_completions(5, &mut out);
+        let one = r.dispatch(1);
+        let two = r.dispatch(2);
+        r.s.schedule_completion(5 + 31, two);
+        r.s.schedule_completion(6, one);
+        assert_eq!(r.s.next_completion_cycle(), Some(6));
+        r.s.pop_completions(6, &mut out);
         assert_eq!(r.seqs(&out), vec![1]);
-        assert_eq!(r.s.next_completion_cycle(), Some(37));
-        r.s.pop_completions(37, &mut out);
+        assert_eq!(r.s.next_completion_cycle(), Some(36));
+        r.s.pop_completions(36, &mut out);
         assert_eq!(r.seqs(&out), vec![2]);
         assert_eq!(r.s.next_completion_cycle(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the wheel horizon")]
+    fn wheel_overflow_beyond_horizon() {
+        // One ring past the drained cycle would share the drained
+        // cycle's bucket.
+        let mut r = Ring::new();
+        let mut out = Vec::new();
+        r.s.pop_completions(5, &mut out);
+        let one = r.dispatch(1);
+        r.s.schedule_completion(5 + 32, one);
     }
 
     #[test]

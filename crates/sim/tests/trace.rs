@@ -65,8 +65,9 @@ impl DefensePolicy for BlockyPolicy {
         "blocky".into()
     }
 
+    /// Asked of transmitters only (no branch, no `ret`): holds loads.
     fn may_execute(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> Gate {
-        if u.inst.is_branch() || !u.is_load() {
+        if !u.is_load() {
             return Gate::Open;
         }
         Gate::lapses_at(u.seq, fr, "test-exec-rule")

@@ -78,8 +78,8 @@ impl Checker {
     pub fn new(name: &'static str) -> Checker {
         Checker {
             name,
-            cases: env_u64("PROTEAN_CHECK_CASES").map_or(DEFAULT_CASES, |n| n as u32),
-            seed: env_u64("PROTEAN_CHECK_SEED").unwrap_or(DEFAULT_SEED),
+            cases: env_num("PROTEAN_CHECK_CASES").unwrap_or(DEFAULT_CASES),
+            seed: env_num("PROTEAN_CHECK_SEED").unwrap_or(DEFAULT_SEED),
             regressions: Vec::new(),
         }
     }
@@ -123,7 +123,7 @@ impl Checker {
     }
 
     fn run_inner<T: Debug>(&self, gen: &impl Fn(&mut Rng) -> T, prop: impl Fn(&T, &mut Rng)) {
-        if let Some(seed) = env_u64("PROTEAN_CHECK_REPLAY") {
+        if let Some(seed) = env_num("PROTEAN_CHECK_REPLAY") {
             self.run_case(seed, gen, &prop, CaseKind::Replay);
             return;
         }
@@ -179,15 +179,29 @@ impl std::fmt::Display for CaseKind {
     }
 }
 
-fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
+/// The value of environment variable `var`, if set (see [`parse_num`]).
+fn env_num<T: TryFrom<u64>>(var: &str) -> Option<T> {
+    std::env::var(var).ok().map(|raw| parse_num(var, &raw))
+}
+
+/// Parses `raw`, the value of `var`, as a decimal or `0x` hex number
+/// that fits `T`.
+///
+/// # Panics
+///
+/// Panics, naming `var`, if `raw` is not a number or does not fit `T`
+/// (a case count above `u32::MAX` is refused, not truncated).
+fn parse_num<T: TryFrom<u64>>(var: &str, raw: &str) -> T {
     let raw = raw.trim();
     let parsed = if let Some(hex) = raw.strip_prefix("0x") {
         u64::from_str_radix(hex, 16)
     } else {
         raw.parse()
     };
-    Some(parsed.unwrap_or_else(|_| panic!("{var}={raw} is not a u64")))
+    parsed
+        .ok()
+        .and_then(|n| T::try_from(n).ok())
+        .unwrap_or_else(|| panic!("{var}={raw} is not a {}", std::any::type_name::<T>()))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -245,6 +259,22 @@ mod tests {
             .map(|s| Rng::seed_from_u64(*s).gen::<u64>())
             .collect();
         assert_eq!(*seen.borrow(), direct);
+    }
+
+    #[test]
+    fn env_numbers_parse_or_are_refused() {
+        assert_eq!(parse_num::<u32>("N", " 17 "), 17);
+        assert_eq!(parse_num::<u32>("N", "0xff"), 255);
+        assert_eq!(parse_num::<u32>("N", "4294967295"), u32::MAX);
+        assert_eq!(parse_num::<u64>("N", "4294967297"), 4_294_967_297);
+        let refused = |raw: &'static str| {
+            let msg = panic_message(&*catch_unwind(|| parse_num::<u32>("N", raw)).unwrap_err());
+            assert_eq!(msg, format!("N={raw} is not a u32"));
+        };
+        // 2^32 + 1 would truncate to one case.
+        refused("4294967297");
+        refused("0x100000000");
+        refused("many");
     }
 
     #[test]
