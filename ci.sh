@@ -40,6 +40,17 @@ RUSTDOCFLAGS="-Dwarnings" cargo doc --workspace --no-deps --offline
 step "cargo build --release --offline --workspace --all-targets"
 cargo build --release --offline --workspace --all-targets
 
+step "examples (release, each must exit 0)"
+# The examples assert what they show (annotations remove PROT prefixes,
+# the nginx and traced runs halt); only running them makes those asserts
+# checks. Their scratch files go to a temp dir.
+EXAMPLES_TMP="$(mktemp -d)"
+trap 'rm -rf "$EXAMPLES_TMP"' EXIT
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    TMPDIR="$EXAMPLES_TMP" "./target/release/examples/$name" >/dev/null
+done
+
 step "cargo test -q --release --offline --workspace (PROTEAN_JOBS=1, serial job pool)"
 PROTEAN_JOBS=1 cargo test -q --release --offline --workspace
 
@@ -51,11 +62,13 @@ step "cargo test -q --release --offline --workspace (PROTEAN_JOBS unset, all cor
 env -u PROTEAN_JOBS cargo test -q --release --offline --workspace
 
 step "cargo test -q --offline --workspace (debug profile)"
-# Debug-profile pass: overflow checks and debug assertions are on here
-# and off in release, so arithmetic-edge bugs (e.g. u64 wrap in the
-# cache metadata folds) only surface in this configuration. The release
-# and debug passes both run the equivalence suites (golden_scheduler,
-# threaded_oracle_equiv, cache_flat_equiv, core_reset, tage_fold_equiv).
+# Debug-profile pass (opt-level 1, see Cargo.toml): overflow checks and
+# debug assertions are on here and off in release, so arithmetic-edge
+# bugs (e.g. u64 wrap in the cache metadata folds, or a u64 instruction
+# budget doubled past its range) only surface in this configuration.
+# The release and debug passes both run the equivalence suites
+# (golden_scheduler, threaded_oracle_equiv, cache_flat_equiv,
+# core_reset, tage_fold_equiv).
 # In this pass every tick also asserts that each µop parked at any of
 # the three defense gates (execute, wakeup, resolve) is still closed,
 # and that the issue stage's parked count equals the old per-cycle
@@ -76,7 +89,7 @@ step "--quick report golden set (reproduce --quick vs bench_results/quick, JOBS=
 # reproduction.
 BENCH_SMOKE_DIR="$(mktemp -d)"
 REPRODUCE_SERIAL_DIR="$(mktemp -d)"
-trap 'rm -rf "$BENCH_SMOKE_DIR" "$REPRODUCE_SERIAL_DIR"' EXIT
+trap 'rm -rf "$EXAMPLES_TMP" "$BENCH_SMOKE_DIR" "$REPRODUCE_SERIAL_DIR"' EXIT
 profile_counts() { sed -E 's/"nanos":[0-9]+,//; s/"share_pct":[^,]*,//' "$1"; }
 PROTEAN_BENCH_DIR="$BENCH_SMOKE_DIR" \
     cargo run -q --release --offline -p protean-bench --bin reproduce -- --quick >/dev/null
@@ -104,7 +117,7 @@ step "campaign_service determinism (uninterrupted JOBS=1 vs 4, killed+resumed JO
 # checks them against the shared row schema.
 CAMPAIGN_A_DIR="$(mktemp -d)"
 CAMPAIGN_B_DIR="$(mktemp -d)"
-trap 'rm -rf "$BENCH_SMOKE_DIR" "$REPRODUCE_SERIAL_DIR" "$CAMPAIGN_A_DIR" "$CAMPAIGN_B_DIR"' EXIT
+trap 'rm -rf "$EXAMPLES_TMP" "$BENCH_SMOKE_DIR" "$REPRODUCE_SERIAL_DIR" "$CAMPAIGN_A_DIR" "$CAMPAIGN_B_DIR"' EXIT
 PROTEAN_BENCH_DIR="$CAMPAIGN_A_DIR" PROTEAN_JOBS=1 \
     cargo run -q --release --offline -p protean-bench --bin campaign_service >/dev/null
 if [ ! -f "$CAMPAIGN_A_DIR/profile.json" ]; then

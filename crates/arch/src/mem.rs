@@ -220,27 +220,6 @@ impl Memory {
         }
     }
 
-    /// Copies a byte slice into memory at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        let mut addr = addr;
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let offset = (addr & PAGE_MASK) as usize;
-            let n = rest.len().min(PAGE_SIZE - offset);
-            let page = self.open_page(addr >> PAGE_SHIFT);
-            page[offset..offset + n].copy_from_slice(&rest[..n]);
-            addr = addr.wrapping_add(n as u64);
-            rest = &rest[n..];
-        }
-    }
-
-    /// Reads `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len)
-            .map(|i| self.read_u8(addr.wrapping_add(i as u64)))
-            .collect()
-    }
-
     /// Number of mapped pages in the union of both layers (for
     /// diagnostics).
     pub fn mapped_pages(&self) -> usize {
@@ -387,21 +366,6 @@ mod tests {
     #[should_panic(expected = "bad access size")]
     fn oversized_access_panics() {
         Memory::new().read(0, 9);
-    }
-
-    #[test]
-    fn bytes_interface() {
-        let mut m = Memory::new();
-        m.write_bytes(0x200, &[1, 2, 3]);
-        assert_eq!(m.read_bytes(0x200, 4), vec![1, 2, 3, 0]);
-    }
-
-    #[test]
-    fn bytes_interface_across_pages() {
-        let mut m = Memory::new();
-        let data: Vec<u8> = (0..=255).cycle().take(PAGE_SIZE + 64).collect();
-        m.write_bytes(0xff0, &data);
-        assert_eq!(m.read_bytes(0xff0, data.len()), data);
     }
 
     #[test]

@@ -610,9 +610,8 @@ impl Inst {
     /// Checks ProtISA's structural legality rule: `RFLAGS` is written
     /// implicitly — by ALU ops and compares — and never named as an
     /// explicit destination. This is the single definition of
-    /// instruction legality; [`decode_program`](crate::decode_program)
-    /// and [`assemble`](crate::assemble) both reject instructions that
-    /// fail it, so no legal program stream contains one.
+    /// instruction legality; [`assemble`](crate::assemble) rejects
+    /// instructions that fail it, so no assembled program contains one.
     ///
     /// # Errors
     ///

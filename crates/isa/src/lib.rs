@@ -21,8 +21,8 @@
 //!   (and shared with the emulator oracle);
 //! * [`ProgramBuilder`] and [`assemble`] — programmatic and textual
 //!   front-ends;
-//! * [`encode_program`]/[`decode_program`]/[`code_size`] — a binary
-//!   encoding used for the paper's code-size-overhead metric (§IX-A2).
+//! * [`encode_program`]/[`code_size`] — a binary encoding used for the
+//!   paper's code-size-overhead metric (§IX-A2).
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@ mod builder;
 mod decoded;
 mod encode;
 mod inst;
-mod metadata;
 mod program;
 mod reg;
 mod semantics;
@@ -68,11 +67,8 @@ mod util;
 pub use asm::{assemble, AsmError};
 pub use builder::{Label, ProgramBuilder, UnboundLabelError};
 pub use decoded::{CtrlFlow, DecodedInst, DecodedProgram};
-pub use encode::{
-    code_size, decode_program, encode_inst, encode_program, DecodeError, PROT_PREFIX,
-};
+pub use encode::{code_size, encode_program};
 pub use inst::{AluOp, Cond, Flags, Inst, Mem, Op, Operand, Width};
-pub use metadata::{MetadataDecodeError, ProtMetadataTable};
 pub use program::{Function, Program, ProgramError, Reloc, SecurityClass, TransmitterSet};
 pub use reg::{Reg, RegSet};
 pub use semantics::{

@@ -39,20 +39,6 @@ impl SecurityClass {
         SecurityClass::Unr,
     ];
 
-    /// Returns `true` if code of class `self` is also of class `other`
-    /// (the hierarchy is by inclusion: every ARCH program is CTS, etc.).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use protean_isa::SecurityClass;
-    /// assert!(SecurityClass::Arch.is_subclass_of(SecurityClass::Unr));
-    /// assert!(!SecurityClass::Unr.is_subclass_of(SecurityClass::Ct));
-    /// ```
-    pub fn is_subclass_of(self, other: SecurityClass) -> bool {
-        self <= other
-    }
-
     /// Canonical short name (`ARCH`, `CTS`, `CT`, `UNR`).
     pub fn name(self) -> &'static str {
         match self {
@@ -429,7 +415,7 @@ mod tests {
         use SecurityClass::*;
         for (i, a) in SecurityClass::ALL.iter().enumerate() {
             for (j, b) in SecurityClass::ALL.iter().enumerate() {
-                assert_eq!(a.is_subclass_of(*b), i <= j);
+                assert_eq!(a <= b, i <= j);
             }
         }
         assert_eq!(Arch.name(), "ARCH");

@@ -1,10 +1,7 @@
-//! Property tests: encode/decode and assemble/disassemble round-trips
-//! hold for arbitrary legal instructions.
+//! Property tests: the assemble/disassemble round-trip and the operand
+//! rules hold for arbitrary legal instructions.
 
-use protean_isa::{
-    assemble, decode_program, encode_program, AluOp, Cond, Inst, Mem, Op, Operand, Program, Reg,
-    Width,
-};
+use protean_isa::{assemble, AluOp, Cond, Inst, Mem, Op, Operand, Reg, Width};
 use protean_testkit::{Checker, Rng};
 
 fn arb_reg(rng: &mut Rng) -> Reg {
@@ -122,37 +119,12 @@ fn arb_insts(rng: &mut Rng) -> Vec<Inst> {
 }
 
 #[test]
-fn encode_decode_roundtrip() {
-    Checker::new("encode_decode_roundtrip").run(arb_insts, |insts| {
-        let program = Program::from_insts(insts.clone());
-        let bytes = encode_program(&program);
-        let decoded = decode_program(&bytes).unwrap();
-        assert_eq!(&decoded, insts);
-    });
-}
-
-#[test]
 fn display_assemble_roundtrip() {
     Checker::new("display_assemble_roundtrip").run(arb_insts, |insts| {
         let text: String = insts.iter().map(|i| format!("{i}\n")).collect();
         let parsed = assemble(&text).unwrap();
         assert_eq!(&parsed.insts, insts);
     });
-}
-
-#[test]
-fn decode_never_panics_on_garbage() {
-    Checker::new("decode_never_panics_on_garbage").run(
-        |rng| {
-            let n = rng.gen_range(0..256usize);
-            let mut bytes = vec![0u8; n];
-            rng.fill_bytes(&mut bytes);
-            bytes
-        },
-        |bytes| {
-            let _ = decode_program(bytes);
-        },
-    );
 }
 
 /// `RFLAGS` is written implicitly exactly by ALU ops and compares; no
@@ -175,8 +147,8 @@ fn src_dst_regs_disjoint_from_flags_rules() {
 /// cond: Eq, dst: rflags, src: r0 }, prot: false }`): an instruction
 /// naming `RFLAGS` as its explicit destination broke the flags-writer
 /// invariant above. Such instructions are now rejected in one
-/// consistent place ([`Inst::validate`]), enforced by both the decoder
-/// and the assembler.
+/// consistent place ([`Inst::validate`]), which the assembler
+/// enforces.
 #[test]
 fn regression_cmov_rflags_dst_is_illegal() {
     let inst = Inst::new(Op::CMov {
@@ -189,15 +161,8 @@ fn regression_cmov_rflags_dst_is_illegal() {
         Err("rflags cannot be an explicit destination")
     );
 
-    // The decoder refuses a well-formed encoding of it...
-    let bytes = encode_program(&Program::from_insts(vec![inst]));
-    assert!(matches!(
-        decode_program(&bytes),
-        Err(protean_isa::DecodeError::IllegalInst(_))
-    ));
-
-    // ...and the assembler refuses its textual form (which `Display`
-    // still produces, so the error names the offending line).
+    // The assembler refuses its textual form (which `Display` still
+    // produces, so the error names the offending line).
     assert!(assemble(&format!("{inst}\n")).is_err());
 }
 
@@ -208,21 +173,5 @@ fn sensitive_regs_subset_of_srcs() {
         // instruction.
         let t = protean_isa::TransmitterSet::paper();
         assert!(inst.src_regs().is_superset(t.sensitive_regs(inst)));
-    });
-}
-
-/// The prefix-less metadata encoding (paper §IV): strip + apply is
-/// the identity for arbitrary instruction streams, and the table's
-/// serialization round-trips.
-#[test]
-fn metadata_table_roundtrip() {
-    Checker::new("metadata_table_roundtrip").run(arb_insts, |insts| {
-        use protean_isa::ProtMetadataTable;
-        let program = Program::from_insts(insts.clone());
-        let (stripped, table) = ProtMetadataTable::strip(&program);
-        assert!(stripped.insts.iter().all(|i| !i.prot));
-        assert_eq!(&table.apply(&stripped).insts, insts);
-        let decoded = ProtMetadataTable::decode(&table.encode()).unwrap();
-        assert_eq!(decoded, table);
     });
 }

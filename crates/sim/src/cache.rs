@@ -306,19 +306,6 @@ impl Cache {
         }
     }
 
-    /// Invalidates the line containing `addr` (coherence), dropping its
-    /// metadata (the next fill of the way rewrites it). Returns `true` if
-    /// a line was invalidated.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        match self.find_way(self.line_addr(addr)) {
-            Some(idx) => {
-                self.tags[idx] = INVALID_TAG;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// ORs the metadata bits of `[addr, addr+size)`. Bytes on non-resident
     /// lines contribute `meta_fill` (i.e. protected for ProtISA).
     ///
@@ -595,17 +582,6 @@ mod tests {
         assert!(c.meta_any(0x00, 8));
         assert!(!c.meta_any(0x00, 4));
         assert!(c.meta_all(0x04, 4));
-    }
-
-    #[test]
-    fn invalidate_drops_meta() {
-        let mut c = tiny();
-        c.access(0x40);
-        c.meta_set(0x40, 64, false);
-        assert!(c.invalidate(0x40));
-        assert!(!c.probe(0x40));
-        assert!(c.meta_any(0x40, 1));
-        assert!(!c.invalidate(0x40));
     }
 
     #[test]

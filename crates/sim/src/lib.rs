@@ -18,7 +18,7 @@
 //!   implements ([`UnsafePolicy`] is the unprotected baseline);
 //! * [`SpeculationModel`] — `AtCommit` (comprehensive) and `Control`
 //!   (§II-B2);
-//! * [`Multicore`] — a simple invalidation-coherent multi-core wrapper
+//! * [`Multicore`] — a multi-core wrapper whose cores share one L3,
 //!   for the PARSEC-style multi-threaded workloads.
 //!
 //! # Example

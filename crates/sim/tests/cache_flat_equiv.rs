@@ -3,7 +3,7 @@
 //! [`BoolMetaCache`].
 //!
 //! Random interleavings of every public cache operation — access,
-//! invalidate, probe, `meta_set`/`meta_any`/`meta_all` with cross-line
+//! probe, `meta_set`/`meta_any`/`meta_all` with cross-line
 //! spans, and full `tag_observation` snapshots — over varied geometries
 //! (ways, sets, line sizes below/at/above one metadata word) and both
 //! `meta_fill` polarities. Address streams deliberately mix a small hot
@@ -127,22 +127,6 @@ impl BoolMetaCache {
         }
     }
 
-    /// Invalidates the line containing `addr`, dropping its metadata.
-    fn invalidate(&mut self, addr: u64) -> bool {
-        let la = self.line_addr(addr);
-        let set_idx = self.set_index(addr);
-        let meta_fill = self.meta_fill;
-        let base = set_idx * self.cfg.ways;
-        for line in &mut self.lines[base..base + self.cfg.ways] {
-            if line.tag == Some(la) {
-                line.tag = None;
-                line.meta.fill(meta_fill);
-                return true;
-            }
-        }
-        false
-    }
-
     /// ORs the metadata bits of `[addr, addr+size)` (non-resident bytes
     /// contribute `meta_fill`).
     fn meta_any(&self, addr: u64, size: u64) -> bool {
@@ -241,7 +225,6 @@ impl BoolMetaCache {
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Access(u64),
-    Invalidate(u64),
     Probe(u64),
     MetaSet(u64, u64, bool),
     MetaAny(u64, u64),
@@ -266,18 +249,17 @@ fn arb_op(rng: &mut Rng, line_bytes: u64) -> Op {
     let addr = arb_addr(rng, line_bytes);
     // Sizes from 0 (empty range) past two full lines (multi-chunk walks).
     let size = rng.gen_range(0u64..line_bytes * 2 + 3);
-    match rng.gen_range(0u32..14) {
+    match rng.gen_range(0u32..13) {
         0..=3 => Op::Access(addr),
-        4 => Op::Invalidate(addr),
-        5 => Op::Probe(addr),
-        6 | 7 => Op::MetaSet(addr, size, rng.gen::<bool>()),
-        8 => Op::MetaAny(addr, size),
-        9 => Op::MetaAll(addr, size),
-        10 => Op::Observation,
-        11 => Op::Reset {
+        4 => Op::Probe(addr),
+        5 | 6 => Op::MetaSet(addr, size, rng.gen::<bool>()),
+        7 => Op::MetaAny(addr, size),
+        8 => Op::MetaAll(addr, size),
+        9 => Op::Observation,
+        10 => Op::Reset {
             meta_fill: rng.gen::<bool>(),
         },
-        12 => Op::Renew {
+        11 => Op::Renew {
             meta_fill: rng.gen::<bool>(),
         },
         // The pinned regression shape: unprotect 8 bytes at MAX-3.
@@ -319,13 +301,6 @@ fn run_case(case: &Case) {
         match *op {
             Op::Access(a) => {
                 assert_eq!(flat.access(a), oracle.access(a), "access {a:#x} at op {i}");
-            }
-            Op::Invalidate(a) => {
-                assert_eq!(
-                    flat.invalidate(a),
-                    oracle.invalidate(a),
-                    "invalidate {a:#x} at op {i}"
-                );
             }
             Op::Probe(a) => {
                 assert_eq!(flat.probe(a), oracle.probe(a), "probe {a:#x} at op {i}");
@@ -416,7 +391,6 @@ fn cache_flat_equiv_pinned_wrap_cases() {
             Op::Access(0x80),
             Op::MetaSet(0x7c, 8, false),
             Op::MetaAny(0x7c, 8),
-            Op::Invalidate(u64::MAX - 3),
             Op::MetaAny(u64::MAX - 3, 8),
             Op::Observation,
         ];
@@ -430,9 +404,9 @@ fn cache_flat_equiv_pinned_wrap_cases() {
 
 /// The touched-set clear, deterministically, through `reset` and through
 /// a drop + `new` that reuses the spare arrays: across a clear that flips
-/// the meta-fill polarity, a set touched then invalidated, a set filled
-/// twice, set 0 and the last set must all read as empty — no stale tag,
-/// LRU stamp or metadata — and refill exactly like a fresh cache.
+/// the meta-fill polarity, a set touched once, a set filled twice, set 0
+/// and the last set must all read as empty — no stale tag, LRU stamp or
+/// metadata — and refill exactly like a fresh cache.
 #[test]
 fn cache_flat_equiv_pinned_reset_cases() {
     // 4 sets x 2 ways of 64-byte lines: set = (addr / 64) % 4.
@@ -451,12 +425,11 @@ fn cache_flat_equiv_pinned_reset_cases() {
     };
     for (renew, meta_fill) in [(false, true), (false, false), (true, true), (true, false)] {
         let ops = vec![
-            Op::Access(0x000),     // set 0
-            Op::Access(0x100),     // set 0 again: both ways filled
-            Op::Access(0x000),     // 0x100 is now LRU
-            Op::Access(0x0c0),     // set 3, the last set
-            Op::Access(0x040),     // set 1 ...
-            Op::Invalidate(0x040), // ... then invalidated
+            Op::Access(0x000), // set 0
+            Op::Access(0x100), // set 0 again: both ways filled
+            Op::Access(0x000), // 0x100 is now LRU
+            Op::Access(0x0c0), // set 3, the last set
+            Op::Access(0x040), // set 1, touched once
             Op::MetaSet(0x000, 8, !meta_fill),
             Op::MetaSet(0x0c0, 64, !meta_fill),
             Op::Observation,
@@ -464,6 +437,7 @@ fn cache_flat_equiv_pinned_reset_cases() {
             Op::Observation,
             Op::Probe(0x000),
             Op::Probe(0x100),
+            Op::Probe(0x040),
             Op::Probe(0x0c0),
             Op::MetaAny(0x000, 8),
             Op::MetaAll(0x0c0, 64),
@@ -472,7 +446,7 @@ fn cache_flat_equiv_pinned_reset_cases() {
             Op::Access(0x200), // set 0
             Op::Access(0x000), // set 0
             Op::Access(0x300), // set 0: evicts 0x200
-            Op::Access(0x040), // set 1 after the invalidate
+            Op::Access(0x040), // set 1 again
             Op::Access(0x1c0), // set 3
             Op::MetaAny(0x000, 64),
             Op::MetaAll(0x040, 64),

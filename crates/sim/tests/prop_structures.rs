@@ -67,39 +67,6 @@ fn cache_meta_consistency() {
     );
 }
 
-fn check_invalidate_resets_meta(addr: u64) {
-    let mut cache = Cache::new(cache_cfg(3, 2), true);
-    cache.access(addr);
-    cache.access(addr + 7); // the range may straddle a line boundary
-    cache.meta_set(addr, 8, false);
-    assert!(!cache.meta_any(addr, 8));
-    cache.invalidate(addr);
-    cache.invalidate(addr + 7);
-    assert!(!cache.probe(addr));
-    cache.access(addr);
-    assert!(cache.meta_any(addr, 8), "refill restores protected default");
-}
-
-/// Invalidate really removes a line, and re-fill restores the
-/// metadata default.
-#[test]
-fn cache_invalidate_resets_meta() {
-    Checker::new("cache_invalidate_resets_meta").run(
-        |rng| rng.gen_range(0u64..0x8000),
-        |&addr| check_invalidate_resets_meta(addr),
-    );
-}
-
-/// Former proptest counterexample (`shrinks to addr = 18233`): an
-/// 8-byte range straddling a line boundary, where only the lower line
-/// is re-filled after invalidation. `meta_any` must still report the
-/// protected default because the non-resident upper line contributes
-/// the fill value.
-#[test]
-fn regression_invalidate_straddling_line_boundary() {
-    check_invalidate_resets_meta(18233);
-}
-
 /// The BTB only ever returns a target that was stored for exactly
 /// that PC.
 #[test]

@@ -1,13 +1,12 @@
-//! ProtCC extensions (paper §V-C) and the prefix-less ProtISA encoding
-//! (§IV): refine an inferred ProtSet with public annotations, and carry
-//! the result in an instruction metadata table instead of prefixes.
+//! ProtCC's manual annotations (paper §V-C): refine an inferred ProtSet
+//! with public annotations, so fewer instructions carry a `PROT` prefix.
 //!
 //! ```text
 //! cargo run --release --example annotations
 //! ```
 
 use protean::cc::{compile_with, compile_with_hints, Pass, PublicHints};
-use protean::isa::{assemble, code_size, ProtMetadataTable, Reg};
+use protean::isa::{assemble, Reg};
 
 fn main() {
     // An "unknown class" kernel the user compiles with ProtCC-UNR for a
@@ -45,16 +44,5 @@ fn main() {
         hinted.program.disassemble()
     );
 
-    // §IV: store the ProtSet in a metadata table (for prefix-less ISAs).
-    let (stripped, table) = ProtMetadataTable::strip(&hinted.program);
-    println!(
-        "prefix encoding: {} bytes of code;  metadata-table encoding: {} bytes of code + {} bytes of table ({} protected instructions)",
-        code_size(&hinted.program),
-        code_size(&stripped),
-        table.size_bytes(),
-        table.protected_count(),
-    );
-    let restored = table.apply(&stripped);
-    assert_eq!(restored.insts, hinted.program.insts);
-    println!("table round-trips exactly.");
+    assert!(hinted.stats.prot_prefixes < plain.stats.prot_prefixes);
 }

@@ -55,22 +55,12 @@ impl SecuredRun {
 #[derive(Clone, Debug, Default)]
 pub struct Protean {
     mechanism: Mechanism,
-    core: Option<CoreConfig>,
 }
 
 impl Protean {
     /// Creates a Protean defense with the given mechanism on a P-core.
     pub fn new(mechanism: Mechanism) -> Protean {
-        Protean {
-            mechanism,
-            core: None,
-        }
-    }
-
-    /// Overrides the core configuration (default: P-core).
-    pub fn with_core(mut self, core: CoreConfig) -> Protean {
-        self.core = Some(core);
-        self
+        Protean { mechanism }
     }
 
     fn policy(&self) -> Box<dyn DefensePolicy> {
@@ -78,10 +68,6 @@ impl Protean {
             Mechanism::Delay => Box::new(ProtDelayPolicy::new()),
             Mechanism::Track => Box::new(ProtTrackPolicy::new()),
         }
-    }
-
-    fn core_config(&self) -> CoreConfig {
-        self.core.clone().unwrap_or_else(CoreConfig::p_core)
     }
 
     /// Compiles `program` as single-class `class` code and runs it both
@@ -116,12 +102,12 @@ impl Protean {
         initial: &ArchState,
         max_insts: u64,
     ) -> SecuredRun {
-        let cfg = self.core_config();
+        let cfg = CoreConfig::p_core();
         let max_cycles = max_insts.saturating_mul(600);
         let baseline = Core::new(base, cfg.clone(), Box::new(UnsafePolicy), initial)
             .run(max_insts, max_cycles);
-        let secured =
-            Core::new(compiled, cfg, self.policy(), initial).run(max_insts * 2, max_cycles);
+        let secured = Core::new(compiled, cfg, self.policy(), initial)
+            .run(max_insts.saturating_mul(2), max_cycles);
         SecuredRun { secured, baseline }
     }
 }
@@ -131,12 +117,14 @@ mod tests {
     use super::*;
     use protean_isa::assemble;
 
+    fn store_program() -> Program {
+        assemble("mov rsp, 0x8000\nload r1, [0x5000]\nadd r2, r1, 1\nstore [0x6000], r2\nhalt\n")
+            .unwrap()
+    }
+
     #[test]
     fn facade_runs_all_classes_and_mechanisms() {
-        let program = assemble(
-            "mov rsp, 0x8000\nload r1, [0x5000]\nadd r2, r1, 1\nstore [0x6000], r2\nhalt\n",
-        )
-        .unwrap();
+        let program = store_program();
         for mech in [Mechanism::Delay, Mechanism::Track] {
             for class in SecurityClass::ALL {
                 let run = Protean::new(mech).secure_run(&program, class, &ArchState::new(), 10_000);
@@ -145,6 +133,21 @@ mod tests {
                 assert_eq!(run.secured.final_regs, run.baseline.final_regs);
             }
         }
+    }
+
+    /// An instruction budget near `u64::MAX` saturates instead of
+    /// overflowing.
+    #[test]
+    fn facade_saturates_an_unbounded_budget() {
+        let program = store_program();
+        let run = Protean::new(Mechanism::Track).secure_run(
+            &program,
+            SecurityClass::Ct,
+            &ArchState::new(),
+            u64::MAX,
+        );
+        assert_eq!(run.secured.exit, protean_sim::SimExit::Halted);
+        assert_eq!(run.baseline.exit, protean_sim::SimExit::Halted);
     }
 
     #[test]
