@@ -79,8 +79,12 @@ step "--quick report golden set (reproduce --quick vs bench_results/quick, JOBS=
 # Every paper table, figure and ablation, end to end: `reproduce --quick`
 # writes all 11 JSON reports, each must be byte-identical to the
 # committed golden set, and each is schema-checked with every other
-# report by validate_json below. After an intentional change of results,
-# re-pin by writing the output over the set:
+# report by validate_json below. The run's profile.json must match the
+# committed bench_results/quick/profile.json in every column but the
+# sampled wall time (nanos, share_pct): section calls and gate counts
+# are deterministic event counts, so a change that should not alter the
+# simulated work leaves them as they are. After an intentional change of
+# results or of those counts, re-pin by writing the output over the set:
 #   PROTEAN_BENCH_DIR=bench_results/quick \
 #       cargo run --release -p protean-bench --bin reproduce -- --quick
 # A second run at PROTEAN_JOBS=1 must write the same 11 reports, and
@@ -100,6 +104,8 @@ for report in table_i table_ii table_iv table_v figure_5 figure_6 \
     cmp "bench_results/quick/$report.json" "$BENCH_SMOKE_DIR/$report.json"
     cmp "$BENCH_SMOKE_DIR/$report.json" "$REPRODUCE_SERIAL_DIR/$report.json"
 done
+cmp <(profile_counts "bench_results/quick/profile.json") \
+    <(profile_counts "$BENCH_SMOKE_DIR/profile.json")
 cmp <(profile_counts "$BENCH_SMOKE_DIR/profile.json") \
     <(profile_counts "$REPRODUCE_SERIAL_DIR/profile.json")
 
@@ -112,9 +118,16 @@ step "campaign_service determinism (uninterrupted JOBS=1 vs 4, killed+resumed JO
 # wall time, nanos and share_pct) — the determinism contract the
 # reusable Core arena and COW memory are held to. A run killed after one
 # chunk per campaign and resumed at another width must write the same
-# report, and no report while any campaign is incomplete. The versioned
-# snapshots land in the smoke dir, so the validate_json pass below also
-# checks them against the shared row schema.
+# report, and no report while any campaign is incomplete. The
+# uninterrupted report must also equal the committed
+# bench_results/campaign_service.json. After an intentional change of
+# campaign results, re-pin it from a fresh directory (a leftover
+# snapshot would be resumed):
+#   dir="$(mktemp -d)" && PROTEAN_BENCH_DIR="$dir" \
+#       cargo run --release -p protean-bench --bin campaign_service &&
+#       cp "$dir/campaign_service.json" bench_results/
+# The versioned snapshots land in the smoke dir, so the validate_json
+# pass below also checks them against the shared row schema.
 CAMPAIGN_A_DIR="$(mktemp -d)"
 CAMPAIGN_B_DIR="$(mktemp -d)"
 trap 'rm -rf "$EXAMPLES_TMP" "$BENCH_SMOKE_DIR" "$REPRODUCE_SERIAL_DIR" "$CAMPAIGN_A_DIR" "$CAMPAIGN_B_DIR"' EXIT
@@ -124,6 +137,7 @@ if [ ! -f "$CAMPAIGN_A_DIR/profile.json" ]; then
     echo "campaign_service did not write profile.json" >&2
     exit 1
 fi
+cmp bench_results/campaign_service.json "$CAMPAIGN_A_DIR/campaign_service.json"
 PROTEAN_BENCH_DIR="$CAMPAIGN_B_DIR" PROTEAN_JOBS=4 \
     cargo run -q --release --offline -p protean-bench --bin campaign_service >/dev/null
 cmp "$CAMPAIGN_A_DIR/campaign_service.json" "$CAMPAIGN_B_DIR/campaign_service.json"

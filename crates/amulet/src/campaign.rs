@@ -299,7 +299,7 @@ pub fn run_campaign(
     let mut state = CampaignReport::default();
     if let Some((path, fingerprint)) = &snapshot {
         if path.exists() {
-            state = load_snapshot(path, fingerprint)?;
+            state = load_snapshot(path, fingerprint, cfg.fuzz.programs)?;
             state.resumed = true;
         }
     }
@@ -592,13 +592,7 @@ fn run_program(
     if cc.coverage_guided {
         if let Some(trace) = &base_hw.trace {
             let causes = trace.squash_causes();
-            let mut rules: Vec<String> = trace
-                .blocked_by_rule()
-                .iter()
-                .map(|(point, rule, _)| format!("{}/{rule}", point.name()))
-                .collect();
-            rules.sort();
-            rules.dedup();
+            let rules = trace.fired_rules();
             let mut templates = generated.templates.clone();
             templates.sort_by_key(|t| t.name());
             templates.dedup();
@@ -817,10 +811,16 @@ fn get_u64(obj: &Json, key: &str) -> Option<u64> {
     }
 }
 
-/// Parses a snapshot back into campaign state, refusing anything it
-/// cannot account for: every `meta` row and counter must be present and
-/// every value must parse.
-fn load_snapshot(path: &Path, fingerprint: &str) -> Result<CampaignReport, SnapshotError> {
+/// Parses a snapshot of a campaign of `programs` programs back into
+/// campaign state, refusing anything it cannot account for: every
+/// `meta` row and counter must be present exactly once, every value
+/// must parse, `stopped` must be 0 or 1 and no more than `programs`
+/// programs may be done.
+fn load_snapshot(
+    path: &Path,
+    fingerprint: &str,
+    programs: usize,
+) -> Result<CampaignReport, SnapshotError> {
     let malformed = |reason: String| SnapshotError::Malformed {
         path: path.to_path_buf(),
         reason,
@@ -837,7 +837,7 @@ fn load_snapshot(path: &Path, fingerprint: &str) -> Result<CampaignReport, Snaps
 
     let mut state = CampaignReport::default();
     let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut examples: Vec<(usize, Violation)> = Vec::new();
+    let mut examples: BTreeMap<usize, Violation> = BTreeMap::new();
     let (mut version_seen, mut fingerprint_seen) = (false, false);
     for r in rows {
         let field = |name: &str| {
@@ -855,6 +855,15 @@ fn load_snapshot(path: &Path, fingerprint: &str) -> Result<CampaignReport, Snaps
         };
         let exact = |obj: &Json, k: &str| {
             get_u64(obj, k).ok_or_else(|| malformed(format!("{kind} `{key}` has no integer `{k}`")))
+        };
+        // Each counter, coverage key, triage bucket and example index
+        // appears once: a repeated row would silently replace the first.
+        let unique = |fresh: bool| {
+            if fresh {
+                Ok(())
+            } else {
+                Err(malformed(format!("duplicate {kind} `{key}`")))
+            }
         };
         match kind {
             "meta" => match key {
@@ -880,23 +889,22 @@ fn load_snapshot(path: &Path, fingerprint: &str) -> Result<CampaignReport, Snaps
                 }
                 _ => {}
             },
-            "counter" => {
-                counters.insert(key, number(value)?);
-            }
-            "coverage" => {
-                state.coverage.insert(key.to_string(), number(value)?);
-            }
+            "counter" => unique(counters.insert(key, number(value)?).is_none())?,
+            "coverage" => unique(
+                state
+                    .coverage
+                    .insert(key.to_string(), number(value)?)
+                    .is_none(),
+            )?,
             "triage" => {
                 let b = object()?;
-                state.triage.insert(
-                    key.to_string(),
-                    TriageBucket {
-                        count: exact(&b, "count")?,
-                        false_positives: exact(&b, "false_positives")?,
-                        first_program_seed: exact(&b, "first_program_seed")?,
-                        first_input_index: exact(&b, "first_input_index")? as usize,
-                    },
-                );
+                let bucket = TriageBucket {
+                    count: exact(&b, "count")?,
+                    false_positives: exact(&b, "false_positives")?,
+                    first_program_seed: exact(&b, "first_program_seed")?,
+                    first_input_index: exact(&b, "first_input_index")? as usize,
+                };
+                unique(state.triage.insert(key.to_string(), bucket).is_none())?;
             }
             "example" => {
                 let v = object()?;
@@ -909,15 +917,13 @@ fn load_snapshot(path: &Path, fingerprint: &str) -> Result<CampaignReport, Snaps
                     Some(Json::Bool(b)) => *b,
                     _ => return Err(malformed(format!("example `{key}` has no false_positive"))),
                 };
-                examples.push((
-                    number(key)? as usize,
-                    Violation {
-                        program_seed: exact(&v, "program_seed")?,
-                        input_index: exact(&v, "input_index")? as usize,
-                        false_positive,
-                        trace,
-                    },
-                ));
+                let example = Violation {
+                    program_seed: exact(&v, "program_seed")?,
+                    input_index: exact(&v, "input_index")? as usize,
+                    false_positive,
+                    trace,
+                };
+                unique(examples.insert(number(key)? as usize, example).is_none())?;
             }
             _ => {}
         }
@@ -925,8 +931,7 @@ fn load_snapshot(path: &Path, fingerprint: &str) -> Result<CampaignReport, Snaps
     if !(version_seen && fingerprint_seen) {
         return Err(malformed("no meta/version or meta/fingerprint row".into()));
     }
-    examples.sort_by_key(|(i, _)| *i);
-    state.report.examples = examples.into_iter().map(|(_, v)| v).collect();
+    state.report.examples = examples.into_values().collect();
     let c = |k: &str| {
         counters
             .get(k)
@@ -934,8 +939,18 @@ fn load_snapshot(path: &Path, fingerprint: &str) -> Result<CampaignReport, Snaps
             .ok_or_else(|| malformed(format!("no `{k}` counter")))
     };
     state.programs_done = c("programs_done")? as usize;
+    if state.programs_done > programs {
+        return Err(malformed(format!(
+            "{} programs done of a campaign of {programs}",
+            state.programs_done
+        )));
+    }
     state.chunks_done = c("chunks_done")?;
-    state.stopped = c("stopped")? != 0;
+    state.stopped = match c("stopped")? {
+        0 => false,
+        1 => true,
+        n => return Err(malformed(format!("`stopped` counter is {n}, not 0 or 1"))),
+    };
     state.report.tests = c("tests")?;
     state.report.pairs_rejected = c("pairs_rejected")?;
     state.report.violations = c("violations")?;
@@ -968,8 +983,12 @@ mod tests {
         cfg
     }
 
-    #[test]
-    fn snapshot_roundtrips_every_field() {
+    /// The campaign size the snapshot tests load against.
+    const PROGRAMS: usize = 8;
+
+    /// Campaign state with every counter set and one row of each other
+    /// kind (example, coverage, triage).
+    fn sample_state() -> CampaignReport {
         let mut state = CampaignReport {
             programs_done: 7,
             chunks_done: 3,
@@ -1000,11 +1019,17 @@ mod tests {
                 first_input_index: 0,
             },
         );
+        state
+    }
+
+    #[test]
+    fn snapshot_roundtrips_every_field() {
+        let state = sample_state();
         let dir = std::env::temp_dir().join("protean_campaign_test_roundtrip");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("snap.json");
         save_snapshot(&path, "fp", &state).unwrap();
-        let loaded = load_snapshot(&path, "fp").unwrap();
+        let loaded = load_snapshot(&path, "fp", PROGRAMS).unwrap();
         // `complete` is recomputed by the driver, not persisted; compare
         // digests after normalizing it.
         let mut expect = state.clone();
@@ -1019,7 +1044,7 @@ mod tests {
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("snap.json");
         save_snapshot(&path, "aaaa", &CampaignReport::default()).unwrap();
-        let err = load_snapshot(&path, "bbbb").unwrap_err();
+        let err = load_snapshot(&path, "bbbb", PROGRAMS).unwrap_err();
         assert!(
             matches!(&err, SnapshotError::Fingerprint { found, expected, .. }
                 if found == "aaaa" && expected == "bbbb"),
@@ -1028,7 +1053,8 @@ mod tests {
         assert!(err.to_string().contains("different campaign config"));
     }
 
-    /// Rewrites a saved snapshot through `edit` and loads it back.
+    /// Rewrites a saved [`sample_state`] snapshot through `edit` and
+    /// loads it back.
     fn load_edited(
         name: &str,
         edit: impl Fn(String) -> String,
@@ -1036,10 +1062,10 @@ mod tests {
         let dir = std::env::temp_dir().join("protean_campaign_test_edit");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join(format!("{name}.json"));
-        save_snapshot(&path, "fp", &CampaignReport::default()).unwrap();
+        save_snapshot(&path, "fp", &sample_state()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, edit(text)).unwrap();
-        let loaded = load_snapshot(&path, "fp");
+        let loaded = load_snapshot(&path, "fp", PROGRAMS);
         let _ = std::fs::remove_file(&path);
         loaded
     }
@@ -1069,11 +1095,55 @@ mod tests {
         assert!(load_edited("intact", |t| t).is_ok());
     }
 
+    /// Asserts that `err` is a [`SnapshotError::Malformed`] whose
+    /// reason names `needle`.
+    fn assert_malformed(err: SnapshotError, needle: &str) {
+        assert!(
+            matches!(&err, SnapshotError::Malformed { reason, .. } if reason.contains(needle)),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn snapshot_with_duplicate_row_is_refused() {
+        for kind in ["counter", "coverage", "triage", "example"] {
+            // Repeats the first row of `kind` in front of itself.
+            let err = load_edited(kind, |t| {
+                let tag = format!("{{\"kind\":\"{kind}\"");
+                let line = t.lines().find(|l| l.contains(&tag)).unwrap();
+                let row = line.trim_end_matches(',');
+                t.replacen(line, &format!("{row},\n{line}"), 1)
+            })
+            .unwrap_err();
+            assert_malformed(err, &format!("duplicate {kind}"));
+        }
+    }
+
+    #[test]
+    fn snapshot_with_non_boolean_stopped_is_refused() {
+        let stopped = "\"key\":\"stopped\",\"value\":\"1\"";
+        let err = load_edited("stopped", |t| {
+            t.replace(stopped, "\"key\":\"stopped\",\"value\":\"2\"")
+        })
+        .unwrap_err();
+        assert_malformed(err, "not 0 or 1");
+    }
+
+    #[test]
+    fn snapshot_past_the_configured_programs_is_refused() {
+        let done = |n: usize| format!("\"key\":\"programs_done\",\"value\":\"{n}\"");
+        let at_end = load_edited("at_end", |t| t.replace(&done(7), &done(PROGRAMS)));
+        assert_eq!(at_end.unwrap().programs_done, PROGRAMS);
+        let err =
+            load_edited("past_end", |t| t.replace(&done(7), &done(PROGRAMS + 1))).unwrap_err();
+        assert_malformed(err, "programs done of a campaign of 8");
+    }
+
     #[test]
     fn unreadable_or_non_json_snapshot_is_an_error() {
         let missing = std::env::temp_dir().join("protean_campaign_test_missing/none.json");
         assert!(matches!(
-            load_snapshot(&missing, "fp"),
+            load_snapshot(&missing, "fp", PROGRAMS),
             Err(SnapshotError::Io { .. })
         ));
         let err = load_edited("garbage", |_| "not a snapshot".into()).unwrap_err();

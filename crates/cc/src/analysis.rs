@@ -86,16 +86,10 @@ pub fn past_leaked(program: &Program, cfg: &FunctionCfg) -> RegFlow {
             Op::Mov { dst, src, width } if base.contains(src) && width_ok(width, dst) => {
                 out.insert(dst);
             }
-            _ if !inst.is_load() && !inst.dst_regs().is_empty() => {
-                let inputs_public = inst.src_regs().is_superset(RegSet::new())
-                    && inst.src_regs().iter().all(|r| base.contains(r));
-                if inputs_public {
-                    // Partial-width writes already require the old dst
-                    // public via src_regs (it is listed as an input).
-                    for d in inst.dst_regs().iter() {
-                        out.insert(d);
-                    }
-                }
+            // Partial-width writes already require the old dst public
+            // via src_regs (it is listed as an input).
+            _ if !inst.is_load() && base.is_superset(inst.src_regs()) => {
+                out = out.union(inst.dst_regs());
             }
             _ => {}
         }

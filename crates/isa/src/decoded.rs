@@ -1,56 +1,21 @@
-//! Pre-decoded µop table: every per-instruction classification the
-//! pipeline front end needs, computed once per static instruction.
+//! Pre-decoded µop table: the operand facts the pipeline front end
+//! reads per dynamic µop, computed once per static instruction.
 //!
-//! The simulator's fetch/rename stages used to re-derive operand sets,
-//! memory classification, and branch kind from [`Inst`] on every
-//! *dynamic* visit — for a hot loop body that is the same work thousands
-//! of times over. [`DecodedProgram`] lowers each static instruction
-//! exactly once (at `Core::reset`) into a [`DecodedInst`]: a flat,
-//! `Copy` record with operands in inline-vector form and the control
-//! flow pre-classified into [`CtrlFlow`], so the per-visit cost is one
-//! indexed copy.
-//!
-//! [`DecodedInst::decode`] is the single lowering function, applied by
-//! [`DecodedProgram`] once per static instruction.
+//! Deriving operand sets from [`Inst`] walks its operands; for a hot
+//! loop body that is the same work thousands of times over.
+//! [`DecodedProgram`] lowers each static instruction exactly once (at
+//! `Core::reset`) into a [`DecodedInst`]: a flat, `Copy` record with
+//! operands in inline-vector form and the sources the active defense
+//! treats as sensitive, so the per-visit cost is one indexed copy.
+//! Everything [`Inst`] or [`Program`] answers in O(1) (class flags,
+//! sizes, the PC, branch targets) is read from there instead.
 
-use crate::inst::{Inst, Op, Operand, Width};
-use crate::program::Program;
+use crate::inst::{Inst, Op, Operand};
+use crate::program::{Program, TransmitterSet};
 use crate::reg::{Reg, RegSet};
 use crate::util::InlineVec;
 
-/// Pre-classified control flow of one static instruction.
-///
-/// Branch targets are instruction indices (as in [`Op`]); resolving the
-/// *predicted* next index still needs dynamic state (TAGE direction,
-/// RSB, BTB), but the kind dispatch and target extraction are static.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CtrlFlow {
-    /// Falls through to the next instruction; never redirects fetch.
-    Fall,
-    /// Direct unconditional jump to a static target.
-    Jmp {
-        /// Target instruction index.
-        target: u32,
-    },
-    /// Conditional branch: taken to `target`, else falls through.
-    Jcc {
-        /// Taken-path target instruction index.
-        target: u32,
-    },
-    /// Call: pushes the return address and jumps to a static target.
-    Call {
-        /// Target instruction index.
-        target: u32,
-    },
-    /// Return: indirect through the RSB (or BTB on RSB underflow).
-    Ret,
-    /// Indirect jump through a register: predicted via the BTB.
-    JmpReg,
-    /// Architectural end of the program; fetch stops here.
-    Halt,
-}
-
-/// One statically decoded µop: the instruction plus every derived fact
+/// One statically decoded µop: the instruction plus the operand facts
 /// the front end consults per dynamic visit.
 ///
 /// All fields are plain data (`Copy`), so the pipeline copies the table
@@ -60,103 +25,82 @@ pub enum CtrlFlow {
 pub struct DecodedInst {
     /// The instruction itself.
     pub inst: Inst,
-    /// Its program counter (`Program::pc_of` of the index).
-    pub pc: u64,
     /// Source registers, in [`RegSet`] iteration order (the order the
     /// rename stage reads them). No instruction names more than three.
     pub srcs: InlineVec<Reg, 3>,
     /// Destination registers, in [`RegSet`] iteration order. At most
     /// two: the explicit destination plus an implicit `RFLAGS`/`RSP`.
     pub dsts: InlineVec<Reg, 2>,
-    /// The explicit destination register ([`Inst::explicit_dst`]).
-    pub explicit_dst: Option<Reg>,
     /// Address-forming registers of memory µops ([`Inst::address_regs`]).
     pub addr_regs: RegSet,
     /// A store's pure *data* register operand, if it has one — the
     /// operand split off as STD, allowed to lag the address operands.
     /// `None` for `call` (its data is the constant return address).
     pub store_data_reg: Option<Reg>,
-    /// Memory access size in bytes (8 for non-memory µops, matching the
-    /// pipeline's `mem_size().unwrap_or(8)` convention).
-    pub mem_size: u64,
-    /// Register write width (`W64` for µops without one, matching the
-    /// pipeline's `write_width().unwrap_or(W64)` convention).
-    pub write_width: Width,
-    /// Performs a memory read (loads and `ret`).
-    pub is_load: bool,
-    /// Performs a memory write (stores and `call`).
-    pub is_store: bool,
-    /// Any memory access (`is_load || is_store`).
-    pub is_mem: bool,
-    /// Control-flow instruction ([`Inst::is_branch`]).
-    pub is_branch: bool,
-    /// Pre-classified control flow for fetch's next-index prediction.
-    pub ctrl: CtrlFlow,
+    /// The sources the table's [`TransmitterSet`] makes sensitive
+    /// ([`TransmitterSet::sensitive_regs`]): bit `i` is set when
+    /// `srcs[i]` is one.
+    pub sens_mask: u8,
 }
 
 impl DecodedInst {
-    /// Lowers the instruction at `idx` of `program`.
+    /// Lowers `inst` under `transmitters`.
     ///
     /// This is the *only* lowering routine: [`DecodedProgram`] applies
     /// it per static instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range for `program`.
-    pub fn decode(program: &Program, idx: u32) -> DecodedInst {
-        let inst = program.insts[idx as usize];
-        let (store_data_reg, ctrl) = match inst.op {
+    pub fn decode(inst: Inst, transmitters: &TransmitterSet) -> DecodedInst {
+        let store_data_reg = match inst.op {
             Op::Store {
                 src: Operand::Reg(r),
                 ..
-            } => (Some(r), CtrlFlow::Fall),
-            Op::Jmp { target } => (None, CtrlFlow::Jmp { target }),
-            Op::Jcc { target, .. } => (None, CtrlFlow::Jcc { target }),
-            Op::Call { target } => (None, CtrlFlow::Call { target }),
-            Op::Ret => (None, CtrlFlow::Ret),
-            Op::JmpReg { .. } => (None, CtrlFlow::JmpReg),
-            Op::Halt => (None, CtrlFlow::Halt),
-            _ => (None, CtrlFlow::Fall),
+            } => Some(r),
+            _ => None,
         };
+        let srcs: InlineVec<Reg, 3> = inst.src_regs().iter().collect();
+        let sensitive = transmitters.sensitive_regs(&inst);
+        let sens_mask = srcs
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| sensitive.contains(**r))
+            .fold(0, |m, (i, _)| m | 1 << i);
         DecodedInst {
             inst,
-            pc: program.pc_of(idx),
-            srcs: inst.src_regs().iter().collect(),
+            srcs,
             dsts: inst.dst_regs().iter().collect(),
-            explicit_dst: inst.explicit_dst(),
             addr_regs: inst.address_regs(),
             store_data_reg,
-            mem_size: inst.mem_size().unwrap_or(8),
-            write_width: inst.write_width().unwrap_or(Width::W64),
-            is_load: inst.is_load(),
-            is_store: inst.is_store(),
-            is_mem: inst.is_mem(),
-            is_branch: inst.is_branch(),
-            ctrl,
+            sens_mask,
         }
     }
 }
 
-/// A program's full pre-decoded µop table, indexed by instruction index.
+/// A program's full pre-decoded µop table under one transmitter set,
+/// indexed by instruction index.
 #[derive(Clone, Debug, Default)]
 pub struct DecodedProgram {
     insts: Vec<DecodedInst>,
 }
 
 impl DecodedProgram {
-    /// Decodes every static instruction of `program`.
-    pub fn new(program: &Program) -> DecodedProgram {
+    /// Decodes every static instruction of `program` under
+    /// `transmitters`.
+    pub fn new(program: &Program, transmitters: &TransmitterSet) -> DecodedProgram {
         let mut d = DecodedProgram::default();
-        d.rebuild(program);
+        d.rebuild(program, transmitters);
         d
     }
 
-    /// Re-decodes for a (possibly different) program, reusing the
-    /// table's backing allocation — the arena-reset path.
-    pub fn rebuild(&mut self, program: &Program) {
+    /// Re-decodes for a (possibly different) program and transmitter
+    /// set, reusing the table's backing allocation — the arena-reset
+    /// path.
+    pub fn rebuild(&mut self, program: &Program, transmitters: &TransmitterSet) {
         self.insts.clear();
-        self.insts
-            .extend((0..program.len() as u32).map(|idx| DecodedInst::decode(program, idx)));
+        self.insts.extend(
+            program
+                .insts
+                .iter()
+                .map(|&inst| DecodedInst::decode(inst, transmitters)),
+        );
     }
 
     /// The entry for instruction index `idx`.
@@ -182,7 +126,7 @@ impl DecodedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AluOp, Cond, Mem};
+    use crate::inst::{AluOp, Cond, Mem, Width};
 
     fn sample_program() -> Program {
         let insts = vec![
@@ -229,46 +173,52 @@ mod tests {
     #[test]
     fn decode_matches_inst_helpers() {
         let p = sample_program();
-        let d = DecodedProgram::new(&p);
-        assert_eq!(d.len(), p.len());
-        for idx in 0..p.len() as u32 {
-            let e = d.get(idx);
-            let inst = p.insts[idx as usize];
-            assert_eq!(e.inst, inst);
-            assert_eq!(e.pc, p.pc_of(idx));
-            let srcs: Vec<Reg> = inst.src_regs().iter().collect();
-            assert_eq!(&e.srcs[..], &srcs[..], "srcs of {inst}");
-            let dsts: Vec<Reg> = inst.dst_regs().iter().collect();
-            assert_eq!(&e.dsts[..], &dsts[..], "dsts of {inst}");
-            assert_eq!(e.explicit_dst, inst.explicit_dst());
-            assert_eq!(e.addr_regs, inst.address_regs());
-            assert_eq!(e.mem_size, inst.mem_size().unwrap_or(8));
-            assert_eq!(e.write_width, inst.write_width().unwrap_or(Width::W64));
-            assert_eq!(e.is_load, inst.is_load());
-            assert_eq!(e.is_store, inst.is_store());
-            assert_eq!(e.is_mem, inst.is_mem());
-            assert_eq!(e.is_branch, inst.is_branch());
+        for transmitters in [TransmitterSet::paper(), TransmitterSet::legacy()] {
+            let d = DecodedProgram::new(&p, &transmitters);
+            assert_eq!(d.len(), p.len());
+            for idx in 0..p.len() as u32 {
+                let e = d.get(idx);
+                let inst = p.insts[idx as usize];
+                assert_eq!(e.inst, inst);
+                let srcs: Vec<Reg> = inst.src_regs().iter().collect();
+                assert_eq!(&e.srcs[..], &srcs[..], "srcs of {inst}");
+                let dsts: Vec<Reg> = inst.dst_regs().iter().collect();
+                assert_eq!(&e.dsts[..], &dsts[..], "dsts of {inst}");
+                assert_eq!(e.addr_regs, inst.address_regs());
+                let sensitive = transmitters.sensitive_regs(&inst);
+                for (i, &r) in srcs.iter().enumerate() {
+                    assert_eq!(e.sens_mask >> i & 1 == 1, sensitive.contains(r), "{inst}");
+                }
+                assert_eq!(e.sens_mask >> srcs.len(), 0, "mask past srcs of {inst}");
+            }
         }
     }
 
     #[test]
-    fn control_flow_classification() {
+    fn sens_mask_follows_the_transmitter_set() {
         let p = sample_program();
-        let d = DecodedProgram::new(&p);
-        assert_eq!(d.get(0).ctrl, CtrlFlow::Fall);
-        assert_eq!(d.get(2).ctrl, CtrlFlow::Fall);
-        assert_eq!(d.get(5).ctrl, CtrlFlow::Jcc { target: 0 });
-        assert_eq!(d.get(6).ctrl, CtrlFlow::Call { target: 8 });
-        assert_eq!(d.get(7).ctrl, CtrlFlow::Ret);
-        assert_eq!(d.get(8).ctrl, CtrlFlow::JmpReg);
-        assert_eq!(d.get(9).ctrl, CtrlFlow::Jmp { target: 1 });
-        assert_eq!(d.get(10).ctrl, CtrlFlow::Halt);
+        let none = TransmitterSet {
+            loads: false,
+            stores: false,
+            branches: false,
+            divs: false,
+        };
+        let d = DecodedProgram::new(&p, &none);
+        assert!((0..p.len() as u32).all(|idx| d.get(idx).sens_mask == 0));
+        // The PROT load's address registers R0 and R2 are its only
+        // sources, and both are sensitive under the paper's set.
+        let d = DecodedProgram::new(&p, &TransmitterSet::paper());
+        assert_eq!(&d.get(1).srcs[..], &[Reg::R0, Reg::R2][..]);
+        assert_eq!(d.get(1).sens_mask, 0b11);
+        // The conditional branch transmits RFLAGS.
+        assert_eq!(&d.get(5).srcs[..], &[Reg::RFLAGS][..]);
+        assert_eq!(d.get(5).sens_mask, 0b1);
     }
 
     #[test]
     fn store_data_reg_split() {
         let p = sample_program();
-        let d = DecodedProgram::new(&p);
+        let d = DecodedProgram::new(&p, &TransmitterSet::paper());
         // Register-data store names its STD operand; immediate-data
         // store and call (constant return address) do not.
         assert_eq!(d.get(2).store_data_reg, Some(Reg::R1));
@@ -279,12 +229,13 @@ mod tests {
     #[test]
     fn rebuild_reuses_and_replaces() {
         let p = sample_program();
-        let mut d = DecodedProgram::new(&p);
+        let t = TransmitterSet::paper();
+        let mut d = DecodedProgram::new(&p, &t);
         let small = Program::from_insts(vec![Inst::new(Op::Halt)]);
-        d.rebuild(&small);
+        d.rebuild(&small, &t);
         assert_eq!(d.len(), 1);
-        assert_eq!(d.get(0).ctrl, CtrlFlow::Halt);
-        d.rebuild(&p);
+        assert_eq!(d.get(0).inst.op, Op::Halt);
+        d.rebuild(&p, &t);
         assert_eq!(d.len(), p.len());
     }
 }

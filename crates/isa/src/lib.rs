@@ -17,8 +17,9 @@
 //!   (loads, stores, branches, division µops) from the paper's threat
 //!   model (§II-B1);
 //! * [`DecodedProgram`]/[`DecodedInst`] — the pre-decoded µop table
-//!   built once per program by the simulator's decode-once front end
-//!   (and shared with the emulator oracle);
+//!   (operand sets and the sensitive-source mask under one
+//!   [`TransmitterSet`]) that the simulator's front end builds once per
+//!   program and policy;
 //! * [`ProgramBuilder`] and [`assemble`] — programmatic and textual
 //!   front-ends;
 //! * [`encode_program`]/[`code_size`] — a binary encoding used for the
@@ -66,7 +67,7 @@ mod util;
 
 pub use asm::{assemble, AsmError};
 pub use builder::{Label, ProgramBuilder, UnboundLabelError};
-pub use decoded::{CtrlFlow, DecodedInst, DecodedProgram};
+pub use decoded::{DecodedInst, DecodedProgram};
 pub use encode::{code_size, encode_program};
 pub use inst::{AluOp, Cond, Flags, Inst, Mem, Op, Operand, Width};
 pub use program::{Function, Program, ProgramError, Reloc, SecurityClass, TransmitterSet};

@@ -21,7 +21,6 @@ use core::fmt;
 /// use protean_isa::Reg;
 ///
 /// assert_eq!(Reg::R0.index(), 0);
-/// assert!(Reg::RSP.is_stack_pointer());
 /// assert_eq!(Reg::COUNT, 17);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -104,24 +103,6 @@ impl Reg {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Returns `true` for the stack pointer.
-    #[inline]
-    pub fn is_stack_pointer(self) -> bool {
-        self == Reg::RSP
-    }
-
-    /// Returns `true` for the flags register.
-    #[inline]
-    pub fn is_flags(self) -> bool {
-        self == Reg::RFLAGS
-    }
-
-    /// Returns `true` for a general-purpose register (`R0`–`R13`).
-    #[inline]
-    pub fn is_gpr(self) -> bool {
-        (self.0 as usize) < Reg::GPR_COUNT
     }
 
     /// Iterates over all architectural registers in index order.
@@ -319,11 +300,16 @@ mod tests {
 
     #[test]
     fn reg_classes() {
-        assert!(Reg::R0.is_gpr());
-        assert!(!Reg::RSP.is_gpr());
-        assert!(Reg::RSP.is_stack_pointer());
-        assert!(Reg::RFLAGS.is_flags());
-        assert!(!Reg::R3.is_flags());
+        // The GPRs are the first `GPR_COUNT` indices; RSP, RBP and
+        // RFLAGS follow them.
+        for i in 0..Reg::GPR_COUNT {
+            assert_eq!(Reg::gpr(i), Reg::new(i));
+        }
+        assert_eq!(
+            [Reg::RSP, Reg::RBP, Reg::RFLAGS].map(Reg::index),
+            [Reg::GPR_COUNT, Reg::GPR_COUNT + 1, Reg::GPR_COUNT + 2]
+        );
+        assert_eq!(Reg::GPR_COUNT + 3, Reg::COUNT);
     }
 
     #[test]

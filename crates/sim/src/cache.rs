@@ -76,8 +76,9 @@ struct Spare {
     touched: Vec<u32>,
 }
 
-/// Spares kept per thread: a core's four caches, plus the shared L3 and
-/// a swapped-out one that a multi-core run drops alongside them.
+/// Spares kept per thread: room for a core's four caches and the
+/// shared L3 of a multi-core run, which are dropped together, with
+/// headroom.
 const MAX_SPARES: usize = 8;
 
 thread_local! {

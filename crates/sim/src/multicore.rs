@@ -101,11 +101,9 @@ impl Multicore {
             // delta, not the traffic of every thread that ran before it.
             let (hits_before, misses_before) = (shared_l3.hits, shared_l3.misses);
             let mut core = Core::new(t.program, self.cfg.clone(), t.policy, &t.initial);
-            core.install_l3(shared_l3);
-            let (mut result, l3) = core.run_returning_l3(max_insts, max_cycles);
-            result.stats.l3_hits = l3.hits - hits_before;
-            result.stats.l3_misses = l3.misses - misses_before;
-            shared_l3 = l3;
+            let mut result = core.run_on_l3(&mut shared_l3, max_insts, max_cycles);
+            result.stats.l3_hits = shared_l3.hits - hits_before;
+            result.stats.l3_misses = shared_l3.misses - misses_before;
             results.push(result);
         }
         let makespan = results.iter().map(|r| r.stats.cycles).max().unwrap_or(0);

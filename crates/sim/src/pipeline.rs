@@ -16,14 +16,13 @@ use crate::defense::{
     BlockPoint, DefensePolicy, Gate, RegTags, Seq, SpecFrontier, SquashKind, NO_ROOT,
 };
 use crate::profile::{Profiler, Section};
-use crate::sched::{FetchEntry, FetchQueue, Scheduler, SetId, Slot, EXEC_PARKED};
+use crate::sched::{FetchEntry, Scheduler, SetId, Slot, EXEC_PARKED};
 use crate::trace::{Trace, Tracer};
 use crate::{Btb, Rsb, TagePredictor};
 use crate::{Cache, CoreConfig, MemProtTracking, Stats};
 use protean_arch::{ArchState, Memory, ProtState};
 use protean_isa::{
-    alu_eval, div_eval, CtrlFlow, DecodedProgram, Flags, InlineVec, Inst, Op, Operand, Program,
-    Reg, RegSet,
+    alu_eval, div_eval, DecodedProgram, Flags, InlineVec, Inst, Op, Operand, Program, Reg, Width,
 };
 use std::collections::VecDeque;
 
@@ -305,17 +304,14 @@ pub struct Core<'a> {
 
     // Front end.
     fetch_idx: Option<u32>,
-    fetch_queue: FetchQueue,
+    /// Fetched µops in program order, oldest first; each becomes
+    /// rename-ready at its own [`FetchEntry::ready_cycle`].
+    fetch_queue: VecDeque<FetchEntry>,
     fetch_stalled_until: u64,
-    /// Decode-once µop table, rebuilt at every [`Core::reset`] (the
-    /// program reference may point at reused storage, so no caching on
-    /// pointer identity).
+    /// Decode-once µop table under the active policy's transmitter set,
+    /// rebuilt at every [`Core::reset`] (the program reference may
+    /// point at reused storage, so no caching on pointer identity).
     decoded: DecodedProgram,
-    /// Per-static-instruction sensitive-register sets under the active
-    /// policy's transmitter set, precomputed at reset alongside the
-    /// decoded table; rename turns each into the µop's
-    /// [`DynInst::sens_mask`].
-    sens_table: Vec<RegSet>,
     /// Static index whose L1I miss has already been booked and filled:
     /// the post-stall re-fetch must not access the cache again (it would
     /// book a spurious hit and bump the LRU clock twice).
@@ -432,10 +428,9 @@ impl<'a> Core<'a> {
         let sched = Scheduler::new(n_phys, cfg.rob_size, max_completion_latency);
         let mut core = Core {
             fetch_idx: None,
-            fetch_queue: FetchQueue::default(),
+            fetch_queue: VecDeque::with_capacity(cfg.fetch_width * 3),
             fetch_stalled_until: 0,
             decoded: DecodedProgram::default(),
-            sens_table: Vec::new(),
             l1i_paid: None,
             tage: TagePredictor::new(),
             btb: Btb::new(cfg.btb_entries),
@@ -517,15 +512,8 @@ impl<'a> Core<'a> {
         };
         self.fetch_queue.clear();
         self.fetch_stalled_until = 0;
-        self.decoded.rebuild(self.program);
-        let transmitters = self.policy.transmitters();
-        self.sens_table.clear();
-        self.sens_table.extend(
-            self.program
-                .insts
-                .iter()
-                .map(|i| transmitters.sensitive_regs(i)),
-        );
+        self.decoded
+            .rebuild(self.program, &self.policy.transmitters());
         self.l1i_paid = None;
         self.tage.reset();
         self.btb.reset();
@@ -574,20 +562,19 @@ impl<'a> Core<'a> {
         self.record_traces = on;
     }
 
-    /// Replaces this core's L3 with a shared one (multi-core runs).
-    pub(crate) fn install_l3(&mut self, l3: Cache) {
-        self.l3 = l3;
-    }
-
-    /// Runs and hands back the (possibly shared) L3 alongside the result.
-    pub(crate) fn run_returning_l3(
-        mut self,
+    /// Runs on a borrowed L3 (multi-core runs share one): `l3` stands
+    /// in for this core's own for the whole run and is handed back, in
+    /// its post-run state, when the run ends.
+    pub(crate) fn run_on_l3(
+        &mut self,
+        l3: &mut Cache,
         max_insts: u64,
         max_cycles: u64,
-    ) -> (SimResult, Cache) {
+    ) -> SimResult {
+        std::mem::swap(&mut self.l3, l3);
         let result = self.run_inner(max_insts, max_cycles);
-        let l3 = std::mem::replace(&mut self.l3, Cache::new(self.cfg.l3, true));
-        (result, l3)
+        std::mem::swap(&mut self.l3, l3);
+        result
     }
 
     /// The active defense policy.
@@ -688,14 +675,18 @@ impl<'a> Core<'a> {
             out,
             "fetch_idx={:?} fq={} free={} lq={} sq={}",
             self.fetch_idx,
-            self.fetch_queue.pending(),
+            self.fetch_queue.len(),
             self.free_list.len(),
             self.sched.len(SetId::InflightLoads),
             self.sched.len(SetId::InflightStores)
         );
-        if let Some(g) = self.fetch_queue.front_group() {
-            let idxs: Vec<u32> = g.remaining().iter().map(|e| e.idx).collect();
-            let _ = writeln!(out, "  head fetch group ready@{}: {idxs:?}", g.ready_cycle);
+        if let Some(head) = self.fetch_queue.front() {
+            let idxs: Vec<u32> = self.fetch_queue.iter().map(|e| e.idx).collect();
+            let _ = writeln!(
+                out,
+                "  fetch queue head ready@{}: {idxs:?}",
+                head.ready_cycle
+            );
         }
         for off in 0..self.sched.rob_len().min(8) {
             let u = &self.rob[self.sched.slot_at(off)];
@@ -900,9 +891,9 @@ impl<'a> Core<'a> {
         if self.fetch_stalled_until >= cycle {
             wake = wake.min(self.fetch_stalled_until);
         }
-        if let Some(rc) = self.fetch_queue.head_ready_cycle() {
-            if rc >= cycle {
-                wake = wake.min(rc);
+        if let Some(head) = self.fetch_queue.front() {
+            if head.ready_cycle >= cycle {
+                wake = wake.min(head.ready_cycle);
             }
         }
         if self.div_busy_until >= cycle {
@@ -1265,8 +1256,8 @@ impl<'a> Core<'a> {
     fn squash_and_refetch(&mut self, surviving: Seq, refetch: Option<u32>, kind: SquashKind) {
         let queued = self
             .fetch_queue
-            .head()
-            .map(|(f, _)| (f.hist_snapshot, f.rsb_checkpoint));
+            .front()
+            .map(|f| (f.hist_snapshot, f.rsb_checkpoint));
         let snap = match self.squash_younger_than(surviving, kind) {
             Some(slot) => Some((self.rob[slot].hist_snapshot, self.rob[slot].rsb_checkpoint)),
             None => queued,
@@ -1978,32 +1969,32 @@ impl<'a> Core<'a> {
     // Rename
     // ------------------------------------------------------------------
 
-    /// Consumes up to `fetch_width` µops from the fetch queue's front
-    /// group(s), writing each into the ROB tail slot in place.
-    /// Structural stalls (ROB/LQ/SQ/free-list) stop the whole cycle
-    /// exactly as the entry-at-a-time loop did.
+    /// Consumes up to `fetch_width` rename-ready µops from the front of
+    /// the fetch queue, writing each into the ROB tail slot in place.
+    /// A structural stall (ROB/LQ/SQ/free-list) stops the whole cycle.
     fn rename(&mut self) {
         for _ in 0..self.cfg.fetch_width {
-            let Some((&front, ready_cycle)) = self.fetch_queue.head() else {
+            let Some(&front) = self.fetch_queue.front() else {
                 return;
             };
-            if ready_cycle > self.cycle {
+            if front.ready_cycle > self.cycle {
                 return;
             }
             if self.sched.rob_len() >= self.cfg.rob_size {
                 return;
             }
             let d = *self.decoded.get(front.idx);
-            if d.is_load && self.sched.len(SetId::InflightLoads) >= self.cfg.lq_size {
+            let (is_load, is_store) = (d.inst.is_load(), d.inst.is_store());
+            if is_load && self.sched.len(SetId::InflightLoads) >= self.cfg.lq_size {
                 return;
             }
-            if d.is_store && self.sched.len(SetId::InflightStores) >= self.cfg.sq_size {
+            if is_store && self.sched.len(SetId::InflightStores) >= self.cfg.sq_size {
                 return;
             }
             if self.free_list.len() < d.dsts.len() {
                 return;
             }
-            self.fetch_queue.advance_head();
+            self.fetch_queue.pop_front();
             let seq = self.next_seq;
             self.next_seq += 1;
             // Claim the tail slot before any set insert refers to it.
@@ -2052,7 +2043,7 @@ impl<'a> Core<'a> {
             } = &mut self.rob[slot];
             *u_seq = seq;
             *idx = front.idx;
-            *pc = d.pc;
+            *pc = self.program.pc_of(front.idx);
             *inst = d.inst;
             *status = UopStatus::Waiting;
             *pred_next = front.pred_next;
@@ -2070,7 +2061,7 @@ impl<'a> Core<'a> {
             *wakeup_hold_root = NO_ROOT;
             *pred_no_access = None;
             *div_fault = false;
-            *fetch_cycle = ready_cycle - self.cfg.frontend_depth as u64;
+            *fetch_cycle = front.ready_cycle - self.cfg.frontend_depth as u64;
             *rename_cycle = self.cycle;
             *issue_cycle = 0;
             *complete_cycle = 0;
@@ -2081,15 +2072,10 @@ impl<'a> Core<'a> {
                 srcs.push((r, self.rename_map[r.index()]));
             }
             *src_prot = srcs.iter().any(|(_, p)| self.tags.prot[*p]);
-            let sens_arch = self.sens_table[front.idx as usize];
-            *sens_mask = srcs
-                .iter()
-                .enumerate()
-                .filter(|(_, (r, _))| sens_arch.contains(*r))
-                .fold(0, |m, (i, _)| m | 1 << i);
+            *sens_mask = d.sens_mask;
 
             // Destinations: allocate and update maps.
-            let width = d.write_width;
+            let partial = d.inst.write_width().is_some_and(Width::is_partial);
             dsts.clear();
             for r in d.dsts.iter().copied() {
                 let new_phys = self.free_list.pop_front().expect("checked space");
@@ -2101,7 +2087,7 @@ impl<'a> Core<'a> {
                 // unprefixed partial writes leave the bit unchanged.
                 let new_prot = if d.inst.prot {
                     true
-                } else if width.is_partial() && r == d.explicit_dst.unwrap_or(r) {
+                } else if partial && d.inst.explicit_dst().is_none_or(|e| e == r) {
                     prev_prot
                 } else {
                     false
@@ -2120,9 +2106,9 @@ impl<'a> Core<'a> {
                 });
             }
 
-            *mem = d.is_mem.then_some(MemState {
+            *mem = d.inst.mem_size().map(|size| MemState {
                 addr: None,
-                size: d.mem_size,
+                size,
                 value: 0,
                 data_ready: false,
                 data_prot: false,
@@ -2133,10 +2119,10 @@ impl<'a> Core<'a> {
                 fwd_data_taint: false,
             });
 
-            if d.is_load {
+            if is_load {
                 self.sched.insert(SetId::InflightLoads, slot);
             }
-            if d.is_store {
+            if is_store {
                 self.sched.insert(SetId::InflightStores, slot);
             }
             self.policy.on_rename(&mut self.rob[slot], &mut self.tags);
@@ -2156,7 +2142,7 @@ impl<'a> Core<'a> {
                 None => self.sched.insert(SetId::IssueReady, slot),
                 Some(p) => self.sched.register_dep(p, slot),
             }
-            if d.is_branch {
+            if d.inst.is_branch() {
                 self.sched.insert(SetId::UnresolvedBranches, slot);
             }
             self.invalidate_frontier();
@@ -2171,23 +2157,17 @@ impl<'a> Core<'a> {
 
     /// Fetches one group per cycle: up to `fetch_width` µops ending at
     /// the first predicted-taken control transfer (or an L1I miss, the
-    /// queue cap, or program end). The whole group is handed to the
-    /// fetch queue as one slice sharing a single ready cycle — entries
-    /// fetched the same cycle always shared it anyway.
+    /// queue cap, or program end). Each µop enters the fetch queue with
+    /// the same rename-ready cycle, `frontend_depth` cycles from now.
     fn fetch(&mut self) {
         if self.cycle < self.fetch_stalled_until {
             return;
         }
         let cap = self.cfg.fetch_width * 3;
-        // Idle fast path: nothing to fetch (program exhausted / queue at
-        // cap) — skip the group bookkeeping entirely. Stall-heavy
-        // defense runs spend most cycles here.
-        if self.fetch_idx.is_none() || self.fetch_queue.pending() >= cap {
-            return;
-        }
-        let mut group = self.fetch_queue.begin_group();
+        let ready_cycle = self.cycle + self.cfg.frontend_depth as u64;
+        let mut fetched = 0;
         for _ in 0..self.cfg.fetch_width {
-            if self.fetch_queue.pending() + group.len() >= cap {
+            if self.fetch_queue.len() >= cap {
                 break;
             }
             let Some(idx) = self.fetch_idx else { break };
@@ -2196,7 +2176,7 @@ impl<'a> Core<'a> {
                 break;
             }
             let pc = self.program.pc_of(idx);
-            let ctrl = self.decoded.get(idx).ctrl;
+            let op = self.program.insts[idx as usize].op;
             // Instruction-cache access: a miss stalls the front end for
             // the L2 hit latency (instruction lines are L2-resident for
             // our workload sizes; the line is filled by the access that
@@ -2218,20 +2198,20 @@ impl<'a> Core<'a> {
             let hist_snapshot = self.tage.history();
             let rsb_checkpoint = self.rsb.checkpoint();
             // Every live checkpoint is held by an in-flight µop (the
-            // ROB, the fetch queue and this group), except possibly the
-            // last committed µop's.
+            // ROB and the fetch queue), except possibly the last
+            // committed µop's.
             debug_assert!(
                 self.rsb.live_checkpoints() <= self.cfg.rob_size + cap + 1,
                 "RSB checkpoints outlive their µops"
             );
             let mut pred_taken = false;
-            let pred_next: Option<u32> = match ctrl {
-                CtrlFlow::Jmp { target } => Some(target),
-                CtrlFlow::Call { target } => {
+            let pred_next: Option<u32> = match op {
+                Op::Jmp { target } => Some(target),
+                Op::Call { target } => {
                     self.rsb.push(self.program.pc_of(idx + 1));
                     Some(target)
                 }
-                CtrlFlow::Jcc { target } => {
+                Op::Jcc { target, .. } => {
                     pred_taken = self.with_comp(Section::Bpred, |c| {
                         let p = c.tage.predict(pc);
                         c.tage.speculate(pc, p);
@@ -2239,27 +2219,29 @@ impl<'a> Core<'a> {
                     });
                     Some(if pred_taken { target } else { idx + 1 })
                 }
-                CtrlFlow::Ret => match self.rsb.pop() {
+                Op::Ret => match self.rsb.pop() {
                     Some(ret_pc) => self.program.index_of_pc(ret_pc),
                     None => self
                         .btb
                         .lookup(pc)
                         .and_then(|t| self.program.index_of_pc(t)),
                 },
-                CtrlFlow::JmpReg => self
+                Op::JmpReg { .. } => self
                     .btb
                     .lookup(pc)
                     .and_then(|t| self.program.index_of_pc(t)),
-                CtrlFlow::Halt => None,
-                CtrlFlow::Fall => Some(idx + 1),
+                Op::Halt => None,
+                _ => Some(idx + 1),
             };
-            group.push(FetchEntry {
+            self.fetch_queue.push_back(FetchEntry {
                 idx,
+                ready_cycle,
                 pred_next,
                 pred_taken,
                 hist_snapshot,
                 rsb_checkpoint,
             });
+            fetched += 1;
             self.sched.mark_progress();
             self.fetch_idx = pred_next;
             // Stop the fetch group after a taken control transfer.
@@ -2267,11 +2249,10 @@ impl<'a> Core<'a> {
                 break;
             }
         }
-        if let (Some(t), Some(first)) = (self.tracer.as_mut(), group.first()) {
-            t.on_fetch_group(self.cycle, first.idx, group.len() as u32);
+        if let Some(t) = self.tracer.as_mut().filter(|_| fetched > 0) {
+            let first = self.fetch_queue[self.fetch_queue.len() - fetched];
+            t.on_fetch_group(self.cycle, first.idx, fetched as u32);
         }
-        self.fetch_queue
-            .push_group(group, self.cycle + self.cfg.frontend_depth as u64);
     }
 }
 

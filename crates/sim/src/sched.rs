@@ -1068,17 +1068,18 @@ impl Scheduler {
 }
 
 // ---------------------------------------------------------------------
-// Fetch-group hand-off
+// Fetch hand-off
 // ---------------------------------------------------------------------
 
 /// One fetched µop, as produced by the fetch stage: the static index
-/// plus the dynamic prediction state rename needs. Per-entry front-end
-/// timing lives on the owning [`FetchGroup`] — all µops fetched in one
-/// cycle become rename-ready together.
+/// plus the dynamic prediction state rename needs.
 #[derive(Clone, Copy)]
 pub(crate) struct FetchEntry {
     /// Static instruction index.
     pub idx: u32,
+    /// Cycle at which the µop reaches rename (fetch cycle + front-end
+    /// depth). Non-decreasing along the fetch queue.
+    pub ready_cycle: u64,
     /// Predicted next instruction index (`None` = predicted stop).
     pub pred_next: Option<u32>,
     /// For conditional branches: predicted direction.
@@ -1088,120 +1089,6 @@ pub(crate) struct FetchEntry {
     /// RSB checkpoint id from before this µop's fetch
     /// ([`crate::Rsb::checkpoint`]).
     pub rsb_checkpoint: u32,
-}
-
-/// A fetch group: the µops fetched in one cycle, handed to rename as a
-/// unit. A group ends at a predicted-taken control transfer, at the
-/// fetch width, or at a front-end stall (L1I miss / queue cap).
-pub(crate) struct FetchGroup {
-    /// Cycle at which the whole group reaches rename (fetch cycle +
-    /// front-end depth). Strictly increasing across queued groups, so
-    /// one group-level check replaces the old per-entry check exactly.
-    pub ready_cycle: u64,
-    /// Index of the next unconsumed entry (rename may drain a group
-    /// across several cycles under structural stalls).
-    cursor: usize,
-    entries: Vec<FetchEntry>,
-}
-
-// Fetch-group buffers are cleared and reused without a drop.
-const _: () = assert!(!std::mem::needs_drop::<FetchEntry>());
-
-impl FetchGroup {
-    /// Entries rename has not consumed yet.
-    pub fn remaining(&self) -> &[FetchEntry] {
-        &self.entries[self.cursor..]
-    }
-}
-
-/// The front-end queue in group form: fetch pushes one [`FetchGroup`]
-/// per cycle; rename consumes entries from the front group in order.
-/// Group entry buffers are pooled so the steady state allocates nothing
-/// (the PR 5 arena discipline).
-#[derive(Default)]
-pub(crate) struct FetchQueue {
-    groups: VecDeque<FetchGroup>,
-    /// Spent entry buffers, kept for reuse.
-    pool: Vec<Vec<FetchEntry>>,
-    /// Total unconsumed entries across all groups (the old
-    /// `fetch_queue.len()` — the fetch stage's cap is on µops, not
-    /// groups).
-    pending: usize,
-}
-
-impl FetchQueue {
-    /// Takes an empty entry buffer for fetch to fill (pooled).
-    pub fn begin_group(&mut self) -> Vec<FetchEntry> {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    /// Queues a filled group with its rename-ready cycle. An empty
-    /// buffer (fetch stalled before producing anything) is returned to
-    /// the pool without queuing a group.
-    pub fn push_group(&mut self, entries: Vec<FetchEntry>, ready_cycle: u64) {
-        if entries.is_empty() {
-            self.pool.push(entries);
-            return;
-        }
-        debug_assert!(
-            self.groups
-                .back()
-                .is_none_or(|g| g.ready_cycle < ready_cycle),
-            "group ready cycles must be strictly increasing"
-        );
-        self.pending += entries.len();
-        self.groups.push_back(FetchGroup {
-            ready_cycle,
-            cursor: 0,
-            entries,
-        });
-    }
-
-    /// The front group's next unconsumed entry, with the group's
-    /// ready cycle.
-    pub fn head(&self) -> Option<(&FetchEntry, u64)> {
-        self.groups
-            .front()
-            .map(|g| (&g.entries[g.cursor], g.ready_cycle))
-    }
-
-    /// The front group's ready cycle (fast-forward wake point).
-    pub fn head_ready_cycle(&self) -> Option<u64> {
-        self.groups.front().map(|g| g.ready_cycle)
-    }
-
-    /// The front group itself (diagnostics).
-    pub fn front_group(&self) -> Option<&FetchGroup> {
-        self.groups.front()
-    }
-
-    /// Consumes the entry returned by [`FetchQueue::head`]; exhausted
-    /// groups are retired and their buffers pooled.
-    pub fn advance_head(&mut self) {
-        let g = self.groups.front_mut().expect("advance past empty queue");
-        g.cursor += 1;
-        self.pending -= 1;
-        if g.cursor == g.entries.len() {
-            let mut g = self.groups.pop_front().expect("front exists");
-            g.entries.clear();
-            self.pool.push(g.entries);
-        }
-    }
-
-    /// Total unconsumed µops across all groups.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Discards every queued group (fetch redirect), pooling their
-    /// buffers.
-    pub fn clear(&mut self) {
-        while let Some(mut g) = self.groups.pop_front() {
-            g.entries.clear();
-            self.pool.push(g.entries);
-        }
-        self.pending = 0;
-    }
 }
 
 #[cfg(test)]
@@ -1592,65 +1479,5 @@ mod tests {
         assert!(r.s.progress());
         r.s.clear_progress();
         assert!(!r.s.progress());
-    }
-
-    fn entry(idx: u32) -> FetchEntry {
-        FetchEntry {
-            idx,
-            pred_next: Some(idx + 1),
-            pred_taken: false,
-            hist_snapshot: 0,
-            rsb_checkpoint: 0,
-        }
-    }
-
-    #[test]
-    fn fetch_queue_groups_drain_in_order() {
-        let mut q = FetchQueue::default();
-        assert!(q.head().is_none());
-        let mut g = q.begin_group();
-        g.push(entry(0));
-        g.push(entry(1));
-        q.push_group(g, 10);
-        let mut g = q.begin_group();
-        g.push(entry(2));
-        q.push_group(g, 11);
-        assert_eq!(q.pending(), 3);
-        assert_eq!(q.head_ready_cycle(), Some(10));
-
-        let (e, rc) = q.head().expect("head");
-        assert_eq!((e.idx, rc), (0, 10));
-        q.advance_head();
-        // The front group is handed over as a slice; the cursor tracks
-        // what rename has consumed.
-        let rem: Vec<u32> = q.groups[0].remaining().iter().map(|e| e.idx).collect();
-        assert_eq!(rem, vec![1]);
-        let (e, rc) = q.head().expect("head");
-        assert_eq!((e.idx, rc), (1, 10));
-        q.advance_head();
-        // First group exhausted: head moves to the second group.
-        let (e, rc) = q.head().expect("head");
-        assert_eq!((e.idx, rc), (2, 11));
-        assert_eq!(q.pending(), 1);
-        q.advance_head();
-        assert!(q.head().is_none());
-        assert_eq!(q.pending(), 0);
-    }
-
-    #[test]
-    fn fetch_queue_empty_group_and_clear_recycle() {
-        let mut q = FetchQueue::default();
-        let g = q.begin_group();
-        q.push_group(g, 5); // empty: no group queued
-        assert!(q.head().is_none());
-        let mut g = q.begin_group();
-        g.push(entry(7));
-        q.push_group(g, 6);
-        assert_eq!(q.pending(), 1);
-        q.clear();
-        assert_eq!(q.pending(), 0);
-        assert!(q.head().is_none());
-        // Pooled buffers come back empty.
-        assert!(q.begin_group().is_empty());
     }
 }

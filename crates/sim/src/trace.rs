@@ -109,8 +109,8 @@ pub struct AuditRecord {
     pub committed: bool,
 }
 
-/// One front-end fetch group: the contiguous µop run fetched in a
-/// single cycle and handed to rename as a unit (batched front end).
+/// One front-end fetch group: the µop run fetched in a single cycle,
+/// which reaches rename in the same later cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FetchGroupEvent {
     /// Cycle the group was fetched.
@@ -377,6 +377,15 @@ impl Trace {
     /// timings) differ. Campaign triage keys its dedup buckets on this
     /// string: one root cause, one bucket.
     pub fn audit_signature(&self) -> String {
+        let rules = self.fired_rules();
+        let causes = self.squash_causes();
+        format!("rules[{}] squashes[{}]", rules.join(","), causes.join(","))
+    }
+
+    /// The sorted, deduplicated set of `"{gate}/{rule}"` names of the
+    /// rules that held a µop at a gate in the run — the other axis of the
+    /// campaign engine's coverage map.
+    pub fn fired_rules(&self) -> Vec<String> {
         let mut rules: Vec<String> = self
             .blocked_by_rule()
             .iter()
@@ -384,8 +393,7 @@ impl Trace {
             .collect();
         rules.sort();
         rules.dedup();
-        let causes = self.squash_causes();
-        format!("rules[{}] squashes[{}]", rules.join(","), causes.join(","))
+        rules
     }
 
     /// The sorted, deduplicated set of squash-cause names observed in

@@ -1,7 +1,6 @@
-//! Front-end regression tests for the decode-once/batched-fetch path:
-//! the L1I stats fix (exactly one access booked per fetched µop), the
-//! per-cycle fetch-group trace events, and the audit-log/`Stats`
-//! reconciliation under batched fetch.
+//! Front-end regression tests: the L1I stats fix (exactly one access
+//! booked per fetched µop), the per-cycle fetch-group trace events, and
+//! the audit-log/`Stats` reconciliation through the fetch queue.
 
 use protean_arch::ArchState;
 use protean_isa::{assemble, Program};
@@ -56,10 +55,10 @@ fn l1i_accesses_equal_fetched_uops_on_cold_cache() {
     }
 }
 
-/// Batched fetch hands whole groups to rename: with tracing on, the
-/// per-cycle fetch-group events must cover every fetch (group sizes in
-/// `1..=fetch_width`, strictly increasing cycles, and total µops equal
-/// to the L1I access count — fetch is the sole L1I client).
+/// With tracing on, the per-cycle fetch-group events must cover every
+/// fetch (group sizes in `1..=fetch_width`, strictly increasing cycles,
+/// and total µops equal to the L1I access count — fetch is the sole
+/// L1I client).
 #[test]
 fn fetch_group_events_cover_all_fetched_uops() {
     let prog = straight_line(150);
@@ -83,9 +82,9 @@ fn fetch_group_events_cover_all_fetched_uops() {
     }
 }
 
-/// The audit log still reconciles exactly with `Stats` under batched
-/// fetch (the group hand-off may not change when µops reach rename, so
-/// blocked-cycle attribution is unchanged; see also
+/// The audit log reconciles exactly with `Stats` through the fetch
+/// queue (when µops reach rename decides blocked-cycle attribution; see
+/// also
 /// `tests/trace.rs::audit_log_reconciles_with_stats_counters`).
 #[test]
 fn audit_reconciles_under_batched_fetch() {
