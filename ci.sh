@@ -51,6 +51,27 @@ for example in examples/*.rs; do
     TMPDIR="$EXAMPLES_TMP" "./target/release/examples/$name" >/dev/null
 done
 
+step "simulate (release, one traced ProtCC-CT run on the tiny core)"
+# The one-off experimentation binary: assemble a small program, compile
+# it with ProtCC-CT, run it under ProtTrack with every trace output on.
+# It must exit 0 and write a non-empty trace-event JSON file.
+cat >"$EXAMPLES_TMP/sim.pasm" <<'PASM'
+    mov rsp, 0x8000
+    mov r0, 0x1000
+    load r1, [r0]
+    cmp r1, 0
+    jlt done
+    load r2, [r1*8 + 0x2000]
+done:
+    halt
+PASM
+./target/release/simulate "$EXAMPLES_TMP/sim.pasm" --core tiny --pass ct --defense track \
+    --trace --trace-json "$EXAMPLES_TMP/sim_trace.json" --timeline 4 >/dev/null
+if [ ! -s "$EXAMPLES_TMP/sim_trace.json" ]; then
+    echo "simulate wrote no trace-event JSON" >&2
+    exit 1
+fi
+
 step "cargo test -q --release --offline --workspace (PROTEAN_JOBS=1, serial job pool)"
 PROTEAN_JOBS=1 cargo test -q --release --offline --workspace
 
@@ -67,8 +88,8 @@ step "cargo test -q --offline --workspace (debug profile)"
 # bugs (e.g. u64 wrap in the cache metadata folds, or a u64 instruction
 # budget doubled past its range) only surface in this configuration.
 # The release and debug passes both run the equivalence suites
-# (golden_scheduler, threaded_oracle_equiv, cache_flat_equiv,
-# core_reset, tage_fold_equiv).
+# (golden_scheduler, golden_protcc, threaded_oracle_equiv,
+# cache_flat_equiv, core_reset, tage_fold_equiv).
 # In this pass every tick also asserts that each µop parked at any of
 # the three defense gates (execute, wakeup, resolve) is still closed,
 # and that the issue stage's parked count equals the old per-cycle

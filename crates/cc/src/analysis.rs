@@ -2,9 +2,9 @@
 //! (paper §V-A3, §V-A4).
 //!
 //! All three analyses work on [`RegSet`] lattices over an instruction-
-//! level [`FunctionCfg`] with *must* (intersection) merges — an
-//! under-approximation is required, since their results license
-//! **un**protection:
+//! level [`FunctionCfg`], solved by [`FunctionCfg::solve`] with *must*
+//! (intersection) merges — an under-approximation is required, since
+//! their results license **un**protection:
 //!
 //! * [`past_leaked`] — registers whose current value already *fully*
 //!   leaked along all prior paths, or holds a constant;
@@ -20,12 +20,12 @@
 //! see [`crate::cts`]; this distinction is exactly why ProtCC-CTS
 //! outperforms SPT in §IX-B2).
 
-use crate::cfg::FunctionCfg;
-use protean_isa::{Inst, Op, Program, Reg, RegSet, Width};
+use crate::cfg::{Direction, Flow, FunctionCfg};
+use protean_isa::{Inst, Op, Operand, Program, Reg, RegSet, Width};
 
 /// Registers `inst` *fully* transmits: memory address registers and
 /// indirect-jump targets.
-pub fn fully_transmitted(inst: &Inst) -> RegSet {
+pub(crate) fn fully_transmitted(inst: &Inst) -> RegSet {
     let mut set = inst.address_regs();
     if let Op::JmpReg { src } = inst.op {
         set.insert(src);
@@ -36,215 +36,145 @@ pub fn fully_transmitted(inst: &Inst) -> RegSet {
 /// The never-secret-by-convention registers (stack and frame pointer):
 /// pinned unprotected by every pass, as ProtCC-UNR's stack-pointer rule
 /// (§V-A4, and the §IX-A1 `blackscholes` analysis) requires.
-pub fn pinned_public() -> RegSet {
+pub(crate) fn pinned_public() -> RegSet {
     RegSet::from_regs([Reg::RSP, Reg::RBP])
 }
 
-fn is_call(inst: &Inst) -> bool {
-    matches!(inst.op, Op::Call { .. })
-}
-
-/// Result of a forward/backward register analysis: per-instruction `IN`
-/// and `OUT` sets (function-relative indexing).
-#[derive(Clone, Debug)]
-pub struct RegFlow {
-    /// Set holding *before* each instruction.
-    pub before: Vec<RegSet>,
-    /// Set holding *after* each instruction.
-    pub after: Vec<RegSet>,
+/// Solves a must-analysis over [`RegSet`]s: intersection meet, with
+/// `transfer` applied to the instruction at each function-relative
+/// index.
+fn must_solve(
+    program: &Program,
+    cfg: &FunctionCfg,
+    direction: Direction,
+    boundary: RegSet,
+    transfer: impl Fn(&Inst, RegSet) -> RegSet,
+) -> Flow<RegSet> {
+    cfg.solve(
+        direction,
+        boundary,
+        RegSet::all(),
+        |acc, x| *acc = acc.intersection(*x),
+        |local, &fact| transfer(&program.insts[cfg.start as usize + local], fact),
+    )
 }
 
 /// Forward must-analysis: past-leaked registers (paper §V-A3).
-pub fn past_leaked(program: &Program, cfg: &FunctionCfg) -> RegFlow {
-    let n = cfg.len();
-    let mut before = vec![RegSet::all(); n];
-    let mut after = vec![RegSet::all(); n];
-    if n == 0 {
-        return RegFlow { before, after };
-    }
-    before[0] = pinned_public();
-    let transfer = |local: usize, input: RegSet| -> RegSet {
-        let inst = &program.insts[(cfg.start + local as u32) as usize];
-        if is_call(inst) {
-            // Opaque call: only the pinned registers survive.
-            return pinned_public();
-        }
-        // Values being transmitted now are leaked afterwards…
-        let base = input.union(fully_transmitted(inst));
-        // …unless the instruction overwrites them.
-        let mut out = base.difference(inst.dst_regs());
-        // A deterministic function of fully-leaked inputs is itself
-        // public knowledge (the attacker knows the code): constants,
-        // copies, and ALU results over leaked operands. Loads are
-        // excluded — a public *address* says nothing about the loaded
-        // value.
-        let width_ok = |w: Width, dst: Reg| !w.is_partial() || base.contains(dst);
-        match inst.op {
-            Op::MovImm { dst, width, .. } if width_ok(width, dst) => {
-                out.insert(dst);
+pub(crate) fn past_leaked(program: &Program, cfg: &FunctionCfg) -> Flow<RegSet> {
+    must_solve(
+        program,
+        cfg,
+        Direction::Forward,
+        pinned_public(),
+        |inst, input| {
+            if matches!(inst.op, Op::Call { .. }) {
+                // Opaque call: only the pinned registers survive.
+                return pinned_public();
             }
-            Op::Mov { dst, src, width } if base.contains(src) && width_ok(width, dst) => {
-                out.insert(dst);
+            // Values being transmitted now are leaked afterwards…
+            let base = input.union(fully_transmitted(inst));
+            // …unless the instruction overwrites them.
+            let mut out = base.difference(inst.dst_regs());
+            // A deterministic function of fully-leaked inputs is itself
+            // public knowledge (the attacker knows the code): constants,
+            // copies, and ALU results over leaked operands. Loads are
+            // excluded — a public *address* says nothing about the loaded
+            // value.
+            let width_ok = |w: Width, dst: Reg| !w.is_partial() || base.contains(dst);
+            match inst.op {
+                Op::MovImm { dst, width, .. } if width_ok(width, dst) => {
+                    out.insert(dst);
+                }
+                Op::Mov { dst, src, width } if base.contains(src) && width_ok(width, dst) => {
+                    out.insert(dst);
+                }
+                // Partial-width writes already require the old dst public
+                // via src_regs (it is listed as an input).
+                _ if !inst.is_load() && base.is_superset(inst.src_regs()) => {
+                    out = out.union(inst.dst_regs());
+                }
+                _ => {}
             }
-            // Partial-width writes already require the old dst public
-            // via src_regs (it is listed as an input).
-            _ if !inst.is_load() && base.is_superset(inst.src_regs()) => {
-                out = out.union(inst.dst_regs());
-            }
-            _ => {}
-        }
-        out.union(pinned_public())
-    };
-    fixpoint_forward(cfg, &mut before, &mut after, pinned_public(), transfer);
-    RegFlow { before, after }
+            out.union(pinned_public())
+        },
+    )
 }
 
-/// Backward must-analysis: bound-to-leak registers (paper §V-A3).
-pub fn bound_to_leak(program: &Program, cfg: &FunctionCfg) -> RegFlow {
-    let n = cfg.len();
-    let mut before = vec![RegSet::all(); n];
-    let mut after = vec![RegSet::all(); n];
-    if n == 0 {
-        return RegFlow { before, after };
-    }
-    let transfer = |local: usize, output: RegSet| -> RegSet {
-        let inst = &program.insts[(cfg.start + local as u32) as usize];
-        if is_call(inst) {
-            // The callee's behaviour is unknown: only the call's own
-            // transmission (of RSP) is guaranteed.
-            return fully_transmitted(inst);
-        }
-        output
-            .difference(inst.dst_regs())
-            .union(fully_transmitted(inst))
-    };
-    // Iterate to a fixpoint, backward.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for local in (0..n).rev() {
-            let mut out = if cfg.exits[local] && cfg.succs[local].is_empty() {
-                RegSet::new()
-            } else {
-                let mut acc = RegSet::all();
-                for s in &cfg.succs[local] {
-                    acc = acc.intersection(before[*s as usize]);
-                }
-                if cfg.succs[local].is_empty() {
-                    acc = RegSet::new();
-                }
-                acc
-            };
-            if cfg.exits[local] && !cfg.succs[local].is_empty() {
-                // Mixed exit/successor (cannot happen with current ops,
-                // but stay conservative).
-                out = RegSet::new();
+/// Backward must-analysis: bound-to-leak registers (paper §V-A3). No
+/// register is bound to leak after an exit — including a `jcc` whose
+/// other edge stays in the function.
+pub(crate) fn bound_to_leak(program: &Program, cfg: &FunctionCfg) -> Flow<RegSet> {
+    must_solve(
+        program,
+        cfg,
+        Direction::Backward,
+        RegSet::new(),
+        |inst, output| {
+            if matches!(inst.op, Op::Call { .. }) {
+                // The callee's behaviour is unknown: only the call's own
+                // transmission (of RSP) is guaranteed.
+                return fully_transmitted(inst);
             }
-            let inp = transfer(local, out);
-            if out != after[local] || inp != before[local] {
-                after[local] = out;
-                before[local] = inp;
-                changed = true;
-            }
-        }
-    }
-    RegFlow { before, after }
+            output
+                .difference(inst.dst_regs())
+                .union(fully_transmitted(inst))
+        },
+    )
 }
 
 /// Forward must-analysis: never-secret registers (ProtCC-UNR, §V-A4).
-pub fn never_secret(program: &Program, cfg: &FunctionCfg) -> RegFlow {
-    let n = cfg.len();
-    let mut before = vec![RegSet::all(); n];
-    let mut after = vec![RegSet::all(); n];
-    if n == 0 {
-        return RegFlow { before, after };
-    }
-    before[0] = pinned_public();
-    let transfer = |local: usize, input: RegSet| -> RegSet {
-        let inst = &program.insts[(cfg.start + local as u32) as usize];
-        if is_call(inst) {
-            return pinned_public();
-        }
-        let ns_operand = |op: protean_isa::Operand| match op {
-            protean_isa::Operand::Reg(r) => input.contains(r),
-            protean_isa::Operand::Imm(_) => true,
-        };
-        let mut out = input.difference(inst.dst_regs());
-        let full = |w: Width, dst: Reg| !w.is_partial() || input.contains(dst);
-        match inst.op {
-            Op::MovImm { dst, width, .. } if full(width, dst) => {
-                out.insert(dst);
+pub(crate) fn never_secret(program: &Program, cfg: &FunctionCfg) -> Flow<RegSet> {
+    must_solve(
+        program,
+        cfg,
+        Direction::Forward,
+        pinned_public(),
+        |inst, input| {
+            if matches!(inst.op, Op::Call { .. }) {
+                return pinned_public();
             }
-            Op::Mov { dst, src, width } if input.contains(src) && full(width, dst) => {
-                out.insert(dst);
-            }
-            Op::CMov { dst, src, .. }
-                if input.contains(src) && input.contains(dst) && input.contains(Reg::RFLAGS) =>
-            {
-                out.insert(dst);
-            }
-            Op::Alu {
-                dst,
-                src1,
-                src2,
-                width,
-                ..
-            } if input.contains(src1) && ns_operand(src2) && full(width, dst) => {
-                out.insert(dst);
-                out.insert(Reg::RFLAGS);
-            }
-            Op::Cmp { src1, src2 } if input.contains(src1) && ns_operand(src2) => {
-                out.insert(Reg::RFLAGS);
-            }
-            Op::Div { dst, src1, src2 } if input.contains(src1) && input.contains(src2) => {
-                out.insert(dst);
-            }
-            // Loaded values may be secret in unrestricted code.
-            Op::Load { .. } | Op::Ret => {}
-            _ => {}
-        }
-        out.union(pinned_public())
-    };
-    fixpoint_forward(cfg, &mut before, &mut after, pinned_public(), transfer);
-    RegFlow { before, after }
-}
-
-fn fixpoint_forward(
-    cfg: &FunctionCfg,
-    before: &mut [RegSet],
-    after: &mut [RegSet],
-    entry: RegSet,
-    transfer: impl Fn(usize, RegSet) -> RegSet,
-) {
-    let n = cfg.len();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for local in 0..n {
-            let inp = if local == 0 && cfg.preds[0].is_empty() {
-                entry
-            } else {
-                let mut acc = if local == 0 { entry } else { RegSet::all() };
-                let mut any = local == 0;
-                for p in &cfg.preds[local] {
-                    acc = acc.intersection(after[*p as usize]);
-                    any = true;
-                }
-                if !any {
-                    // Unreachable: keep TOP (never constrains anything).
-                    RegSet::all()
-                } else {
-                    acc
-                }
+            let ns_operand = |op: Operand| match op {
+                Operand::Reg(r) => input.contains(r),
+                Operand::Imm(_) => true,
             };
-            let out = transfer(local, inp);
-            if inp != before[local] || out != after[local] {
-                before[local] = inp;
-                after[local] = out;
-                changed = true;
+            let mut out = input.difference(inst.dst_regs());
+            let full = |w: Width, dst: Reg| !w.is_partial() || input.contains(dst);
+            match inst.op {
+                Op::MovImm { dst, width, .. } if full(width, dst) => {
+                    out.insert(dst);
+                }
+                Op::Mov { dst, src, width } if input.contains(src) && full(width, dst) => {
+                    out.insert(dst);
+                }
+                Op::CMov { dst, src, .. }
+                    if input.contains(src)
+                        && input.contains(dst)
+                        && input.contains(Reg::RFLAGS) =>
+                {
+                    out.insert(dst);
+                }
+                Op::Alu {
+                    dst,
+                    src1,
+                    src2,
+                    width,
+                    ..
+                } if input.contains(src1) && ns_operand(src2) && full(width, dst) => {
+                    out.insert(dst);
+                    out.insert(Reg::RFLAGS);
+                }
+                Op::Cmp { src1, src2 } if input.contains(src1) && ns_operand(src2) => {
+                    out.insert(Reg::RFLAGS);
+                }
+                Op::Div { dst, src1, src2 } if input.contains(src1) && input.contains(src2) => {
+                    out.insert(dst);
+                }
+                // Loaded values may be secret in unrestricted code.
+                _ => {}
             }
-        }
-    }
+            out.union(pinned_public())
+        },
+    )
 }
 
 #[cfg(test)]

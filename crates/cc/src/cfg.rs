@@ -1,4 +1,5 @@
-//! Instruction-level control-flow graphs over function ranges.
+//! Instruction-level control-flow graphs over function ranges, and the
+//! one fixpoint solver every ProtCC analysis runs on.
 //!
 //! ProtCC's analyses are intraprocedural (paper §V-A): each node is one
 //! instruction, edges follow fall-through and static branch targets
@@ -6,22 +7,60 @@
 //! are treated as opaque: an edge to the next instruction, with
 //! analysis-specific conservative effects at the call site.
 
-use protean_isa::{Op, Program};
+use protean_isa::{Op, Program, SecurityClass};
+
+/// Splits `program` into its non-empty function ranges, in start order,
+/// and the non-empty gaps before, between and after them. A function's
+/// range carries its class; a gap carries `None`.
+pub(crate) fn regions(program: &Program) -> Vec<(u32, u32, Option<SecurityClass>)> {
+    let mut functions: Vec<_> = program.functions.iter().collect();
+    functions.sort_by_key(|f| f.start);
+    let mut regions = Vec::new();
+    let mut cursor = 0u32;
+    for f in functions {
+        regions.push((cursor, f.start, None));
+        regions.push((f.start, f.end, Some(f.class)));
+        cursor = cursor.max(f.end);
+    }
+    regions.push((cursor, program.len() as u32, None));
+    regions.retain(|(start, end, _)| start < end);
+    regions
+}
 
 /// The CFG of one function (a contiguous instruction range).
 #[derive(Clone, Debug)]
-pub struct FunctionCfg {
+pub(crate) struct FunctionCfg {
     /// First instruction index of the function.
     pub start: u32,
-    /// One past the last instruction index.
-    pub end: u32,
     /// Successors of each instruction (function-relative indices).
     pub succs: Vec<Vec<u32>>,
     /// Predecessors of each instruction (function-relative indices).
     pub preds: Vec<Vec<u32>>,
     /// Whether each instruction is a function exit (`ret`, `halt`,
-    /// indirect jump, or a branch out of the range).
+    /// indirect jump, or a branch out of the range). A `jcc` with one
+    /// edge leaving the range is an exit that also has a successor.
     pub exits: Vec<bool>,
+}
+
+/// Which way facts flow in a [`FunctionCfg::solve`] problem.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Direction {
+    /// From the entry along edges: an instruction's `before` fact is the
+    /// meet of its predecessors' `after` facts.
+    Forward,
+    /// From the exits against edges: an instruction's `after` fact is
+    /// the meet of its successors' `before` facts.
+    Backward,
+}
+
+/// A dataflow solution: the fact holding before and after each
+/// instruction (function-relative indexing).
+#[derive(Clone, Debug)]
+pub(crate) struct Flow<F> {
+    /// Fact holding *before* each instruction.
+    pub before: Vec<F>,
+    /// Fact holding *after* each instruction.
+    pub after: Vec<F>,
 }
 
 impl FunctionCfg {
@@ -76,7 +115,6 @@ impl FunctionCfg {
         }
         FunctionCfg {
             start,
-            end,
             succs,
             preds,
             exits,
@@ -86,11 +124,6 @@ impl FunctionCfg {
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.succs.len()
-    }
-
-    /// Returns `true` for an empty range.
-    pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
     }
 
     /// Function-relative indices that start a basic block: the entry,
@@ -123,6 +156,71 @@ impl FunctionCfg {
             .enumerate()
             .filter_map(|(i, l)| l.then_some(i as u32))
             .collect()
+    }
+
+    /// Solves one dataflow problem by round-robin iteration to a
+    /// fixpoint.
+    ///
+    /// Every fact starts at `identity`, the meet's identity element.
+    /// Each sweep visits the instructions in `direction` order and
+    /// recomputes an instruction's incoming fact as the meet of
+    /// `boundary` (at the entry going forward, at exits going backward)
+    /// and its neighbours' outgoing facts, then its outgoing fact as
+    /// `transfer(local, &incoming)`; sweeps repeat until nothing changes.
+    /// An instruction no edge reaches keeps `identity` as its incoming
+    /// fact: with an intersection meet it constrains nothing. Every
+    /// instruction is an exit or has a successor, so going backward only
+    /// exits see `boundary`.
+    pub fn solve<F: Clone + PartialEq>(
+        &self,
+        direction: Direction,
+        boundary: F,
+        identity: F,
+        meet: impl Fn(&mut F, &F),
+        transfer: impl Fn(usize, &F) -> F,
+    ) -> Flow<F> {
+        let n = self.len();
+        let forward = direction == Direction::Forward;
+        // `incoming[i]` is the fact on the side facts enter `i` from:
+        // `before` going forward, `after` going backward.
+        let mut incoming = vec![identity.clone(); n];
+        let mut outgoing = vec![identity.clone(); n];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for step in 0..n {
+                let local = if forward { step } else { n - 1 - step };
+                let (on_boundary, neighbours) = if forward {
+                    (local == 0, &self.preds[local])
+                } else {
+                    (self.exits[local], &self.succs[local])
+                };
+                let mut inp = identity.clone();
+                if on_boundary {
+                    meet(&mut inp, &boundary);
+                }
+                for &m in neighbours {
+                    meet(&mut inp, &outgoing[m as usize]);
+                }
+                let out = transfer(local, &inp);
+                if inp != incoming[local] || out != outgoing[local] {
+                    incoming[local] = inp;
+                    outgoing[local] = out;
+                    changed = true;
+                }
+            }
+        }
+        if forward {
+            Flow {
+                before: incoming,
+                after: outgoing,
+            }
+        } else {
+            Flow {
+                before: outgoing,
+                after: incoming,
+            }
+        }
     }
 }
 

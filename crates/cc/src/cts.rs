@@ -14,12 +14,13 @@
 //! ProtCC-CTS can unprotect more registers than SPT ever can (§IX-B2).
 
 use crate::analysis::pinned_public;
-use crate::cfg::FunctionCfg;
+use crate::cfg::{regions, Direction, FunctionCfg};
+use protean_arch::PublicTyping;
 use protean_isa::{Op, Program, Reg, RegSet, TransmitterSet};
 
 /// The inferred typing of one function.
 #[derive(Clone, Debug)]
-pub struct CtsTyping {
+pub(crate) struct CtsTyping {
     /// Per instruction (function-relative): the publicly-typed output
     /// registers.
     pub public_outputs: Vec<RegSet>,
@@ -29,7 +30,7 @@ pub struct CtsTyping {
 }
 
 /// Infers a conservative secrecy typing for `program[cfg.start..cfg.end]`.
-pub fn infer_typing(program: &Program, cfg: &FunctionCfg) -> CtsTyping {
+pub(crate) fn infer_typing(program: &Program, cfg: &FunctionCfg) -> CtsTyping {
     let n = cfg.len();
     // ---- Definition sites -------------------------------------------
     // Entry defs: one per architectural register (ids 0..Reg::COUNT);
@@ -45,63 +46,45 @@ pub fn infer_typing(program: &Program, cfg: &FunctionCfg) -> CtsTyping {
         }
     }
     let n_defs = defs.len();
+    // The ids of each register's definitions, ascending.
+    let mut ids_of: Vec<Vec<usize>> = vec![Vec::new(); Reg::COUNT];
+    for (id, (_, r)) in defs.iter().enumerate() {
+        ids_of[r.index()].push(id);
+    }
 
     // ---- Reaching definitions (forward, union) -----------------------
     let words = n_defs.div_ceil(64);
-    let empty = vec![0u64; words];
-    let mut r_in: Vec<Vec<u64>> = vec![empty.clone(); n];
     let set_bit = |v: &mut [u64], id: usize| v[id / 64] |= 1 << (id % 64);
     let get_bit = |v: &[u64], id: usize| v[id / 64] & (1 << (id % 64)) != 0;
-
     // Entry state: the entry defs.
-    let mut entry_state = empty.clone();
+    let mut entry_state = vec![0u64; words];
     for id in 0..Reg::COUNT {
         set_bit(&mut entry_state, id);
     }
-
-    let transfer = |local: usize, input: &[u64]| -> Vec<u64> {
-        let inst = &program.insts[(cfg.start + local as u32) as usize];
-        let mut out = input.to_vec();
-        let killed = if inst.write_width().is_some_and(|w| w.is_partial()) {
-            // Partial writes keep the old definition live too.
-            RegSet::new()
-        } else {
-            inst.dst_regs()
-        };
-        if !killed.is_empty() {
-            for (id, (_, r)) in defs.iter().enumerate() {
-                if killed.contains(*r) && get_bit(&out, id) {
-                    out[id / 64] &= !(1 << (id % 64));
+    let r_in = cfg
+        .solve(
+            Direction::Forward,
+            entry_state,
+            vec![0u64; words],
+            |acc, x| acc.iter_mut().zip(x).for_each(|(w, x)| *w |= x),
+            |local, input| {
+                let inst = &program.insts[(cfg.start + local as u32) as usize];
+                let mut out = input.clone();
+                // Partial writes keep the old definition live too.
+                if !inst.write_width().is_some_and(|w| w.is_partial()) {
+                    for r in inst.dst_regs().iter() {
+                        for &id in &ids_of[r.index()] {
+                            out[id / 64] &= !(1 << (id % 64));
+                        }
+                    }
                 }
-            }
-        }
-        for (_, id) in &def_of[local] {
-            set_bit(&mut out, *id);
-        }
-        out
-    };
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for local in 0..n {
-            let mut inp = if local == 0 {
-                entry_state.clone()
-            } else {
-                empty.clone()
-            };
-            for p in &cfg.preds[local] {
-                let pout = transfer(*p as usize, &r_in[*p as usize]);
-                for (w, pw) in inp.iter_mut().zip(pout) {
-                    *w |= pw;
+                for (_, id) in &def_of[local] {
+                    set_bit(&mut out, *id);
                 }
-            }
-            if inp != r_in[local] {
-                r_in[local] = inp;
-                changed = true;
-            }
-        }
-    }
+                out
+            },
+        )
+        .before;
 
     // ---- Public closure ----------------------------------------------
     let mut public = vec![false; n_defs];
@@ -128,10 +111,12 @@ pub fn infer_typing(program: &Program, cfg: &FunctionCfg) -> CtsTyping {
     // paper's transmitters send, fully (addresses, indirect targets) or
     // partially (branch predicates, divider operands).
     let transmitters = TransmitterSet::paper();
-    let reaching = |local: usize, r: Reg| -> Vec<usize> {
-        (0..n_defs)
-            .filter(|id| defs[*id].1 == r && get_bit(&r_in[local], *id))
-            .collect()
+    let reaching = |local: usize, r: Reg| {
+        let live = &r_in[local];
+        ids_of[r.index()]
+            .iter()
+            .copied()
+            .filter(|&id| get_bit(live, id))
     };
     for local in 0..n {
         let inst = &program.insts[(cfg.start + local as u32) as usize];
@@ -185,7 +170,7 @@ pub fn infer_typing(program: &Program, cfg: &FunctionCfg) -> CtsTyping {
             let inputs_ok = inst
                 .src_regs()
                 .iter()
-                .all(|s| reaching(local, s).into_iter().all(|rid| candidate[rid]));
+                .all(|s| reaching(local, s).all(|rid| candidate[rid]));
             if !inputs_ok {
                 for (_, id) in local_defs {
                     if candidate[*id] && !public[*id] {
@@ -219,6 +204,24 @@ pub fn infer_typing(program: &Program, cfg: &FunctionCfg) -> CtsTyping {
         public_outputs,
         public_entry,
     }
+}
+
+/// Computes the CTS observer mode's [`PublicTyping`] for a (possibly
+/// instrumented) program: per instruction, the publicly-typed output
+/// registers. Each function and each gap between functions is typed
+/// independently, over the same regions [`compile`](crate::compile)
+/// instruments.
+///
+/// Used by the AMuLeT\*-style fuzzer to build the CTS-SEQ contract
+/// (paper §VII-B1c).
+pub fn public_typing(program: &Program) -> PublicTyping {
+    let mut typing = PublicTyping::all_secret(program.len());
+    for (start, end, _) in regions(program) {
+        let cfg = FunctionCfg::build(program, start, end);
+        let outputs = infer_typing(program, &cfg).public_outputs;
+        typing.per_inst[start as usize..end as usize].copy_from_slice(&outputs);
+    }
+    typing
 }
 
 #[cfg(test)]

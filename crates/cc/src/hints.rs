@@ -9,10 +9,8 @@
 //! Hints only ever *unprotect*; a wrong hint is a user-declared
 //! declassification, exactly like a wrong class label (§V-B).
 
-use crate::analysis::pinned_public;
-use crate::cfg::FunctionCfg;
 use crate::edit::ProgramEditor;
-use crate::passes::{Compiled, Pass};
+use crate::passes::{movable, Compiled, Pass};
 use protean_isa::{Mem, Op, Program, RegSet};
 
 /// Public-data annotations for a compilation unit.
@@ -51,19 +49,30 @@ impl PublicHints {
     }
 
     /// Declares `[base, base+len)` public.
+    ///
+    /// # Panics
+    ///
+    /// If `base + len` overflows: the range would wrap past the top of
+    /// the address space.
     pub fn add_public_range(&mut self, base: u64, len: u64) -> &mut Self {
-        self.public_ranges.push((base, base + len));
+        let end = base
+            .checked_add(len)
+            .unwrap_or_else(|| panic!("public range {base:#x} + {len:#x} wraps the address space"));
+        self.public_ranges.push((base, end));
         self
     }
 
     /// Whether a static memory operand provably reads only hinted-public
     /// memory: an absolute address (no registers) fully inside a range.
+    /// An access that wraps past the top of memory is never covered.
     pub fn covers(&self, mem: &Mem, size: u64) -> bool {
         if mem.base.is_some() || mem.index.is_some() {
             return false;
         }
         let start = mem.disp as u64;
-        let end = start.wrapping_add(size);
+        let Some(end) = start.checked_add(size) else {
+            return false;
+        };
         self.public_ranges
             .iter()
             .any(|(lo, hi)| *lo <= start && end <= *hi)
@@ -103,12 +112,14 @@ pub fn compile_with_hints(program: &Program, pass: Pass, hints: &PublicHints) ->
     }
 
     // 2. Hinted-public entry registers: declassify with identity moves at
-    //    region entry (only those the pass did not already declassify).
-    let cfg = FunctionCfg::build(&program, 0, program.len() as u32);
-    let _ = cfg;
-    let mut extra = hints.entry_public.difference(pinned_public());
-    extra.remove(protean_isa::Reg::RFLAGS);
-    for r in extra.iter() {
+    //    region entry (only those the pass did not already declassify,
+    //    i.e. not moved by the unprefixed identity moves it starts with).
+    let moved = program
+        .insts
+        .iter()
+        .take_while(|inst| !inst.prot && inst.is_identity_move())
+        .fold(RegSet::new(), |acc, inst| acc.union(inst.dst_regs()));
+    for r in movable(hints.entry_public.difference(moved)).iter() {
         editor.insert_identity_move(0, r);
         stats.identity_moves += 1;
     }
@@ -143,6 +154,37 @@ mod tests {
         assert!(hints.covers(&Mem::abs(0x10f8), 8));
         assert!(!hints.covers(&Mem::abs(0x10fc), 8)); // straddles the end
         assert!(!hints.covers(&Mem::base(Reg::R0).with_disp(0x1000), 8)); // dynamic
+    }
+
+    #[test]
+    fn covers_rejects_an_access_that_wraps() {
+        let mut hints = PublicHints::new();
+        hints.add_public_range(0, 0x100);
+        // Its end wraps to 4, inside the range; its bytes are not.
+        assert!(!hints.covers(&Mem::abs(0xffff_ffff_ffff_fffc), 8));
+        assert!(hints.covers(&Mem::abs(0xf8), 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "wraps the address space")]
+    fn add_public_range_refuses_a_range_that_wraps() {
+        PublicHints::new().add_public_range(0xffff_ffff_ffff_f000, 0x2000);
+    }
+
+    #[test]
+    fn entry_hint_skips_registers_the_pass_already_moves() {
+        // Fig. 3: CTS and CT already move Rp (r0) at entry.
+        let prog = assemble(
+            "load r1, [r0]\nmov r2, 0\ncmp r1, 0\njlt @5\nload r2, [r1*4 + 0x1000]\nret\n",
+        )
+        .unwrap();
+        let mut hints = PublicHints::new();
+        hints.entry_public.insert(Reg::R0);
+        for (pass, moves) in [(Pass::Cts, 1), (Pass::Ct, 2)] {
+            let out = compile_with_hints(&prog, pass, &hints);
+            assert_eq!(out.stats.identity_moves, moves, "{}", pass.name());
+            assert_eq!(out.program.identity_move_count(), moves, "{}", pass.name());
+        }
     }
 
     #[test]

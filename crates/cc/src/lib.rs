@@ -18,10 +18,16 @@
 //!
 //! [`compile`] drives multi-class programs: each class-labelled function
 //! is instrumented by its own pass — how Protean targets nginx
-//! (§VIII-B3). Supporting machinery: [`FunctionCfg`], the
-//! [`analysis`] dataflow module, [`cts`] typing inference, and the
-//! [`ProgramEditor`] that inserts identity moves while retargeting
-//! branches.
+//! (§VIII-B3). [`public_typing`] hands the CTS pass's typing to the
+//! fuzzer's CTS-SEQ contract, [`compile_with_hints`] applies the §V-C
+//! [`PublicHints`] annotations, and the [`ProgramEditor`] inserts
+//! identity moves while retargeting branches.
+//!
+//! Internally, the CTS, CT and UNR analyses are dataflow problems over
+//! one instruction-level control-flow graph per function, all solved by
+//! the same round-robin fixpoint solver: past-leaked, bound-to-leak and
+//! never-secret registers (intersection meets) and CTS's reaching
+//! definitions (union meet).
 //!
 //! # Example
 //!
@@ -42,53 +48,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod analysis;
+mod analysis;
 mod cfg;
-pub mod cts;
+mod cts;
 mod edit;
 mod hints;
 mod passes;
 
-pub use cfg::FunctionCfg;
+pub use cts::public_typing;
 pub use edit::ProgramEditor;
 pub use hints::{compile_with_hints, PublicHints};
 pub use passes::{compile, compile_with, Compiled, Pass, PassStats};
-
-use protean_arch::PublicTyping;
-use protean_isa::Program;
-
-/// Computes the CTS observer mode's [`PublicTyping`] for a (possibly
-/// instrumented) program: per instruction, the publicly-typed output
-/// registers. Functions are typed independently; instructions outside
-/// any function are treated as one region.
-///
-/// Used by the AMuLeT\*-style fuzzer to build the CTS-SEQ contract
-/// (paper §VII-B1c).
-pub fn public_typing(program: &Program) -> PublicTyping {
-    let mut typing = PublicTyping::all_secret(program.len());
-    let mut regions: Vec<(u32, u32)> = program.functions.iter().map(|f| (f.start, f.end)).collect();
-    regions.sort_unstable();
-    let mut cursor = 0u32;
-    let mut all: Vec<(u32, u32)> = Vec::new();
-    for (s, e) in regions {
-        if cursor < s {
-            all.push((cursor, s));
-        }
-        all.push((s, e));
-        cursor = cursor.max(e);
-    }
-    if cursor < program.len() as u32 {
-        all.push((cursor, program.len() as u32));
-    }
-    for (s, e) in all {
-        if s >= e {
-            continue;
-        }
-        let cfg = FunctionCfg::build(program, s, e);
-        let t = cts::infer_typing(program, &cfg);
-        for local in 0..cfg.len() {
-            typing.per_inst[(s + local as u32) as usize] = t.public_outputs[local];
-        }
-    }
-    typing
-}

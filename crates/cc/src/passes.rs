@@ -1,7 +1,7 @@
 //! The ProtCC passes and the multi-class compilation driver (paper §V).
 
 use crate::analysis::{bound_to_leak, never_secret, past_leaked, pinned_public};
-use crate::cfg::FunctionCfg;
+use crate::cfg::{regions, FunctionCfg};
 use crate::cts::infer_typing;
 use crate::edit::ProgramEditor;
 use protean_isa::{Program, Reg, RegSet, SecurityClass};
@@ -94,20 +94,10 @@ pub struct Compiled {
 /// assert!(out.program.validate().is_ok());
 /// ```
 pub fn compile(program: &Program, default_pass: Pass) -> Compiled {
-    let mut regions: Vec<(u32, u32, Pass)> = Vec::new();
-    let mut cursor = 0u32;
-    let mut functions: Vec<_> = program.functions.clone();
-    functions.sort_by_key(|f| f.start);
-    for f in &functions {
-        if cursor < f.start {
-            regions.push((cursor, f.start, default_pass));
-        }
-        regions.push((f.start, f.end, Pass::for_class(f.class)));
-        cursor = cursor.max(f.end);
-    }
-    if cursor < program.len() as u32 {
-        regions.push((cursor, program.len() as u32, default_pass));
-    }
+    let regions: Vec<(u32, u32, Pass)> = regions(program)
+        .into_iter()
+        .map(|(start, end, class)| (start, end, class.map_or(default_pass, Pass::for_class)))
+        .collect();
     compile_regions(program, &regions)
 }
 
@@ -130,15 +120,9 @@ fn compile_regions(program: &Program, regions: &[(u32, u32, Pass)]) -> Compiled 
     }
 }
 
-/// Registers eligible for instrumentation decisions: everything but the
-/// pinned never-secret registers.
-fn protectable(dsts: RegSet) -> RegSet {
-    dsts.difference(pinned_public())
-}
-
 /// Registers eligible for identity-move declassification (flags cannot
 /// be moved).
-fn movable(set: RegSet) -> RegSet {
+pub(crate) fn movable(set: RegSet) -> RegSet {
     let mut out = set.difference(pinned_public());
     out.remove(Reg::RFLAGS);
     out
@@ -155,8 +139,8 @@ fn apply_pass(
     if start >= end {
         return;
     }
-    match pass {
-        Pass::Arch => {}
+    let cfg = match pass {
+        Pass::Arch => return,
         Pass::Rand { prob, seed } => {
             let mut rng = Rng::seed_from_u64(seed);
             for idx in start..end {
@@ -165,65 +149,57 @@ fn apply_pass(
                     stats.prot_prefixes += 1;
                 }
             }
+            return;
         }
+        Pass::Cts | Pass::Ct | Pass::Unr => FunctionCfg::build(program, start, end),
+    };
+    // Each pass yields the registers public after every instruction, and
+    // the registers to declassify with identity moves at (function-
+    // relative) positions, in insertion order.
+    let mut moves: Vec<(u32, RegSet)> = Vec::new();
+    let public_after: Vec<RegSet> = match pass {
         Pass::Cts => {
-            let cfg = FunctionCfg::build(program, start, end);
             let typing = infer_typing(program, &cfg);
-            for local in 0..cfg.len() {
-                let idx = start + local as u32;
-                let dsts = protectable(program.insts[idx as usize].dst_regs());
-                if !typing.public_outputs[local].is_superset(dsts) {
-                    editor.set_prot(idx, true);
-                    stats.prot_prefixes += 1;
-                }
-            }
-            for r in movable(typing.public_entry).iter() {
-                editor.insert_identity_move(start, r);
-            }
+            moves.push((0, typing.public_entry));
+            typing.public_outputs
         }
         Pass::Ct => {
-            let cfg = FunctionCfg::build(program, start, end);
             let pl = past_leaked(program, &cfg);
             let bl = bound_to_leak(program, &cfg);
-            for local in 0..cfg.len() {
-                let idx = start + local as u32;
-                let dsts = protectable(program.insts[idx as usize].dst_regs());
-                let safe = pl.after[local].union(bl.after[local]);
-                if !safe.is_superset(dsts) {
-                    editor.set_prot(idx, true);
-                    stats.prot_prefixes += 1;
-                }
-            }
-            // Declassify newly bound-to-leak registers at block entries
-            // (rule (ii), §V-A3) and function entry.
-            for r in movable(bl.before[0]).iter() {
-                editor.insert_identity_move(start, r);
-            }
-            for leader in cfg.block_leaders() {
-                if leader == 0 {
-                    continue;
-                }
+            // Declassify newly bound-to-leak registers at function entry
+            // and block entries (rule (ii), §V-A3).
+            moves.push((0, bl.before[0]));
+            for leader in cfg.block_leaders().into_iter().filter(|&l| l != 0) {
                 let mut already = RegSet::all();
                 for p in &cfg.preds[leader as usize] {
                     already = already.intersection(bl.after[*p as usize]);
                 }
-                let newly = movable(bl.before[leader as usize].difference(already));
-                for r in newly.iter() {
-                    editor.insert_identity_move(start + leader, r);
-                }
+                moves.push((leader, bl.before[leader as usize].difference(already)));
             }
+            pl.after
+                .iter()
+                .zip(&bl.after)
+                .map(|(p, b)| p.union(*b))
+                .collect()
         }
-        Pass::Unr => {
-            let cfg = FunctionCfg::build(program, start, end);
-            let ns = never_secret(program, &cfg);
-            for local in 0..cfg.len() {
-                let idx = start + local as u32;
-                let dsts = protectable(program.insts[idx as usize].dst_regs());
-                if !ns.after[local].is_superset(dsts) {
-                    editor.set_prot(idx, true);
-                    stats.prot_prefixes += 1;
-                }
-            }
+        Pass::Unr => never_secret(program, &cfg).after,
+        Pass::Arch | Pass::Rand { .. } => unreachable!("returned above"),
+    };
+    // Prefix every definition that is not public after its instruction
+    // (the pinned registers are never protected).
+    for (local, public) in public_after.iter().enumerate() {
+        let idx = start + local as u32;
+        let dsts = program.insts[idx as usize]
+            .dst_regs()
+            .difference(pinned_public());
+        if !public.is_superset(dsts) {
+            editor.set_prot(idx, true);
+            stats.prot_prefixes += 1;
+        }
+    }
+    for (local, regs) in moves {
+        for r in movable(regs).iter() {
+            editor.insert_identity_move(start + local, r);
         }
     }
 }

@@ -133,12 +133,11 @@ fn workload(
         SecurityClass::Ct => Suite::CtCrypto,
         _ => Suite::UnrCrypto,
     };
-    Workload::single(
+    Workload::new(
         name,
         suite,
         class,
-        b.build().expect("crypto kernel builds"),
-        crypto_state(seed),
+        vec![(b.build().expect("crypto kernel builds"), crypto_state(seed))],
         max_insts,
     )
 }

@@ -40,7 +40,7 @@ mod wasm;
 pub use nginx::nginx;
 
 use protean_arch::ArchState;
-use protean_isa::{Program, SecurityClass};
+use protean_isa::{Cond, Mem, Program, ProgramBuilder, Reg, SecurityClass};
 
 /// Which paper suite a workload belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -81,25 +81,39 @@ pub struct Workload {
 }
 
 impl Workload {
-    fn single(
-        name: impl Into<String>,
+    /// Validates every thread's program, runs each on the sequential
+    /// emulator to halt, and budgets `max_insts` from the longest run
+    /// (so the simulator's limits can never truncate a run). A thread
+    /// still running after `budget_hint × 64` steps panics.
+    fn new(
+        name: &str,
         suite: Suite,
         class: SecurityClass,
-        program: Program,
-        initial: ArchState,
+        threads: Vec<(Program, ArchState)>,
         budget_hint: u64,
     ) -> Workload {
-        program
-            .validate()
-            .unwrap_or_else(|e| panic!("workload program invalid: {e}"));
-        let name = name.into();
-        let measured = measure_dynamic_length(&name, &program, &initial, budget_hint);
+        let limit = budget_hint.max(1) * 64;
+        let mut longest = 0;
+        for (program, initial) in &threads {
+            program
+                .validate()
+                .unwrap_or_else(|e| panic!("workload {name} program invalid: {e}"));
+            let mut emu = protean_arch::Emulator::new(program, initial.clone());
+            while emu.step().is_some() {
+                if emu.steps() > limit {
+                    panic!("workload {name} exceeded its emulation budget ({limit})");
+                }
+            }
+            longest = longest.max(emu.steps());
+        }
         Workload {
-            name,
+            name: name.into(),
             suite,
             class,
-            threads: vec![(program, initial)],
-            max_insts: budget(measured),
+            threads,
+            // Headroom: ProtCC instrumentation adds identity moves, so
+            // instrumented binaries commit somewhat more µops.
+            max_insts: longest + longest / 2 + 10_000,
         }
     }
 
@@ -109,42 +123,17 @@ impl Workload {
     }
 }
 
-/// Runs the sequential emulator to halt and returns the dynamic
-/// instruction count (workload budgets are derived from it, so the
-/// simulator's limits can never truncate a run).
-fn measure_dynamic_length(
-    name: &str,
-    program: &Program,
-    initial: &ArchState,
-    budget_hint: u64,
-) -> u64 {
-    let mut emu = protean_arch::Emulator::new(program, initial.clone());
-    let limit = budget_hint.max(1) * 64;
-    loop {
-        if emu.step().is_none() {
-            return emu.steps();
-        }
-        if emu.steps() > limit {
-            panic!("workload {name} exceeded its emulation budget ({limit})");
-        }
-    }
-}
-
-/// Simulation budget with headroom: ProtCC instrumentation adds identity
-/// moves, so instrumented binaries commit somewhat more µops.
-fn budget(dynamic_len: u64) -> u64 {
-    dynamic_len + dynamic_len / 2 + 10_000
-}
-
-/// Budgeted measurement for one thread (used by the multi-threaded
-/// suites).
-pub(crate) fn measure_thread(
-    name: &str,
-    program: &Program,
-    initial: &ArchState,
-    budget_hint: u64,
-) -> u64 {
-    budget(measure_dynamic_length(name, program, initial, budget_hint))
+/// Emits a warm-up sweep: unprefixed loads over `[base, base+bytes)` at
+/// 8-byte stride. ARCH binaries carry no `PROT` prefixes, so these loads
+/// architecturally unprotect the working set — standing in for the
+/// paper's 10 M-instruction warm-up before each simpoint (§VIII-A3).
+fn emit_warmup(b: &mut ProgramBuilder, base: u64, bytes: u64) {
+    b.mov_imm(Reg::R12, 0);
+    let top = b.here("warm");
+    b.load(Reg::R13, Mem::abs(base).with_index(Reg::R12, 1));
+    b.add(Reg::R12, Reg::R12, 8);
+    b.cmp(Reg::R12, bytes);
+    b.jcc(Cond::Ult, top);
 }
 
 pub use crypto::{ct_crypto, cts_crypto, unr_crypto};

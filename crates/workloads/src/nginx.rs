@@ -251,12 +251,11 @@ pub fn nginx(clients: u64, requests_per_client: u64, scale: Scale) -> Workload {
     let total = clients * requests_per_client;
     let name = format!("nginx.c{clients}r{requests_per_client}");
 
-    Workload::single(
-        name,
+    Workload::new(
+        &name,
         Suite::Nginx,
         SecurityClass::Unr, // outer bound; functions carry labels
-        program,
-        init,
+        vec![(program, init)],
         (20_000 + total * 40_000) * scale.0,
     )
 }

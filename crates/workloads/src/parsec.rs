@@ -8,7 +8,7 @@
 //! 3.4× slowdown that ProtCC-UNR avoids by unprotecting the stack
 //! pointer (§IX-A1).
 
-use crate::{Scale, Suite, Workload};
+use crate::{emit_warmup, Scale, Suite, Workload};
 use protean_arch::ArchState;
 use protean_isa::{Cond, Mem, Program, ProgramBuilder, Reg, SecurityClass};
 use protean_rng::Rng;
@@ -33,30 +33,19 @@ pub fn parsec(scale: Scale) -> Vec<Workload> {
     ]
 }
 
-fn multi(name: &str, make: impl Fn(usize) -> (Program, ArchState), budget_hint: u64) -> Workload {
-    let threads: Vec<(Program, ArchState)> = (0..THREADS).map(make).collect();
-    let mut max_insts = 0;
-    for (p, init) in &threads {
-        p.validate().expect("parsec kernel is well-formed");
-        max_insts = max_insts.max(crate::measure_thread(name, p, init, budget_hint));
-    }
-    Workload {
-        name: name.into(),
-        suite: Suite::Parsec,
-        class: SecurityClass::Arch,
+fn workload(
+    name: &str,
+    make: impl Fn(usize) -> (Program, ArchState),
+    budget_hint: u64,
+) -> Workload {
+    let threads = (0..THREADS).map(make).collect();
+    Workload::new(
+        name,
+        Suite::Parsec,
+        SecurityClass::Arch,
         threads,
-        max_insts,
-    }
-}
-
-/// Warm-up sweep over the shared input (see `wasm::emit_warmup`).
-fn emit_warmup(b: &mut ProgramBuilder, bytes: u64) {
-    b.mov_imm(Reg::R12, 0);
-    let top = b.here("warm");
-    b.load(Reg::R13, Mem::abs(IN_BASE).with_index(Reg::R12, 1));
-    b.add(Reg::R12, Reg::R12, 8);
-    b.cmp(Reg::R12, bytes);
-    b.jcc(Cond::Ult, top);
+        budget_hint,
+    )
 }
 
 fn thread_state(tid: usize, seed: u64, shared_words: u64) -> ArchState {
@@ -75,7 +64,7 @@ fn blackscholes(scale: Scale) -> Workload {
     let options = 500 * scale.0;
     let make = |tid: usize| {
         let mut b = ProgramBuilder::new();
-        emit_warmup(&mut b, 0x3000);
+        emit_warmup(&mut b, IN_BASE, 0x3000);
         let (i, s, k, t, price) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4);
         let out = OUT_BASE + tid as u64 * 0x10000;
         let price_fn = b.label("price_one");
@@ -121,7 +110,7 @@ fn blackscholes(scale: Scale) -> Workload {
         let prog = b.build().expect("blackscholes builds");
         (prog, thread_state(tid, 21, 0x600))
     };
-    multi("blackscholes.p", make, 40_000 * scale.0)
+    workload("blackscholes.p", make, 40_000 * scale.0)
 }
 
 /// `canneal.p`: pointer chasing over a shared net-list with per-thread
@@ -131,7 +120,7 @@ fn canneal(scale: Scale) -> Workload {
     let hops = 6_000 * scale.0;
     let make = move |tid: usize| {
         let mut b = ProgramBuilder::new();
-        emit_warmup(&mut b, 0x20000);
+        emit_warmup(&mut b, IN_BASE, 0x20000);
         let (p, v, acc, i) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3);
         let out = OUT_BASE + tid as u64 * 0x10000;
         b.mov_imm(p, IN_BASE + (tid as u64 * 1024) % (nodes * 16));
@@ -166,7 +155,7 @@ fn canneal(scale: Scale) -> Workload {
         s.mem.write(IN_BASE + cur * 16 + 8, 8, 1);
         (prog, s)
     };
-    multi("canneal.p", make, 40_000 * scale.0)
+    workload("canneal.p", make, 40_000 * scale.0)
 }
 
 /// `swaptions.p`: Monte-Carlo simulation — LCG streams plus arithmetic
@@ -175,7 +164,7 @@ fn swaptions(scale: Scale) -> Workload {
     let paths = 8_000 * scale.0;
     let make = move |tid: usize| {
         let mut b = ProgramBuilder::new();
-        emit_warmup(&mut b, 0x80);
+        emit_warmup(&mut b, IN_BASE, 0x80);
         let (x, i, acc, t) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3);
         let out = OUT_BASE + tid as u64 * 0x10000;
         // Per-thread RNG state loaded from the shared input.
@@ -198,7 +187,7 @@ fn swaptions(scale: Scale) -> Workload {
             thread_state(tid, 23, 16),
         )
     };
-    multi("swaptions.p", make, 70_000 * scale.0)
+    workload("swaptions.p", make, 70_000 * scale.0)
 }
 
 /// `fluidanimate.p`: grid stencil — each cell reads its neighbours from
@@ -207,7 +196,7 @@ fn fluidanimate(scale: Scale) -> Workload {
     let cells = 4_000 * scale.0;
     let make = move |tid: usize| {
         let mut b = ProgramBuilder::new();
-        emit_warmup(&mut b, 0x4800);
+        emit_warmup(&mut b, IN_BASE, 0x4800);
         let (i, a, l, r, t) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4);
         let out = OUT_BASE + tid as u64 * 0x20000;
         b.mov_imm(i, 0);
@@ -231,7 +220,7 @@ fn fluidanimate(scale: Scale) -> Workload {
             thread_state(tid, 24, 0x900),
         )
     };
-    multi("fluidanimate.p", make, 50_000 * scale.0)
+    workload("fluidanimate.p", make, 50_000 * scale.0)
 }
 
 /// `dedup.p`: rolling-hash chunking plus a hash-table membership check.
@@ -239,7 +228,7 @@ fn dedup(scale: Scale) -> Workload {
     let bytes = 20_000 * scale.0;
     let make = move |tid: usize| {
         let mut b = ProgramBuilder::new();
-        emit_warmup(&mut b, 0x10000);
+        emit_warmup(&mut b, IN_BASE, 0x10000);
         let (i, h, c, t, acc) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4);
         let out = OUT_BASE + tid as u64 * 0x10000;
         b.mov_imm(i, 0);
@@ -274,7 +263,7 @@ fn dedup(scale: Scale) -> Workload {
             thread_state(tid, 25, 0x2000),
         )
     };
-    multi("dedup.p", make, 170_000 * scale.0)
+    workload("dedup.p", make, 170_000 * scale.0)
 }
 
 /// `ferret.p`: similarity search — per query, distance computations
@@ -284,7 +273,7 @@ fn ferret(scale: Scale) -> Workload {
     let queries = 900 * scale.0;
     let make = move |tid: usize| {
         let mut b = ProgramBuilder::new();
-        emit_warmup(&mut b, 0x6000);
+        emit_warmup(&mut b, IN_BASE, 0x6000);
         let (q, cand, dist, best, t, f) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5);
         let out = OUT_BASE + tid as u64 * 0x10000;
         b.mov_imm(q, 0);
@@ -326,5 +315,5 @@ fn ferret(scale: Scale) -> Workload {
         }
         (b.build().expect("ferret builds"), s)
     };
-    multi("ferret.p", make, 60_000 * scale.0)
+    workload("ferret.p", make, 60_000 * scale.0)
 }

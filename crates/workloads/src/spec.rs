@@ -8,7 +8,7 @@
 //! queue, `exchange2_s`/`leela_s` by register-heavy compute, and
 //! `perlbench_s` by byte-wise string hashing.
 
-use crate::{Scale, Suite, Workload};
+use crate::{emit_warmup, Scale, Suite, Workload};
 use protean_arch::ArchState;
 use protean_isa::{AluOp, Cond, Mem, ProgramBuilder, Reg, SecurityClass, Width};
 use protean_rng::Rng;
@@ -54,26 +54,13 @@ pub fn is_spec2017_int(w: &Workload) -> bool {
 }
 
 fn workload(name: &str, b: ProgramBuilder, init: ArchState, max_insts: u64) -> Workload {
-    Workload::single(
+    Workload::new(
         name,
         Suite::Spec2017,
         SecurityClass::Arch,
-        b.build().expect("kernel builds"),
-        init,
+        vec![(b.build().expect("kernel builds"), init)],
         max_insts,
     )
-}
-
-/// Warm-up sweep over `[base, base+bytes)` (see `wasm::emit_warmup`):
-/// unprefixed loads unprotect the working set, standing in for the
-/// paper's pre-simpoint warm-up.
-fn emit_warmup(b: &mut ProgramBuilder, base: u64, bytes: u64) {
-    b.mov_imm(Reg::R12, 0);
-    let top = b.here("warm");
-    b.load(Reg::R13, Mem::abs(base).with_index(Reg::R12, 1));
-    b.add(Reg::R12, Reg::R12, 8);
-    b.cmp(Reg::R12, bytes);
-    b.jcc(Cond::Ult, top);
 }
 
 fn base_state() -> ArchState {

@@ -10,7 +10,7 @@
 //! accessed memory is unprotected (§IX-B1: only ~10 % of the hot
 //! dependencies touch protected data).
 
-use crate::{Scale, Suite, Workload};
+use crate::{emit_warmup, Scale, Suite, Workload};
 use protean_arch::ArchState;
 use protean_isa::{Cond, Mem, ProgramBuilder, Reg, SecurityClass, Width};
 use protean_rng::Rng;
@@ -34,12 +34,11 @@ pub fn arch_wasm(scale: Scale) -> Vec<Workload> {
 }
 
 fn workload(name: &str, b: ProgramBuilder, init: ArchState, max_insts: u64) -> Workload {
-    Workload::single(
+    Workload::new(
         name,
         Suite::ArchWasm,
         SecurityClass::Arch,
-        b.build().expect("wasm kernel builds"),
-        init,
+        vec![(b.build().expect("wasm kernel builds"), init)],
         max_insts,
     )
 }
@@ -52,19 +51,6 @@ fn state(seed: u64, words: u64) -> ArchState {
         s.mem.write(LINMEM + k * 8, 8, rng.gen_range(0..0x8000));
     }
     s
-}
-
-/// Emits a warm-up sweep: unprefixed loads over `[LINMEM, LINMEM+bytes)`
-/// at 8-byte stride. ARCH binaries carry no `PROT` prefixes, so these
-/// loads architecturally unprotect the working set — standing in for the
-/// paper's 10 M-instruction warm-up before each simpoint (§VIII-A3).
-fn emit_warmup(b: &mut ProgramBuilder, bytes: u64) {
-    b.mov_imm(Reg::R12, 0);
-    let top = b.here("warm");
-    b.load(Reg::R13, Mem::abs(LINMEM).with_index(Reg::R12, 1));
-    b.add(Reg::R12, Reg::R12, 8);
-    b.cmp(Reg::R12, bytes);
-    b.jcc(Cond::Ult, top);
 }
 
 /// Emits a sandboxed load: `dst = linmem[(addr_reg) & MASK]`.
@@ -83,7 +69,7 @@ fn sandboxed_store(b: &mut ProgramBuilder, addr: Reg, src: Reg) {
 fn bzip2(scale: Scale) -> Workload {
     let n = 18_000 * scale.0;
     let mut b = ProgramBuilder::new();
-    emit_warmup(&mut b, 0x4200);
+    emit_warmup(&mut b, LINMEM, 0x4200);
     let (i, c, prev, run, t) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4);
     b.mov_imm(i, 0);
     let top = b.here("top");
@@ -118,7 +104,7 @@ fn bzip2(scale: Scale) -> Workload {
 fn mcf(scale: Scale) -> Workload {
     let hops = 16_000 * scale.0;
     let mut b = ProgramBuilder::new();
-    emit_warmup(&mut b, 0x4000);
+    emit_warmup(&mut b, LINMEM, 0x4000);
     let (p, v, acc, i) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3);
     b.mov_imm(p, 0);
     b.mov_imm(i, 0);
@@ -162,7 +148,7 @@ fn mcf(scale: Scale) -> Workload {
 fn milc(scale: Scale) -> Workload {
     let n = 16_000 * scale.0;
     let mut b = ProgramBuilder::new();
-    emit_warmup(&mut b, 0x10000);
+    emit_warmup(&mut b, LINMEM, 0x10000);
     let (i, ptr, v, acc, t) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4);
     b.mov_imm(i, 0);
     let top = b.here("top");
@@ -191,7 +177,7 @@ fn milc(scale: Scale) -> Workload {
 fn namd(scale: Scale) -> Workload {
     let n = 12_000 * scale.0;
     let mut b = ProgramBuilder::new();
-    emit_warmup(&mut b, 0x4200);
+    emit_warmup(&mut b, LINMEM, 0x4200);
     let (i, x, y, f, t) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4);
     b.mov_imm(i, 0);
     let top = b.here("top");
@@ -219,7 +205,7 @@ fn namd(scale: Scale) -> Workload {
 fn libquantum(scale: Scale) -> Workload {
     let n = 15_000 * scale.0;
     let mut b = ProgramBuilder::new();
-    emit_warmup(&mut b, 0x8000);
+    emit_warmup(&mut b, LINMEM, 0x8000);
     let (i, a, t) = (Reg::R0, Reg::R1, Reg::R3);
     b.mov_imm(i, 0);
     let top = b.here("top");
@@ -251,7 +237,7 @@ fn libquantum(scale: Scale) -> Workload {
 fn lbm(scale: Scale) -> Workload {
     let n = 15_000 * scale.0;
     let mut b = ProgramBuilder::new();
-    emit_warmup(&mut b, 0x28000);
+    emit_warmup(&mut b, LINMEM, 0x28000);
     let (i, a, c, t) = (Reg::R0, Reg::R1, Reg::R2, Reg::R4);
     b.mov_imm(i, 0);
     let top = b.here("top");
